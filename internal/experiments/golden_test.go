@@ -3,65 +3,40 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/measure"
 	"repro/internal/simclock"
 )
 
-// probeKey is one probe's full aggregate identity (count, total, min, max)
-// so two runs can be compared sample-for-sample.
-type probeKey struct {
-	Count           uint64
-	Total, Min, Max simclock.Cycles
-}
-
-func probeDigest(t *testing.T, s *measure.Set) map[string]probeKey {
-	t.Helper()
-	out := map[string]probeKey{}
-	for _, ph := range []string{
-		measure.PhaseMgrEntry, measure.PhaseMgrExit, measure.PhaseMgrExec,
-		measure.PhasePLIRQEntry, measure.PhaseVMSwitch,
-	} {
-		p := s.Get(ph)
-		out[ph] = probeKey{Count: p.Count, Total: p.Total, Min: p.Min, Max: p.Max}
-	}
-	return out
-}
-
-// Two full RunTable3Row runs from identical configurations must be
-// bit-identical: same probe counts, same cycle totals, same extremes.
-// This is the golden determinism guarantee the batched memory path must
-// not break — the simulation derives everything from the cycle clock,
-// never from host state.
+// The Table III 4-VM row, pinned: entry, exit, exec, PL-IRQ entry and
+// total (µs means over the steady-state samples), the sample count, and
+// the clock at completion. The simulation derives everything from the
+// cycle clock, never from host state, so these values are exact; any
+// drift means a change altered the modelled system.
 func TestGoldenTable3RowDeterminism(t *testing.T) {
-	cfg := testConfig(2, 6)
+	cfg := testConfig(4, 8)
 	cfg.Warmup = 2
+	sys := BuildVirtSystem(cfg)
+	defer sys.Kernel.Shutdown()
+	probes := sys.RunToCompletion(safetyHorizon(cfg))
+	row := rowFrom("4 OS", probes)
+	end := sys.Kernel.Clock.Now()
 
-	run := func() (Row, map[string]probeKey, simclock.Cycles) {
-		c := cfg
-		c.Guests = 2
-		c.Iterations = cfg.Iterations
-		if c.Iterations < 8 {
-			c.Iterations = 8
-		}
-		sys := BuildVirtSystem(c)
-		defer sys.Kernel.Shutdown()
-		probes := sys.RunToCompletion(safetyHorizon(c))
-		row := rowFrom("2 OS", probes)
-		return row, probeDigest(t, probes), sys.Kernel.Clock.Now()
+	want := Row{
+		Label:    "4 OS",
+		Entry:    0.4130616509926855,
+		Exit:     0.34440961337513065,
+		Exec:     17.856844305120166,
+		IRQEntry: 0.3762360446570973,
+		Samples:  29,
 	}
-
-	row1, probes1, end1 := run()
-	row2, probes2, end2 := run()
-
-	if end1 != end2 {
-		t.Fatalf("final clock diverged across identical runs: %d vs %d", end1, end2)
+	const wantTotal = 18.61431556948798
+	const wantEnd = simclock.Cycles(871362266)
+	if row != want {
+		t.Errorf("Table III 4-VM row drifted from the pinned values:\n  got  %+v\n  want %+v", row, want)
 	}
-	if row1 != row2 {
-		t.Fatalf("Table III row diverged across identical runs:\n  %+v\n  %+v", row1, row2)
+	if got := row.Total(); got != wantTotal {
+		t.Errorf("Table III 4-VM total = %v us, pinned %v us", got, wantTotal)
 	}
-	for ph, p1 := range probes1 {
-		if p2 := probes2[ph]; p1 != p2 {
-			t.Errorf("probe %v diverged:\n  %+v\n  %+v", ph, p1, p2)
-		}
+	if end != wantEnd {
+		t.Errorf("completion clock = %d cycles, pinned %d", end, wantEnd)
 	}
 }

@@ -315,4 +315,9 @@ func TestIPCFastPathSameCore(t *testing.T) {
 	if mean := p.MeanMicros(); mean > 5 {
 		t.Errorf("mean round trip = %.2f us, want a fast-path figure (<5us)", mean)
 	}
+	// The exact figure is pinned: the call/reply cost is simulated time,
+	// so any drift means a change altered the IPC path's modelled cost.
+	if got, want := p.MeanCycles(), 1519.703125; got != want {
+		t.Errorf("mean round trip = %v cycles, pinned %v", got, want)
+	}
 }

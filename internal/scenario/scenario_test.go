@@ -22,12 +22,12 @@ func TestSuiteDeterminism(t *testing.T) {
 		if a.Name != b.Name {
 			t.Fatalf("result order diverged: %s vs %s", a.Name, b.Name)
 		}
-		if a.Checksum != b.Checksum {
-			t.Errorf("%s: checksum diverged across identical runs: %016x vs %016x\n--- first ---\n%s--- second ---\n%s",
-				a.Name, a.Checksum, b.Checksum, a.Detail, b.Detail)
-		}
 		if a.Detail != b.Detail {
-			t.Errorf("%s: state dump diverged with equal checksum (hash collision?)", a.Name)
+			t.Errorf("%s: state dump diverged across identical runs\n%s", a.Name, diffDetail(a.Detail, b.Detail))
+			continue
+		}
+		if a.Checksum != b.Checksum {
+			t.Errorf("%s: checksum diverged with identical state dumps: %016x vs %016x", a.Name, a.Checksum, b.Checksum)
 		}
 	}
 }
@@ -81,14 +81,14 @@ func TestParallelInSystemMatchesSequential(t *testing.T) {
 		ref := runs[i].res
 		for j := 1; j <= len(shardCounts); j++ {
 			got := runs[i+j].res
-			if got.Checksum != ref.Checksum {
-				t.Errorf("%s: shards=%d checksum %016x != sequential %016x",
-					ref.Name, runs[i+j].shards, got.Checksum, ref.Checksum)
+			if got.Detail != ref.Detail {
+				t.Errorf("%s: shards=%d state dump diverged from sequential\n%s",
+					ref.Name, runs[i+j].shards, diffDetail(ref.Detail, got.Detail))
 				continue
 			}
-			if got.Detail != ref.Detail {
-				t.Errorf("%s: shards=%d state dump diverged with equal checksum (hash collision?)",
-					ref.Name, runs[i+j].shards)
+			if got.Checksum != ref.Checksum {
+				t.Errorf("%s: shards=%d checksum %016x != sequential %016x with identical state dumps",
+					ref.Name, runs[i+j].shards, got.Checksum, ref.Checksum)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/physmem"
@@ -152,23 +150,4 @@ func TestCheckpointRestoreContinuity(t *testing.T) {
 				shards, diffDetail(ref.Detail, base.Detail))
 		}
 	}
-}
-
-// diffDetail reports the first differing dump line, for readable
-// failures instead of two multi-KB blobs.
-func diffDetail(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) || i < len(bl); i++ {
-		var x, y string
-		if i < len(al) {
-			x = al[i]
-		}
-		if i < len(bl) {
-			y = bl[i]
-		}
-		if x != y {
-			return fmt.Sprintf("line %d:\n  a: %s\n  b: %s", i, x, y)
-		}
-	}
-	return "(no differing line)"
 }
