@@ -11,7 +11,6 @@
 //	go run ./cmd/experiments -footprint # just the scalars
 //	go run ./cmd/experiments -dualcore  # dual-core offload comparison
 //	go run ./cmd/experiments -reconfig  # reconfiguration-pipeline sweep
-//	go run ./cmd/experiments -bench     # simulator wall-clock benchmarks -> BENCH_sim.json
 //	go run ./cmd/experiments -scenario  # multi-VM stress-scenario suite (parallel, checksummed)
 //	go run ./cmd/experiments -scenario -shards 4  # same suite on the epoch-barrier parallel engine
 //	go run ./cmd/experiments -faults    # just the fault-injection/QoS scenarios
@@ -19,6 +18,10 @@
 //	go run ./cmd/experiments -interference  # noisy-neighbor p99 interference probe
 //	go run ./cmd/experiments -snapshot  # checkpoint/fork clone sweep: boot-vs-fork cost, COW copy rate
 //	go run ./cmd/experiments -iters 40 -guests 4
+//
+// Every number printed here is simulated time. Simulator speed (host
+// time per simulated ms, per layer) is measured from outside the program
+// by the benchmark in bench/: bash bench/run.sh.
 package main
 
 import (
@@ -39,9 +42,6 @@ func main() {
 		footprint  = flag.Bool("footprint", false, "report the Section V-B scalars")
 		dualcore   = flag.Bool("dualcore", false, "compare the CPU0-only deployment with the dual-core partitioning")
 		reconfig   = flag.Bool("reconfig", false, "run the reconfiguration-pipeline sweep (cache/queue/prefetch)")
-		bench      = flag.Bool("bench", false, "run the simulator wall-clock benchmarks (batched vs scalar memory path)")
-		benchOut   = flag.String("bench-out", "BENCH_sim.json", "where -bench writes its JSON report")
-		benchShort = flag.Bool("bench-short", false, "reduced-horizon benchmark run (CI smoke)")
 		scen       = flag.Bool("scenario", false, "run the multi-VM stress-scenario suite in parallel")
 		scenName   = flag.String("scenario-name", "", "run a single named scenario instead of the whole suite")
 		scenShort  = flag.Bool("scenario-short", false, "reduced-horizon scenario run (CI smoke)")
@@ -75,7 +75,7 @@ func main() {
 	if *scenName != "" || *scenOut != "" || *scenShort || *traceOn || *faultsOnly {
 		*scen = true // the sub-flags imply the scenario run
 	}
-	all := !*table3 && !*fig9 && !*footprint && !*dualcore && !*reconfig && !*bench && !*scen && !*interfere && !*snapSweep
+	all := !*table3 && !*fig9 && !*footprint && !*dualcore && !*reconfig && !*scen && !*interfere && !*snapSweep
 
 	if *interfere {
 		fmt.Printf("running noisy-neighbor interference probe (short=%v)...\n", *scenShort)
@@ -173,17 +173,6 @@ func main() {
 				fmt.Printf("wrote %s (%d events, %d dropped)\n", path, r.TraceEvents, r.TraceDrops)
 			}
 		}
-	}
-
-	if *bench {
-		fmt.Printf("running simulator wall-clock benchmarks (short=%v)...\n", *benchShort)
-		rep := experiments.RunSimBench(*benchShort)
-		fmt.Println(rep)
-		if err := rep.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
 	}
 
 	cfg := experiments.DefaultConfig()

@@ -8,8 +8,8 @@
 // directly above it. The justification is mandatory: an annotation that
 // silences a determinism check without saying *why* the site is safe is
 // itself a finding — the analyzers report bare annotations instead of
-// honoring them. Kinds in use: "ordered" (nomaprange), "hosttime"
-// (nohosttime), "partial" (exhauststatus), "tracewriter" (tracewriter).
+// honoring them. Kinds in use: "ordered" (nomaprange), "partial"
+// (exhauststatus), "tracewriter" (tracewriter).
 package directive
 
 import (

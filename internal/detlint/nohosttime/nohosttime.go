@@ -12,10 +12,9 @@
 // Seeded `rand.New(rand.NewSource(seed))` generators are fine and are
 // not flagged.
 //
-// Wall-clock *measurement* of the simulator itself (host-ms per
-// simulated-ms in the bench harness) is legitimate; those few sites in
-// scenario/experiments carry `//detlint:hosttime <reason>` annotations,
-// which is the allowlist.
+// There is no escape hatch: wall-clock measurement of the simulator
+// itself belongs to the benchmark module (bench/), which times the
+// program from outside and is not a simulator package.
 package nohosttime
 
 import (
@@ -24,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/detlint/analysis"
-	"repro/internal/detlint/directive"
 	"repro/internal/detlint/simscope"
 )
 
@@ -32,16 +30,14 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nohosttime",
 	Doc: "forbid host time, environment and global-rand reads in simulator packages\n\n" +
-		"Simulated behavior must be a pure function of spec and seed; host-clock\n" +
-		"benchmark sites must be annotated //detlint:hosttime.",
+		"Simulated behavior must be a pure function of spec and seed.",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !simscope.Internal(pass.Pkg.Path()) {
+	if !simscope.Sim(pass.Pkg.Path()) {
 		return nil, nil
 	}
-	dirs := directive.Collect(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
@@ -59,13 +55,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if why == "" {
 				return true
 			}
-			if d, ok := dirs.For("hosttime", sel.Pos()); ok {
-				if d.Reason == "" {
-					pass.Reportf(sel.Pos(), "//detlint:hosttime annotation needs a justification (what wall-clock quantity is measured here?)")
-				}
-				return true
-			}
-			pass.Reportf(sel.Pos(), "%s.%s in simulator package: %s; derive it from the simulated clock/seed or annotate //detlint:hosttime <reason>", fn.Pkg().Name(), fn.Name(), why)
+			pass.Reportf(sel.Pos(), "%s.%s in simulator package: %s; derive it from the simulated clock/seed", fn.Pkg().Name(), fn.Name(), why)
 			return true
 		})
 	}

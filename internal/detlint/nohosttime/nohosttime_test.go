@@ -9,7 +9,7 @@ import (
 
 func TestNoHostTime(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), nohosttime.Analyzer,
-		"example.com/internal/sim", // simulator scope: positives + seeded/annotated negatives
+		"example.com/internal/sim", // simulator scope: positives + seeded negatives
 		"example.com/cmd/tool",     // boundary: out of scope, must be clean
 	)
 }

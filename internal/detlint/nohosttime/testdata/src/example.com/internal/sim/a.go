@@ -31,16 +31,3 @@ func Good(seed int64) int {
 	r := rand.New(rand.NewSource(seed))
 	return r.Intn(10)
 }
-
-// Bench is an allowlisted wall-clock measurement of the simulator
-// itself: the annotation with a reason suppresses the diagnostic.
-func Bench() time.Time {
-	//detlint:hosttime wall-clock numerator for host-ms-per-sim-ms
-	return time.Now()
-}
-
-// BareAnnotation lacks the mandatory reason.
-func BareAnnotation() time.Time {
-	//detlint:hosttime
-	return time.Now() // want `needs a justification`
-}

@@ -42,18 +42,10 @@ func internalBase(path string) string {
 }
 
 // Sim reports whether the import path is a simulation-state or
-// rendering package (the nomaprange scope).
+// rendering package (the nomaprange and nohosttime scope).
 func Sim(path string) bool {
 	base := internalBase(path)
 	return base != "" && !excluded[base]
-}
-
-// Internal reports whether the import path is in the nohosttime scope:
-// the same inclusive set, including the harness layers (scenario,
-// experiments) where host-time use must be explicitly annotated as
-// wall-clock measurement.
-func Internal(path string) bool {
-	return Sim(path)
 }
 
 // Trace reports whether the import path is the trace package itself

@@ -394,7 +394,6 @@ func (e *Env) ResumeSuspendExit() {
 	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(HcSuspend), uint64(StatusOK))
-		k.trHypercall.Observe(d)
 	}
 	c.Clock.Advance(cpu.CostExceptionReturn)
 	c.CPU.Regs = pd.VCPU.Regs

@@ -101,7 +101,6 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(sel), uint64(ret))
-		k.trHypercall.Observe(d)
 	}
 	return ret
 }
@@ -387,7 +386,6 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 	k.Probes.Add(measure.PhaseIPCCall, d)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindIPCCall, 0, uint64(pd.ID), uint64(to.ID))
-		k.trIPC.Observe(d)
 	}
 	return pd.ipcReply
 }

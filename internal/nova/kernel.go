@@ -89,13 +89,6 @@ type Kernel struct {
 	// scenario digests.
 	Tracer *trace.Tracer
 
-	// Cached tracing instruments (valid iff Tracer != nil).
-	trHypercall *trace.Histogram
-	trIPC       *trace.Histogram
-	trSwitch    *trace.Histogram
-	trWakes     *trace.Counter
-	trInjects   *trace.Counter
-
 	PDs []*PD
 
 	// SMPSlice is retained for API compatibility with the old interleaved
@@ -830,7 +823,6 @@ func (k *Kernel) worldSwitch(c *CoreCtx, next *PD) {
 			prevID = uint64(prev.ID) + 1
 		}
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindVMSwitch, 0, prevID, uint64(next.ID)+1)
-		k.trSwitch.Observe(d)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Tracing wiring: EnableTrace attaches per-core bounded event rings and a
-// metrics registry to the kernel, then points every instrumented subsystem
-// (scheduler, vGICs, reconfiguration pipeline) at them. Tracing is
+// Tracing wiring: EnableTrace attaches per-core bounded event rings to
+// the kernel, then points every instrumented subsystem (scheduler, vGICs,
+// reconfiguration pipeline) at them. Tracing is
 // strictly read-only with respect to simulated state — no emission ever
 // advances a clock, touches a probe the scenario digest hashes, or
 // iterates a map — so a traced run produces byte-identical scenario
@@ -36,11 +36,6 @@ func (k *Kernel) EnableTrace(capacity int) *trace.Tracer {
 		return ""
 	}
 	k.Tracer = t
-	k.trHypercall = t.Metrics.Histogram("hypercall_cycles", nil)
-	k.trIPC = t.Metrics.Histogram("ipc_call_cycles", nil)
-	k.trSwitch = t.Metrics.Histogram("vm_switch_cycles", nil)
-	k.trWakes = t.Metrics.Counter("sched_wakes")
-	k.trInjects = t.Metrics.Counter("vgic_injects")
 	if o, ok := k.Sched.(sched.Observable); ok {
 		o.SetObserver(kernelSchedObserver{k})
 	}
@@ -75,7 +70,6 @@ func (o kernelSchedObserver) Enqueued(n *sched.Node) {
 	}
 	o.k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
 		trace.KindSchedWake, 0, uint64(pd.ID), uint64(pd.Priority))
-	o.k.trWakes.Inc()
 }
 
 func (o kernelSchedObserver) Dequeued(n *sched.Node) {
@@ -106,9 +100,6 @@ func (k *Kernel) traceVGIC(pd *PD) {
 		}
 		k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
 			kind, 0, uint64(irq), uint64(pd.ID))
-		if kind == trace.KindVGICInject {
-			k.trInjects.Inc()
-		}
 	}
 }
 

@@ -1,20 +1,36 @@
 package scenario
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/experiments"
-)
-
-func init() {
-	experiments.RegisterSnapshotBench(MeasureSnapshotForks)
+// SnapshotFork is one fleet-size measurement of checkpoint/fork cloning.
+// All fields are simulated (deterministic) quantities: the sweep's claim
+// is about simulated cost, not simulator speed.
+type SnapshotFork struct {
+	Name   string
+	Clones int
+	// ColdBootMs is the template's boot-to-quiescence cost; ForkMs is
+	// what the whole fleet cost instead by forking through the warm pool.
+	ColdBootMs float64
+	ForkMs     float64
+	// ForkOverBoot is ForkMs/ColdBootMs — the fleet-for-one-boot ratio.
+	ForkOverBoot float64
+	// FramesShared/FramesCopied split the fleet's pages at run end:
+	// still COW-shared with the image vs. privatized by write faults.
+	FramesShared uint64
+	FramesCopied uint64
+	// CopyRate is the fraction of clone-mapped frames that were copied.
+	CopyRate   float64
+	PoolHits   uint64
+	PoolMisses uint64
+	// HitRatio is warm-pool hits over all acquires.
+	HitRatio float64
 }
 
-// snapshotForkSpec builds the clone-sweep benchmark subject for one fleet
-// size: the oversubscribed-256vm shape with the clone count swept and
-// half the fleet prewarmed (so the pool serves both hits and cold
-// builds). Everything measured is simulated time — the spec is a
-// deterministic scenario like any other.
+// snapshotForkSpec builds the clone-sweep subject for one fleet size: the
+// oversubscribed-256vm shape with the clone count swept and half the
+// fleet prewarmed (so the pool serves both hits and cold builds).
+// Everything measured is simulated time — the spec is a deterministic
+// scenario like any other.
 func snapshotForkSpec(clones int) Spec {
 	return Spec{
 		Name:  fmt.Sprintf("snapshot-fork-%d", clones),
@@ -24,12 +40,11 @@ func snapshotForkSpec(clones int) Spec {
 	}
 }
 
-// MeasureSnapshotFork runs one fleet size and folds the result into the
-// BENCH_sim.json snapshot_fork entry: boot-vs-fork simulated cost, the
-// COW copy ledger, and the warm-pool hit ratio.
-func MeasureSnapshotFork(clones int) experiments.SnapshotFork {
+// MeasureSnapshotFork runs one fleet size and reports boot-vs-fork
+// simulated cost, the COW copy ledger, and the warm-pool hit ratio.
+func MeasureSnapshotFork(clones int) SnapshotFork {
 	r := Build(snapshotForkSpec(clones)).Run()
-	sf := experiments.SnapshotFork{
+	sf := SnapshotFork{
 		Name:         r.Name,
 		Clones:       r.CloneCount,
 		ColdBootMs:   r.BootCycles.Millis(),
@@ -51,14 +66,14 @@ func MeasureSnapshotFork(clones int) experiments.SnapshotFork {
 	return sf
 }
 
-// MeasureSnapshotForks is the RunSimBench hook: the fleet-size sweep
-// showing fork cost staying O(metadata) as the clone count scales.
-func MeasureSnapshotForks(short bool) []experiments.SnapshotFork {
+// MeasureSnapshotForks is the -snapshot sweep: fork cost staying
+// O(metadata) as the clone count scales.
+func MeasureSnapshotForks(short bool) []SnapshotFork {
 	counts := []int{1, 8, 64, 256}
 	if short {
 		counts = []int{1, 8}
 	}
-	var out []experiments.SnapshotFork
+	var out []SnapshotFork
 	for _, n := range counts {
 		out = append(out, MeasureSnapshotFork(n))
 	}

@@ -1,27 +1,20 @@
 package scenario
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden_short.txt and testdata/golden_full.txt from this run")
 
-// goldenHeader opens each scenario's block in a golden file; the block's
-// remaining lines are the scenario's Detail, verbatim.
+// goldenHeader opens each scenario's block in a golden file: the header
+// line carries the name and checksum, the block's remaining lines are the
+// scenario's Detail, verbatim.
 const goldenHeader = "=== "
-
-// goldenEntry is one scenario's pinned outcome.
-type goldenEntry struct {
-	checksum uint64
-	detail   string
-}
 
 func goldenPath(short bool) string {
 	if short {
@@ -30,60 +23,24 @@ func goldenPath(short bool) string {
 	return filepath.Join("testdata", "golden_full.txt")
 }
 
-// renderGolden writes every result as a header line (name and checksum)
-// followed by its Detail.
-func renderGolden(results []Result) string {
-	var b strings.Builder
-	for _, r := range results {
-		fmt.Fprintf(&b, "%s%s %016x\n", goldenHeader, r.Name, r.Checksum)
-		b.WriteString(r.Detail)
-	}
-	return b.String()
+// goldenBlock renders one result as its golden-file block.
+func goldenBlock(r Result) string {
+	return fmt.Sprintf("%s%s %016x\n%s", goldenHeader, r.Name, r.Checksum, r.Detail)
 }
 
-// parseGolden reads a rendered golden file back into per-scenario
-// entries, keeping the file's scenario order.
-func parseGolden(t *testing.T, text string) (names []string, entries map[string]goldenEntry) {
-	t.Helper()
-	entries = map[string]goldenEntry{}
+// splitGolden cuts a golden file into its per-scenario blocks, keyed by
+// name, and returns the names in file order.
+func splitGolden(text string) (names []string, blocks map[string]string) {
+	blocks = map[string]string{}
 	var name string
-	var cur goldenEntry
-	var detail strings.Builder
-	flush := func() {
-		if name != "" {
-			cur.detail = detail.String()
-			entries[name] = cur
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, goldenHeader); ok {
+			name, _, _ = strings.Cut(rest, " ")
+			names = append(names, name)
 		}
+		blocks[name] += line
 	}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, goldenHeader) {
-			if name == "" {
-				t.Fatalf("golden: detail line before any %q header: %q", goldenHeader, line)
-			}
-			detail.WriteString(line + "\n")
-			continue
-		}
-		flush()
-		fields := strings.Fields(strings.TrimPrefix(line, goldenHeader))
-		if len(fields) != 2 {
-			t.Fatalf("golden: malformed header %q", line)
-		}
-		sum, err := strconv.ParseUint(fields[1], 16, 64)
-		if err != nil {
-			t.Fatalf("golden: bad checksum in %q: %v", line, err)
-		}
-		name, cur = fields[0], goldenEntry{checksum: sum}
-		detail.Reset()
-		names = append(names, name)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("golden: %v", err)
-	}
-	flush()
-	return names, entries
+	return names, blocks
 }
 
 // TestSuiteGolden pins the behaviour contract: every suite scenario's
@@ -99,7 +56,11 @@ func TestSuiteGolden(t *testing.T) {
 		results := RunSuite(Suite(short))
 		path := goldenPath(short)
 		if *update {
-			if err := os.WriteFile(path, []byte(renderGolden(results)), 0o644); err != nil {
+			var b strings.Builder
+			for _, r := range results {
+				b.WriteString(goldenBlock(r))
+			}
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("wrote %s (%d scenarios)", path, len(results))
@@ -109,7 +70,7 @@ func TestSuiteGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v (run go test ./internal/scenario -run TestSuiteGolden -update to create it)", err)
 		}
-		names, want := parseGolden(t, string(raw))
+		names, want := splitGolden(string(raw))
 		if len(names) != len(results) {
 			t.Errorf("%s: %d scenarios pinned, suite has %d", path, len(names), len(results))
 		}
@@ -119,12 +80,8 @@ func TestSuiteGolden(t *testing.T) {
 				t.Errorf("%s: scenario %s is not pinned", path, r.Name)
 				continue
 			}
-			if r.Detail != w.detail {
-				t.Errorf("%s: %s state dump differs from the golden\n%s", path, r.Name, diffDetail(w.detail, r.Detail))
-				continue
-			}
-			if r.Checksum != w.checksum {
-				t.Errorf("%s: %s checksum %016x != golden %016x with identical detail", path, r.Name, r.Checksum, w.checksum)
+			if got := goldenBlock(r); got != w {
+				t.Errorf("%s: %s differs from the golden\n%s", path, r.Name, diffDetail(w, got))
 			}
 		}
 	}

@@ -15,7 +15,6 @@ package scenario
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -329,15 +328,15 @@ func (s *System) startStorm(pd *nova.PD, line int, period simclock.Cycles, burst
 }
 
 // Result is one scenario's outcome: the replay checksum plus the headline
-// counters the summary table reports. Everything except WallMs is derived
-// from simulated state and is covered by the checksum.
+// counters the summary table reports. Everything except the tracing
+// byproducts is derived from simulated state and is covered by the
+// checksum.
 type Result struct {
 	Name     string
 	Checksum uint64
 	Cores    int
 	VMs      int
 	SimMs    float64
-	WallMs   float64 // host time; NOT part of the checksum
 
 	Injected     uint64 // vIRQ injections across all PDs
 	Relatched    uint64 // in-service re-raises latched for EOI redelivery
@@ -415,7 +414,6 @@ type VMStat struct {
 // epoch-barrier engine; the result (and checksum) is byte-identical
 // either way.
 func (s *System) Run() Result {
-	t0 := time.Now() //detlint:hosttime Result.WallMs is host-side run cost; excluded from the checksummed dump
 	k := s.Kernel
 	// Flight recorder: a panic mid-run re-raises with the tail of every
 	// core's event ring attached, so the failure message carries the last
@@ -436,7 +434,6 @@ func (s *System) Run() Result {
 		s.advance(d)
 	}
 	res := s.collect()
-	res.WallMs = float64(time.Since(t0).Microseconds()) / 1000 //detlint:hosttime WallMs is reporting-only, never checksummed
 	k.Shutdown()
 	return res
 }

@@ -244,13 +244,13 @@ func RunSuite(specs []Spec) []Result {
 func SummaryTable(results []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scenario suite: %d scenarios\n", len(results))
-	fmt.Fprintf(&b, "%-20s %5s %4s %8s %9s %8s %8s %9s %8s %8s %6s %7s  %-16s\n",
-		"scenario", "cores", "vms", "sim(ms)", "injected", "relatch", "hwruns", "reconfigs", "storm", "events", "drops", "wall(ms)", "checksum")
+	fmt.Fprintf(&b, "%-20s %5s %4s %8s %9s %8s %8s %9s %8s %8s %6s  %-16s\n",
+		"scenario", "cores", "vms", "sim(ms)", "injected", "relatch", "hwruns", "reconfigs", "storm", "events", "drops", "checksum")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-20s %5d %4d %8.1f %9d %8d %8d %9d %8d %8d %6d %7.0f  %016x\n",
+		fmt.Fprintf(&b, "%-20s %5d %4d %8.1f %9d %8d %8d %9d %8d %8d %6d  %016x\n",
 			r.Name, r.Cores, r.VMs, r.SimMs, r.Injected, r.Relatched,
 			r.Requests, r.Reconfigs, r.StormHandled, r.TraceEvents, r.TraceDrops,
-			r.WallMs, r.Checksum)
+			r.Checksum)
 	}
 	return b.String()
 }

@@ -325,14 +325,10 @@ func (r *Ring) Last(n int) []Event {
 }
 
 // Tracer is the whole machine's trace state: one ring per simulated core
-// plus the metrics registry and the name resolvers the exporters use.
-// A nil Tracer is a valid "tracing off" value; Core returns a nil ring.
+// plus the name resolvers the exporters use. A nil Tracer is a valid
+// "tracing off" value; Core returns a nil ring.
 type Tracer struct {
 	rings []*Ring
-
-	// Metrics is the registry traced latency distributions feed
-	// (hypercall/IPC/switch histograms); exported alongside the events.
-	Metrics *Registry
 
 	// SelectorName resolves a hypercall selector to its portal name and
 	// PDName a protection-domain id to its label, for the exporters.
@@ -344,7 +340,7 @@ type Tracer struct {
 // New builds a tracer for cores simulated cores with the given per-core
 // ring capacity (<=0 selects DefaultCapacity).
 func New(cores, capacity int) *Tracer {
-	t := &Tracer{Metrics: NewRegistry()}
+	t := &Tracer{}
 	for i := 0; i < cores; i++ {
 		t.rings = append(t.rings, NewRing(capacity))
 	}

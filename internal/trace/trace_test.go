@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/measure"
 	"repro/internal/simclock"
 )
 
@@ -63,78 +62,6 @@ func TestKindNamesComplete(t *testing.T) {
 		if k.Cat() == "" || k.Cat() == "other" {
 			t.Fatalf("kind %d (%s) has no category", k, k)
 		}
-	}
-}
-
-func TestRegistryInstruments(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("reqs")
-	c.Inc()
-	c.Add(4)
-	if got := r.Counter("reqs").Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("depth")
-	g.Set(3)
-	g.Add(-1)
-	if got := r.Gauge("depth").Value(); got != 2 {
-		t.Fatalf("gauge = %g, want 2", got)
-	}
-	h := r.Histogram("lat", []simclock.Cycles{100, 1000})
-	h.Observe(50)
-	h.Observe(500)
-	h.Observe(5000) // overflow bucket
-	if h.Count() != 3 {
-		t.Fatalf("hist count = %d, want 3", h.Count())
-	}
-	if q := h.Quantile(0); q != 100 {
-		t.Fatalf("q0 = %d, want bucket bound 100", q)
-	}
-	if q := h.Quantile(1); q != 5000 {
-		t.Fatalf("q1 = %d, want observed max 5000", q)
-	}
-	// Re-fetch with different bounds must keep the original.
-	if again := r.Histogram("lat", []simclock.Cycles{1}); again != h {
-		t.Fatal("Histogram must return the existing instrument")
-	}
-}
-
-func TestRegistryDeterministicRendering(t *testing.T) {
-	build := func(order []string) string {
-		r := NewRegistry()
-		for _, n := range order {
-			r.Counter("c_" + n).Inc()
-			r.Gauge("g_" + n).Set(1)
-			r.Histogram("h_"+n, nil).Observe(simclock.FromMicros(3))
-		}
-		return r.String()
-	}
-	a := build([]string{"z", "m", "a"})
-	b := build([]string{"a", "z", "m"})
-	if a != b {
-		t.Fatalf("registry rendering depends on creation order:\n%s\nvs\n%s", a, b)
-	}
-	idx := func(s, sub string) int { return strings.Index(s, sub) }
-	if !(idx(a, "c_a") < idx(a, "c_m") && idx(a, "c_m") < idx(a, "c_z")) {
-		t.Fatalf("counters not sorted:\n%s", a)
-	}
-}
-
-func TestRegistryPublish(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("wakes").Add(7)
-	r.Gauge("qdepth").Set(2)
-	r.Histogram("hc", nil).Observe(simclock.FromMicros(10))
-	set := measure.NewSet()
-	r.Publish(set)
-	if got := set.Counter("trace.counter.wakes"); got != 7 {
-		t.Fatalf("published counter = %g, want 7", got)
-	}
-	if got := set.Counter("trace.gauge.qdepth"); got != 2 {
-		t.Fatalf("published gauge = %g, want 2", got)
-	}
-	if got := set.Counter("trace.hist.hc.count"); got != 1 {
-		t.Fatalf("published hist count = %g, want 1", got)
 	}
 }
 
