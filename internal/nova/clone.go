@@ -273,10 +273,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
 	ctx.RestoreState(img.Exec)
 	pd.VGIC.restoreLines(img.VGIC, img.VGICPending)
-
-	pd.resumeCh = make(chan resumeCmd)
-	pd.doneCh = make(chan struct{})
-	go k.guestWrapper(pd)
+	k.spawn(pd)
 
 	k.PDs = append(k.PDs, pd)
 	if k.Tracer != nil {
@@ -309,11 +306,12 @@ func (k *Kernel) ActivateClone(pd *PD) error {
 	return nil
 }
 
-// DestroyClone tears a clone down: the goroutine is killed, the PD is
-// retired from scheduling, its self object's generation is bumped so
-// every delegated capability to it dies (capspace revocation), every
-// still-shared frame reference is released, and the arena returns to
-// the free list for the next fork. Must run at an engine-stopped point.
+// DestroyClone tears a clone down: the guest coroutine is stopped (its
+// nested task coroutines unwind with it), the PD is retired from
+// scheduling, its self object's generation is bumped so every delegated
+// capability to it dies (capspace revocation), every still-shared frame
+// reference is released, and the arena returns to the free list for the
+// next fork. Must run at an engine-stopped point.
 func (k *Kernel) DestroyClone(pd *PD) error {
 	if pd.clone == nil {
 		return fmt.Errorf("nova: destroy of non-clone %s", pd.Name_)
@@ -321,11 +319,7 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 	if pd.dead {
 		return fmt.Errorf("nova: destroy of dead clone %s", pd.Name_)
 	}
-	select {
-	case pd.resumeCh <- resumeCmd{kill: true}:
-	case <-pd.doneCh:
-	}
-	<-pd.doneCh
+	pd.stop()
 	pd.dead = true
 	k.parkVirtualTimer(pd)
 	k.Sched.Unplace(&pd.node)
@@ -402,7 +396,7 @@ func (e *Env) ResumeSuspendExit() {
 }
 
 // RestoreInPlace rewinds a live, idle-parked PD to a withContents image:
-// the guest goroutine is replaced, every captured frame's bytes are
+// the guest coroutine is replaced, every captured frame's bytes are
 // reloaded, and vCPU/vGIC/context state is rewritten. Like Checkpoint it
 // is an out-of-band operation charging no cycles — the restored timeline
 // continues byte-identically to one that never stopped, which the
@@ -417,13 +411,9 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 	if len(img.Frames) == 0 {
 		return fmt.Errorf("nova: in-place restore needs a withContents image")
 	}
-	// Kill the current guest goroutine (its nested layers unwind through
-	// their own shutdown paths) and respawn with the restored guest.
-	select {
-	case pd.resumeCh <- resumeCmd{kill: true}:
-	case <-pd.doneCh:
-	}
-	<-pd.doneCh
+	// Stop the current guest coroutine (its nested task coroutines unwind
+	// with it) and respawn with the restored guest.
+	pd.stop()
 	for _, f := range img.Frames {
 		k.Bus.LoadFrame(f.PA, f.Data)
 	}
@@ -447,9 +437,7 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 		k.armVirtualTimer(pd)
 	}
 	pd.Guest = guest
-	pd.resumeCh = make(chan resumeCmd)
-	pd.doneCh = make(chan struct{})
-	go k.guestWrapper(pd)
+	k.spawn(pd)
 	return nil
 }
 

@@ -41,11 +41,6 @@ type CoreCtx struct {
 	// unit (lazy switch state, Table I) — per-core, as on silicon.
 	vfpOwner *PD
 
-	// yieldCh is the coroutine handoff between this core's kernel loop
-	// and the PD goroutine it activated — per-core, so concurrent cores
-	// hand off independently.
-	yieldCh chan yieldReason
-
 	// ipcFastCalls counts same-core synchronous portal-call handoffs
 	// taken on this core (sharded so concurrent cores never share the
 	// counter; Kernel.IPCFastCalls sums).
@@ -125,10 +120,13 @@ func (k *Kernel) runCore(c *CoreCtx, until simclock.Cycles) bool {
 	return true
 }
 
-// activate hands core c to pd and waits for the PD to yield.
+// activate hands core c to pd by resuming its coroutine until the PD
+// yields; a finished coroutine reports yieldExited.
 func (k *Kernel) activate(c *CoreCtx, pd *PD) yieldReason {
-	pd.resumeCh <- resumeCmd{}
-	r := <-c.yieldCh
+	r, ok := pd.next()
+	if !ok {
+		r = yieldExited
+	}
 	// Kernel loop regains the core in SVC, IRQs masked.
 	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeSVC, true
 	return r

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 
@@ -41,18 +42,11 @@ const (
 	yieldExited                     // guest Main returned
 )
 
-type resumeCmd struct{ kill bool }
-
-// killSentinel unwinds a guest goroutine during Kernel.Shutdown. The
-// IsKillSentinel marker lets nested coroutine layers (e.g. a ucos task
-// goroutine blocked inside a hypercall) recognize and absorb the unwind
-// without importing this package.
-type killSentinelType struct{}
-
-// IsKillSentinel marks the value as a cooperative-shutdown panic.
-func (killSentinelType) IsKillSentinel() {}
-
-var killSentinel = killSentinelType{}
+// killSentinel is the panic that unwinds a guest once its coroutine is
+// stopped (Shutdown, DestroyClone, RestoreInPlace): the parked yield
+// returns false and Env.yield raises it. Only the PD's coroutine body
+// recovers it, so nested coroutines in the guest (ucos tasks) unwind too.
+type killSentinel struct{}
 
 // Kernel is the Mini-NOVA microkernel instance: the abstraction layer
 // between the simulated Zynq PS/PL hardware and the protection domains it
@@ -115,11 +109,6 @@ type Kernel struct {
 	// prrBusySnap is the barrier-refreshed PRR busy snapshot cores poll
 	// through PRRBusy during an epoch.
 	prrBusySnap []bool
-
-	// dying is closed by Shutdown; every coroutine handoff selects on it
-	// so parked guest (and nested guest-task) goroutines unwind promptly.
-	dying    chan struct{}
-	shutdown bool
 
 	// Capability layer: the global service-portal objects (selector-
 	// indexed), the kernel's own root space (device objects are minted
@@ -218,7 +207,6 @@ func NewKernelSMP(ncores int) *Kernel {
 		Epoch:     DefaultEpoch,
 		committer: simclock.NewCommitter(ncores),
 		hwByID:    make(map[uint32]*HwRequest),
-		dying:     make(chan struct{}),
 		sd:        make(map[uint32][]byte),
 		asidNext:  1,
 	}
@@ -251,11 +239,10 @@ func NewKernelSMP(ncores int) *Kernel {
 			cclk = simclock.New()
 		}
 		c := &CoreCtx{
-			ID:      i,
-			Clock:   cclk,
-			CPU:     cpu.NewCore(cclk, bus, g, i, hier[i]),
-			Timer:   timer.NewFor(cclk, g, i),
-			yieldCh: make(chan yieldReason),
+			ID:    i,
+			Clock: cclk,
+			CPU:   cpu.NewCore(cclk, bus, g, i, hier[i]),
+			Timer: timer.NewFor(cclk, g, i),
 		}
 		c.CPU.Mode = cpu.ModeSVC
 		c.CPU.CP15Write(cpu.CP15TTBR0, uint32(k.kernelPT.Base))
@@ -461,10 +448,7 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 
 	ctx := cpu.NewExecContext(pd.Core.CPU, cfg.Name, cfg.CodeBase, cfg.CodeSize)
 	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
-
-	pd.resumeCh = make(chan resumeCmd)
-	pd.doneCh = make(chan struct{})
-	go k.guestWrapper(pd)
+	k.spawn(pd)
 
 	k.PDs = append(k.PDs, pd)
 	if k.Tracer != nil {
@@ -518,57 +502,28 @@ func (k *Kernel) delegateClientHandle(pd *PD) {
 	pd.Space.Delegate(SelSelf, k.hwSvc.Space, SelMgrClientBase+pd.ID, capspace.RightCall)
 }
 
-func (k *Kernel) guestWrapper(pd *PD) {
-	defer close(pd.doneCh)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(interface{ IsKillSentinel() }); ok {
-				return
+// spawn makes pd's guest a runtime coroutine: nothing runs until the
+// first activate, every activate resumes it until its next yield, and
+// stop unwinds it with killSentinel. A panic other than killSentinel
+// leaves the coroutine and re-raises in the caller of next, so a guest
+// fault surfaces on the goroutine that runs the kernel loop.
+func (k *Kernel) spawn(pd *PD) {
+	pd.next, pd.stop = iter.Pull(func(yield func(yieldReason) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != (killSentinel{}) {
+				panic(r)
 			}
-			panic(r)
-		}
-	}()
-	select {
-	case cmd := <-pd.resumeCh:
-		if cmd.kill {
-			return
-		}
-	case <-k.dying:
-		return
-	}
-	pd.Guest.RunSlice(pd.Env)
-	// Guest finished. During Shutdown every guest goroutine unwinds
-	// concurrently (a guest whose RunSlice observes Dying returns here
-	// normally instead of panicking), so kernel state must not be touched:
-	// the coroutine discipline — one goroutine holds the logical CPU at a
-	// time — no longer applies, and Shutdown discards the scheduler anyway.
-	select {
-	case <-k.dying:
-		return
-	default:
-	}
-	// Retire the PD and release its scheduler placement. Portal callers
-	// parked on the dead PD (queued, or awaiting its reply) would block
-	// forever — fail them out.
-	pd.dead = true
-	k.Sched.Unplace(&pd.node)
-	k.failPortalCallers(pd)
-	k.reconfigPurge(pd)
-	for {
-		select {
-		case pd.Core.yieldCh <- yieldExited:
-		case <-k.dying:
-			return
-		}
-		select {
-		case cmd := <-pd.resumeCh:
-			if cmd.kill {
-				return
-			}
-		case <-k.dying:
-			return
-		}
-	}
+		}()
+		pd.yield = yield
+		pd.Guest.RunSlice(pd.Env)
+		// Retire the PD and release its scheduler placement. Portal callers
+		// parked on the dead PD (queued, or awaiting its reply) would block
+		// forever — fail them out.
+		pd.dead = true
+		k.Sched.Unplace(&pd.node)
+		k.failPortalCallers(pd)
+		k.reconfigPurge(pd)
+	})
 }
 
 // reconfigPurge sheds a dead PD's reconfiguration state: queued requests
@@ -602,28 +557,20 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 	}
 }
 
-// Dying exposes the shutdown signal so nested coroutine layers inside
-// guests (e.g. ucos task goroutines) can unwind with the kernel.
-func (k *Kernel) Dying() <-chan struct{} { return k.dying }
-
-// yield hands the core from the active PD's goroutine back to the kernel
-// loop, preserving the architectural mode across the switch-out.
+// yield hands the core from the active PD back to the kernel loop,
+// preserving the architectural mode across the switch-out, and unwinds
+// the guest with killSentinel if the PD was stopped while parked.
 func (e *Env) yield(r yieldReason) {
-	k := e.K
 	c := e.PD.Core.CPU
 	savedMode, savedMask := c.Mode, c.IRQMasked
-	select {
-	case e.PD.Core.yieldCh <- r:
-	case <-k.dying:
-		panic(killSentinel)
-	}
-	select {
-	case cmd := <-e.PD.resumeCh:
-		if cmd.kill {
-			panic(killSentinel)
-		}
-	case <-k.dying:
-		panic(killSentinel)
+	// A ucos task coroutine nested in this guest reaches here on its own
+	// goroutine, not on the one running RunSlice. That is sound because
+	// runtime.coroswitch is goroutine-agnostic — runtime/coro.go: "if
+	// another goroutine calls coroswitch(c), the caller becomes the
+	// goroutine blocked in c" — so the task's goroutine parks in the PD's
+	// coroutine and the next activate resumes it where it trapped.
+	if !e.PD.yield(r) {
+		panic(killSentinel{})
 	}
 	c.Mode, c.IRQMasked = savedMode, savedMask
 }
@@ -679,17 +626,14 @@ func (k *Kernel) Run(until simclock.Cycles) {
 // RunFor advances the system by d cycles.
 func (k *Kernel) RunFor(d simclock.Cycles) { k.Run(k.Clock.Now() + d) }
 
-// Shutdown terminates every guest goroutine (including goroutines nested
-// inside guests that observe Dying). The kernel is unusable afterwards;
-// tests and benchmarks call it to avoid leaking goroutines.
+// Shutdown stops every guest coroutine, in PD order, on the caller's
+// goroutine; each guest unwinds its nested coroutines (ucos tasks) on the
+// way out. The kernel is unusable afterwards; tests and benchmarks call
+// it so no guest goroutine outlives its kernel. Calling it again is a
+// no-op.
 func (k *Kernel) Shutdown() {
-	if k.shutdown {
-		return
-	}
-	k.shutdown = true
-	close(k.dying)
 	for _, pd := range k.PDs {
-		<-pd.doneCh
+		pd.stop()
 	}
 }
 

@@ -366,27 +366,6 @@ func TestSDSupervisedIO(t *testing.T) {
 	}
 }
 
-func TestShutdownTerminatesGoroutines(t *testing.T) {
-	k := NewKernel()
-	for i := 0; i < 3; i++ {
-		k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-			for {
-				env.Ctx.Exec(100)
-				env.CheckPreempt()
-			}
-		}}})
-	}
-	k.RunFor(simclock.FromMillis(1))
-	k.Shutdown() // must not deadlock
-	for _, pd := range k.PDs {
-		select {
-		case <-pd.doneCh:
-		default:
-			t.Errorf("pd %s goroutine still alive after Shutdown", pd.Name_)
-		}
-	}
-}
-
 func TestGuestExitRetiresPD(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()

@@ -12,10 +12,11 @@ import (
 
 // Guest is the software hosted inside a protection domain: a
 // paravirtualized OS, a user service (the Hardware Task Manager), or a
-// bare application. Main runs once, in the PD's own goroutine; control is
-// handed back and forth with the kernel loop through strict channel
-// handoff, so exactly one logical thread of execution exists — the model
-// of a single Cortex-A9 core. All of the guest's instruction and memory
+// bare application. RunSlice runs once, as the body of the PD's runtime
+// coroutine (iter.Pull): the kernel loop resumes it and it switches back
+// at every yield, on the same OS thread and without waking another P, so
+// exactly one logical thread of execution exists — the model of a single
+// Cortex-A9 core. All of the guest's instruction and memory
 // traffic must go through env.Ctx so it is charged to the shared machine,
 // and the guest must call env.CheckPreempt() at chunk boundaries.
 type Guest interface {
@@ -143,10 +144,13 @@ type PD struct {
 	breaker       fault.Breaker
 	reconfigFault bool
 
-	// Coroutine plumbing.
-	resumeCh chan resumeCmd
-	doneCh   chan struct{}
-	dead     bool
+	// Coroutine plumbing (spawn): next runs the guest until it yields (ok
+	// is false once RunSlice has returned), stop unwinds it, and yield is
+	// the guest-side switch back to whoever called next.
+	next  func() (yieldReason, bool)
+	stop  func()
+	yield func(yieldReason) bool
+	dead  bool
 
 	// node is the PD's handle on the scheduling subsystem (intrusive;
 	// lives on its home core's runqueue when runnable).

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/abi"
+	"repro/internal/nova"
+	"repro/internal/simclock"
 )
 
 // The observability contract: tracing must be a pure observer. Every
@@ -123,4 +127,46 @@ func TestReconfigTraceCausalChain(t *testing.T) {
 	}
 	t.Fatalf("no complete causal chain (hwreq span + pcap_start + completion_irq across >=2 cores) among %d flows\nflight recorder:\n%s",
 		len(chains), res.Trace.FlightDump(48))
+}
+
+const guestFault = "guest hypercall fault"
+
+// faultyGuest does nothing but issue hypercalls, after arming a clock
+// event that panics a few dozen of them later: only the SWI path moves
+// the clock, so the panic is raised inside a hypercall, on the guest's
+// own coroutine.
+type faultyGuest struct{}
+
+func (faultyGuest) Name() string { return "faulty" }
+
+func (faultyGuest) RunSlice(env *nova.Env) {
+	env.K.Clock.After(20_000, func(simclock.Cycles) { panic(guestFault) })
+	for {
+		env.Hypercall(abi.HcVMID)
+	}
+}
+
+// A panic raised on the guest side of a hypercall must surface from
+// System.Run — not crash the process from the guest's goroutine — with
+// its original value and the flight-recorder dump attached.
+func TestGuestPanicReachesFlightRecorder(t *testing.T) {
+	sys := Build(Spec{Name: "guest-panic", RunMs: 1, Trace: true})
+	defer sys.Kernel.Shutdown()
+	sys.Kernel.CreatePD(nova.PDConfig{Name: "faulty", Priority: nova.PrioGuest, Guest: faultyGuest{}})
+
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		sys.Run()
+	}()
+	msg, ok := got.(string)
+	if !ok {
+		t.Fatalf("System.Run raised %v (%T), want the flight-recorder report", got, got)
+	}
+	if !strings.HasPrefix(msg, guestFault+"\n") {
+		t.Errorf("report does not lead with the original panic value:\n%s", msg)
+	}
+	if !strings.Contains(msg, "flight recorder (last events per core)") || !strings.Contains(msg, "hc:vmid") {
+		t.Errorf("report lacks the flight-recorder dump of the guest's hypercalls:\n%s", msg)
+	}
 }

@@ -44,12 +44,11 @@ type Machine interface {
 	// SetTickTimer programs the periodic OS tick.
 	SetTickTimer(period simclock.Cycles)
 	// CheckPreempt is the chunk boundary: deliver pending interrupts and
-	// honor hypervisor preemption (no-op natively).
+	// honor hypervisor preemption (no-op natively). Under virtualization
+	// it may switch out of the PD's coroutine, and if the hypervisor tears
+	// the PD down meanwhile it never returns: the kill unwinds the task and
+	// then the OS.
 	CheckPreempt()
-	// Dying is closed when the platform is tearing down (hypervisor
-	// shutdown); may be nil when the platform never dies underneath the
-	// OS (native). Coroutine handoffs select on it to unwind cleanly.
-	Dying() <-chan struct{}
 	// Idle is the guest's WFI: under virtualization it gives the CPU back
 	// to the hypervisor until the next virtual interrupt, so an idle RTOS
 	// does not starve lower-priority VMs; natively it is a plain wait.

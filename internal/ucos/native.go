@@ -186,10 +186,6 @@ func (nm *NativeMachine) SetTickTimer(period simclock.Cycles) {
 // interrupt poll already happens inside every Exec.
 func (nm *NativeMachine) CheckPreempt() {}
 
-// Dying implements Machine: the bare machine never vanishes underneath
-// the OS (a nil channel never becomes ready in a select).
-func (nm *NativeMachine) Dying() <-chan struct{} { return nil }
-
 // Idle implements Machine: native WFI — advance to the next timer event
 // so the spin does not dominate simulation time.
 func (nm *NativeMachine) Idle() {

@@ -20,6 +20,7 @@ package ucos
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/cpu"
 	"repro/internal/simclock"
@@ -57,10 +58,14 @@ type TCB struct {
 	pendingOn interface{} // the sync object the task pends on
 	pendOK    bool        // pend satisfied (vs timeout)
 
-	resumeCh chan struct{}
-	started  bool
-	os       *OS
-	ctx      *cpu.ExecContext
+	// The task is a runtime coroutine (iter.Pull), created on its first
+	// dispatch: next runs the body until it yields back to the scheduler,
+	// stop unwinds it, and yield is the body's switch back to dispatch.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	os    *OS
+	ctx   *cpu.ExecContext
 
 	// Stats
 	Activations uint64
@@ -95,12 +100,6 @@ type OS struct {
 	irqTable map[int]func(irq int)
 	pending  []int
 
-	yieldCh chan struct{}
-
-	// dying is closed by Shutdown: every parked task goroutine unwinds.
-	dying    chan struct{}
-	shutdown bool
-
 	// Deadline stops the scheduler loop when the simulated clock passes
 	// it (0 = run forever; the native harness sets it).
 	Deadline simclock.Cycles
@@ -120,8 +119,6 @@ func NewOS(name string, m Machine) *OS {
 		M:          m,
 		TickPeriod: simclock.FromMillis(1),
 		irqTable:   make(map[int]func(int)),
-		yieldCh:    make(chan struct{}),
-		dying:      make(chan struct{}),
 	}
 	os.kctx = m.NewContext(name+"/kernel", m.KernelCodeBase(), 12<<10)
 	return os
@@ -137,13 +134,12 @@ func (os *OS) TaskCreate(name string, prio int, body func(t *Task)) error {
 		return fmt.Errorf("ucos: priority %d already taken by %s", prio, os.tcbs[prio].Name)
 	}
 	t := &TCB{
-		Prio:     prio,
-		Name:     name,
-		body:     body,
-		state:    stateReady,
-		resumeCh: make(chan struct{}),
-		os:       os,
-		ctx:      os.M.NewContext(os.Name+"/"+name, os.M.TaskCodeBase(prio), 6<<10),
+		Prio:  prio,
+		Name:  name,
+		body:  body,
+		state: stateReady,
+		os:    os,
+		ctx:   os.M.NewContext(os.Name+"/"+name, os.M.TaskCodeBase(prio), 6<<10),
 	}
 	os.tcbs[prio] = t
 	return nil
@@ -175,9 +171,6 @@ func (os *OS) Run() {
 // hypercalls because their effects live in the restored machine state).
 func (os *OS) loop() {
 	for !os.stopped {
-		if os.deadOrDying() {
-			return
-		}
 		if os.Deadline != 0 && os.M.Now() >= os.Deadline {
 			break
 		}
@@ -200,104 +193,54 @@ func (os *OS) loop() {
 // Stop ends the scheduler loop at the next opportunity.
 func (os *OS) Stop() { os.stopped = true }
 
-// taskKill unwinds a task goroutine during Shutdown.
+// taskKill is the panic that unwinds a task once Shutdown stops its
+// coroutine. The task body recovers only this; a hypervisor kill raised
+// inside a task (a PD stopped while the task trapped into the kernel)
+// leaves the task coroutine, re-raises in dispatch and unwinds the OS.
 type taskKill struct{}
 
-// IsKillSentinel marks the value as a cooperative-shutdown panic.
-func (taskKill) IsKillSentinel() {}
-
-// Shutdown stops the scheduler and unwinds every parked task goroutine.
-// The OS is unusable afterwards. It is safe to call more than once.
+// Shutdown stops the scheduler and unwinds every started task coroutine,
+// in priority order. The OS is unusable afterwards. It is safe to call
+// more than once.
 func (os *OS) Shutdown() {
-	if os.shutdown {
-		return
-	}
-	os.shutdown = true
 	os.stopped = true
-	close(os.dying)
-}
-
-// deadOrDying reports whether the platform or the OS is tearing down.
-func (os *OS) deadOrDying() bool {
-	select {
-	case <-os.dying:
-		return true
-	default:
-	}
-	if d := os.M.Dying(); d != nil {
-		select {
-		case <-d:
-			return true
-		default:
+	for _, t := range os.tcbs {
+		if t != nil && t.stop != nil {
+			t.stop()
 		}
 	}
-	return false
 }
 
-// dispatch switches to a task until it yields back.
+// dispatch switches to a task until it yields back. The first dispatch
+// makes the task a coroutine; a finished body returns here for good.
 func (os *OS) dispatch(t *TCB) {
 	os.current = t
 	os.needSwitch = false
 	os.Switches++
 	t.Activations++
 	os.kctx.Exec(40) // OSSched + context switch (guest-level)
-	if !t.started {
-		t.started = true
-		go t.taskWrapper()
+	if t.next == nil {
+		t.next, t.stop = iter.Pull(t.run)
 	}
-	mDying := os.M.Dying()
-	select {
-	case t.resumeCh <- struct{}{}:
-	case <-os.dying:
-		return
-	case <-mDying:
-		return
-	}
-	select {
-	case <-os.yieldCh:
-	case <-os.dying:
-	case <-mDying:
-	}
+	t.next()
 	os.current = nil
 }
 
-// taskWrapper hosts a task body in its own goroutine and absorbs the
-// cooperative-shutdown unwind (from this OS or from the hypervisor).
-func (t *TCB) taskWrapper() {
+// run is the task coroutine's body.
+func (t *TCB) run(yield func(struct{}) bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(interface{ IsKillSentinel() }); ok {
-				return
-			}
+		if r := recover(); r != nil && r != (taskKill{}) {
 			panic(r)
 		}
 	}()
-	os := t.os
-	select {
-	case <-t.resumeCh:
-	case <-os.dying:
-		return
-	}
-	t.body(&Task{OS: os, TCB: t, Ctx: t.ctx})
+	t.yield = yield
+	t.body(&Task{OS: t.os, TCB: t, Ctx: t.ctx})
 	t.state = stateDone
-	os.current = nil
-	select {
-	case os.yieldCh <- struct{}{}:
-	case <-os.dying:
-	}
 }
 
 // yieldToScheduler hands control from a task back to the OS loop.
 func (t *TCB) yieldToScheduler() {
-	os := t.os
-	select {
-	case os.yieldCh <- struct{}{}:
-	case <-os.dying:
-		panic(taskKill{})
-	}
-	select {
-	case <-t.resumeCh:
-	case <-os.dying:
+	if !t.yield(struct{}{}) {
 		panic(taskKill{})
 	}
 }

@@ -8,8 +8,8 @@
 //
 // A snapshot is taken while the instance is parked in the idle loop
 // (inside Machine.Idle, i.e. a HcSuspend hypercall): no task is current,
-// so every task goroutine is either unstarted or parked at the top of a
-// Delay and can be re-hosted on a fresh goroutine without capturing Go
+// so every task coroutine is either unstarted or parked at the top of a
+// Delay and can be re-hosted on a fresh coroutine without capturing Go
 // stacks. Restore relies on the tasks' bodies being loop-shaped with the
 // Delay at the bottom: a re-created task resumes at the loop top, which
 // charges the same cycles the parked original would have.
@@ -105,7 +105,7 @@ func (os *OS) Snapshot() (*Snapshot, error) {
 // instance's state with a snapshot's. Task bodies come from the caller's
 // TaskCreate calls — a snapshot carries no code — so every checkpointed
 // priority must have been re-created. Restored tasks stay unstarted; the
-// first dispatch lazily hosts them on fresh goroutines, which costs the
+// first dispatch lazily hosts them on fresh coroutines, which costs the
 // same as resuming a parked one (dispatch charges unconditionally).
 func (os *OS) Restore(s *Snapshot) error {
 	os.Ticks = s.Ticks

@@ -91,9 +91,6 @@ func (m *VirtMachine) RestoreCursors(s MachineSnap) {
 	m.ifaceNext, m.ramNext = s.IfaceNext, s.RamNext
 }
 
-// Dying implements Machine: tied to the hypervisor's shutdown signal.
-func (m *VirtMachine) Dying() <-chan struct{} { return m.Env.K.Dying() }
-
 // Idle implements Machine: paravirtualized WFI (HcSuspend mode 1).
 func (m *VirtMachine) Idle() {
 	m.Env.Hypercall(abi.HcSuspend, 1)
@@ -189,7 +186,7 @@ type Guest struct {
 func (g *Guest) Name() string { return g.GuestName }
 
 // RunSlice implements nova.Guest: construct the machine and boot. The
-// deferred Shutdown unwinds this OS's task goroutines when the
+// deferred Shutdown unwinds this OS's task coroutines when the
 // hypervisor tears the PD down.
 func (g *Guest) RunSlice(env *nova.Env) {
 	m := NewVirtMachine(env)

@@ -3,6 +3,7 @@ package ucos
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hwtask"
 	"repro/internal/nova"
@@ -145,6 +146,61 @@ func TestVirtTwoVMsShareHardwareTask(t *testing.T) {
 	}
 	if k.Fabric.HwMMU.Violations.Load() != 0 {
 		t.Errorf("hwMMU violations = %d, want 0", k.Fabric.HwMMU.Violations.Load())
+	}
+}
+
+// TestDestroyRunningCloneInTask destroys an activated clone while it is
+// preempted inside a task. The kill must unwind the task and then the
+// OS that dispatched it, so DestroyClone returns rather than waiting on
+// an OS parked in dispatch.
+func TestDestroyRunningCloneInTask(t *testing.T) {
+	k := nova.NewKernel()
+	defer k.Shutdown()
+	tg := &Guest{GuestName: "tpl"}
+	tpl := k.CreatePD(nova.PDConfig{Name: "tpl", Priority: nova.PrioGuest, Guest: tg})
+	for i := 0; i < 40 && !tpl.IdleParked(); i++ {
+		k.RunFor(simclock.FromMicros(250))
+	}
+	snap, err := tg.OS.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := k.Checkpoint(tpl, snap, false, "tpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Freeze(tpl); err != nil {
+		t.Fatal(err)
+	}
+
+	rg := &ResumedGuest{GuestName: "clone", Snap: snap, Setup: func(os *OS) {
+		os.TaskCreate("spin", 10, func(task *Task) {
+			for {
+				task.Exec(300)
+			}
+		})
+	}}
+	c := k.CreateClone(img, nova.CloneConfig{Name: "clone", Guest: rg})
+	if err := k.ActivateClone(c); err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(simclock.FromMillis(10))
+	if rg.OS == nil || rg.OS.current == nil {
+		t.Fatal("clone is not preempted inside its task")
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- k.DestroyClone(c) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("DestroyClone did not return with the clone preempted inside a task")
+	}
+	if !c.Dead() {
+		t.Error("destroyed clone not marked dead")
 	}
 }
 
