@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,20 @@ func TestTable3Shape(t *testing.T) {
 	t.Logf("\n%s", fig.String())
 	if !fig.SlopeDecreasing() {
 		t.Errorf("Fig 9 total-ratio slope not decreasing: %v", fig.Total)
+	}
+	// The Fig. 9 series, pinned like TestGoldenTable3RowDeterminism's row:
+	// every ratio derives from cycle counts, so the values are exact and
+	// any drift means a change altered the modelled system.
+	want := Fig9{
+		GuestCounts: []int{1, 2, 3, 4},
+		Entry:       []float64{1, 0.997926236021474, 1.0101938673367243, 1.072705358419644},
+		Exit:        []float64{1, 1.1356425859468458, 1.1126034756866403, 1.1575571514719587},
+		IRQEntry:    []float64{1, 1.0243454294901242, 1.033332667611991, 1.1818098300413413},
+		Exec:        []float64{1.2888466516196395, 1.3686895187179664, 1.4335208269297288, 1.4614665934198516},
+		Total:       []float64{1.3465922234796146, 1.429711257712483, 1.4943803459712253, 1.5255029198746648},
+	}
+	if !reflect.DeepEqual(fig, want) {
+		t.Errorf("Fig. 9 series drifted from the pinned values:\n  got  %#v\n  want %#v", fig, want)
 	}
 }
 
