@@ -9,8 +9,10 @@
 package checkpoint
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/physmem"
@@ -188,12 +190,13 @@ func (img *Image) Fingerprint() uint64 {
 	return h
 }
 
-// Validate checks the structural invariants a kernel restore relies on:
-// frame-aligned, non-overlapping... regions are kept simple on purpose —
-// each must be frame-aligned and frame-sized, and captured frames must
-// fall inside a region.
+// Validate checks the structural invariants a kernel restore or fork
+// relies on: every region is frame-aligned, frame-sized and does not wrap
+// past 2^32; no two regions overlap, in VA or in PA (a VA mapped twice
+// would share a frame no clone mapping references, so DestroyClone could
+// never release it); and every captured frame is a whole frame inside a
+// region.
 func (img *Image) Validate() error {
-	covered := map[physmem.Addr]bool{}
 	for _, r := range img.Regions {
 		if r.VA%physmem.FrameSize != 0 || uint32(r.PA)%physmem.FrameSize != 0 {
 			return fmt.Errorf("checkpoint: region %#x unaligned", r.VA)
@@ -201,20 +204,33 @@ func (img *Image) Validate() error {
 		if r.Size == 0 || r.Size%physmem.FrameSize != 0 {
 			return fmt.Errorf("checkpoint: region %#x has bad size %d", r.VA, r.Size)
 		}
-		for off := uint32(0); off < r.Size; off += physmem.FrameSize {
-			pa := r.PA + physmem.Addr(off)
-			if covered[pa] {
-				return fmt.Errorf("checkpoint: frame %#x covered twice", uint32(pa))
-			}
-			covered[pa] = true
+		if uint64(r.VA)+uint64(r.Size) > 1<<32 || uint64(r.PA)+uint64(r.Size) > 1<<32 {
+			return fmt.Errorf("checkpoint: region %#x wraps the address space", r.VA)
+		}
+	}
+	byPA := slices.Clone(img.Regions)
+	slices.SortFunc(byPA, func(a, b Region) int { return cmp.Compare(a.PA, b.PA) })
+	for i := 1; i < len(byPA); i++ {
+		if prev := byPA[i-1]; uint64(prev.PA)+uint64(prev.Size) > uint64(byPA[i].PA) {
+			return fmt.Errorf("checkpoint: regions %#x and %#x overlap in PA", prev.VA, byPA[i].VA)
+		}
+	}
+	byVA := slices.Clone(img.Regions)
+	slices.SortFunc(byVA, func(a, b Region) int { return cmp.Compare(a.VA, b.VA) })
+	for i := 1; i < len(byVA); i++ {
+		if prev := byVA[i-1]; uint64(prev.VA)+uint64(prev.Size) > uint64(byVA[i].VA) {
+			return fmt.Errorf("checkpoint: regions %#x and %#x overlap in VA", prev.VA, byVA[i].VA)
 		}
 	}
 	for _, f := range img.Frames {
-		if !covered[f.PA] {
-			return fmt.Errorf("checkpoint: captured frame %#x outside every region", uint32(f.PA))
-		}
 		if len(f.Data) != physmem.FrameSize {
 			return fmt.Errorf("checkpoint: frame %#x has %d bytes", uint32(f.PA), len(f.Data))
+		}
+		inside := slices.ContainsFunc(img.Regions, func(r Region) bool {
+			return f.PA >= r.PA && uint64(f.PA) < uint64(r.PA)+uint64(r.Size)
+		})
+		if !inside || uint32(f.PA)%physmem.FrameSize != 0 {
+			return fmt.Errorf("checkpoint: captured frame %#x outside every region", uint32(f.PA))
 		}
 	}
 	return nil

@@ -94,4 +94,53 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-region frame accepted")
 	}
+
+	// Two 4 KB regions at one VA with distinct PAs: a fork would map the
+	// VA twice and share both frames, and teardown could release only one.
+	bad = sampleImage()
+	bad.Regions = []Region{
+		{VA: 0x0001_0000, PA: physmem.DDRBase + 0x200_0000, Size: physmem.FrameSize, Domain: 1},
+		{VA: 0x0001_0000, PA: physmem.DDRBase + 0x200_1000, Size: physmem.FrameSize, Domain: 1},
+	}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("regions at the same VA accepted")
+	}
+	bad = sampleImage()
+	bad.Regions[0].VA = bad.Regions[1].VA + 2<<20 // inside region 1's VA range
+	if err := bad.Validate(); err == nil {
+		t.Fatal("partially VA-overlapping regions accepted")
+	}
+	bad = sampleImage()
+	bad.Regions[0].VA = 0xFFF0_0000 // 1 MB region ending past 2^32
+	bad.Regions[0].Size = 2 << 20
+	if err := bad.Validate(); err == nil {
+		t.Fatal("region wrapping past 2^32 in VA accepted")
+	}
+	bad = sampleImage()
+	bad.Regions[0].PA = 0xFFFF_F000
+	bad.Regions[0].Size = 2 * physmem.FrameSize
+	if err := bad.Validate(); err == nil {
+		t.Fatal("region wrapping past 2^32 in PA accepted")
+	}
+	bad = sampleImage()
+	bad.Frames = append(bad.Frames, Frame{PA: bad.Regions[0].PA + 8, Data: make([]byte, physmem.FrameSize)})
+	if err := bad.Validate(); err == nil {
+		t.Fatal("unaligned captured frame accepted")
+	}
+
+	// Regions that touch end to start, in VA and in PA, are disjoint; so
+	// is a region ending exactly at 2^32. Captured frames at the first and
+	// last frame of a region are inside it.
+	ok := sampleImage()
+	ok.Regions = []Region{
+		{VA: 0x0001_0000, PA: physmem.DDRBase + 0x201_0000, Size: 1 << 20, Domain: 1},
+		{VA: 0x0011_0000, PA: physmem.DDRBase + 0x200_0000, Size: 64 << 10, Domain: 1},
+		{VA: 0xFFF0_0000, PA: physmem.DDRBase + 0x300_0000, Size: 1 << 20, Domain: 2},
+	}
+	for _, pa := range []physmem.Addr{ok.Regions[0].PA, ok.Regions[1].PA + 60<<10} {
+		ok.Frames = append(ok.Frames, Frame{PA: pa, Data: make([]byte, physmem.FrameSize)})
+	}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("touching, in-range regions rejected: %v", err)
+	}
 }
