@@ -55,11 +55,14 @@ type PageTable struct {
 // NewPageTable allocates and zeroes a fresh L1 table.
 func NewPageTable(bus *physmem.Bus, alloc *FrameAllocator) *PageTable {
 	base := alloc.Alloc(L1TableSize, L1TableSize)
-	pt := &PageTable{Base: base, bus: bus, alloc: alloc}
-	for i := physmem.Addr(0); i < L1TableSize; i += 4 {
-		mustWrite(bus, base+i, 0)
+	mustZero(bus, base, L1TableSize)
+	return &PageTable{Base: base, bus: bus, alloc: alloc}
+}
+
+func mustZero(b *physmem.Bus, a physmem.Addr, n int) {
+	if err := b.Zero(a, n); err != nil {
+		panic(fmt.Sprintf("mmu: page-table clear failed: %v", err))
 	}
-	return pt
 }
 
 func mustWrite(b *physmem.Bus, a physmem.Addr, v uint32) {
@@ -95,30 +98,45 @@ func (pt *PageTable) MapSection(va uint32, pa physmem.Addr, domain, ap uint8) {
 // pages of different domains into the same 1 MB slot is rejected, matching
 // how Mini-NOVA lays out guest spaces (one domain per region).
 func (pt *PageTable) MapPage(va uint32, pa physmem.Addr, domain, ap uint8) {
+	pt.MapPages(va, pa, 1, domain, ap)
+}
+
+// MapPages maps n consecutive 4 KB pages va→pa with MapPage's rules, and
+// leaves the same bytes as n MapPage calls: per 1 MB slot it reads the L1
+// descriptor once (creating the L2 table on demand) and then writes the
+// slot's L2 descriptors in a row.
+func (pt *PageTable) MapPages(va uint32, pa physmem.Addr, n int, domain, ap uint8) {
 	if va&0xFFF != 0 || uint32(pa)&0xFFF != 0 {
 		panic("mmu: MapPage requires 4KB alignment")
 	}
-	l1a := pt.l1addr(va)
-	l1d := mustRead(pt.bus, l1a)
-	var l2base physmem.Addr
-	switch l1d & 3 {
-	case descFault:
-		l2base = pt.alloc.Alloc(L2TableSize, L2TableSize)
-		for i := physmem.Addr(0); i < L2TableSize; i += 4 {
-			mustWrite(pt.bus, l2base+i, 0)
+	for n > 0 {
+		l1a := pt.l1addr(va)
+		l1d := mustRead(pt.bus, l1a)
+		var l2base physmem.Addr
+		switch l1d & 3 {
+		case descFault:
+			l2base = pt.alloc.Alloc(L2TableSize, L2TableSize)
+			mustZero(pt.bus, l2base, L2TableSize)
+			mustWrite(pt.bus, l1a, uint32(l2base)&^0x3FF|uint32(domain)<<5|descCoarse)
+		case descCoarse:
+			if uint8(l1d>>5&0xF) != domain {
+				panic(fmt.Sprintf("mmu: domain mismatch in 1MB slot %#x: table has %d, mapping wants %d",
+					va&^0xFFFFF, l1d>>5&0xF, domain))
+			}
+			l2base = physmem.Addr(l1d &^ 0x3FF)
+		default:
+			panic(fmt.Sprintf("mmu: MapPage over a section at %#x", va))
 		}
-		mustWrite(pt.bus, l1a, uint32(l2base)&^0x3FF|uint32(domain)<<5|descCoarse)
-	case descCoarse:
-		if uint8(l1d>>5&0xF) != domain {
-			panic(fmt.Sprintf("mmu: domain mismatch in 1MB slot %#x: table has %d, mapping wants %d",
-				va&^0xFFFFF, l1d>>5&0xF, domain))
+		// Pages left in this slot, capped at n.
+		m := min(n, int(256-va>>12&0xFF))
+		for i := 0; i < m; i++ {
+			l2a := l2base + physmem.Addr(va>>12&0xFF*4)
+			mustWrite(pt.bus, l2a, uint32(pa)&^0xFFF|uint32(ap)<<4|descSmall)
+			va += physmem.FrameSize
+			pa += physmem.FrameSize
 		}
-		l2base = physmem.Addr(l1d &^ 0x3FF)
-	default:
-		panic(fmt.Sprintf("mmu: MapPage over a section at %#x", va))
+		n -= m
 	}
-	l2a := l2base + physmem.Addr(va>>12&0xFF*4)
-	mustWrite(pt.bus, l2a, uint32(pa)&^0xFFF|uint32(ap)<<4|descSmall)
 }
 
 // RemapPage rewrites an existing 4 KB small-page mapping in place: the

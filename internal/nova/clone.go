@@ -218,8 +218,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	arena := mmu.NewFrameAllocator(arenaBase, cloneArenaSize)
 	pt := mmu.NewPageTable(k.Bus, arena)
 	mapKernelInto(pt)
-	shared := 0
-	img.EachFrame(func(va uint32, pa physmem.Addr) { shared++ })
+	shared := img.FrameCount()
 	cs := &cloneState{img: img, arena: arena, arenaBase: arenaBase, shared: shared}
 	pd := &PD{
 		ID:       id,
@@ -242,19 +241,15 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 		lastHcEntry:    img.LastHcEntry,
 		timerRemaining: img.TimerRemaining,
 	}
-	// Map every template frame read-only and take a share reference. The
-	// domain comes from the image region; AP user-read-only is what turns
-	// a clone write into the permission fault cowBreak resolves.
-	domAt := make(map[uint32]uint8, len(img.Regions))
+	// Map every template frame read-only and take a share reference, one
+	// region at a time. The domain comes from the region; AP
+	// user-read-only is what turns a clone write into the permission
+	// fault cowBreak resolves.
 	for _, r := range img.Regions {
-		for off := uint32(0); off < r.Size; off += physmem.FrameSize {
-			domAt[r.VA+off] = r.Domain
-		}
+		n := int(r.Size / physmem.FrameSize)
+		pt.MapPages(r.VA, r.PA, n, r.Domain, mmu.APUserRO)
+		k.Bus.ShareRange(r.PA, n)
 	}
-	img.EachFrame(func(va uint32, pa physmem.Addr) {
-		pt.MapPage(va, pa, domAt[va], mmu.APUserRO)
-		k.Bus.Share(pa)
-	})
 	k.populateCaps(pd, Capability(img.CapBits))
 	pd.node = sched.NewNode(pd, img.Priority, cfg.Affinity)
 	pd.Core = k.Cores[k.Sched.Place(&pd.node)]

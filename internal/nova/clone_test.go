@@ -40,7 +40,7 @@ func cloneWriter(name string, nPages int) Guest {
 
 // bootFrozenTemplate boots a template VM to quiescence, checkpoints and
 // freezes it.
-func bootFrozenTemplate(t *testing.T, k *Kernel, withContents bool) (*PD, *checkpoint.Image) {
+func bootFrozenTemplate(t testing.TB, k *Kernel, withContents bool) (*PD, *checkpoint.Image) {
 	t.Helper()
 	tpl := k.CreatePD(PDConfig{Name: "tpl", Priority: PrioGuest, Guest: idleTemplate("tpl")})
 	k.RunFor(simclock.FromMillis(2))
@@ -245,5 +245,65 @@ func TestCloneForkChargeIsMetadataOnly(t *testing.T) {
 	want := simclock.Cycles(CostCloneBase + img.FrameCount()*CostClonePerFrame)
 	if d := k.Clock.Now() - before; d != want {
 		t.Fatalf("fork charged %d cycles, want %d", d, want)
+	}
+}
+
+// TestForkDestroyRestoresRefs: forking and destroying any image Validate
+// accepts leaves every image frame's share count where it was. One
+// candidate maps two frames at the same VA; a fork of it would share
+// both frames while its table can reference only one, so teardown would
+// leak the other's reference — Validate must reject it.
+func TestForkDestroyRestoresRefs(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	_, img := bootFrozenTemplate(t, k, false)
+	defer k.ReleaseImage(img)
+	user := img.Regions[1]
+	sameVA := *img
+	sameVA.Regions = []checkpoint.Region{
+		{VA: user.VA, PA: user.PA, Size: physmem.FrameSize, Domain: user.Domain},
+		{VA: user.VA, PA: user.PA + physmem.FrameSize, Size: physmem.FrameSize, Domain: user.Domain},
+	}
+	accepted := 0
+	for _, cand := range []*checkpoint.Image{img, &sameVA} {
+		if cand.Validate() != nil {
+			continue
+		}
+		accepted++
+		var before []int
+		cand.EachFrame(func(_ uint32, pa physmem.Addr) { before = append(before, k.Bus.Refs(pa)) })
+		c := k.CreateClone(cand, CloneConfig{Name: "c", Guest: cloneWriter("c", 0)})
+		if err := k.DestroyClone(c); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		cand.EachFrame(func(va uint32, pa physmem.Addr) {
+			if got := k.Bus.Refs(pa); got != before[i] {
+				t.Errorf("%d regions: frame va %#x pa %#x refs = %d after fork+destroy, want %d",
+					len(cand.Regions), va, uint32(pa), got, before[i])
+			}
+			i++
+		})
+	}
+	if accepted == 0 {
+		t.Fatal("Validate rejected the captured image")
+	}
+}
+
+// BenchmarkCreateClone is the fork path's host cost: fork a clone of the
+// 4 MB checkpoint image and destroy it again, so every iteration reuses
+// the same recycled arena.
+func BenchmarkCreateClone(b *testing.B) {
+	k := NewKernel()
+	defer k.Shutdown()
+	_, img := bootFrozenTemplate(b, k, false)
+	defer k.ReleaseImage(img)
+	g := cloneWriter("c", 0)
+	b.ReportAllocs()
+	for b.Loop() {
+		c := k.CreateClone(img, CloneConfig{Name: "c", Guest: g})
+		if err := k.DestroyClone(c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

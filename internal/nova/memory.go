@@ -107,24 +107,13 @@ func (k *Kernel) buildGuestSpace(id int) AddressSpace {
 	pt := mmu.NewPageTable(k.Bus, k.allocFor(id))
 	mapKernelInto(pt)
 
-	kernelPart := uint32(GuestRAMSize / 4)
+	const kernelPart = GuestRAMSize / 4
 	// Guest kernel image: 1 MB of small pages is plenty for a uCOS image.
-	for off := uint32(0); off < kernelPart; off += physmem.FrameSize {
-		pt.MapPage(GuestKernelBase+off, ramBase+physmem.Addr(off), DomainGuestKernel, mmu.APFull)
-	}
-	// Guest user region.
-	userPA := ramBase + physmem.Addr(kernelPart)
-	userSize := uint32(GuestRAMSize) - kernelPart
-	for off := uint32(0); off < userSize; off += 1 << 20 {
-		// Use sections where alignment allows for realism and table economy.
-		if (uint32(userPA)+off)&0xFFFFF == 0 && (GuestUserBase+off)&0xFFFFF == 0 {
-			pt.MapSection(GuestUserBase+off, userPA+physmem.Addr(off), DomainGuestUser, mmu.APFull)
-		} else {
-			for p := uint32(0); p < 1<<20 && off+p < userSize; p += physmem.FrameSize {
-				pt.MapPage(GuestUserBase+off+p, userPA+physmem.Addr(off+p), DomainGuestUser, mmu.APFull)
-			}
-		}
-	}
+	pt.MapPages(GuestKernelBase, ramBase, kernelPart/physmem.FrameSize, DomainGuestKernel, mmu.APFull)
+	// Guest user region: small pages too, since GuestUserBase is not
+	// 1 MB aligned and so no user slot can hold a section.
+	pt.MapPages(GuestUserBase, ramBase+kernelPart, (GuestRAMSize-kernelPart)/physmem.FrameSize,
+		DomainGuestUser, mmu.APFull)
 	return AddressSpace{Table: pt, RAMBase: ramBase, RAMSize: GuestRAMSize}
 }
 

@@ -15,9 +15,16 @@ import (
 //
 // The refcount table is shared by every core (parallel runs break COW
 // concurrently on different clones), so it is mutex-guarded — unlike the
-// frame tables themselves, whose safety argument (disjoint per-PD
-// regions) rule in frame() still holds: shared frames are materialized
-// once, under the lock, before any clone can read them.
+// frame table itself, whose safety argument (disjoint per-PD regions)
+// rule in frame() still holds: shared frames are materialized before any
+// clone can read them.
+//
+// Like the frame table, the refcounts are indexed by frame number
+// (frameNum: DDR, then OCM), in two levels: a table of 1 MB chunks, each
+// allocated the first time one of its frames is pinned or shared. The
+// chunk table itself is built on the first pin or share, so buses that
+// never checkpoint pay nothing. A fork shares whole regions, so one lock
+// covers a region's refcounts.
 
 // frameRef is the sharing state of one 4 KB frame.
 type frameRef struct {
@@ -25,16 +32,51 @@ type frameRef struct {
 	pinned bool
 }
 
-// cowTable holds a bus's refcounts, lazily built on first pin/share so
-// buses that never checkpoint pay nothing.
+// cowChunkFrames is the number of frames in one 1 MB chunk; cowChunks
+// chunks cover every RAM frame.
+const (
+	cowChunkFrames = 1 << (20 - FrameShift)
+	cowChunks      = (ramFrames + cowChunkFrames - 1) / cowChunkFrames
+)
+
+// cowChunk is the sharing state of one 1 MB chunk of frames.
+type cowChunk [cowChunkFrames]frameRef
+
+// cowTable holds a bus's refcounts.
 type cowTable struct {
 	mu     sync.Mutex
-	frames map[Addr]*frameRef
+	chunks []*cowChunk // cowChunks entries once built
 }
 
-func (b *Bus) cow() *cowTable {
-	b.cowOnce.Do(func() { b.cowRefs = &cowTable{frames: map[Addr]*frameRef{}} })
-	return b.cowRefs
+// ref returns frame n's sharing state, allocating its chunk when alloc
+// is set; without alloc it is nil for a chunk never pinned or shared.
+// Caller holds t.mu.
+func (t *cowTable) ref(n int, alloc bool) *frameRef {
+	if t.chunks == nil {
+		if !alloc {
+			return nil
+		}
+		t.chunks = make([]*cowChunk, cowChunks)
+	}
+	c := t.chunks[n/cowChunkFrames]
+	if c == nil {
+		if !alloc {
+			return nil
+		}
+		c = new(cowChunk)
+		t.chunks[n/cowChunkFrames] = c
+	}
+	return &c[n%cowChunkFrames]
+}
+
+// lookup returns the sharing state of the frame containing a, or nil
+// when a is not RAM or its frame was never pinned or shared. Caller
+// holds t.mu.
+func (t *cowTable) lookup(a Addr) *frameRef {
+	if !isRAM(a) {
+		return nil
+	}
+	return t.ref(frameNum(a), false)
 }
 
 // frameBase rounds a down to its frame base address.
@@ -53,74 +95,68 @@ func (b *Bus) Materialize(a Addr) {
 // immediately and survives until Unpin, regardless of the refcount.
 func (b *Bus) Pin(a Addr) {
 	b.Materialize(a)
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fb := frameBase(a)
-	r := t.frames[fb]
-	if r == nil {
-		r = &frameRef{}
-		t.frames[fb] = r
-	}
-	r.pinned = true
+	b.cow.mu.Lock()
+	defer b.cow.mu.Unlock()
+	b.cow.ref(frameNum(a), true).pinned = true
 }
 
 // Unpin releases the image's hold on the frame. If no clone references
 // remain the frame is reclaimed.
 func (b *Bus) Unpin(a Addr) {
-	t := b.cow()
+	t := &b.cow
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fb := frameBase(a)
-	r := t.frames[fb]
+	r := t.lookup(a)
 	if r == nil || !r.pinned {
-		panic(fmt.Sprintf("physmem: unpin of unpinned frame %#08x", uint32(fb)))
+		panic(fmt.Sprintf("physmem: unpin of unpinned frame %#08x", uint32(frameBase(a))))
 	}
 	r.pinned = false
 	if r.refs == 0 {
-		b.reclaim(t, fb)
+		b.reclaim(frameNum(a))
 	}
 }
 
-// Share takes one clone reference on the frame containing a.
-func (b *Bus) Share(a Addr) {
-	b.Materialize(a)
-	t := b.cow()
+// ShareRange takes one clone reference on each of the n frames starting
+// with the one containing a. The frames are materialized first, then one
+// lock covers all n refcounts.
+func (b *Bus) ShareRange(a Addr, n int) {
+	a = frameBase(a)
+	for i := 0; i < n; i++ {
+		b.Materialize(a + Addr(i)<<FrameShift)
+	}
+	// Materialize rejected any range leaving its RAM region, so the n
+	// frames are numbered consecutively.
+	first := frameNum(a)
+	t := &b.cow
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fb := frameBase(a)
-	r := t.frames[fb]
-	if r == nil {
-		r = &frameRef{}
-		t.frames[fb] = r
+	for i := 0; i < n; i++ {
+		t.ref(first+i, true).refs++
 	}
-	r.refs++
 }
 
 // Release drops one clone reference and returns the remaining count. The
 // frame is reclaimed when the count reaches zero and no image pins it.
 func (b *Bus) Release(a Addr) int {
-	t := b.cow()
+	t := &b.cow
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fb := frameBase(a)
-	r := t.frames[fb]
+	r := t.lookup(a)
 	if r == nil || r.refs == 0 {
-		panic(fmt.Sprintf("physmem: release of unshared frame %#08x", uint32(fb)))
+		panic(fmt.Sprintf("physmem: release of unshared frame %#08x", uint32(frameBase(a))))
 	}
 	r.refs--
 	if r.refs == 0 && !r.pinned {
-		b.reclaim(t, fb)
+		b.reclaim(frameNum(a))
 	}
 	return int(r.refs)
 }
 
 // Refs returns the clone reference count on the frame containing a.
 func (b *Bus) Refs(a Addr) int {
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.frames[frameBase(a)]; r != nil {
+	b.cow.mu.Lock()
+	defer b.cow.mu.Unlock()
+	if r := b.cow.lookup(a); r != nil {
 		return int(r.refs)
 	}
 	return 0
@@ -128,10 +164,9 @@ func (b *Bus) Refs(a Addr) int {
 
 // Pinned reports whether an image pins the frame containing a.
 func (b *Bus) Pinned(a Addr) bool {
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.frames[frameBase(a)]; r != nil {
+	b.cow.mu.Lock()
+	defer b.cow.mu.Unlock()
+	if r := b.cow.lookup(a); r != nil {
 		return r.pinned
 	}
 	return false
@@ -140,28 +175,14 @@ func (b *Bus) Pinned(a Addr) bool {
 // Allocated reports whether the frame containing a has a backing buffer
 // (reclaimed and never-touched frames read as zero once re-allocated).
 func (b *Bus) Allocated(a Addr) bool {
-	if a >= DDRBase && uint64(a) < uint64(DDRBase)+uint64(DDRSize) {
-		return b.ddr[(a-DDRBase)>>FrameShift] != nil
-	}
-	if a >= OCMBase && uint64(a) < uint64(OCMBase)+uint64(OCMSize) {
-		return b.ocm[(a-OCMBase)>>FrameShift] != nil
-	}
-	return false
+	return isRAM(a) && b.frames[frameNum(a)] != nil
 }
 
-// reclaim drops the backing buffer and the refcount entry. Caller holds
-// the cow table lock.
-func (b *Bus) reclaim(t *cowTable, fb Addr) {
-	delete(t.frames, fb)
-	if fb >= DDRBase && uint64(fb) < uint64(DDRBase)+uint64(DDRSize) {
-		if b.ddr[(fb-DDRBase)>>FrameShift] != nil {
-			b.ddr[(fb-DDRBase)>>FrameShift] = nil
-			b.touched.Add(-1)
-		}
-		return
-	}
-	if b.ocm[(fb-OCMBase)>>FrameShift] != nil {
-		b.ocm[(fb-OCMBase)>>FrameShift] = nil
+// reclaim drops frame n's backing buffer; its sharing state is already
+// zero. Caller holds the cow table lock.
+func (b *Bus) reclaim(n int) {
+	if b.frames[n] != nil {
+		b.frames[n] = nil
 		b.touched.Add(-1)
 	}
 }

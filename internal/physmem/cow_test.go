@@ -9,8 +9,8 @@ func TestShareReleaseReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := b.TouchedFrames()
-	b.Share(a)
-	b.Share(a + 8) // same frame
+	b.ShareRange(a, 1)
+	b.ShareRange(a+8, 1) // same frame
 	if got := b.Refs(a); got != 2 {
 		t.Fatalf("refs = %d, want 2", got)
 	}
@@ -42,7 +42,7 @@ func TestPinnedFrameSurvivesLastRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Pin(a)
-	b.Share(a)
+	b.ShareRange(a, 1)
 	b.Release(a)
 	if !b.Allocated(a) {
 		t.Fatal("pinned frame reclaimed at zero refs")
@@ -60,7 +60,7 @@ func TestUnpinWaitsForClones(t *testing.T) {
 	b := NewBus()
 	a := DDRBase + 0xC0_0000
 	b.Pin(a)
-	b.Share(a)
+	b.ShareRange(a, 1)
 	b.Unpin(a)
 	if !b.Allocated(a) {
 		t.Fatal("frame with a live clone reference reclaimed on unpin")
@@ -105,4 +105,118 @@ func TestSnapshotLoadFrame(t *testing.T) {
 	if v, _ := b.Read8(a + 5); v != 0x77 {
 		t.Fatalf("restored frame read %#x, want 0x77", v)
 	}
+}
+
+// TestShareRangeAcrossChunks shares a run of frames on both sides of a
+// 1 MB refcount-chunk boundary: every frame in the run gets exactly one
+// reference and its neighbours none.
+func TestShareRangeAcrossChunks(t *testing.T) {
+	b := NewBus()
+	boundary := DDRBase + 0x20_0000 // first frame of a chunk
+	a := boundary - 2*FrameSize
+	b.ShareRange(a, 4)
+	// Every frame of the two chunks: one reference inside the run, none
+	// outside it.
+	for f := boundary - 1<<20; f < boundary+1<<20; f += FrameSize {
+		want := 0
+		if f >= a && f < a+4*FrameSize {
+			want = 1
+		}
+		if got := b.Refs(f); got != want {
+			t.Fatalf("frame %#x: refs = %d, want %d", uint32(f), got, want)
+		}
+		if b.Allocated(f) != (want == 1) {
+			t.Fatalf("frame %#x: allocated %v, want %v", uint32(f), b.Allocated(f), want == 1)
+		}
+	}
+	if got := b.TouchedFrames(); got != 4 {
+		t.Fatalf("touched = %d, want 4", got)
+	}
+	for i := Addr(0); i < 4; i++ {
+		if rem := b.Release(a + i*FrameSize); rem != 0 {
+			t.Fatalf("frame %d: remaining = %d, want 0", i, rem)
+		}
+	}
+	if got := b.TouchedFrames(); got != 0 {
+		t.Fatalf("touched after releasing the run = %d, want 0", got)
+	}
+}
+
+// TestOCMFrameSharing runs the pin/share/release cycle on the first and
+// last on-chip memory frames, which follow every DDR frame in the
+// refcount table.
+func TestOCMFrameSharing(t *testing.T) {
+	b := NewBus()
+	lastDDR := DDRBase + (DDRSize - FrameSize)
+	for _, a := range []Addr{OCMBase, OCMBase + (OCMSize - FrameSize)} {
+		if err := b.Write8(a+3, 0x42); err != nil {
+			t.Fatal(err)
+		}
+		b.Pin(a)
+		b.ShareRange(a, 1)
+		if b.Refs(a) != 1 || !b.Pinned(a) {
+			t.Fatalf("OCM frame %#x: refs %d pinned %v, want 1 true", uint32(a), b.Refs(a), b.Pinned(a))
+		}
+		if b.Refs(lastDDR) != 0 || b.Pinned(lastDDR) || b.Allocated(lastDDR) {
+			t.Fatalf("last DDR frame picked up OCM frame %#x's state", uint32(a))
+		}
+		b.Release(a)
+		b.Unpin(a)
+		if b.Allocated(a) {
+			t.Fatalf("OCM frame %#x not reclaimed after unpin at zero refs", uint32(a))
+		}
+	}
+	// Non-RAM addresses have no sharing state.
+	if b.Refs(AXIGP0Base) != 0 || b.Pinned(AXIGP0Base) || b.Allocated(AXIGP0Base) {
+		t.Fatal("device address reports sharing state")
+	}
+}
+
+// TestReshareAfterReclaim: a reclaimed frame's entry is clear, so a new
+// share starts from one reference on a fresh zero frame.
+func TestReshareAfterReclaim(t *testing.T) {
+	b := NewBus()
+	a := DDRBase + 0x50_0000
+	if err := b.Write8(a, 0x99); err != nil {
+		t.Fatal(err)
+	}
+	b.ShareRange(a, 1)
+	b.Release(a)
+	if b.Allocated(a) {
+		t.Fatal("frame not reclaimed")
+	}
+	b.ShareRange(a, 1)
+	if got := b.Refs(a); got != 1 {
+		t.Fatalf("refs after re-share = %d, want 1", got)
+	}
+	if b.Pinned(a) {
+		t.Fatal("re-shared frame came back pinned")
+	}
+	if v, _ := b.Read8(a); v != 0 {
+		t.Fatalf("re-shared frame read %#x, want 0", v)
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestRefcountMisusePanics(t *testing.T) {
+	b := NewBus()
+	a := DDRBase + 0x60_0000
+	mustPanic(t, "release of a never-shared frame", func() { b.Release(a) })
+	b.ShareRange(a, 1)
+	b.Release(a)
+	mustPanic(t, "over-release", func() { b.Release(a) })
+	mustPanic(t, "unpin of an unpinned frame", func() { b.Unpin(a) })
+	b.Pin(a)
+	b.Unpin(a)
+	mustPanic(t, "second unpin", func() { b.Unpin(a) })
+	mustPanic(t, "share of a non-RAM range", func() { b.ShareRange(DDRBase+DDRSize-FrameSize, 2) })
 }

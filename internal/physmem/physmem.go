@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -86,27 +85,22 @@ type frameBuf [FrameSize]byte
 // It is the single source of truth for physical state; the caches sit in
 // front of it, the FPGA's AXI HP masters behind it.
 //
-// The sparse frames are kept in flat per-region pointer tables indexed by
-// frame number (1 MB of pointers for the 512 MB DDR part) rather than a
-// map: the table walk issues a RAM read on every TLB miss, which made the
-// map lookup one of the hottest operations in the whole simulator.
+// The sparse frames are kept in one flat pointer table indexed by frame
+// number (1 MB of pointers for the 512 MB DDR part) rather than a map:
+// the table walk issues a RAM read on every TLB miss, which made the map
+// lookup one of the hottest operations in the whole simulator.
 type Bus struct {
-	ddr     []*frameBuf // DDRSize/FrameSize entries, frame number indexed
-	ocm     []*frameBuf
+	frames  []*frameBuf  // ramFrames entries, indexed by frameNum
 	touched atomic.Int64 // allocated frames, for the footprint report
 	windows []window     // sorted by base
 
-	// Copy-on-write frame sharing state (cow.go), built on first use.
-	cowOnce sync.Once
-	cowRefs *cowTable
+	// Copy-on-write frame sharing state (cow.go).
+	cow cowTable
 }
 
 // NewBus returns an empty bus with DDR and OCM RAM available.
 func NewBus() *Bus {
-	return &Bus{
-		ddr: make([]*frameBuf, DDRSize/FrameSize),
-		ocm: make([]*frameBuf, OCMSize/FrameSize),
-	}
+	return &Bus{frames: make([]*frameBuf, ramFrames)}
 }
 
 // MapDevice registers an MMIO window. Windows must not overlap each other.
@@ -145,14 +139,29 @@ func isRAM(a Addr) bool {
 // IsRAM reports whether the address is backed by RAM (vs device or hole).
 func (b *Bus) IsRAM(a Addr) bool { return isRAM(a) }
 
+// ramFrames is the number of RAM frames: DDR's, then OCM's.
+const ramFrames = (DDRSize + OCMSize) / FrameSize
+
+// frameNum numbers a RAM address's frame: DDR frames first, then OCM's.
+// Consecutive frames of one RAM region get consecutive numbers.
+func frameNum(a Addr) int {
+	if a >= DDRBase && uint64(a) < uint64(DDRBase)+uint64(DDRSize) {
+		return int((a - DDRBase) >> FrameShift)
+	}
+	return DDRSize/FrameSize + int((a-OCMBase)>>FrameShift)
+}
+
+// ramEnd returns the end of the RAM region holding a (2^32 for OCM).
+func ramEnd(a Addr) uint64 {
+	if a >= OCMBase {
+		return uint64(OCMBase) + OCMSize
+	}
+	return uint64(DDRBase) + DDRSize
+}
+
 // frame returns the backing frame for a RAM address, allocating on demand.
 func (b *Bus) frame(a Addr) *frameBuf {
-	var slot *(*frameBuf)
-	if a >= DDRBase && uint64(a) < uint64(DDRBase)+uint64(DDRSize) {
-		slot = &b.ddr[(a-DDRBase)>>FrameShift]
-	} else {
-		slot = &b.ocm[(a-OCMBase)>>FrameShift]
-	}
+	slot := &b.frames[frameNum(a)]
 	if *slot == nil {
 		// Parallel runs keep concurrent cores off shared untouched frames:
 		// bytes only move through per-PD regions (disjoint guest RAM bases,
@@ -252,6 +261,30 @@ func (b *Bus) WriteBytes(a Addr, p []byte) error {
 		if err := b.Write8(a+Addr(i), v); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// Zero clears n bytes of RAM starting at a, allocating untouched frames
+// exactly as the word writes it replaces would. It is RAM only: a range
+// that leaves its DDR or OCM region writes nothing and returns a
+// *BusError at the first address past RAM.
+func (b *Bus) Zero(a Addr, n int) error {
+	if n <= 0 {
+		return nil
+	}
+	if !isRAM(a) {
+		return &BusError{Addr: a, Write: true}
+	}
+	cur, end := uint64(a), uint64(a)+uint64(n)
+	if re := ramEnd(a); end > re {
+		return &BusError{Addr: Addr(re), Write: true}
+	}
+	for cur < end {
+		off := cur & (FrameSize - 1)
+		m := min(FrameSize-off, end-cur)
+		clear(b.frame(Addr(cur))[off : off+m])
+		cur += m
 	}
 	return nil
 }

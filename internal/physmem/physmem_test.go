@@ -149,3 +149,92 @@ func TestPropertyWordRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestZeroMatchesWordWrites: Zero over a word-aligned range allocates the
+// same frames and leaves the same bytes as the Write32 loop it replaces.
+func TestZeroMatchesWordWrites(t *testing.T) {
+	cases := []struct {
+		a Addr
+		n int
+	}{
+		{DDRBase + 0x10_0000, 16 << 10},      // whole frames
+		{DDRBase + 0x10_0400, 1 << 10},       // inside one frame
+		{DDRBase + 0x10_0F00, FrameSize},     // straddles two frames
+		{OCMBase + (OCMSize - 0x100), 0x100}, // ends at the top of RAM
+		{DDRBase + DDRSize - 2*FrameSize, 8}, // small, near DDR's end
+	}
+	for _, tc := range cases {
+		words, zero := NewBus(), NewBus()
+		for i := 0; i < tc.n; i += 4 {
+			if err := words.Write32(tc.a+Addr(i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := zero.Zero(tc.a, tc.n); err != nil {
+			t.Fatalf("Zero(%#x, %d): %v", tc.a, tc.n, err)
+		}
+		if words.TouchedFrames() != zero.TouchedFrames() {
+			t.Fatalf("Zero(%#x, %d): touched %d frames, word writes %d",
+				tc.a, tc.n, zero.TouchedFrames(), words.TouchedFrames())
+		}
+		for a := uint64(frameBase(tc.a)); a < uint64(tc.a)+uint64(tc.n); a += FrameSize {
+			if words.Allocated(Addr(a)) != zero.Allocated(Addr(a)) {
+				t.Fatalf("Zero(%#x, %d): frame %#x allocated %v, word writes %v",
+					tc.a, tc.n, a, zero.Allocated(Addr(a)), words.Allocated(Addr(a)))
+			}
+		}
+	}
+}
+
+// TestZeroClearsOnlyItsRange: inside a partial frame, the bytes on both
+// sides of the range survive.
+func TestZeroClearsOnlyItsRange(t *testing.T) {
+	b := NewBus()
+	a := DDRBase + 0x20_0000
+	fill := bytes.Repeat([]byte{0xEE}, FrameSize)
+	if err := b.WriteBytes(a, fill); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Zero(a+0x100, 0x200); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.ReadBytes(a, FrameSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		want := byte(0xEE)
+		if i >= 0x100 && i < 0x300 {
+			want = 0
+		}
+		if v != want {
+			t.Fatalf("byte %#x = %#x, want %#x", i, v, want)
+		}
+	}
+}
+
+// TestZeroOffRAM: a range outside RAM, or running off the end of its RAM
+// region, is a bus error and writes nothing.
+func TestZeroOffRAM(t *testing.T) {
+	b := NewBus()
+	for _, tc := range []struct {
+		a, want Addr
+		n       int
+	}{
+		{AXIGP0Base, AXIGP0Base, 4},
+		{DDRBase + DDRSize - 8, DDRBase + DDRSize, 16},
+		{OCMBase + (OCMSize - 4), 0, 8},
+	} {
+		err := b.Zero(tc.a, tc.n)
+		be, ok := err.(*BusError)
+		if !ok || be.Addr != tc.want || !be.Write {
+			t.Fatalf("Zero(%#x, %d) = %v, want a write BusError at %#x", tc.a, tc.n, err, tc.want)
+		}
+	}
+	if got := b.TouchedFrames(); got != 0 {
+		t.Fatalf("failed Zero calls allocated %d frames", got)
+	}
+	if err := b.Zero(AXIGP0Base, 0); err != nil {
+		t.Fatalf("empty Zero = %v, want nil", err)
+	}
+}
