@@ -52,9 +52,10 @@ func settle(t *testing.T, after string, want int) {
 // TestShutdownTerminatesGoroutines checks that no guest or task
 // goroutine outlives the operation that retires it — an in-place
 // restore, destroying a clone that runs a uCOS task, and kernel shutdown
-// — on the sequential single-core loop and on the two-shard parallel
-// engine. The measurements before each operation follow sequential runs
-// only, so no exiting shard worker inflates them.
+// — on a single-core machine run on one goroutine and on a dual-core
+// machine run on two shards. The measurements before each operation
+// follow one-goroutine runs only, so no exiting shard worker inflates
+// them.
 func TestShutdownTerminatesGoroutines(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

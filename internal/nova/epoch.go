@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultEpoch is the conservative epoch length of the parallel run loop:
+// DefaultEpoch is the conservative epoch length of a multi-core run:
 // cross-core effects (wakes, request postings, IPC handoffs) initiated
 // inside an epoch are delivered at its barrier, so the epoch bounds the
 // model's cross-core signalling latency. 20 µs sits well under the
@@ -40,13 +40,12 @@ func (k *Kernel) post(c *CoreCtx, fn func()) {
 }
 
 // wakeFrom wakes pd from core c's context. A wake onto the issuing core
-// (and every wake on a single-core machine or inside a barrier commit)
-// applies immediately; a cross-core wake is charged the doorbell write on
-// the waker and delivered at the next epoch barrier — the conservative
-// engine bounds cross-core latency by one epoch instead of making it
-// instantaneous.
+// (and every wake inside a barrier commit) applies immediately; a
+// cross-core wake is charged the doorbell write on the waker and
+// delivered at the next epoch barrier — the conservative engine bounds
+// cross-core latency by one epoch instead of making it instantaneous.
 func (k *Kernel) wakeFrom(c *CoreCtx, pd *PD) {
-	if c == nil || c == pd.Core || len(k.Cores) == 1 || k.inCommit {
+	if c == nil || c == pd.Core || k.inCommit {
 		k.wake(pd)
 		return
 	}
@@ -118,25 +117,12 @@ func (k *Kernel) reconfigCore() *CoreCtx {
 
 // RunParallel advances the system to the given absolute time using the
 // conservative epoch-barrier engine, spreading the simulated cores over
-// shards host goroutines. The result is byte-identical to Run on the same
-// configuration: a multi-core Run executes the identical epoch algorithm
-// on one goroutine, and within an epoch the cores touch disjoint
-// simulated state (cross-core effects are deferred to the barrier), so
-// host interleaving cannot be observed.
+// shards host goroutines. The result is byte-identical for every shard
+// count: within an epoch the cores touch disjoint simulated state
+// (cross-core effects are deferred to the barrier), so host interleaving
+// cannot be observed.
 func (k *Kernel) RunParallel(until simclock.Cycles, shards int) {
-	if len(k.Cores) == 1 {
-		// One simulated core has no cross-core horizon; the sequential
-		// reference loop is the parallel semantics.
-		k.Run(until)
-		return
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(k.Cores) {
-		shards = len(k.Cores)
-	}
-	k.runEpochs(until, shards)
+	k.runEpochs(until, min(max(shards, 1), len(k.Cores)))
 }
 
 // RunParallelFor advances the system by d cycles with RunParallel.
@@ -150,7 +136,8 @@ func (k *Kernel) RunParallelFor(d simclock.Cycles, shards int) {
 // runs every core independently up to the window edge, then commits the
 // deferred cross-core effects. Cores with nothing to do jump straight to
 // the window edge, so an idle-heavy system advances at event resolution,
-// not epoch resolution.
+// not epoch resolution. A single core has no peer whose skew an epoch
+// would bound, so its one window reaches the horizon and counts no epoch.
 func (k *Kernel) runEpochs(until simclock.Cycles, shards int) {
 	k.running = true
 	defer func() { k.running = false }()
@@ -220,11 +207,11 @@ func (k *Kernel) runEpochs(until simclock.Cycles, shards int) {
 			}
 			break
 		}
-		w := t/k.Epoch*k.Epoch + k.Epoch
-		if w > until {
-			w = until
+		w := until
+		if len(k.Cores) > 1 {
+			w = min(t/DefaultEpoch*DefaultEpoch+DefaultEpoch, until)
+			k.Epochs++
 		}
-		k.Epochs++
 		if shards <= 1 {
 			for _, c := range k.Cores {
 				if c.Clock.Now() < w {
@@ -282,14 +269,15 @@ func (k *Kernel) runSlice(c *CoreCtx, w simclock.Cycles) {
 			c.CPU.IRQMasked = true
 			continue
 		}
-		k.runCoreEpoch(c, pd, w)
+		k.runCore(c, pd, w)
 	}
 }
 
-// runCoreEpoch gives core c one scheduling window bounded by the epoch
-// edge — the epoch engine's counterpart of runCore, driven by the core's
-// own clock.
-func (k *Kernel) runCoreEpoch(c *CoreCtx, pd *PD, w simclock.Cycles) {
+// runCore gives core c one scheduling window on pd, bounded by the window
+// edge w and driven by the core's own clock: switch in, and let the PD run
+// until it yields (quantum expiry, block, window edge, or a reschedule
+// kick).
+func (k *Kernel) runCore(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	k.worldSwitch(c, pd)
 	// Complete the Table III "HW Manager exit" probe when the manager's own
 	// core switches to a guest after a completion (the co-resident layout).
@@ -317,11 +305,15 @@ func (k *Kernel) runCoreEpoch(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	c.BusyCycles += elapsed
 
 	if c.quantumExpired || elapsed >= pd.VCPU.QuantumLeft {
+		// Slice fully consumed: fresh quantum next time, go to the back
+		// of the priority circle (round-robin, §III-D).
 		pd.VCPU.QuantumLeft = 0
 		if k.Sched.Queued(&pd.node) {
 			k.Sched.Rotate(c.ID, pd.Priority)
 		}
 	} else {
+		// Paused early (preemption, window edge, cross-core kick): carry
+		// the remaining quantum (§III-D).
 		pd.VCPU.QuantumLeft -= elapsed
 	}
 }

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -73,8 +74,7 @@ func TestIdleFastForwardWakes(t *testing.T) {
 }
 
 // RunParallel must clamp its shard count: more shards than cores, zero or
-// negative shards all run — and one simulated core always takes the
-// sequential reference loop.
+// negative shards all run.
 func TestRunParallelShardClamp(t *testing.T) {
 	for _, shards := range []int{-1, 0, 1, 2, 8} {
 		k := dualKernel()
@@ -93,6 +93,79 @@ func TestRunParallelShardClamp(t *testing.T) {
 		k.RunParallelFor(simclock.FromMillis(5), shards)
 		if ran == 0 {
 			t.Errorf("shards=%d: guest made no progress", shards)
+		}
+		k.Shutdown()
+	}
+}
+
+// An event due at the current instant on a machine with nothing runnable
+// must fire, and the run must still reach its horizon. AdvanceTo(now) is a
+// no-op, so an idle path that only jumps to the next deadline spins on
+// such an event forever; the run loop fires it with Advance(0). The wait
+// is bounded so a regression fails instead of hanging the suite.
+func TestDueNowEventOnIdleMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		k    *Kernel
+	}{{"single-core", NewKernel()}, {"dual-core", dualKernel()}} {
+		k := tc.k
+		fired := false
+		k.Clock.At(k.Clock.Now(), func(simclock.Cycles) { fired = true })
+		horizon := k.Clock.Now() + simclock.FromMillis(1)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			k.Run(horizon)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Run did not return with an event due now and no runnable PD", tc.name)
+		}
+		if !fired {
+			t.Errorf("%s: the due event never fired", tc.name)
+		}
+		for _, c := range k.Cores {
+			if c.Clock.Now() != horizon {
+				t.Errorf("%s: core %d stopped at %v, want the horizon %v", tc.name, c.ID, c.Clock.Now(), horizon)
+			}
+		}
+		k.Shutdown()
+	}
+}
+
+// A single core has no peer whose skew an epoch would bound: its run is
+// one window to the horizon and counts no epoch, on RunFor and on
+// RunParallelFor with more shards than cores alike.
+func TestSingleCoreCountsNoEpochs(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		k := NewKernel()
+		var ran simclock.Cycles
+		k.CreatePD(PDConfig{
+			Name: "g", Priority: PrioGuest,
+			Guest: &scriptGuest{"g", func(env *Env) {
+				for {
+					start := env.Now()
+					env.Ctx.Exec(200)
+					ran += env.Now() - start
+					env.CheckPreempt()
+				}
+			}},
+		})
+		horizon := simclock.FromMillis(5)
+		if shards == 1 {
+			k.RunFor(horizon)
+		} else {
+			k.RunParallelFor(horizon, shards)
+		}
+		if ran == 0 {
+			t.Errorf("shards=%d: guest made no progress", shards)
+		}
+		if k.Epochs != 0 {
+			t.Errorf("shards=%d: single-core run counted %d epochs, want 0", shards, k.Epochs)
+		}
+		if k.Clock.Now() < horizon {
+			t.Errorf("shards=%d: clock stopped at %v, short of the %v horizon", shards, k.Clock.Now(), horizon)
 		}
 		k.Shutdown()
 	}

@@ -211,7 +211,7 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 		}
 	}
 	t0 := c.Clock.Now()
-	if len(k.Cores) == 1 || pd.Core == k.hwSvc.Core {
+	if pd.Core == k.hwSvc.Core {
 		// Same-core request: the queue lives on the manager's core, so the
 		// caller may mutate it directly.
 		k.nextReqID++
@@ -301,7 +301,7 @@ func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
 	if k.Reconfig == nil {
 		return StatusOK
 	}
-	if len(k.Cores) == 1 || pd.Core == k.reconfigCore() {
+	if pd.Core == k.reconfigCore() {
 		if k.Reconfig.PendingFor(pd) {
 			return StatusReconfig
 		}
@@ -350,15 +350,13 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 	}
 	t0 := c.Clock.Now()
 	pd.ipcWord = word
-	if len(k.Cores) == 1 || to.Core == pd.Core {
+	if to.Core == pd.Core {
 		to.ipcCallers = append(to.ipcCallers, pd)
 		c.kctx.Touch(to.kdata+0x80, true) // callee endpoint state
 		if to.recvBlocked {
 			to.recvBlocked = false
-			if to.Core == pd.Core {
-				c.kctx.Exec(CostIPCFastPath)
-				c.ipcFastCalls++
-			}
+			c.kctx.Exec(CostIPCFastPath)
+			c.ipcFastCalls++
 			k.wake(to)
 		}
 	} else {
@@ -532,14 +530,10 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
 	}
 	target := req.PD
 	switch {
-	case len(k.Cores) == 1:
+	case target.Core == c:
 		k.wake(target)
 		// Arm the "HW Manager exit" probe: from here to the world switch
 		// that resumes a guest.
-		k.mgrExitFrom = k.Clock.Now()
-		k.mgrExitArmed = true
-	case target.Core == c:
-		k.wake(target)
 		k.mgrExitFrom = c.Clock.Now()
 		k.mgrExitArmed = true
 	default:
@@ -596,7 +590,7 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 	// its table is quiescent and may be edited from the manager's core.
 	client.Table.MapPage(va, k.Fabric.GroupBase(prr), DomainGuestUser, mmu.APFull)
 	k.chargePTEdit(c, client, va)
-	if len(k.Cores) == 1 || client.Core == c {
+	if client.Core == c {
 		client.Core.CPU.TLB.FlushVA(va, client.ASID)
 		client.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
 	} else {
@@ -798,7 +792,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 						r.Flow, uint64(pd.ID), pd.breaker.Trips)
 				}
 			}
-			if len(k.Cores) == 1 || pd.Core == mc {
+			if pd.Core == mc {
 				fail()
 			} else {
 				k.post(mc, fail)

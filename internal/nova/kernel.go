@@ -85,15 +85,9 @@ type Kernel struct {
 
 	PDs []*PD
 
-	// SMPSlice is retained for API compatibility with the old interleaved
-	// multi-core loop; the epoch engine ignores it (the epoch length in
-	// Epoch plays the window-bounding role now).
-	SMPSlice simclock.Cycles
-
-	// Epoch is the barrier interval of the parallel run loop (see
-	// DefaultEpoch); Epochs counts barrier windows executed, for the
-	// idle fast-forward diagnostics (not part of any scenario digest).
-	Epoch  simclock.Cycles
+	// Epochs counts the barrier windows a multi-core run executed (see
+	// DefaultEpoch), for the idle fast-forward diagnostics (not part of
+	// any scenario digest). A single-core run counts none.
 	Epochs uint64
 
 	kernelPT *mmu.PageTable
@@ -203,8 +197,6 @@ func NewKernelSMP(ncores int) *Kernel {
 		Alloc:     mmu.NewFrameAllocator(physTables, 8<<20),
 		Sched:     sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
 		Probes:    measure.NewSet(),
-		SMPSlice:  simclock.FromMillis(1),
-		Epoch:     DefaultEpoch,
 		committer: simclock.NewCommitter(ncores),
 		hwByID:    make(map[uint32]*HwRequest),
 		sd:        make(map[uint32][]byte),
@@ -550,7 +542,7 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 		}
 		k.pcapDone = kept
 	}
-	if len(k.Cores) == 1 || pd.Core == k.reconfigCore() {
+	if pd.Core == k.reconfigCore() {
 		purge()
 	} else {
 		k.post(pd.Core, purge)
@@ -593,35 +585,9 @@ func (e *Env) block() {
 	e.yield(yieldBlocked)
 }
 
-// Run executes the system until the given absolute simulated time. A
-// single-core machine runs the paper's sequential loop; a multi-core
-// machine runs the epoch-barrier engine on one goroutine — the reference
-// oracle RunParallel is byte-identical to. The engine's horizon jump also
-// fixes the old loop's idle behaviour: with every core idle, time
-// advances in one step to the earliest event instead of creeping through
-// per-core wake polls.
-func (k *Kernel) Run(until simclock.Cycles) {
-	if len(k.Cores) > 1 {
-		k.runEpochs(until, 1)
-		return
-	}
-	k.running = true
-	defer func() { k.running = false }()
-	for k.Clock.Now() < until {
-		ran := false
-		for _, c := range k.Cores {
-			if k.Clock.Now() >= until {
-				break
-			}
-			if k.runCore(c, until) {
-				ran = true
-			}
-		}
-		if !ran && k.Clock.Now() < until {
-			k.idleUntil(until)
-		}
-	}
-}
+// Run executes the system until the given absolute simulated time on
+// one host goroutine: RunParallel with a single shard.
+func (k *Kernel) Run(until simclock.Cycles) { k.RunParallel(until, 1) }
 
 // RunFor advances the system by d cycles.
 func (k *Kernel) RunFor(d simclock.Cycles) { k.Run(k.Clock.Now() + d) }
@@ -859,7 +825,7 @@ func (k *Kernel) onIRQ(c *CoreCtx) {
 		// (the owning core's goroutine must not be written mid-epoch).
 		for _, own := range k.pcapDone {
 			own := own
-			if len(k.Cores) == 1 || own.pd.Core == c {
+			if own.pd.Core == c {
 				if own.pd.dead {
 					continue // owner exited between completion and delivery
 				}

@@ -2,32 +2,14 @@ package simclock
 
 import "sort"
 
-// This file splits the single simulated clock into a sharded clock: a set
-// of per-shard cycle cursors (plain *Clock instances that advance
-// independently between synchronization points) plus a global epoch
-// committer that carries cross-shard effects. A shard never mutates
-// another shard's state directly; it posts a closure stamped with its own
-// local cycle instant, and the committer fires every posted closure at the
-// next epoch barrier in (cycle, shard, sequence) order. The merge order is
-// a pure function of simulated time, so the observable schedule is
-// independent of how the shards' host goroutines interleave — the property
-// the epoch-barrier parallel run loop is built on.
-
-// ShardedClock is n per-shard clocks plus the committer that orders their
-// cross-shard traffic at epoch barriers.
-type ShardedClock struct {
-	Shards    []*Clock
-	Committer *Committer
-}
-
-// NewSharded builds a sharded clock with n independent cursors.
-func NewSharded(n int) *ShardedClock {
-	s := &ShardedClock{Committer: NewCommitter(n)}
-	for i := 0; i < n; i++ {
-		s.Shards = append(s.Shards, New())
-	}
-	return s
-}
+// This file holds the committer that carries cross-shard effects to the
+// epoch barrier. A shard (a simulated core with its own *Clock cursor)
+// never mutates another shard's state directly; it posts a closure
+// stamped with its own local cycle instant, and the committer fires every
+// posted closure at the next epoch barrier in (cycle, shard, sequence)
+// order. The merge order is a pure function of simulated time, so the
+// observable schedule is independent of how the shards' host goroutines
+// interleave — the property the epoch-barrier run loop is built on.
 
 // commitEntry is one deferred cross-shard effect.
 type commitEntry struct {
