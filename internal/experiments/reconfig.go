@@ -76,7 +76,6 @@ func RunReconfigSweep(cfg Config) ReconfigReport {
 	sys.RunToCompletion(safetyHorizon(c))
 
 	pipe := k.Reconfig
-	pipe.PublishCounters(k.Probes)
 	rep := ReconfigReport{
 		Guests:    c.Guests,
 		Cores:     c.Cores,

@@ -94,24 +94,21 @@ func (p *Probe) Samples() []simclock.Cycles {
 	return out
 }
 
-// Set is a collection of named probes plus scalar counters (unitless
-// statistics such as cache hit counts and queue depths that sweeps report
-// alongside the latency probes).
+// Set is a collection of named probes.
 //
-// Set.Add and the counter mutators are safe to call from concurrent core
-// goroutines during a parallel run: the probe aggregates (Count, Total,
-// Min, Max) are commutative, so the final values are independent of host
+// Set.Add is safe to call from concurrent core goroutines during a
+// parallel run: the probe aggregates (Count, Total, Min, Max) are
+// commutative, so the final values are independent of host
 // interleaving. Reading a *Probe returned by Get is only safe once the run
 // has quiesced (the reporting paths all run after Run/RunParallel return).
 type Set struct {
-	mu       sync.Mutex
-	probes   map[string]*Probe
-	counters map[string]float64
+	mu     sync.Mutex
+	probes map[string]*Probe
 }
 
 // NewSet returns an empty probe set.
 func NewSet() *Set {
-	return &Set{probes: make(map[string]*Probe), counters: make(map[string]float64)}
+	return &Set{probes: make(map[string]*Probe)}
 }
 
 // Get returns (creating if needed) the named probe.
@@ -137,41 +134,8 @@ func (s *Set) Add(name string, d simclock.Cycles) {
 	s.get(name).Add(d)
 }
 
-// SetCounter stores a scalar statistic under name.
-func (s *Set) SetCounter(name string, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters[name] = v
-}
-
-// AddCounter accumulates delta into the named counter.
-func (s *Set) AddCounter(name string, delta float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters[name] += delta
-}
-
-// Counter returns the named counter (0 when unset).
-func (s *Set) Counter(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[name]
-}
-
-// CounterNames lists counters in sorted order.
-func (s *Set) CounterNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset clears all samples and counters but keeps the probe names and
-// their sample-retention settings.
+// Reset clears all samples but keeps the probe names and their
+// sample-retention settings.
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,7 +143,6 @@ func (s *Set) Reset() {
 	for _, p := range s.probes {
 		*p = Probe{Keep: p.Keep}
 	}
-	clear(s.counters)
 }
 
 // Names lists probes in sorted order.
@@ -194,11 +157,10 @@ func (s *Set) Names() []string {
 	return out
 }
 
-// String renders a compact summary table: probes then counters, each in
+// String renders a compact summary table, one probe per line in
 // sorted-name order, so two dumps of the same state are byte-identical.
-// The whole render happens under one lock — the previous version re-read
-// the maps unlocked between the (locking) name listings, which both raced
-// concurrent writers and could observe a probe added mid-render.
+// The whole render happens under one lock, so it neither races concurrent
+// writers nor observes a probe added mid-render.
 func (s *Set) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,19 +169,11 @@ func (s *Set) String() string {
 		probeNames = append(probeNames, n)
 	}
 	sort.Strings(probeNames)
-	counterNames := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		counterNames = append(counterNames, n)
-	}
-	sort.Strings(counterNames)
 	var b strings.Builder
 	for _, n := range probeNames {
 		p := s.probes[n]
 		fmt.Fprintf(&b, "%-16s n=%-6d mean=%8.3fus min=%8.3fus max=%8.3fus\n",
 			n, p.Count, p.MeanMicros(), p.Min.Micros(), p.Max.Micros())
-	}
-	for _, n := range counterNames {
-		fmt.Fprintf(&b, "%-28s %g\n", n, s.counters[n])
 	}
 	return b.String()
 }

@@ -788,32 +788,6 @@ func (p *Pipeline) Idle() bool {
 // HitRatio is the cache's demand hit ratio.
 func (p *Pipeline) HitRatio() float64 { return p.Cache.HitRatio() }
 
-// PublishCounters writes the pipeline's scalar statistics into a measure
-// set so sweeps report them alongside the latency probes.
-func (p *Pipeline) PublishCounters(set *measure.Set) {
-	cs, qs, fs := p.Cache.Stats, p.Queue.Stats, p.Prefetch.Stats
-	set.SetCounter("reconfig_cache_hits", float64(cs.Hits))
-	set.SetCounter("reconfig_cache_misses", float64(cs.Misses))
-	set.SetCounter("reconfig_cache_coalesced", float64(cs.Coalesced))
-	set.SetCounter("reconfig_cache_evictions", float64(cs.Evictions))
-	set.SetCounter("reconfig_cache_hit_ratio", p.HitRatio())
-	set.SetCounter("reconfig_queue_max_depth", float64(qs.MaxDepth))
-	set.SetCounter("reconfig_queue_mean_depth", p.Queue.MeanDepth())
-	set.SetCounter("reconfig_queued_starts", float64(p.Stats.Queued))
-	set.SetCounter("reconfig_prefetch_issued", float64(fs.Issued))
-	set.SetCounter("reconfig_prefetch_hits", float64(fs.Hits))
-	set.SetCounter("pcap_transfers", float64(p.Fabric.PCAP.Transfers))
-	set.SetCounter("pcap_errors", float64(p.Fabric.PCAP.Errors))
-	if p.Inject != nil {
-		set.SetCounter("fault_injected", float64(p.Inject.Stats.Total()))
-		set.SetCounter("fault_retries", float64(p.Stats.Retries))
-		set.SetCounter("fault_timeouts", float64(p.Stats.Timeouts))
-		set.SetCounter("fault_poison_evictions", float64(p.Stats.PoisonEvictions))
-		set.SetCounter("fault_quarantines", float64(p.Stats.Quarantines))
-		set.SetCounter("fault_failed_requests", float64(p.Stats.FaultedRequests))
-	}
-}
-
 // Summary renders the one-line reconfiguration report the experiment
 // commands print after a sweep.
 func (p *Pipeline) Summary() string {

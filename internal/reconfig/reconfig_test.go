@@ -344,14 +344,11 @@ func TestSummaryAndCounters(t *testing.T) {
 	r.pipe.Submit(r.request(1, 1, 1, &done))
 	r.clock.RunUntilIdle(100)
 
-	set := measure.NewSet()
-	r.pipe.PublishCounters(set)
-	if set.Counter("reconfig_cache_hits") != 1 || set.Counter("reconfig_cache_misses") != 1 {
-		t.Errorf("published counters wrong: hits=%g misses=%g",
-			set.Counter("reconfig_cache_hits"), set.Counter("reconfig_cache_misses"))
+	if cs := r.pipe.Cache.Stats; cs.Hits != 1 || cs.Misses != 1 {
+		t.Errorf("cache stats wrong: hits=%d misses=%d", cs.Hits, cs.Misses)
 	}
-	if set.Counter("pcap_transfers") != 2 {
-		t.Errorf("pcap_transfers = %g, want 2", set.Counter("pcap_transfers"))
+	if n := r.pipe.Fabric.PCAP.Transfers; n != 2 {
+		t.Errorf("pcap transfers = %d, want 2", n)
 	}
 	if s := r.pipe.Summary(); s == "" {
 		t.Error("empty summary")
