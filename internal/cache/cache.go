@@ -116,9 +116,6 @@ func (c *Cache) Name() string { return c.name }
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // set returns the flat slice of ways backing pa's set, plus the tag.
 func (c *Cache) set(pa physmem.Addr) (ways []line, set, tag uint32) {
 	lineAddr := uint32(pa) >> lineShift

@@ -106,9 +106,6 @@ func NewObject(t ObjType, name string, payload any) *Object {
 	return &Object{Type: t, Name: name, Payload: payload}
 }
 
-// Gen returns the object's current generation.
-func (o *Object) Gen() uint32 { return o.gen }
-
 // revoke bumps the generation, invalidating every capability that was
 // minted against the previous one. (Spaces revoke through RevokeObject,
 // which checks RightRevoke on the revoker's own capability.)

@@ -205,9 +205,6 @@ func NewCore(clock *simclock.Clock, bus *physmem.Bus, g *gic.GIC, id int, h *cac
 // Stats returns a copy of the counters.
 func (c *CPU) Stats() CPUStats { return c.stats }
 
-// Generation is the translation-state epoch used by micro-TLBs.
-func (c *CPU) Generation() uint64 { return c.generation }
-
 func (c *CPU) bumpGeneration() { c.generation++ }
 
 // InvalidateTLBVA flushes one page from the main TLB and forces the

@@ -486,8 +486,3 @@ func (e *ExecContext) VFPOp(n int) bool {
 	e.Exec(n)
 	return true
 }
-
-// ResetCursor restarts the fetch cursor (e.g. when a task restarts). The
-// residency streak restarts with it: its coverage claim is tied to an
-// unbroken cyclic walk.
-func (e *ExecContext) ResetCursor() { e.cursor = 0; e.iClean = 0 }

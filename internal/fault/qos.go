@@ -141,11 +141,3 @@ func (b *Breaker) Open(now simclock.Cycles) bool {
 	}
 	return false
 }
-
-// IsOpen is Open without the rejection side effect (diagnostics).
-func (b *Breaker) IsOpen(now simclock.Cycles) bool {
-	if b == nil || b.TripAt == 0 {
-		return false
-	}
-	return now < b.openUntil
-}

@@ -315,20 +315,6 @@ func (g *GIC) RaiseSGI(target, id int) {
 	g.maybeSignal(target)
 }
 
-// ClearPending drops the pending latch without acknowledging (used by the
-// kernel when tearing down a VM's interrupts). Banked ids clear on every
-// bank.
-func (g *GIC) ClearPending(id int) {
-	g.check(id)
-	if id < PrivateBase {
-		for c := 0; c < g.ncpu; c++ {
-			g.setPending(c, &g.banked[c][id], false)
-		}
-		return
-	}
-	g.setPending(g.target[id], &g.shared[id], false)
-}
-
 // setPending flips one source's pending latch, keeping the per-interface
 // count coherent (cpu is the interface the source delivers to). Every
 // mutation of irqState.pending must go through it.

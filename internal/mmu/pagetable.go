@@ -170,14 +170,6 @@ func (pt *PageTable) UnmapPage(va uint32) {
 	mustWrite(pt.bus, l2a, 0)
 }
 
-// UnmapSection removes a 1 MB section mapping.
-func (pt *PageTable) UnmapSection(va uint32) {
-	l1d := mustRead(pt.bus, pt.l1addr(va))
-	if l1d&3 == descSection {
-		mustWrite(pt.bus, pt.l1addr(va), 0)
-	}
-}
-
 // Lookup reads the table the way the walker would (without TLB or cost)
 // and reports the mapped PA, or ok=false. Tests and assertions use it.
 func (pt *PageTable) Lookup(va uint32) (pa physmem.Addr, domain, ap uint8, ok bool) {

@@ -62,7 +62,7 @@ func mapKernelInto(pt *mmu.PageTable) {
 	pt.MapSection(uint32(physmem.UARTBase), physmem.UARTBase, DomainKernel, mmu.APPriv)
 	// Bitstream store (kernel view; also mapped into the manager service).
 	for off := uint32(0); off < 22<<20; off += 1 << 20 {
-		pt.MapSection(0xF100_0000+off, physBitstreams+physmem.Addr(off), DomainKernel, mmu.APPriv)
+		pt.MapSection(BitstreamStoreVA+off, physBitstreams+physmem.Addr(off), DomainKernel, mmu.APPriv)
 	}
 }
 
@@ -118,8 +118,8 @@ func (k *Kernel) buildGuestSpace(id int) AddressSpace {
 }
 
 // allocFor returns the frame allocator backing PD id's page tables. On a
-// single-core machine every space shares the global pool (the sequential
-// loop's byte-frozen layout); a multi-core machine carves a private
+// single-core machine every space shares the global pool (the layout the
+// single-core goldens pin); a multi-core machine carves a private
 // 256 KB arena per PD out of the pool, so lazy second-level table
 // allocation on concurrent cores never races on the shared cursor.
 // 256 KB holds the 16 KB L1 plus every 1 KB L2 a guest can need.

@@ -136,9 +136,6 @@ func isRAM(a Addr) bool {
 	return false
 }
 
-// IsRAM reports whether the address is backed by RAM (vs device or hole).
-func (b *Bus) IsRAM(a Addr) bool { return isRAM(a) }
-
 // ramFrames is the number of RAM frames: DDR's, then OCM's.
 const ramFrames = (DDRSize + OCMSize) / FrameSize
 

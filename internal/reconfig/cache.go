@@ -59,9 +59,6 @@ type CacheEntry struct {
 // Loading reports whether the entry's SD fill is still in flight.
 func (e *CacheEntry) Loading() bool { return e.loading }
 
-// Speculative reports whether the entry was prefetched and never demanded.
-func (e *CacheEntry) Speculative() bool { return e.speculative }
-
 // Corrupt reports whether the staged image is poisoned.
 func (e *CacheEntry) Corrupt() bool { return e.corrupt }
 

@@ -26,9 +26,6 @@ const NumPriorities = 4
 // The zero value is treated as "any CPU" by Normalize.
 type CPUMask uint32
 
-// MaskAll allows every CPU.
-func MaskAll() CPUMask { return ^CPUMask(0) }
-
 // MaskOf builds a mask allowing exactly the given CPUs.
 func MaskOf(cpus ...int) CPUMask {
 	var m CPUMask

@@ -222,9 +222,6 @@ func (t *TLB) FlushVA(va uint32, asid uint8) {
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// ResetStats zeroes counters, keeping contents.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
-
 // Resident counts valid entries.
 func (t *TLB) Resident() int { return t.nSmall + t.nLarge }
 

@@ -351,12 +351,6 @@ func (t *Task) Delay(ticks uint32) {
 	t.TCB.yieldToScheduler()
 }
 
-// Yield gives equal-priority... uC/OS-II has no round-robin; Yield just
-// re-enters the scheduler (useful before long waits).
-func (t *Task) Yield() {
-	t.TCB.yieldToScheduler()
-}
-
 // TimeGet is OSTimeGet: the tick counter.
 func (t *Task) TimeGet() uint64 { return t.OS.Ticks }
 
