@@ -83,10 +83,9 @@ type Spec struct {
 	RunMs float64
 	// Seed diversifies the per-VM pseudo-random streams.
 	Seed uint32
-	// Shards > 1 runs the simulated cores on that many host goroutines
-	// through the epoch-barrier engine (nova.RunParallel). The checksum is
-	// byte-identical to the sequential engine's on the same spec; 0/1 keeps
-	// the single-goroutine run loop.
+	// Shards > 1 spreads the simulated cores over that many host
+	// goroutines (nova.RunParallel); 0/1 runs them all on one. The
+	// checksum is byte-identical for every shard count.
 	Shards int
 
 	// CacheBytes overrides the bitstream cache budget (0 = default).
@@ -235,25 +234,29 @@ func Build(spec Spec) *System {
 	return sys
 }
 
-// addVM creates the guest PD for one VM spec, wiring its tasks and any
-// storm devices.
-func (s *System) addVM(idx int, vm VM) {
+// addGuest applies one VM spec's name and priority defaults, creates its
+// uC/OS guest PD and registers the VM's probe. It returns the probe and
+// the VM's seed; the caller installs the guest's Setup.
+func (s *System) addGuest(idx int, vm VM) (*vmProbe, uint32) {
 	if vm.Name == "" {
 		vm.Name = fmt.Sprintf("vm%d", idx)
 	}
 	if vm.Priority == 0 {
 		vm.Priority = nova.PrioGuest
 	}
-	p := &vmProbe{spec: vm}
+	p := &vmProbe{spec: vm, guest: &ucos.Guest{GuestName: vm.Name}}
 	p.acq.Keep = true // retain samples: interference probes report p99s
-	seed := mix(s.Spec.Seed, uint32(idx))
-
-	g := &ucos.Guest{GuestName: vm.Name}
-	p.guest = g
-	pd := s.Kernel.CreatePD(nova.PDConfig{
-		Name: vm.Name, Priority: vm.Priority, Guest: g, Affinity: vm.Affinity,
+	p.pd = s.Kernel.CreatePD(nova.PDConfig{
+		Name: vm.Name, Priority: vm.Priority, Guest: p.guest, Affinity: vm.Affinity,
 	})
-	p.pd = pd
+	s.probes = append(s.probes, p)
+	return p, mix(s.Spec.Seed, uint32(idx))
+}
+
+// addVM creates the guest PD for one VM spec, wiring its tasks and any
+// storm devices.
+func (s *System) addVM(idx int, vm VM) {
+	p, seed := s.addGuest(idx, vm)
 
 	// Synthetic storm devices: PL lines allocated from the top so they
 	// never collide with the fabric's PRR lines (allocated from 0 up).
@@ -267,13 +270,13 @@ func (s *System) addVM(idx int, vm VM) {
 			panic(fmt.Sprintf("scenario %q: %d storm lines exceed the free PL lines (%d PRRs reserve the bottom of the range)",
 				s.Spec.Name, s.stormNext, len(s.Kernel.Fabric.PRRs)))
 		}
-		irq := s.Kernel.BindPLIRQ(line, pd)
+		irq := s.Kernel.BindPLIRQ(line, p.pd)
 		stormIRQs = append(stormIRQs, irq)
-		s.startStorm(pd, line, simclock.FromMicros(vm.StormPeriodUs), vm.StormBurst)
+		s.startStorm(p.pd, line, simclock.FromMicros(vm.StormPeriodUs), vm.StormBurst)
 	}
 
 	tick := s.Spec.TickMs
-	g.Setup = func(os *ucos.OS) {
+	p.guest.Setup = func(os *ucos.OS) {
 		os.TickPeriod = simclock.FromMillis(tick)
 		for _, irq := range stormIRQs {
 			irq := irq
@@ -286,7 +289,6 @@ func (s *System) addVM(idx int, vm VM) {
 			os.TaskCreate("workload", 30, s.workloadTask(p, idx, seed))
 		}
 	}
-	s.probes = append(s.probes, p)
 }
 
 // startStorm arms the recurring pulse train for one synthetic device
@@ -410,9 +412,8 @@ type VMStat struct {
 }
 
 // Run executes the scenario for its simulated budget, computes the state
-// checksum, and tears the system down. Shards > 1 selects the parallel
-// epoch-barrier engine; the result (and checksum) is byte-identical
-// either way.
+// checksum, and tears the system down. The result (and checksum) is
+// byte-identical for every shard count.
 func (s *System) Run() Result {
 	k := s.Kernel
 	// Flight recorder: a panic mid-run re-raises with the tail of every
@@ -438,15 +439,11 @@ func (s *System) Run() Result {
 	return res
 }
 
-// advance runs the simulation for d more cycles on the engine the spec
-// selected. The phased snapshot runner calls it repeatedly; checksums
-// must stay byte-identical however the budget is chopped.
+// advance runs the simulation for d more cycles on the spec's shard
+// count. The phased snapshot runner calls it repeatedly; checksums must
+// stay byte-identical however the budget is chopped.
 func (s *System) advance(d simclock.Cycles) {
-	if s.Spec.Shards > 1 {
-		s.Kernel.RunParallelFor(d, s.Spec.Shards)
-	} else {
-		s.Kernel.RunFor(d)
-	}
+	s.Kernel.RunParallelFor(d, s.Spec.Shards)
 }
 
 // collect gathers the result and checksum from the stopped system.

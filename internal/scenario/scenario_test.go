@@ -48,7 +48,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // The parallel engine's contract: every suite scenario run through
 // RunParallel — whatever the shard count — produces the byte-identical
-// state dump and checksum the sequential loop produces. Any cross-core
+// state dump and checksum a one-goroutine run produces. Any cross-core
 // effect that escapes the epoch barrier, any host-order-dependent merge,
 // any clock read off the wrong core diverges here.
 func TestParallelInSystemMatchesSequential(t *testing.T) {
@@ -56,7 +56,7 @@ func TestParallelInSystemMatchesSequential(t *testing.T) {
 	shardCounts := []int{1, 2, 4}
 	type run struct {
 		spec   Spec
-		shards int // 0 = sequential reference
+		shards int // 0 = one-goroutine reference
 		res    Result
 	}
 	var runs []run

@@ -145,28 +145,15 @@ type snapRun struct {
 // counterpart of addVM: same probe plumbing, sls tasks instead of
 // churn/workload drivers). The first template VM anchors the snapRun.
 func (s *System) addTemplateVM(idx int, vm VM) {
-	if vm.Name == "" {
-		vm.Name = fmt.Sprintf("vm%d", idx)
-	}
-	if vm.Priority == 0 {
-		vm.Priority = nova.PrioGuest
-	}
-	p := &vmProbe{spec: vm}
-	p.acq.Keep = true
+	p, seed := s.addGuest(idx, vm)
 	cfg := s.Spec.Snapshot.normalized()
-	seed := mix(s.Spec.Seed, uint32(idx))
 	states := make([]*slsState, cfg.Tasks)
 	for i := range states {
 		states[i] = &slsState{rng: mix(seed, uint32(0x515+i)), cold: cfg.ColdExec}
 	}
-	g := &ucos.Guest{GuestName: vm.Name, Setup: slsSetup(s.Spec.TickMs, states)}
-	p.guest = g
-	p.pd = s.Kernel.CreatePD(nova.PDConfig{
-		Name: vm.Name, Priority: vm.Priority, Guest: g, Affinity: vm.Affinity,
-	})
-	s.probes = append(s.probes, p)
+	p.guest.Setup = slsSetup(s.Spec.TickMs, states)
 	if s.snap == nil {
-		s.snap = &snapRun{cfg: cfg, key: vm.Name, tpl: p, tplStates: states}
+		s.snap = &snapRun{cfg: cfg, key: p.spec.Name, tpl: p, tplStates: states}
 	}
 }
 
