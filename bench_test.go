@@ -304,9 +304,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScenario measures the epoch-barrier parallel engine on
-// the multi-core benchmark scenarios: the "seq" sub-benchmark is the
-// sequential reference loop, each "shardsN" sub-benchmark the same spec
+// BenchmarkParallelScenario measures the epoch-barrier engine on the
+// multi-core benchmark scenarios: the "seq" sub-benchmark runs every core
+// on one goroutine (Shards 0), each "shardsN" sub-benchmark the same spec
 // on N host goroutines. The simulated result is byte-identical across all
 // of them (scenario.TestParallelInSystemMatchesSequential); ns/op is the
 // wall-clock story, and only spreads on a multi-core host.
