@@ -291,24 +291,11 @@ func BenchmarkAblationManagerPriority(b *testing.B) {
 	b.Run("guest-prio", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkSimulatorThroughput reports raw model speed: simulated cycles
-// per host second for a 2-VM system (useful when sizing experiments).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig()
-		cfg.Guests = 2
-		sys := experiments.BuildVirtSystem(cfg)
-		sys.Kernel.RunFor(simclock.FromMillis(100))
-		b.ReportMetric(float64(sys.Kernel.CPU.Stats().Instructions), "sim_instructions")
-		sys.Kernel.Shutdown()
-	}
-}
-
 // BenchmarkParallelScenario measures the epoch-barrier engine on the
-// multi-core benchmark scenarios: the "seq" sub-benchmark runs every core
-// on one goroutine (Shards 0), each "shardsN" sub-benchmark the same spec
-// on N host goroutines. The simulated result is byte-identical across all
-// of them (scenario.TestParallelInSystemMatchesSequential); ns/op is the
+// multi-core benchmark scenarios: each "shardsN" sub-benchmark runs the
+// spec on N host goroutines, "shards1" running every core on one. The
+// simulated result is byte-identical across all of them
+// (scenario.TestParallelInSystemMatchesSequential); ns/op is the
 // wall-clock story, and only spreads on a multi-core host.
 func BenchmarkParallelScenario(b *testing.B) {
 	// oversubscribed-8vm core-scaled to four unaffined cores, and
@@ -322,14 +309,10 @@ func BenchmarkParallelScenario(b *testing.B) {
 	over.Name = "oversubscribed-8vm-4core"
 	over.Cores = 4
 	for _, spec := range []scenario.Spec{over, dual} {
-		for _, shards := range []int{0, 1, 2, 4} {
-			name := spec.Name + "/seq"
-			if shards > 0 {
-				name = fmt.Sprintf("%s/shards%d", spec.Name, shards)
-			}
+		for _, shards := range []int{1, 2, 4} {
 			s := spec
 			s.Shards = shards
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/shards%d", spec.Name, shards), func(b *testing.B) {
 				var sum uint64
 				for i := 0; i < b.N; i++ {
 					r := scenario.Build(s).Run()

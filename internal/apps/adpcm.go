@@ -6,7 +6,10 @@
 //
 // All algorithms are real implementations — codecs round-trip, the FFT
 // satisfies Parseval — so the working-set traffic the workloads charge to
-// the cache model corresponds to computation that actually happened.
+// the cache model corresponds to computation with a real, verifiable
+// result. The codec workloads' input is cyclic: once a cycle starts and
+// ends in the same codec state, they replay that cycle's recorded output
+// and states exactly instead of encoding the same bytes again.
 package apps
 
 // IMA ADPCM (DVI4) codec: 16-bit PCM <-> 4-bit codes. This is the ADPCM

@@ -5,9 +5,9 @@ import "testing"
 // BenchmarkMemoryPath isolates the memory-path engine from the rest of the
 // system: a workload-shaped mix of streaming data passes and instruction
 // issue over a live MMU/TLB/cache stack, batched vs scalar. This is the
-// engine's own speedup, free of the Amdahl ceiling the full-system
-// benchmark (BenchmarkSimThroughput at the repo root) runs into from the
-// real codec arithmetic the workloads execute.
+// engine's own speedup, free of the kernel, scheduler and codec work that
+// the full-system benchmark (BenchmarkSimThroughput at the repo root)
+// also times.
 func BenchmarkMemoryPath(b *testing.B) {
 	for _, scalar := range []bool{false, true} {
 		name := "batched"

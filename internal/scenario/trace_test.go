@@ -12,10 +12,9 @@ import (
 )
 
 // The observability contract: tracing must be a pure observer. Every
-// suite scenario run with tracing on — sequentially and through the
-// parallel engine at 1/2/4 shards — must produce the byte-identical
-// state dump and checksum of the untraced sequential run. Any trace
-// emission that advances a clock, perturbs a probe, or reorders a
+// suite scenario run with tracing on at 1, 2 and 4 shards must produce
+// the byte-identical state dump and checksum of its untraced run. Any
+// trace emission that advances a clock, perturbs a probe, or reorders a
 // cross-core effect diverges here.
 func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 	specs := Suite(true)
@@ -26,7 +25,7 @@ func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 	}
 	var runs []run
 	for _, spec := range specs {
-		runs = append(runs, run{spec: spec}) // untraced sequential reference
+		runs = append(runs, run{spec: spec}) // untraced one-shard reference
 		for _, sh := range shardCounts {
 			s := spec
 			s.Trace = true
@@ -52,7 +51,7 @@ func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 				t.Errorf("%s: traced run (shards=%d) emitted no events", ref.Name, shards)
 			}
 			if got.Checksum != ref.Checksum {
-				t.Errorf("%s: traced shards=%d checksum %016x != untraced sequential %016x\nflight recorder:\n%s",
+				t.Errorf("%s: traced shards=%d checksum %016x != untraced %016x\nflight recorder:\n%s",
 					ref.Name, shards, got.Checksum, ref.Checksum, got.Trace.FlightDump(64))
 				continue
 			}

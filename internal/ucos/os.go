@@ -29,9 +29,6 @@ import (
 // NumPriorities is uC/OS-II's task-priority range (0 = highest).
 const NumPriorities = 64
 
-// IdlePrio is the reserved lowest priority for the built-in idle loop.
-const IdlePrio = NumPriorities - 1
-
 // TickIRQ is the virtual interrupt line carrying the OS tick (the A9
 // private-timer PPI number, virtualized by Mini-NOVA).
 const TickIRQ = 29
