@@ -20,9 +20,6 @@ func fabricCycles(ops int) simclock.Cycles {
 // register selects the transform size. Output: interleaved int16 I/Q.
 type FFTCore struct{}
 
-// Name implements pl.Accel.
-func (FFTCore) Name() string { return "fft-core" }
-
 // Latency implements pl.Accel: pipeline fill + one butterfly per fabric
 // cycle, plus DMA streaming of input and output.
 func (FFTCore) Latency(n int, param uint32) simclock.Cycles {
@@ -67,9 +64,6 @@ func (FFTCore) Process(input []byte, param uint32) ([]byte, error) {
 // (QAM-4/16/64). Input: packed bits; PARAM selects the order; output:
 // interleaved int16 I/Q symbols.
 type QAMCore struct{}
-
-// Name implements pl.Accel.
-func (QAMCore) Name() string { return "qam-core" }
 
 // Latency implements pl.Accel: one symbol per fabric cycle + DMA.
 func (QAMCore) Latency(n int, param uint32) simclock.Cycles {

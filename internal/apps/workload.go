@@ -15,7 +15,6 @@ import "repro/internal/cpu"
 // exactly (see cycleReplay). Output and the codec state after every Step
 // are what the encoder would produce, and the charges do not change.
 type Workload interface {
-	Name() string
 	// Step runs one work unit against ctx; bufVA is the VA of the
 	// workload's working buffer inside the guest.
 	Step(ctx *cpu.ExecContext, bufVA uint32)
@@ -65,9 +64,6 @@ func NewGSMWorkload(seconds int, seed uint32) *GSMWorkload {
 		Span:  64 << 10,
 	}
 }
-
-// Name implements Workload.
-func (w *GSMWorkload) Name() string { return "gsm-encode" }
 
 // Step implements Workload: one 160-sample frame. The charged traffic
 // mirrors the algorithm: streaming reads of the frame, MAC-heavy loops
@@ -130,9 +126,6 @@ func NewADPCMWorkload(seconds int, seed uint32) *ADPCMWorkload {
 		Span:  64 << 10,
 	}
 }
-
-// Name implements Workload.
-func (w *ADPCMWorkload) Name() string { return "adpcm-compress" }
 
 // Step implements Workload: one 512-sample block.
 func (w *ADPCMWorkload) Step(ctx *cpu.ExecContext, bufVA uint32) {
@@ -233,9 +226,6 @@ type MemoryHogWorkload struct {
 func NewMemoryHogWorkload(size uint32) *MemoryHogWorkload {
 	return &MemoryHogWorkload{size: size}
 }
-
-// Name implements Workload.
-func (w *MemoryHogWorkload) Name() string { return "memory-hog" }
 
 // Step implements Workload: one 8 KB pass per call, 64-byte stride.
 func (w *MemoryHogWorkload) Step(ctx *cpu.ExecContext, bufVA uint32) {

@@ -24,22 +24,30 @@ func TestMissThenHit(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := NewLRU("t", 4*LineSize, 4) // one set, 4 ways
-	setStride := physmem.Addr(LineSize)
-	// Fill 4 ways: lines 0..3.
-	for i := physmem.Addr(0); i < 4; i++ {
-		c.Access(0x10_0000+i*setStride*1, false) // all map to set 0? no: consecutive lines map to different sets
+// The victim sequence of a full set is the replacement rng's stream, and
+// every golden depends on it: pin the first 16 victims of a one-set,
+// 4-way cache. Hits must not advance the stream.
+func TestPseudoRandomVictims(t *testing.T) {
+	c := New("t", 4*LineSize, 4) // one set, 4 ways
+	addr := func(i int) physmem.Addr { return physmem.Addr(0x10_0000 + i*LineSize) }
+	for i := 0; i < 4; i++ {
+		c.Access(addr(i), false) // fills the invalid ways 0..3 in order
 	}
-	// With one set, every line maps to set 0 regardless; stride is irrelevant.
-	// Touch line 0 to make it MRU, then insert a 5th line: victim must be line 1.
-	c.Access(0x10_0000, false)
-	c.Access(0x20_0000, false) // new tag, evicts LRU
-	if !c.Contains(0x10_0000) {
-		t.Error("MRU line was evicted")
-	}
-	if c.Contains(0x10_0000 + setStride) {
-		t.Error("LRU line survived eviction")
+	want := [16]int{2, 3, 0, 2, 3, 3, 2, 1, 0, 1, 1, 1, 0, 2, 0, 2}
+	for i, w := range want {
+		c.Access(addr(4+i), false)
+		if i%4 == 0 {
+			c.Access(addr(4+i), false) // a hit
+		}
+		got := -1
+		for way := range c.lines {
+			if c.lines[way].tag == uint32(addr(4+i))>>lineShift {
+				got = way
+			}
+		}
+		if got != w {
+			t.Fatalf("victim %d: line filled way %d, want way %d", i, got, w)
+		}
 	}
 }
 
@@ -73,16 +81,19 @@ func b2i(b bool) int {
 // The victim's reported address must reconstruct exactly the line that was
 // displaced, across many sets and tags.
 func TestVictimAddressReconstruction(t *testing.T) {
-	c := NewLRU("t", 4<<10, 2) // 64 sets, deterministic victims
+	c := New("t", 2<<10, 1) // 64 sets, direct-mapped: the victim is forced
 	base := physmem.Addr(0x10_0000)
 	conflict := physmem.Addr(2 << 10) // same set, different tag (64 sets * 32B)
 	for i := 0; i < 10; i++ {
 		pa := base + physmem.Addr(i)*LineSize
 		c.Access(pa, true)
-		c.Access(pa+conflict, false)
-		_, wb, victim := c.Access(pa+2*conflict, false) // evicts LRU = pa
+		_, wb, victim := c.Access(pa+conflict, false) // evicts pa
 		if !victim.Valid || victim.Addr != pa || !victim.Dirty || !wb {
 			t.Fatalf("victim = %+v wb=%v, want dirty line at %#x", victim, wb, pa)
+		}
+		_, wb, victim = c.Access(pa+2*conflict, false) // evicts pa+conflict
+		if !victim.Valid || victim.Addr != pa+conflict || victim.Dirty || wb {
+			t.Fatalf("victim = %+v wb=%v, want clean line at %#x", victim, wb, pa+conflict)
 		}
 	}
 }
@@ -102,13 +113,8 @@ func TestHitRunEquivalence(t *testing.T) {
 	b.HitRun(pa, false, 2)
 	b.Access(pa, true)
 	b.HitRun(pa, false, 1)
-	a.Access(pa, false) // trailing access on both to expose stamp skew
-	b.Access(pa, false)
 	if a.Stats() != b.Stats() {
 		t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
-	}
-	if a.stamp != b.stamp {
-		t.Errorf("stamp diverged: %d vs %d", a.stamp, b.stamp)
 	}
 	al, _, atag := a.set(pa)
 	bl, _, btag := b.set(pa)
@@ -180,7 +186,7 @@ func TestStatsConsistency(t *testing.T) {
 
 func TestHierarchyCosts(t *testing.T) {
 	h := NewA9Hierarchy()
-	h.L1D = NewLRU("L1D", 32<<10, 4) // deterministic eviction for this test
+	h.L1D = New("L1D", 32<<10, 1) // direct-mapped: the victim is forced
 	pa := physmem.Addr(0x10_0000)
 	// Cold: L1 miss + L2 miss.
 	if got := h.DataCost(pa, false); got != PenaltyL2Hit+PenaltyDDR {
@@ -190,12 +196,10 @@ func TestHierarchyCosts(t *testing.T) {
 	if got := h.DataCost(pa, false); got != 0 {
 		t.Errorf("L1 hit cost = %d, want 0", got)
 	}
-	// Evict from L1 only: touch enough lines in the same L1 set.
-	// L1D 32KB 4-way => 256 sets; same-set stride = 256*32 = 8KB.
-	for i := 1; i <= 4; i++ {
-		h.DataCost(pa+physmem.Addr(i*8<<10), false)
-	}
-	// pa now out of L1 (LRU victim) but still in L2.
+	// Evict from L1 only: L1D 32KB direct-mapped => 1024 sets, so the line
+	// 32KB above pa takes its set; in the 2048-set L2 it lands elsewhere.
+	h.DataCost(pa+32<<10, false)
+	// pa now out of L1 but still in L2.
 	if got := h.DataCost(pa, false); got != PenaltyL2Hit {
 		t.Errorf("L2 hit cost = %d, want %d", got, PenaltyL2Hit)
 	}
@@ -207,14 +211,13 @@ func TestHierarchyCosts(t *testing.T) {
 func TestDirtyVictimDrainsAtOwnAddress(t *testing.T) {
 	h := &Hierarchy{
 		L1I: New("i", 2*LineSize, 2),
-		L1D: NewLRU("d", 2*LineSize, 2), // one set: deterministic victims
+		L1D: New("d", LineSize, 1), // one line: the victim is forced
 		L2:  New("l2", 8<<10, 4),
 	}
-	pa1, pa2, pa3 := physmem.Addr(0x10_0000), physmem.Addr(0x11_0000), physmem.Addr(0x12_0000)
+	pa1, pa3 := physmem.Addr(0x10_0000), physmem.Addr(0x12_0000)
 	h.DataCost(pa1, false) // L1+L2 fill, both clean
 	h.DataCost(pa1, true)  // L1 hit: dirty in L1 only
-	h.DataCost(pa2, false)
-	h.DataCost(pa3, false) // evicts pa1 (LRU): the dirty victim drains
+	h.DataCost(pa3, false) // evicts pa1: the dirty victim drains
 	if dirty := h.L2.InvalidateLine(pa1); !dirty {
 		t.Error("dirty L1 victim did not drain into L2 at its own address")
 	}

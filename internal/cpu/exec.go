@@ -225,8 +225,7 @@ func (e *ExecContext) Exec(n int) {
 		va := e.CodeBase + e.cursor
 		var pa physmem.Addr
 		if pageValid && va>>12 == pageVPN {
-			if e.iClean >= e.CodeSize && e.CodeSize%(instrPerLine*4) == 0 &&
-				l1i.Epoch() == e.iEpoch && l1i.ReplacementPolicy() == cache.PolicyRandom {
+			if e.iClean >= e.CodeSize && e.CodeSize%(instrPerLine*4) == 0 && l1i.Epoch() == e.iEpoch {
 				// The whole code range is proven resident (a full cyclic
 				// sweep of zero-miss fetches at an unmoved residency
 				// epoch), so every probe up to the next page or wrap
@@ -330,18 +329,12 @@ func (e *ExecContext) Touch(va uint32, write bool) {
 	e.CPU.Clock.Advance(simclock.Cycles(e.CPU.Caches.DataCost(pa, write)))
 }
 
-// TouchRange streams a [va, va+size) range at the given stride, charging
-// one access per step. Used to model a workload pass over a buffer.
-// It runs on the batched StreamRange engine.
-func (e *ExecContext) TouchRange(va, size, stride uint32, write bool) {
-	e.StreamRange(va, size, stride, write)
-}
-
-// StreamRange is the batched memory-path engine behind TouchRange: a
-// streaming pass that is bit-identical in simulated results (cycle totals,
-// cache/TLB state and stats, event firing order) to the scalar Touch loop
-// (touchRangeScalar, kept as the reference path), but does the work in
-// page/line batches:
+// StreamRange streams a [va, va+size) range at the given stride, charging
+// one access per step; workloads use it to model a pass over a buffer. It
+// is the batched memory-path engine: bit-identical in simulated results
+// (cycle totals, cache/TLB state and stats, event firing order) to the
+// scalar Touch loop (touchRangeScalar, kept as the reference path), but
+// does the work in page/line batches:
 //
 //   - the page is translated once per 4 KB crossed; while the micro-TLB
 //     coverage established there holds, follow-on accesses compute PA by
@@ -430,7 +423,7 @@ func (e *ExecContext) StreamRange(va, size, stride uint32, write bool) {
 }
 
 // touchRangeScalar is the reference per-access implementation of
-// TouchRange/StreamRange; the batched engine must stay bit-identical to it.
+// StreamRange; the batched engine must stay bit-identical to it.
 func (e *ExecContext) touchRangeScalar(va, size, stride uint32, write bool) {
 	for off := uint32(0); off < size; off += stride {
 		e.Touch(va+off, write)

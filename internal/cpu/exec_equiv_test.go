@@ -117,15 +117,15 @@ func (x *xorshift) next() uint32 {
 // machines from the shared rng stream.
 func applyOp(r *equivRig, op, i int, rnd func() uint32) {
 	switch op % 10 {
-	case 0, 1, 2: // dense stream over mapped data (the hot TouchRange shape)
+	case 0, 1, 2: // dense stream over mapped data (the hot StreamRange shape)
 		base := equivDataVA + rnd()%64*4096
 		size := 64 + rnd()%(16<<10)
 		strides := [...]uint32{1, 2, 4, 8, 8, 8, 12, 16, 32, 40, 64, 100}
-		r.ctx.TouchRange(base, size, strides[rnd()%uint32(len(strides))], rnd()%3 == 0)
+		r.ctx.StreamRange(base, size, strides[rnd()%uint32(len(strides))], rnd()%3 == 0)
 	case 3: // stream crossing into the 1 MB section mapping
-		r.ctx.TouchRange(equivSectVA+rnd()%0x8_0000, 2048+rnd()%8192, 8, rnd()%2 == 0)
+		r.ctx.StreamRange(equivSectVA+rnd()%0x8_0000, 2048+rnd()%8192, 8, rnd()%2 == 0)
 	case 4: // demand-faulting stream: aborts + handler work mid-batch
-		r.ctx.TouchRange(equivLazyVA+rnd()%48*4096, 1024+rnd()%8192, 16, rnd()%2 == 0)
+		r.ctx.StreamRange(equivLazyVA+rnd()%48*4096, 1024+rnd()%8192, 16, rnd()%2 == 0)
 	case 5: // instruction issue + fetch
 		r.ctx.Exec(int(1 + rnd()%2500))
 	case 6: // fetch on the misaligned-size kernel context

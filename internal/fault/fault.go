@@ -16,8 +16,6 @@
 // the scenario checksums.
 package fault
 
-import "repro/internal/simclock"
-
 // Config is one scenario's fault plan plus the tolerance policy knobs
 // the pipeline applies against it. All rates are per-mille (0..1000);
 // zero everywhere means a fault-free run and a nil injector.
@@ -55,9 +53,6 @@ type Config struct {
 	// download is retried before the request fails with StatusFaulted
 	// (default 3).
 	MaxRetries int
-	// BackoffBase is the first retry delay; attempt n waits
-	// BackoffBase << (n-1) (default 50µs of cycles).
-	BackoffBase simclock.Cycles
 	// QuarantineAfter is how many config faults a PRR absorbs before the
 	// pipeline quarantines it and placement falls back to healthy PRRs
 	// (default 3).
@@ -77,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 50 * simclock.CyclesPerMicrosecond
 	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 3

@@ -76,7 +76,7 @@ func TestNilInjector(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	in := New(Config{Seed: 1, SDErrorPermille: 1})
 	cfg := in.Config()
-	if cfg.MaxRetries != 3 || cfg.QuarantineAfter != 3 || cfg.SDStallFactor != 4 || cfg.BackoffBase == 0 {
+	if cfg.MaxRetries != 3 || cfg.QuarantineAfter != 3 || cfg.SDStallFactor != 4 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }

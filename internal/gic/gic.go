@@ -128,9 +128,6 @@ func NewMP(ncpu int) *GIC {
 	return g
 }
 
-// NumCPUs returns the number of CPU interfaces.
-func (g *GIC) NumCPUs() int { return g.ncpu }
-
 func (g *GIC) check(id int) {
 	if id < 0 || id >= NumIRQs {
 		panic(fmt.Sprintf("gic: interrupt id %d out of range", id))
@@ -167,20 +164,6 @@ func (g *GIC) Enable(id int) {
 	g.maybeSignal(g.target[id])
 }
 
-// EnableOn unmasks a banked (SGI/PPI) source on one CPU's bank only — the
-// form a core must use from its own context when cores run concurrently,
-// so it never writes a peer's bank. SPIs fall back to Enable.
-func (g *GIC) EnableOn(cpu, id int) {
-	g.check(id)
-	g.checkCPU(cpu)
-	if id >= PrivateBase {
-		g.Enable(id)
-		return
-	}
-	g.banked[cpu][id].enabled = true
-	g.maybeSignal(cpu)
-}
-
 // Disable masks one interrupt source (all banks for banked ids). A
 // pending interrupt stays latched (as on hardware) and fires when
 // re-enabled.
@@ -193,17 +176,6 @@ func (g *GIC) Disable(id int) {
 		return
 	}
 	g.shared[id].enabled = false
-}
-
-// DisableOn masks a banked source on one CPU's bank only (see EnableOn).
-func (g *GIC) DisableOn(cpu, id int) {
-	g.check(id)
-	g.checkCPU(cpu)
-	if id >= PrivateBase {
-		g.Disable(id)
-		return
-	}
-	g.banked[cpu][id].enabled = false
 }
 
 // IsEnabled reports the distributor enable bit for id (bank 0 for banked

@@ -119,21 +119,6 @@ type Actions interface {
 	AllocIRQ(req Request, prr int) (irq int, ok bool)
 }
 
-// Reply packing lives in the shared ABI (abi.MakeReply and friends);
-// these wrappers keep the package-local names the harnesses use.
-
-// MakeReply packs status, PRR and IRQ into one reply word.
-func MakeReply(status uint32, prr, irq int) uint32 { return abi.MakeReply(status, prr, irq) }
-
-// StatusOf extracts the status byte of a reply.
-func StatusOf(reply uint32) uint32 { return abi.ReplyStatus(reply) }
-
-// PRROf extracts the granted PRR (-1 when none).
-func PRROf(reply uint32) int { return abi.ReplyPRR(reply) }
-
-// IRQOf extracts the allocated GIC interrupt id (0 when none).
-func IRQOf(reply uint32) int { return abi.ReplyIRQ(reply) }
-
 // Stats counts manager outcomes.
 type Stats struct {
 	Requests  uint64
@@ -320,7 +305,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 	m.PRRs[chosen].Executions++
 	m.touchPRR(ctx, chosen, true)
 	m.exec(ctx, 650)
-	return MakeReply(status, chosen, irq)
+	return abi.MakeReply(status, chosen, irq)
 }
 
 func (m *Manager) handleRelease(ctx *cpu.ExecContext, req Request, act Actions) uint32 {

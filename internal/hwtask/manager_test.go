@@ -3,6 +3,7 @@ package hwtask
 import (
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/bitstream"
 	"repro/internal/cpu"
 	"repro/internal/gic"
@@ -94,7 +95,7 @@ func TestFFTOnlyFitsLargePRRs(t *testing.T) {
 func TestColdAllocationReconfigures(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}}
-	status := StatusOf(m.Handle(testCtx(), req(1, TaskFFT1024), act))
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(1, TaskFFT1024), act))
 	if status != ReplyReconfig {
 		t.Fatalf("cold allocation status = %d, want reconfig", status)
 	}
@@ -115,7 +116,7 @@ func TestWarmAllocationAvoidsReconfig(t *testing.T) {
 	m.Handle(testCtx(), req(1, TaskQAM16), act)
 	m.NotifyLoaded(0)
 	// Same task again, same client: configuration is already loaded.
-	status := StatusOf(m.Handle(testCtx(), req(1, TaskQAM16), act))
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(1, TaskQAM16), act))
 	if status != ReplyOK {
 		t.Fatalf("warm allocation status = %d, want OK", status)
 	}
@@ -133,7 +134,7 @@ func TestReclaimFromOtherVM(t *testing.T) {
 	m.Handle(testCtx(), req(1, TaskQAM4), act)
 	m.NotifyLoaded(0)
 	// VM 2 wants the same task: region must be reclaimed from VM 1.
-	status := StatusOf(m.Handle(testCtx(), req(2, TaskQAM4), act))
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(2, TaskQAM4), act))
 	if status != ReplyOK {
 		t.Fatalf("status = %d", status)
 	}
@@ -170,7 +171,7 @@ func TestBusyRegionsNeverVictims(t *testing.T) {
 	m.NotifyLoaded(1)
 	// PRR0 starts executing; a request for a third FFT must take PRR1.
 	act.busy = map[int]bool{0: true}
-	status := StatusOf(m.Handle(testCtx(), req(3, TaskFFT1024), act))
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(3, TaskFFT1024), act))
 	if status != ReplyReconfig {
 		t.Fatalf("status = %d", status)
 	}
@@ -212,7 +213,7 @@ func TestRelease(t *testing.T) {
 		t.Error("release dropped the loaded configuration (should stay for reuse)")
 	}
 	// Next client gets a warm hit.
-	st := StatusOf(m.Handle(testCtx(), req(2, TaskQAM4), act))
+	st := abi.ReplyStatus(m.Handle(testCtx(), req(2, TaskQAM4), act))
 	if st != ReplyOK || m.Stats.Hits != 1 {
 		t.Errorf("post-release allocation: status=%d hits=%d", st, m.Stats.Hits)
 	}

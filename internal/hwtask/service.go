@@ -26,9 +26,6 @@ func NewService(m *Manager, k *nova.Kernel) *Service {
 	return &Service{M: m, K: k}
 }
 
-// Name implements nova.Guest.
-func (s *Service) Name() string { return "hwtask-manager" }
-
 // RunSlice is the service loop: fetch request, handle, post reply; the
 // HcMgrComplete portal suspends the service and hands back the next
 // request when one arrives.
@@ -60,10 +57,6 @@ func (s *Service) RunSlice(env *nova.Env) {
 				if s.M.PRRs[r].Loading && !rc.InFlight(r) {
 					s.M.PRRs[r].Loading = false
 				}
-			}
-		} else if s.K.Fabric != nil && !s.K.Fabric.PCAP.Busy() {
-			for r := range s.M.PRRs {
-				s.M.PRRs[r].Loading = false
 			}
 		}
 		status := s.M.Handle(env.Ctx, req, &portalActions{env: env, req: req})

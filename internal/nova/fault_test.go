@@ -108,7 +108,6 @@ func TestQoSAdmission(t *testing.T) {
 		BucketCapacity: 2,
 		RefillEvery:    simclock.FromMillis(1),
 		TripAt:         3,
-		DecayEvery:     simclock.FromMillis(1),
 		Cooldown:       simclock.FromMillis(5),
 	})
 	spin := func(env *Env) {

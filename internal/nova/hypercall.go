@@ -298,9 +298,6 @@ func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
 	if k.Fabric == nil {
 		return StatusErr
 	}
-	if k.Reconfig == nil {
-		return StatusOK
-	}
 	if pd.Core == k.reconfigCore() {
 		if k.Reconfig.PendingFor(pd) {
 			return StatusReconfig
@@ -726,7 +723,7 @@ func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
 // connected to the VM which launches the current transfer", §IV-D).
 func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int, store regionWindow) uint32 {
 	req, ok := k.hwByID[reqID]
-	if !ok || k.Fabric == nil || k.Reconfig == nil {
+	if !ok || k.Fabric == nil {
 		return StatusInval
 	}
 	// Overflow-safe store-bounds check against the region capability:
@@ -736,7 +733,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 	}
 	pd := req.PD
 	// Charge the client's breaker for the launch (weight 1; a failure
-	// below adds FaultWeight). The client is parked in hcHwTaskRequest
+	// below adds qosFaultWeight). The client is parked in hcHwTaskRequest
 	// for the whole acquire, so its guard state is quiescent and may be
 	// charged from the manager's core.
 	if pd.breaker.Charge(c.Clock.Now(), 1) && k.Tracer != nil {
@@ -787,7 +784,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 			fail := func() {
 				pd.reconfigFault = true
 				now := mc.Clock.Now()
-				if pd.breaker.Charge(now, k.qos.FaultWeight) && k.Tracer != nil {
+				if pd.breaker.Charge(now, qosFaultWeight) && k.Tracer != nil {
 					k.Tracer.Core(mc.ID).Emit(now, trace.KindBreakerTrip,
 						r.Flow, uint64(pd.ID), pd.breaker.Trips)
 				}

@@ -25,11 +25,7 @@
 // here so kernel code and its tests keep their historical spelling.
 package nova
 
-import (
-	"fmt"
-
-	"repro/internal/abi"
-)
+import "repro/internal/abi"
 
 // Hypercall selectors (see internal/abi for the authoritative layout and
 // documentation). The paper: "A total number of 25 hypercalls are
@@ -121,16 +117,3 @@ const (
 	DomainGuestKernel = 2
 	DomainKernel      = 15
 )
-
-// KernelError wraps kernel-level failures with the offending PD.
-type KernelError struct {
-	PD  string
-	Op  string
-	Err error
-}
-
-func (e *KernelError) Error() string {
-	return fmt.Sprintf("nova: pd %s: %s: %v", e.PD, e.Op, e.Err)
-}
-
-func (e *KernelError) Unwrap() error { return e.Err }

@@ -66,8 +66,9 @@ type Kernel struct {
 
 	Fabric *pl.Fabric // nil until AttachFabric
 	// Reconfig is the managed reconfiguration pipeline (bitstream cache,
-	// PCAP request queue, prefetcher) built by AttachFabric; all
-	// manager-portal reconfigurations flow through it.
+	// PCAP request queue, prefetcher) built by AttachFabric, so it is nil
+	// exactly when Fabric is; all manager-portal reconfigurations flow
+	// through it.
 	Reconfig *reconfig.Pipeline
 	Alloc    *mmu.FrameAllocator
 
@@ -318,8 +319,6 @@ func (k *Kernel) bindManagerClocks() {
 	k.GIC.SetTarget(gic.PCAPIRQ, k.hwSvc.Core.ID)
 	if k.Fabric != nil {
 		k.Fabric.Clock = clk
-	}
-	if k.Reconfig != nil {
 		k.Reconfig.Clock = clk
 		if k.Tracer != nil {
 			// The pipeline's events fire on the manager core's goroutine

@@ -17,7 +17,6 @@ type scriptGuest struct {
 	main func(env *Env)
 }
 
-func (g *scriptGuest) Name() string      { return g.name }
 func (g *scriptGuest) RunSlice(env *Env) { g.main(env) }
 
 // spin burns n instruction-chunks, polling for preemption between chunks.
@@ -520,7 +519,6 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 // loopbackCore copies input to output.
 type loopbackCore struct{}
 
-func (loopbackCore) Name() string { return "loopback" }
 func (loopbackCore) Latency(n int, _ uint32) simclock.Cycles {
 	return simclock.Cycles(100 + n)
 }

@@ -20,8 +20,6 @@ import (
 // traffic must go through env.Ctx so it is charged to the shared machine,
 // and the guest must call env.CheckPreempt() at chunk boundaries.
 type Guest interface {
-	// Name labels the guest in traces.
-	Name() string
 	// RunSlice is the guest's entry point; it runs for the lifetime of
 	// the VM (it is resumed transparently across preemptions).
 	RunSlice(env *Env)

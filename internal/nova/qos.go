@@ -11,10 +11,10 @@ package nova
 //     answers StatusThrottled and the request never enters the queue;
 //   - a circuit breaker scores each client's reconfiguration pressure
 //     (every launched download charges it, a *failed* one charges it
-//     FaultWeight-fold); past TripAt the breaker opens for Cooldown
+//     qosFaultWeight-fold); past TripAt the breaker opens for Cooldown
 //     cycles and the portal answers StatusRetry.
 //
-// Clients at or above CriticalPriority bypass both guards — the §III-D
+// Clients at or above PrioService bypass both guards — the §III-D
 // priority model already ranks them above general guests, and the QoS
 // layer must never add jitter to the critical path it protects.
 //
@@ -27,6 +27,14 @@ import (
 	"repro/internal/fault"
 	"repro/internal/simclock"
 	"repro/internal/trace"
+)
+
+// Breaker policy: the score leaks one point per qosDecayEvery cycles
+// (1 ms), and a failed reconfiguration charges qosFaultWeight points
+// against 1 for a launch.
+const (
+	qosDecayEvery  = 1000 * simclock.CyclesPerMicrosecond
+	qosFaultWeight = 4
 )
 
 // QoSConfig parameterizes the manager-portal admission guards. The zero
@@ -42,19 +50,9 @@ type QoSConfig struct {
 	// TripAt is the breaker score that opens a client's circuit; 0
 	// disables the breaker.
 	TripAt uint32
-	// DecayEvery is the cycles per point of breaker-score leak (default
-	// 1 ms when the breaker is on).
-	DecayEvery simclock.Cycles
 	// Cooldown is how long an open breaker rejects before it re-closes
 	// (default 10 ms).
 	Cooldown simclock.Cycles
-	// FaultWeight is the breaker charge for a *failed* reconfiguration,
-	// against 1 for a launch (default 4).
-	FaultWeight uint32
-
-	// CriticalPriority is the PD priority at (or above) which clients
-	// bypass admission entirely (default PrioService).
-	CriticalPriority int
 }
 
 // Enabled reports whether any guard is configured.
@@ -65,17 +63,8 @@ func (q QoSConfig) withDefaults() QoSConfig {
 	if q.RefillEvery == 0 {
 		q.RefillEvery = simclock.FromMillis(1)
 	}
-	if q.DecayEvery == 0 {
-		q.DecayEvery = simclock.FromMillis(1)
-	}
 	if q.Cooldown == 0 {
 		q.Cooldown = simclock.FromMillis(10)
-	}
-	if q.FaultWeight == 0 {
-		q.FaultWeight = 4
-	}
-	if q.CriticalPriority == 0 {
-		q.CriticalPriority = PrioService
 	}
 	return q
 }
@@ -97,14 +86,14 @@ func (k *Kernel) EnableQoS(cfg QoSConfig) {
 // initQoS arms pd's guard state from the active config.
 func (k *Kernel) initQoS(pd *PD) {
 	pd.bucket = fault.TokenBucket{Capacity: k.qos.BucketCapacity, RefillEvery: k.qos.RefillEvery}
-	pd.breaker = fault.Breaker{TripAt: k.qos.TripAt, DecayEvery: k.qos.DecayEvery, Cooldown: k.qos.Cooldown}
+	pd.breaker = fault.Breaker{TripAt: k.qos.TripAt, DecayEvery: qosDecayEvery, Cooldown: k.qos.Cooldown}
 }
 
 // admitHwRequest runs the portal guards for an acquire from pd on its
 // home core c. StatusOK admits; StatusThrottled / StatusRetry bounce the
 // request before it touches the manager queue.
 func (k *Kernel) admitHwRequest(c *CoreCtx, pd *PD) uint32 {
-	if !k.qosOn || pd == k.hwSvc || pd.Priority >= k.qos.CriticalPriority {
+	if !k.qosOn || pd == k.hwSvc || pd.Priority >= PrioService {
 		return StatusOK
 	}
 	now := c.Clock.Now()

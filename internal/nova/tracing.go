@@ -19,15 +19,15 @@ import (
 // host goroutine, at the barrier by the single-threaded commit replay —
 // so rings need no locks even under RunParallel.
 
-// EnableTrace switches tracing on with the given per-core ring capacity
-// (<= 0 selects trace.DefaultCapacity). Idempotent: a second call returns
-// the existing tracer. Call it before guests run so rings catch the whole
-// scenario; PDs created afterwards are hooked up automatically.
-func (k *Kernel) EnableTrace(capacity int) *trace.Tracer {
+// EnableTrace switches tracing on with trace.DefaultCapacity rings.
+// Idempotent: a second call returns the existing tracer. Call it before
+// guests run so rings catch the whole scenario; PDs created afterwards
+// are hooked up automatically.
+func (k *Kernel) EnableTrace() *trace.Tracer {
 	if k.Tracer != nil {
 		return k.Tracer
 	}
-	t := trace.New(len(k.Cores), capacity)
+	t := trace.New(len(k.Cores), 0)
 	t.SelectorName = k.portalName
 	t.PDName = func(id int) string {
 		if id >= 0 && id < len(k.PDs) {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/gic"
 	"repro/internal/trace"
 )
 
@@ -20,9 +19,8 @@ type VGIC struct {
 
 	// order is the record list proper: every registered IRQ ID in
 	// ascending order. All iteration over the record list (EnabledLines,
-	// AllLines, ApplyToGIC) walks this slice, never the map, so the
-	// distributor-op sequence is identical run to run — map iteration
-	// order leaked straight into the GIC programming order before.
+	// AllLines) walks this slice, never the map, so the distributor-op
+	// sequence is identical run to run.
 	order []int
 
 	// Entry is the VM's IRQ handler entry point, registered by the guest.
@@ -234,26 +232,4 @@ func (v *VGIC) restoreLines(lines []checkpoint.VGICLine, pending []int) {
 		v.order = append(v.order, l.IRQ)
 	}
 	v.pending = append([]int(nil), pending...)
-}
-
-// ApplyToGIC programs the physical distributor for a VM switch on cpu:
-// when active, this VM's enabled lines are unmasked; otherwise all its
-// lines are masked. The record list is walked in ascending IRQ order, so
-// the distributor-op sequence is deterministic. Banked (per-CPU) lines are
-// programmed only on cpu's own bank — world switches on different cores
-// run concurrently in parallel mode and must not touch each other's banked
-// enable state. Returns the number of distributor operations performed so
-// the world-switch path can charge their cost (the per-line GIC writes are
-// part of the paper's switch overhead).
-func (v *VGIC) ApplyToGIC(g *gic.GIC, active bool, cpu int) int {
-	ops := 0
-	for _, irq := range v.order {
-		if active && v.entries[irq].enabled {
-			g.EnableOn(cpu, irq)
-		} else {
-			g.DisableOn(cpu, irq)
-		}
-		ops++
-	}
-	return ops
 }

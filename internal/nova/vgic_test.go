@@ -38,48 +38,6 @@ func TestVGICLinesSorted(t *testing.T) {
 	}
 }
 
-// ApplyToGIC must perform the same distributor ops in the same order on
-// every call with equal state — two vGICs holding the same lines must
-// drive the GIC identically regardless of registration history.
-func TestVGICApplyToGICDeterministic(t *testing.T) {
-	build := func(order []int) *VGIC {
-		v := NewVGIC()
-		for _, irq := range order {
-			v.Register(irq)
-			if irq%2 == 0 {
-				v.Enable(irq)
-			}
-		}
-		return v
-	}
-	fwd := []int{61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76}
-	rev := make([]int, len(fwd))
-	for i, irq := range fwd {
-		rev[len(fwd)-1-i] = irq
-	}
-	a, b := build(fwd), build(rev)
-
-	ga, gb := gic.New(), gic.New()
-	if ops := a.ApplyToGIC(ga, true, 0); ops != len(fwd) {
-		t.Fatalf("ops = %d, want %d", ops, len(fwd))
-	}
-	b.ApplyToGIC(gb, true, 0)
-	for _, irq := range fwd {
-		if ga.IsEnabled(irq) != gb.IsEnabled(irq) {
-			t.Errorf("irq %d enable state diverged across registration orders", irq)
-		}
-	}
-	if got, want := a.AllLines(), b.AllLines(); len(got) != len(want) {
-		t.Fatalf("record lists diverged: %v vs %v", got, want)
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("record lists diverged at %d: %v vs %v", i, got, want)
-			}
-		}
-	}
-}
-
 // A line re-raised while in service (storm: the device fires again before
 // the guest EOIs) must be redelivered at EOI, not silently dropped.
 func TestVGICRelatchOnEOI(t *testing.T) {

@@ -62,8 +62,6 @@ const GroupStride = 0x1000
 // Implementations live in internal/apps (FFT, QAM); the fabric calls them
 // when a started task's latency elapses.
 type Accel interface {
-	// Name identifies the core in traces.
-	Name() string
 	// Latency returns the processing time for n input bytes with the
 	// given parameter register value.
 	Latency(n int, param uint32) simclock.Cycles
@@ -384,12 +382,3 @@ func (f *Fabric) Busy(r int) bool { return f.PRRs[r].regs[RegStatus/4] == Status
 // reclaimed (§IV-C "the register group content of T1 is saved to the VM1
 // hardware task data section").
 func (f *Fabric) SaveRegGroup(r int) [8]uint32 { return f.PRRs[r].regs }
-
-// RestoreRegGroup reinstates a previously saved register image (minus the
-// live status bits).
-func (f *Fabric) RestoreRegGroup(r int, regs [8]uint32) {
-	p := f.PRRs[r]
-	saved := p.regs[RegStatus/4]
-	p.regs = regs
-	p.regs[RegStatus/4] = saved
-}

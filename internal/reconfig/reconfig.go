@@ -372,16 +372,20 @@ func (p *Pipeline) retryOrFail(r *Request) {
 	}
 	p.Stats.Retries++
 	p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, r.Flow, uint64(r.Key), uint64(r.attempts))
-	p.Clock.After(backoff(cfg, r.attempts), func(simclock.Cycles) {
+	p.Clock.After(backoff(r.attempts), func(simclock.Cycles) {
 		if p.active == r {
 			p.kick(r)
 		}
 	})
 }
 
-// backoff returns attempt n's retry delay: BackoffBase << (n-1), shift
+// backoffBase is the first retry delay of a failed SD fill or PCAP
+// download.
+const backoffBase = 50 * simclock.CyclesPerMicrosecond
+
+// backoff returns attempt n's retry delay: backoffBase << (n-1), shift
 // clamped so a misconfigured retry budget cannot overflow.
-func backoff(cfg fault.Config, attempts int) simclock.Cycles {
+func backoff(attempts int) simclock.Cycles {
 	shift := attempts - 1
 	if shift > 16 {
 		shift = 16
@@ -389,7 +393,7 @@ func backoff(cfg fault.Config, attempts int) simclock.Cycles {
 	if shift < 0 {
 		shift = 0
 	}
-	return cfg.BackoffBase << shift
+	return backoffBase << shift
 }
 
 // failActive fails the request holding the PCAP channel and drains the
@@ -651,7 +655,7 @@ func (p *Pipeline) fillErr(f *fill) {
 	if f.attempts <= cfg.MaxRetries {
 		p.Stats.Retries++
 		p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, f.flow, uint64(f.key), uint64(f.attempts))
-		p.Clock.After(backoff(cfg, f.attempts), func(simclock.Cycles) {
+		p.Clock.After(backoff(f.attempts), func(simclock.Cycles) {
 			p.startRead(f)
 		})
 		return

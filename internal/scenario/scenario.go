@@ -100,8 +100,6 @@ type Spec struct {
 	// bounded rings + metrics). Tracing never touches checksummed state:
 	// a traced run's checksum is byte-identical to an untraced one.
 	Trace bool
-	// TraceCapacity overrides the per-core ring capacity (0 = default).
-	TraceCapacity int
 
 	// Faults is the scenario's deterministic fault plan (zero = no
 	// injection). Its Seed defaults to the spec's Seed, so the fault
@@ -188,7 +186,7 @@ func Build(spec Spec) *System {
 	}
 	k.Sched = pol
 	if spec.Trace {
-		k.EnableTrace(spec.TraceCapacity)
+		k.EnableTrace()
 	}
 
 	caps := hwtask.PaperPRRCapacities()

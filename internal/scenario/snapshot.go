@@ -28,31 +28,16 @@ type SnapshotSpec struct {
 	TTLMs float64
 	// KeepWarm re-tops the shelf to Prewarm after each reap scan.
 	KeepWarm bool
-	// BootMs bounds the template's boot-to-quiescence phase (0 = 12).
-	BootMs float64
-	// Tasks is the template's serverless handler count (0 = 3, max 8).
-	Tasks int
-	// ColdExec is each handler's one-time cold-start instruction burst —
-	// the work a fork skips (0 = 700_000).
-	ColdExec int
 }
 
-// normalized fills the snapshot spec's defaults.
-func (sp SnapshotSpec) normalized() SnapshotSpec {
-	if sp.BootMs == 0 {
-		sp.BootMs = 12
-	}
-	if sp.Tasks == 0 {
-		sp.Tasks = 3
-	}
-	if sp.Tasks > 8 {
-		sp.Tasks = 8
-	}
-	if sp.ColdExec == 0 {
-		sp.ColdExec = 700_000
-	}
-	return sp
-}
+// The template runs templateTasks serverless handlers, each with a
+// one-time cold-start burst of templateColdExec instructions (the work a
+// fork skips), and must quiesce within templateBootMs.
+const (
+	templateBootMs   = 12.0
+	templateTasks    = 3
+	templateColdExec = 700_000
+)
 
 // slsState is one serverless handler's host-side mutable state. It is
 // what makes clones more than copies: each clone's states are deep-copied
@@ -66,7 +51,7 @@ type slsState struct {
 }
 
 // slsBufPages is each handler's working-set size in pages — it bounds a
-// clone's COW copies at Tasks*slsBufPages frames, within the arena.
+// clone's COW copies at templateTasks*slsBufPages frames, within the arena.
 const slsBufPages = 4
 
 // slsBody is a serverless handler: an optional cold start (executed only
@@ -146,14 +131,13 @@ type snapRun struct {
 // churn/workload drivers). The first template VM anchors the snapRun.
 func (s *System) addTemplateVM(idx int, vm VM) {
 	p, seed := s.addGuest(idx, vm)
-	cfg := s.Spec.Snapshot.normalized()
-	states := make([]*slsState, cfg.Tasks)
+	states := make([]*slsState, templateTasks)
 	for i := range states {
-		states[i] = &slsState{rng: mix(seed, uint32(0x515+i)), cold: cfg.ColdExec}
+		states[i] = &slsState{rng: mix(seed, uint32(0x515+i)), cold: templateColdExec}
 	}
 	p.guest.Setup = slsSetup(s.Spec.TickMs, states)
 	if s.snap == nil {
-		s.snap = &snapRun{cfg: cfg, key: p.spec.Name, tpl: p, tplStates: states}
+		s.snap = &snapRun{cfg: *s.Spec.Snapshot, key: p.spec.Name, tpl: p, tplStates: states}
 	}
 }
 
@@ -162,11 +146,11 @@ func (s *System) addTemplateVM(idx int, vm VM) {
 // panicking if the boot budget runs out first.
 func (s *System) bootToQuiescence() {
 	sr := s.snap
-	limit := simclock.FromMillis(sr.cfg.BootMs)
+	limit := simclock.FromMillis(templateBootMs)
 	step := simclock.FromMicros(250)
 	for !sr.tpl.pd.IdleParked() {
 		if s.Kernel.Clock.Now() >= limit {
-			panic(fmt.Sprintf("scenario %q: template failed to quiesce within %.1f ms", s.Spec.Name, sr.cfg.BootMs))
+			panic(fmt.Sprintf("scenario %q: template failed to quiesce within %.1f ms", s.Spec.Name, templateBootMs))
 		}
 		s.advance(step)
 	}

@@ -137,7 +137,7 @@ func Suite(short bool) []Spec {
 		},
 		{
 			Name:  "flaky-sd",
-			About: "SD staging reads fail, stall and stage corrupt images through a cache too small to help — retry/backoff and poisoned-cache recovery",
+			About: "SD staging reads fail and stall, and most images bypass a cache too small to hold them — retry/backoff (the corruption rate draws no corrupt image at either horizon)",
 			Cores: 1, QuantumMs: 8, RunMs: ms(240), Seed: 10,
 			CacheBytes: 64 << 10,
 			Faults:     fault.Config{SDErrorPermille: 250, SDStallPermille: 200, CorruptPermille: 150},

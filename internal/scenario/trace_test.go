@@ -136,8 +136,6 @@ const guestFault = "guest hypercall fault"
 // own coroutine.
 type faultyGuest struct{}
 
-func (faultyGuest) Name() string { return "faulty" }
-
 func (faultyGuest) RunSlice(env *nova.Env) {
 	env.K.Clock.After(20_000, func(simclock.Cycles) { panic(guestFault) })
 	for {

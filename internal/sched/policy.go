@@ -36,9 +36,6 @@ func NewPrioRR(ncpu int, quantum simclock.Cycles) *PrioRR {
 	return &PrioRR{multiQueue: newMultiQueue(ncpu, quantum)}
 }
 
-// Name implements Policy.
-func (p *PrioRR) Name() string { return "prio-rr" }
-
 // Place implements Policy: least-loaded CPU in the affinity mask, lowest
 // CPU id breaking ties. An already-placed node keeps its home while the
 // mask still allows it.
@@ -77,9 +74,6 @@ type Partitioned struct {
 func NewPartitioned(ncpu int, quantum simclock.Cycles) *Partitioned {
 	return &Partitioned{multiQueue: newMultiQueue(ncpu, quantum)}
 }
-
-// Name implements Policy.
-func (p *Partitioned) Name() string { return "partitioned" }
 
 // Place implements Policy: the lowest CPU the mask allows, always.
 func (p *Partitioned) Place(n *Node) int {

@@ -117,8 +117,6 @@ type Observable interface {
 // Policy is the scheduler interface the kernel depends on. All methods
 // are single-threaded (the platform model is one event loop).
 type Policy interface {
-	// Name labels the policy in reports.
-	Name() string
 	// NumCPUs returns the number of per-CPU runqueues.
 	NumCPUs() int
 	// Quantum is the default time slice handed to a freshly picked node.

@@ -299,7 +299,4 @@ func TestQuantumExposed(t *testing.T) {
 	if q := NewPrioRR(1, 12345).Quantum(); q != 12345 {
 		t.Errorf("Quantum = %d, want 12345", q)
 	}
-	if NewPartitioned(2, 7).Name() == NewPrioRR(2, 7).Name() {
-		t.Error("policies should be distinguishable by name")
-	}
 }

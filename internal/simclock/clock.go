@@ -202,9 +202,6 @@ func (c *Clock) NextDeadline() (Cycles, bool) {
 	return c.next, true
 }
 
-// Pending returns the number of scheduled events.
-func (c *Clock) Pending() int { return len(c.events) }
-
 // RunUntilIdle advances the clock through every pending event (including
 // events scheduled by event handlers) and stops at the last deadline.
 // It returns the number of events fired. The limit guards against handlers

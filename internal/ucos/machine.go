@@ -22,8 +22,6 @@ type HwGrant struct {
 // with Mini-NOVA hypercalls (the paper's 17-call porting patch, §V-A);
 // the native implementation programs the simulated hardware directly.
 type Machine interface {
-	// Name labels the machine in traces.
-	Name() string
 	// NewContext makes an execution context inside this OS's code space.
 	NewContext(name string, base, size uint32) *cpu.ExecContext
 	// KernelCodeBase is where the guest kernel's text begins.
@@ -72,11 +70,10 @@ type Machine interface {
 	RequestHwTask(taskID uint16) HwGrant
 	// ReleaseHwTask gives a held task back.
 	ReleaseHwTask(taskID uint16)
-	// ReconfigBusy polls the PCAP completion signal (§IV-E polling mode).
-	ReconfigBusy() bool
-	// ReconfigStatus is the fault-aware poll: StatusReconfig while the
-	// download is still in flight, StatusFaulted when the hypervisor's
-	// retry budget ran out (the guest must release and re-request), and
-	// StatusOK once the region is ready.
+	// ReconfigStatus polls the PCAP completion signal (§IV-E polling
+	// mode), fault-aware: StatusReconfig while the download is still in
+	// flight, StatusFaulted when the hypervisor's retry budget ran out
+	// (the guest must release and re-request), and StatusOK once the
+	// region is ready.
 	ReconfigStatus() uint32
 }

@@ -133,9 +133,6 @@ func NewNativeMachine(cores map[uint16]pl.Accel) *NativeMachine {
 	return nm
 }
 
-// Name implements Machine.
-func (nm *NativeMachine) Name() string { return "native" }
-
 // NewContext implements Machine.
 func (nm *NativeMachine) NewContext(name string, base, size uint32) *cpu.ExecContext {
 	return cpu.NewExecContext(nm.CPU, name, base, size)
@@ -249,9 +246,9 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 	d := nm.Clock.Now() - t0
 	nm.Probes.Add(measure.PhaseMgrExec, d)
 	g := HwGrant{
-		Status: hwtask.StatusOf(reply),
-		PRR:    hwtask.PRROf(reply),
-		IRQ:    hwtask.IRQOf(reply),
+		Status: abi.ReplyStatus(reply),
+		PRR:    abi.ReplyPRR(reply),
+		IRQ:    abi.ReplyIRQ(reply),
 		DataVA: uint32(nm.dataWin.Base),
 	}
 	if g.PRR >= 0 {
@@ -267,9 +264,6 @@ func (nm *NativeMachine) ReleaseHwTask(taskID uint16) {
 	nm.Mgr.Handle(nm.mgrCtx, req, nm.actions)
 }
 
-// ReconfigBusy implements Machine.
-func (nm *NativeMachine) ReconfigBusy() bool { return nm.Fabric.PCAP.Busy() }
-
 // ReconfigStatus implements Machine: the native baseline has no fault
 // plan, so the download either runs or is done.
 func (nm *NativeMachine) ReconfigStatus() uint32 {
@@ -278,9 +272,6 @@ func (nm *NativeMachine) ReconfigStatus() uint32 {
 	}
 	return abi.StatusOK
 }
-
-// InstallBitstreams gives tests access to the default store base.
-func (nm *NativeMachine) StorePA() physmem.Addr { return nativeStorePA }
 
 var _ Machine = (*NativeMachine)(nil)
 var _ Machine = (*VirtMachine)(nil)

@@ -40,7 +40,7 @@ const (
 	stateDormant taskState = iota
 	stateReady
 	stateDelayed
-	statePending // blocked on a semaphore/mailbox/queue
+	statePending // blocked on a semaphore or queue
 	stateDone
 )
 
@@ -331,12 +331,6 @@ func (t *Task) Exec(n int) {
 
 // Touch charges one data access.
 func (t *Task) Touch(va uint32, write bool) { t.Ctx.Touch(va, write) }
-
-// TouchRange streams a buffer.
-func (t *Task) TouchRange(va, size, stride uint32, write bool) {
-	t.Ctx.TouchRange(va, size, stride, write)
-	t.checkpoint()
-}
 
 // Delay is OSTimeDly: block for n ticks (n >= 1).
 func (t *Task) Delay(ticks uint32) {

@@ -156,9 +156,6 @@ type ResumedGuest struct {
 	OS *OS
 }
 
-// Name implements nova.Guest.
-func (g *ResumedGuest) Name() string { return g.GuestName }
-
 // RunSlice implements nova.Guest. Order matters: cursors and task state
 // are restored before the suspend-exit replay, so by the time simulated
 // time moves again the instance is indistinguishable from the template

@@ -1,8 +1,8 @@
 package ucos
 
-// uC/OS-II synchronization primitives: counting semaphores, mailboxes and
-// message queues. Waiters are released in priority order (uC/OS-II
-// semantics), not FIFO.
+// uC/OS-II synchronization primitives: counting semaphores and message
+// queues. Waiters are released in priority order (uC/OS-II semantics), not
+// FIFO.
 
 // Sem is a counting semaphore (OSSemCreate).
 type Sem struct {
@@ -19,8 +19,6 @@ func (os *OS) SemCreate(initial int) *Sem {
 func removeWaiter(t *TCB) {
 	switch obj := t.pendingOn.(type) {
 	case *Sem:
-		obj.removeWaiter(t)
-	case *Mbox:
 		obj.removeWaiter(t)
 	case *Queue:
 		obj.removeWaiter(t)
@@ -90,74 +88,6 @@ func (t *Task) SemPost(s *Sem) {
 	t.Ctx.Exec(30)
 	s.Post()
 	t.checkpoint()
-}
-
-// Mbox is a one-slot mailbox (OSMbox*).
-type Mbox struct {
-	os      *OS
-	full    bool
-	msg     uint32
-	waiters []*TCB
-}
-
-// MboxCreate makes an empty mailbox.
-func (os *OS) MboxCreate() *Mbox { return &Mbox{os: os} }
-
-func (m *Mbox) removeWaiter(t *TCB) {
-	for i, w := range m.waiters {
-		if w == t {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// MboxPend waits for a message. Returns (msg, ok).
-func (t *Task) MboxPend(m *Mbox, timeout uint32) (uint32, bool) {
-	t.Ctx.Exec(35)
-	if m.full {
-		m.full = false
-		return m.msg, true
-	}
-	tcb := t.TCB
-	tcb.state = statePending
-	tcb.delay = timeout
-	tcb.pendingOn = m
-	tcb.pendOK = false
-	m.waiters = append(m.waiters, tcb)
-	tcb.yieldToScheduler()
-	if tcb.pendOK {
-		return m.msg, true
-	}
-	return 0, false
-}
-
-// MboxPost delivers a message; fails (returns false) when full and no
-// waiter exists (uC/OS-II returns OS_MBOX_FULL).
-func (m *Mbox) Post(msg uint32) bool {
-	if w := popBest(&m.waiters); w != nil {
-		m.msg = msg
-		w.pendOK = true
-		w.pendingOn = nil
-		w.delay = 0
-		w.state = stateReady
-		m.os.needSwitch = true
-		return true
-	}
-	if m.full {
-		return false
-	}
-	m.msg = msg
-	m.full = true
-	return true
-}
-
-// MboxPost from a task charges the call path.
-func (t *Task) MboxPost(m *Mbox, msg uint32) bool {
-	t.Ctx.Exec(30)
-	ok := m.Post(msg)
-	t.checkpoint()
-	return ok
 }
 
 // Queue is a fixed-capacity FIFO message queue (OSQ*).

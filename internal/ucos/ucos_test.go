@@ -193,25 +193,6 @@ func TestSemWakesPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestMailbox(t *testing.T) {
-	var got uint32
-	nativeOS(t, simclock.FromMillis(6), func(os *OS) {
-		mb := os.MboxCreate()
-		os.TaskCreate("rx", 8, func(task *Task) {
-			if v, ok := task.MboxPend(mb, 0); ok {
-				got = v
-			}
-		})
-		os.TaskCreate("tx", 12, func(task *Task) {
-			task.Delay(1)
-			task.MboxPost(mb, 0xBEEF)
-		})
-	})
-	if got != 0xBEEF {
-		t.Errorf("mailbox delivered %#x, want 0xBEEF", got)
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	var got []uint32
 	nativeOS(t, simclock.FromMillis(8), func(os *OS) {

@@ -35,9 +35,6 @@ func NewVirtMachine(env *nova.Env) *VirtMachine {
 	}
 }
 
-// Name implements Machine.
-func (m *VirtMachine) Name() string { return "virt/" + m.Env.PD.Name_ }
-
 // NewContext implements Machine: task contexts execute on the PD's home
 // core (the CPU its root context is bound to).
 func (m *VirtMachine) NewContext(name string, base, size uint32) *cpu.ExecContext {
@@ -142,9 +139,9 @@ func (m *VirtMachine) RequestHwTask(taskID uint16) HwGrant {
 	m.ifaceNext += 0x1000
 	reply := m.Env.Hypercall(abi.HcHwTaskRequest, uint32(taskID), iface, m.dataVA)
 	g := HwGrant{
-		Status:  hwtask.StatusOf(reply),
-		PRR:     hwtask.PRROf(reply),
-		IRQ:     hwtask.IRQOf(reply),
+		Status:  abi.ReplyStatus(reply),
+		PRR:     abi.ReplyPRR(reply),
+		IRQ:     abi.ReplyIRQ(reply),
 		IfaceVA: iface,
 		DataVA:  m.dataVA,
 	}
@@ -158,11 +155,6 @@ func (m *VirtMachine) RequestHwTask(taskID uint16) HwGrant {
 // ReleaseHwTask implements Machine.
 func (m *VirtMachine) ReleaseHwTask(taskID uint16) {
 	m.Env.Hypercall(abi.HcHwTaskRelease, uint32(taskID))
-}
-
-// ReconfigBusy implements Machine (PCAP completion polling, §IV-E).
-func (m *VirtMachine) ReconfigBusy() bool {
-	return m.Env.Hypercall(abi.HcHwTaskStatus, 0) == abi.StatusReconfig
 }
 
 // ReconfigStatus implements Machine: the raw HcHwTaskStatus reply, which
@@ -181,9 +173,6 @@ type Guest struct {
 	// OS is populated when the PD first runs.
 	OS *OS
 }
-
-// Name implements nova.Guest.
-func (g *Guest) Name() string { return g.GuestName }
 
 // RunSlice implements nova.Guest: construct the machine and boot. The
 // deferred Shutdown unwinds this OS's task coroutines when the
