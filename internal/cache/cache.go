@@ -43,16 +43,18 @@ func (s Stats) MissRate() float64 {
 	return 0
 }
 
-type line struct {
-	tag   uint32
-	valid bool
-	dirty bool
-}
+// A way is one packed word, tag<<2 | wayDirty | wayValid, and 0 is an
+// invalid way. A tag is at most 27 bits (a 32-bit PA less the 5 line
+// bits), so it fits; a probe compares one word per way.
+const (
+	wayValid = 1
+	wayDirty = 2
+)
 
 // Cache is one set-associative, write-back, write-allocate cache level.
-// Lines live in one contiguous backing array (set-major: set*ways+way) and
-// are indexed by shift/mask arithmetic — no per-set slice headers on the
-// per-access hot path.
+// Way words live in one contiguous backing array (set-major: set*ways+way)
+// and are indexed by shift/mask arithmetic — no per-set slice headers on
+// the per-access hot path.
 //
 // Replacement is pseudo-random, as in the Cortex-A9's L1 caches (TRM r4p1
 // §7.1) and the PL310 L2's default; it also produces the gradual
@@ -60,8 +62,9 @@ type line struct {
 // capacity cliff.
 type Cache struct {
 	name     string
-	lines    []line // nsets × ways, flat
+	lines    []uint32 // nsets × ways packed way words, flat
 	ways     int
+	nvalid   int    // valid ways; once every way is valid, fill skips its invalid-way scan
 	setMask  uint32 // nsets - 1
 	setShift uint   // log2(nsets); tag = lineAddr >> setShift
 	rng      uint32
@@ -71,9 +74,13 @@ type Cache struct {
 
 // New builds a cache of sizeBytes with the given associativity and
 // pseudo-random replacement (the A9 default). sizeBytes must be a
-// multiple of ways*LineSize and the set count a power of two (true of
+// multiple of ways*LineSize, and both the way count (the victim draw masks
+// the rng with ways-1) and the set count must be powers of two (true of
 // every A9 configuration).
 func New(name string, sizeBytes, ways int) *Cache {
+	if ways < 1 || ways&(ways-1) != 0 {
+		panic(fmt.Sprintf("cache %s: way count %d not a power of two", name, ways))
+	}
 	nlines := sizeBytes / LineSize
 	nsets := nlines / ways
 	if nsets*ways*LineSize != sizeBytes {
@@ -88,7 +95,7 @@ func New(name string, sizeBytes, ways int) *Cache {
 	}
 	return &Cache{
 		name: name, ways: ways,
-		lines: make([]line, nsets*ways), setMask: uint32(nsets - 1), setShift: shift,
+		lines: make([]uint32, nsets*ways), setMask: uint32(nsets - 1), setShift: shift,
 		rng: 0x2545F491,
 	}
 }
@@ -100,7 +107,7 @@ func (c *Cache) Name() string { return c.name }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // set returns the flat slice of ways backing pa's set, plus the tag.
-func (c *Cache) set(pa physmem.Addr) (ways []line, set, tag uint32) {
+func (c *Cache) set(pa physmem.Addr) (ways []uint32, set, tag uint32) {
 	lineAddr := uint32(pa) >> lineShift
 	set = lineAddr & c.setMask
 	tag = lineAddr >> c.setShift
@@ -137,12 +144,15 @@ func (c *Cache) fill(pa physmem.Addr, write bool) (writeback bool, victim Victim
 	ws, set, tag := c.set(pa)
 	c.stats.Misses++
 	c.epoch++ // the fill below changes which lines are resident
-	// Choose a victim: invalid ways first, then the next rng draw.
+	// Choose a victim: invalid ways first, then the next rng draw. A full
+	// cache has no invalid way to find.
 	way := -1
-	for i := range ws {
-		if !ws[i].valid {
-			way = i
-			break
+	if c.nvalid < len(c.lines) {
+		for i, w := range ws {
+			if w == 0 {
+				way = i
+				break
+			}
 		}
 	}
 	if way < 0 {
@@ -151,64 +161,50 @@ func (c *Cache) fill(pa physmem.Addr, write bool) (writeback bool, victim Victim
 		c.rng ^= c.rng << 5
 		way = int(c.rng) & (c.ways - 1)
 		c.stats.Evictions++
-		v := &ws[way]
+		w := ws[way]
 		victim = Victim{
-			Addr:  physmem.Addr((v.tag<<c.setShift | set) << lineShift),
-			Dirty: v.dirty,
+			Addr:  physmem.Addr((w>>2<<c.setShift | set) << lineShift),
+			Dirty: w&wayDirty != 0,
 			Valid: true,
 		}
-		if v.dirty {
+		if victim.Dirty {
 			c.stats.Writebacks++
 			writeback = true
 		}
+	} else {
+		c.nvalid++
 	}
-	ws[way] = line{tag: tag, valid: true, dirty: write}
+	w := tag<<2 | wayValid
+	if write {
+		w |= wayDirty
+	}
+	ws[way] = w
 	return writeback, victim
 }
 
-// HitRun records n repeat accesses to pa's resident line in one step: the
-// resulting line state (dirty bit) and stats are bit-identical to n
-// consecutive Access calls that all hit. The batched memory path uses it
-// to collapse same-line streaming accesses into one probe. If the line is
-// unexpectedly absent it degrades to n real Access calls, preserving exact
-// scalar semantics.
-func (c *Cache) HitRun(pa physmem.Addr, write bool, n int) {
-	if n <= 0 {
-		return
-	}
-	ws, _, tag := c.set(pa)
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			if write {
-				ws[i].dirty = true
-			}
-			c.stats.Hits += uint64(n)
-			return
+// find returns the way of ws holding tag's line, or -1.
+func find(ws []uint32, tag uint32) int {
+	key := tag<<2 | wayValid
+	for i, w := range ws {
+		if w&^wayDirty == key {
+			return i
 		}
 	}
-	for i := 0; i < n; i++ {
-		c.Access(pa, write)
-	}
+	return -1
 }
 
 // Contains reports whether pa's line is resident, without counting a hit.
 func (c *Cache) Contains(pa physmem.Addr) bool {
 	ws, _, tag := c.set(pa)
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	return find(ws, tag) >= 0
 }
 
 // InvalidateAll drops every line (without writeback accounting: the A9's
 // invalidate-all maintenance op; Mini-NOVA uses clean+invalidate only on
 // explicit guest cache hypercalls).
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.lines)
+	c.nvalid = 0
 	c.epoch++
 	c.stats.Flushes++
 }
@@ -217,13 +213,14 @@ func (c *Cache) InvalidateAll() {
 // returning the number of lines written back.
 func (c *Cache) CleanInvalidateAll() int {
 	wb := 0
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
+	for _, w := range c.lines {
+		if w&wayDirty != 0 {
 			wb++
-			c.stats.Writebacks++
 		}
-		c.lines[i] = line{}
 	}
+	c.stats.Writebacks += uint64(wb)
+	clear(c.lines)
+	c.nvalid = 0
 	c.epoch++
 	c.stats.Flushes++
 	return wb
@@ -233,15 +230,15 @@ func (c *Cache) CleanInvalidateAll() int {
 // dirty (caller decides on writeback cost).
 func (c *Cache) InvalidateLine(pa physmem.Addr) (wasDirty bool) {
 	ws, _, tag := c.set(pa)
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			wasDirty = ws[i].dirty
-			ws[i] = line{}
-			c.epoch++
-			return
-		}
+	i := find(ws, tag)
+	if i < 0 {
+		return false
 	}
-	return false
+	wasDirty = ws[i]&wayDirty != 0
+	ws[i] = 0
+	c.nvalid--
+	c.epoch++
+	return wasDirty
 }
 
 // Epoch is a monotonic counter of residency mutations: it advances on
@@ -250,25 +247,17 @@ func (c *Cache) InvalidateLine(pa physmem.Addr) (wasDirty bool) {
 // resident exactly while Epoch() == E.
 func (c *Cache) Epoch() uint64 { return c.epoch }
 
-// BulkHits records n guaranteed-hit read probes of resident lines without
-// touching them. A hitting read probe's only effect is the hit counter
-// (replacement keeps no recency state and a read sets no dirty bit), so
-// this is bit-identical to n scalar probes of lines the caller has proven
-// resident (see Epoch).
+// BulkHits records n guaranteed-hit probes that change no line: reads of
+// resident lines, or writes to lines already dirty. Such a probe's only
+// effect is the hit counter (replacement keeps no recency state), so this
+// is bit-identical to n scalar probes of lines the caller has proven
+// resident (see Epoch), or has just probed or filled.
 func (c *Cache) BulkHits(n int) {
 	c.stats.Hits += uint64(n)
 }
 
 // ResidentLines counts valid lines (used by tests and the footprint report).
-func (c *Cache) ResidentLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) ResidentLines() int { return c.nvalid }
 
 // Penalties of the hierarchy in core cycles. The L1 hit cost is folded into
 // the 1-cycle issue cost charged by the CPU model; these are *additional*
@@ -280,8 +269,9 @@ const (
 	PenaltyLineWB = 10 // explicit clean of one dirty line
 )
 
-// Hierarchy bundles the A9's L1I, L1D and shared L2 and converts accesses
-// into cycle costs.
+// Hierarchy bundles one core's L1I, L1D and L2 and converts accesses into
+// cycle costs. On a multi-core machine the L2 is the core's own partition
+// of the shared L2's ways (NewA9WayPartitionedL2).
 type Hierarchy struct {
 	L1I *Cache
 	L1D *Cache
@@ -296,23 +286,6 @@ func NewA9Hierarchy() *Hierarchy {
 		L1D: New("L1D", 32<<10, 4),
 		L2:  New("L2", 512<<10, 8),
 	}
-}
-
-// NewA9SharedL2 returns n per-core hierarchies with private 32 KB L1s over
-// one shared 512 KB L2 — the Cortex-A9 MPCore memory system of the
-// dual-core Zynq-7000: cross-core interference shows up as L2 contention
-// while each core keeps its own L2 working set.
-func NewA9SharedL2(n int) []*Hierarchy {
-	l2 := New("L2", 512<<10, 8)
-	hs := make([]*Hierarchy, n)
-	for i := range hs {
-		hs[i] = &Hierarchy{
-			L1I: New("L1I", 32<<10, 4),
-			L1D: New("L1D", 32<<10, 4),
-			L2:  l2,
-		}
-	}
-	return hs
 }
 
 // NewA9WayPartitionedL2 returns n per-core hierarchies whose 512 KB L2 is
@@ -345,12 +318,12 @@ func NewA9WayPartitionedL2(n int) []*Hierarchy {
 func (c *Cache) probeHit(pa physmem.Addr, write bool) bool {
 	lineAddr := uint32(pa) >> lineShift
 	base := int(lineAddr&c.setMask) * c.ways
-	tag := lineAddr >> c.setShift
+	key := lineAddr>>c.setShift<<2 | wayValid
 	ws := c.lines[base : base+c.ways]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
+	for i, w := range ws {
+		if w&^wayDirty == key {
 			if write {
-				ws[i].dirty = true
+				ws[i] = w | wayDirty
 			}
 			c.stats.Hits++
 			return true

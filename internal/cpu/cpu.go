@@ -185,8 +185,9 @@ func New(clock *simclock.Clock, bus *physmem.Bus, g *gic.GIC) *CPU {
 }
 
 // NewCore assembles core id of an MPCore over the given cache hierarchy
-// (callers share one L2 across cores via cache.NewA9SharedL2). Each core
-// gets its own TLB and MMU state, as on silicon.
+// (callers way-partition the L2 across cores via
+// cache.NewA9WayPartitionedL2). Each core gets its own TLB and MMU state,
+// as on silicon.
 func NewCore(clock *simclock.Clock, bus *physmem.Bus, g *gic.GIC, id int, h *cache.Hierarchy) *CPU {
 	t := tlb.NewA9()
 	c := &CPU{

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gic"
@@ -294,5 +295,91 @@ func TestExecContextCursorWraps(t *testing.T) {
 	ctx.Exec(100)                                  // must wrap many times without leaving range
 	if ctx.cursor >= 64 {
 		t.Errorf("cursor = %d, escaped the code range", ctx.cursor)
+	}
+}
+
+// TestEventDuringWalk: translate refills the micro-TLB from the entry the
+// walk just resolved (TLB.Rehit) only when the walk's cycles fire no event.
+// An event due inside the walk that flushes the TLB must leave what a
+// second main-TLB lookup leaves: a counted miss and no micro-TLB entry.
+// An event due after the walk changes nothing: one counted hit and a
+// micro-TLB entry.
+func TestEventDuringWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		at                   simclock.Cycles // event time, after now
+		misses, hits, micros uint64
+	}{
+		{"inside", 1, 2, 0, 0},
+		{"after", 1 << 20, 1, 1, 1},
+	} {
+		c, _, _ := rigMMU()
+		ctx := NewExecContext(c, "g", 0x0001_0000, 16<<10)
+		before := c.TLB.Stats()
+		fired := false
+		c.Clock.After(tc.at, func(simclock.Cycles) { fired = true; c.TLB.FlushAll() })
+		ctx.Touch(0x0010_0000, false)
+		st := c.TLB.Stats()
+		micros := uint64(0)
+		if ctx.microLookup(0x0010_0000>>12, false) != nil {
+			micros = 1
+		}
+		if fired != (tc.at == 1) || ctx.Stalled {
+			t.Fatalf("%s: event fired %v, context stalled %v", tc.name, fired, ctx.Stalled)
+		}
+		if st.Misses-before.Misses != tc.misses || st.Hits-before.Hits != tc.hits || micros != tc.micros {
+			t.Errorf("%s: TLB misses +%d hits +%d, micro entries %d; want +%d +%d %d",
+				tc.name, st.Misses-before.Misses, st.Hits-before.Hits, micros, tc.misses, tc.hits, tc.micros)
+		}
+	}
+
+}
+
+// TestBatchedCoverageMatchesScalar: in each case below translate cannot
+// prove page coverage without another micro-TLB scan, so the batched
+// engine must translate again on its next access to the page, as the
+// scalar path does. Each case runs one StreamRange both ways and compares.
+func TestBatchedCoverageMatchesScalar(t *testing.T) {
+	const roVA = 0x0020_0000
+	for _, tc := range []struct {
+		name  string
+		va    uint32
+		setup func(c *CPU, pt *mmu.PageTable, ctx *ExecContext)
+	}{
+		{"TLB flush inside the first walk", 0x0010_0000, func(c *CPU, _ *mmu.PageTable, _ *ExecContext) {
+			c.Clock.After(1, func(simclock.Cycles) { c.TLB.FlushAll() })
+		}},
+		{"CONTEXTIDR write inside the first walk", 0x0010_0000, func(c *CPU, _ *mmu.PageTable, _ *ExecContext) {
+			// Bumps the translation generation but keeps the TLB.
+			c.Clock.After(1, func(simclock.Cycles) { c.CP15Write(CP15CONTEXTIDR, 1) })
+		}},
+		{"reserved DACR domain value", 0x0010_0000, func(c *CPU, _ *mmu.PageTable, _ *ExecContext) {
+			// The MMU checks domain value 2 as a client; the micro-TLB
+			// recheck denies it, so every access translates.
+			c.CP15Write(CP15DACR, 2<<2)
+		}},
+		{"stale micro entry denies the write", roVA, func(c *CPU, pt *mmu.PageTable, ctx *ExecContext) {
+			// A read-only page becomes writable and its main-TLB entry is
+			// flushed with no generation bump, so the micro-TLB keeps the
+			// read-only entry ahead of the one the write's walk installs.
+			pt.MapPage(roVA, physmem.DDRBase+0x80_0000, 1, mmu.APUserRO)
+			c.Mode = ModeUSR
+			ctx.Touch(roVA, false)
+			pt.MapPage(roVA, physmem.DDRBase+0x80_0000, 1, mmu.APFull)
+			c.TLB.FlushVA(roVA, 1)
+		}},
+	} {
+		stream := func(scalar bool) string {
+			c, pt, _ := rigMMU()
+			c.ScalarMemPath = scalar
+			ctx := NewExecContext(c, "g", 0x0001_0000, 16<<10)
+			tc.setup(c, pt, ctx)
+			ctx.StreamRange(tc.va, 256, 4, true)
+			return fmt.Sprintf("stalled %v now %d TLB %+v L1D %+v L2 %+v",
+				ctx.Stalled, c.Clock.Now(), c.TLB.Stats(), c.Caches.L1D.Stats(), c.Caches.L2.Stats())
+		}
+		if batched, scalar := stream(false), stream(true); batched != scalar {
+			t.Errorf("%s:\nbatched %s\nscalar  %s", tc.name, batched, scalar)
+		}
 	}
 }

@@ -81,11 +81,20 @@ func (e *ExecContext) checkGen() {
 // Permission is rechecked even on micro hits (the micro-TLB caches
 // translations, not authorization). On an abort it consults the kernel and
 // retries once if the kernel fixed the mapping.
-func (e *ExecContext) translate(va uint32, write, fetch bool) (physmem.Addr, bool) {
+//
+// covered reports that further accesses to va's 4 KB page may skip
+// translate entirely, at pa's page base: the micro-TLB covers the page and
+// the DACR/AP recheck passes, so translate would be the zero-cost,
+// zero-stat, side-effect-free micro hit. The batched engine relies on it.
+// It is conservative: where proving it would take another micro-TLB scan
+// (an event fired while the translation's cycles were charged, an abort
+// was taken, or a micro entry for the page failed its recheck) it is
+// false, and the next access to the page translates again, which is exact.
+func (e *ExecContext) translate(va uint32, write, fetch bool) (pa physmem.Addr, covered, ok bool) {
 	e.checkGen()
 	m := e.CPU.MMU
 	if !m.Enabled {
-		return physmem.Addr(va), true
+		return physmem.Addr(va), true, true
 	}
 	page := va >> 12
 	priv := e.CPU.Mode.Privileged()
@@ -94,40 +103,58 @@ func (e *ExecContext) translate(va uint32, write, fetch bool) (physmem.Addr, boo
 	if hit != nil {
 		// micro hit: charge nothing, but recheck domain/AP.
 		if okDomainAP(m, hit.tr, priv, write) {
-			return hit.tr.PhysAddr(va), true
+			return hit.tr.PhysAddr(va), true, true
 		}
 		// Permission changed (e.g. DACR flip): fall through to full path so
 		// the fault is generated with proper bookkeeping.
 	}
 
+	clk := e.CPU.Clock
 	for attempt := 0; attempt < 2; attempt++ {
 		pa, cost, fault := m.Translate(va, priv, write, fetch)
-		e.CPU.Clock.Advance(simclock.Cycles(cost))
+		deadline, hasDL := clk.NextDeadline()
+		quiet := !hasDL || clk.Now()+simclock.Cycles(cost) < deadline
+		clk.Advance(simclock.Cycles(cost))
 		if fault == nil {
-			if tr, ok := m.TLB.Lookup(va, m.ASID); ok {
-				ent := microEntry{page: page, tr: tr, valid: true}
-				if fetch {
-					e.iMicro = ent
-				} else {
-					e.dMicro[e.dNext] = ent
-					e.dNext = (e.dNext + 1) % microTLBSize
-				}
+			// Refill the micro-TLB from the main-TLB entry Translate just
+			// hit or inserted. When charging its cycles (the walk's, if
+			// any) fired no event, nothing can have flushed the TLB or
+			// changed the ASID, and Rehit repeats a second Lookup's effects
+			// without searching; otherwise a handler may have done either,
+			// so search again.
+			tr, found := tlb.Translation{}, true
+			if quiet {
+				tr = m.TLB.Rehit()
+			} else {
+				tr, found = m.TLB.Lookup(va, m.ASID)
 			}
-			return pa, true
+			if !found {
+				return pa, false, true
+			}
+			ent := microEntry{page: page, tr: tr, valid: true}
+			if fetch {
+				e.iMicro = ent
+			} else {
+				e.dMicro[e.dNext] = ent
+				e.dNext = (e.dNext + 1) % microTLBSize
+			}
+			// With no micro entry for the page before, ent is the one a
+			// micro-TLB scan now finds.
+			covered = quiet && attempt == 0 && hit == nil && okDomainAP(m, tr, priv, write)
+			return pa, covered, true
 		}
 		if !e.CPU.deliverAbort(fault) {
 			e.Stalled = true
-			return 0, false
+			return 0, false, false
 		}
 		e.checkGen() // kernel may have edited tables / flushed TLB
 	}
 	e.Stalled = true
-	return 0, false
+	return 0, false, false
 }
 
 // microLookup is the pure micro-TLB scan: no cycle cost, no stats, no state
-// change. Both the scalar translate and the batched engine's page-coverage
-// check share it so their micro-hit decisions are identical by construction.
+// change.
 func (e *ExecContext) microLookup(page uint32, fetch bool) *microEntry {
 	if fetch {
 		if e.iMicro.valid && e.iMicro.page == page {
@@ -141,26 +168,6 @@ func (e *ExecContext) microLookup(page uint32, fetch bool) *microEntry {
 		}
 	}
 	return nil
-}
-
-// pageCover reports whether further accesses to va's 4 KB page may skip the
-// scalar translate entirely: exactly when the micro-TLB covers the page and
-// the DACR/AP recheck passes — the scalar path's zero-cost, zero-stat,
-// side-effect-free case. It returns the page-base physical address. The
-// batched engine re-validates this after every clock synchronization, since
-// event handlers may flush TLBs, bump the translation generation or rewrite
-// the DACR.
-func (e *ExecContext) pageCover(va uint32, write, fetch bool) (physmem.Addr, bool) {
-	m := e.CPU.MMU
-	if !m.Enabled {
-		return physmem.Addr(va &^ 0xFFF), true
-	}
-	e.checkGen()
-	hit := e.microLookup(va>>12, fetch)
-	if hit == nil || !okDomainAP(m, hit.tr, e.CPU.Mode.Privileged(), write) {
-		return 0, false
-	}
-	return hit.tr.PhysAddr(va) &^ 0xFFF, true
 }
 
 func okDomainAP(m *mmu.MMU, tr tlb.Translation, priv, write bool) bool {
@@ -261,13 +268,12 @@ func (e *ExecContext) Exec(n int) {
 				acc = 0
 			}
 			var ok bool
-			pa, ok = e.translate(va, false, true)
+			pa, pageValid, ok = e.translate(va, false, true)
 			if !ok {
 				return // unrecovered fetch abort: as in the scalar loop, no IRQ sample
 			}
 			deadline, hasDL = clk.NextDeadline() // translate may advance/schedule
-			pageVPN = va >> 12
-			pagePA, pageValid = e.pageCover(va, false, true)
+			pageVPN, pagePA = va>>12, pa&^0xFFF
 		}
 		cost := simclock.Cycles(c.Caches.FetchCost(pa))
 		// Residency-streak accounting for the bulk fast path above.
@@ -306,7 +312,7 @@ func (e *ExecContext) execScalar(n int) {
 	lines := (n + instrPerLine - 1) / instrPerLine
 	for i := 0; i < lines; i++ {
 		va := e.CodeBase + e.cursor
-		pa, ok := e.translate(va, false, true)
+		pa, _, ok := e.translate(va, false, true)
 		if !ok {
 			return
 		}
@@ -322,7 +328,7 @@ func (e *ExecContext) Touch(va uint32, write bool) {
 	if e.Stalled {
 		return
 	}
-	pa, ok := e.translate(va, write, false)
+	pa, _, ok := e.translate(va, write, false)
 	if !ok {
 		return
 	}
@@ -337,10 +343,11 @@ func (e *ExecContext) Touch(va uint32, write bool) {
 // does the work in page/line batches:
 //
 //   - the page is translated once per 4 KB crossed; while the micro-TLB
-//     coverage established there holds, follow-on accesses compute PA by
+//     coverage translate reports holds, follow-on accesses compute PA by
 //     offset, exactly as the scalar path's zero-cost micro hits would;
-//   - same-line accesses collapse into one cache probe plus a HitRun
-//     (guaranteed hits — the probe just made the line resident);
+//   - on a covered page, same-line accesses collapse into one cache probe
+//     or fill plus counted hits (BulkHits: the probe just made the line
+//     resident);
 //   - cycle cost accumulates locally and is handed to the clock in chunks
 //     bounded by the next pending event deadline, so handlers still fire at
 //     their exact instants; every synchronization drops the cached page
@@ -378,13 +385,12 @@ func (e *ExecContext) StreamRange(va, size, stride uint32, write bool) {
 				acc = 0
 			}
 			var ok bool
-			pa, ok = e.translate(a, write, false)
+			pa, pageValid, ok = e.translate(a, write, false)
 			if !ok {
 				return // stalled, exactly where the scalar loop stops
 			}
 			deadline, hasDL = clk.NextDeadline() // translate may advance/schedule
-			pageVPN = a >> 12
-			pagePA, pageValid = e.pageCover(a, write, false)
+			pageVPN, pagePA = a>>12, pa&^0xFFF
 		}
 		acc += simclock.Cycles(c.Caches.DataCost(pa, write))
 		if hasDL && clk.Now()+acc >= deadline {
@@ -401,19 +407,15 @@ func (e *ExecContext) StreamRange(va, size, stride uint32, write bool) {
 			continue
 		}
 		// Collapse the follow-on accesses that stay inside this 32-byte
-		// line: the probe above left the line resident, so the scalar path
-		// would charge zero cycles and count plain hits for each.
-		if stride < cache.LineSize {
-			lineEnd := (a | (cache.LineSize - 1)) + 1
-			if lineEnd != 0 { // guard the top-of-address-space wrap
-				n := (lineEnd - 1 - a) / stride
-				if rem := (size - 1 - off) / stride; rem < n {
-					n = rem
-				}
-				if n > 0 {
-					c.Caches.L1D.HitRun(pa, write, int(n))
-					off += n * stride
-				}
+		// line: the page is covered, so the scalar path's translate of
+		// each is a free micro hit, and the probe or fill above left the
+		// line resident, and dirty if write, with no event fired since, so
+		// it would charge zero cycles and count plain hits for each.
+		// ^a&(LineSize-1) is the bytes left in a's line after a.
+		if pageValid && stride < cache.LineSize {
+			if n := min(^a&(cache.LineSize-1), size-1-off) / stride; n > 0 {
+				c.Caches.L1D.BulkHits(int(n))
+				off += n * stride
 			}
 		}
 	}
@@ -440,7 +442,7 @@ func (e *ExecContext) Load32(va uint32) (uint32, error) {
 	if e.Stalled {
 		return 0, fmt.Errorf("cpu: %s: context stalled", e.Name)
 	}
-	pa, ok := e.translate(va, false, false)
+	pa, _, ok := e.translate(va, false, false)
 	if !ok {
 		return 0, fmt.Errorf("cpu: %s: unrecovered abort loading %#x", e.Name, va)
 	}
@@ -453,7 +455,7 @@ func (e *ExecContext) Store32(va uint32, v uint32) error {
 	if e.Stalled {
 		return fmt.Errorf("cpu: %s: context stalled", e.Name)
 	}
-	pa, ok := e.translate(va, true, false)
+	pa, _, ok := e.translate(va, true, false)
 	if !ok {
 		return fmt.Errorf("cpu: %s: unrecovered abort storing %#x", e.Name, va)
 	}

@@ -222,10 +222,7 @@ func NewKernelSMP(ncores int) *Kernel {
 	k.rootSpace.Insert(rootSelPCAP, k.pcapObj, capspace.RightsAll)
 	k.rootSpace.Insert(rootSelStore, k.storeObj, capspace.RightsAll)
 
-	hier := cache.NewA9SharedL2(1)
-	if ncores > 1 {
-		hier = cache.NewA9WayPartitionedL2(ncores)
-	}
+	hier := cache.NewA9WayPartitionedL2(ncores)
 	for i := 0; i < ncores; i++ {
 		cclk := clock
 		if i > 0 {

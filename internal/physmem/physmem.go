@@ -238,28 +238,51 @@ func (b *Bus) Write8(a Addr, v byte) error {
 	return nil
 }
 
-// ReadBytes copies n bytes starting at a into a fresh slice. Used by DMA
-// masters (PCAP, AXI HP) that move bulk data without CPU involvement.
+// ramPrefix returns how many of the n bytes from a lie in RAM before the
+// first address that does not, and the *BusError naming that address (nil
+// when all n bytes are RAM). No range crosses from one RAM region into
+// another: OCM ends at the top of the address space, and past it lies 0.
+func ramPrefix(a Addr, n int, write bool) (int, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	if !isRAM(a) {
+		return 0, &BusError{Addr: a, Write: write}
+	}
+	if re := ramEnd(a); uint64(a)+uint64(n) > re {
+		return int(re - uint64(a)), &BusError{Addr: Addr(re), Write: write}
+	}
+	return n, nil
+}
+
+// ReadBytes copies n bytes starting at a into a fresh slice, a frame at a
+// time. Used by DMA masters (PCAP, AXI HP) that move bulk data without CPU
+// involvement. A range that leaves RAM returns a *BusError at its first
+// non-RAM address, with every frame before it touched, as byte reads
+// would leave them.
 func (b *Bus) ReadBytes(a Addr, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		v, err := b.Read8(a + Addr(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	m, err := ramPrefix(a, n, false)
+	for i := 0; i < m; {
+		cur := a + Addr(i)
+		i += copy(out[i:m], b.frame(cur)[cur&(FrameSize-1):])
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// WriteBytes stores p starting at a.
+// WriteBytes stores p starting at a, a frame at a time. A range that
+// leaves RAM writes its RAM prefix and returns a *BusError at its first
+// non-RAM address, as byte writes would.
 func (b *Bus) WriteBytes(a Addr, p []byte) error {
-	for i, v := range p {
-		if err := b.Write8(a+Addr(i), v); err != nil {
-			return err
-		}
+	m, err := ramPrefix(a, len(p), true)
+	for i := 0; i < m; {
+		cur := a + Addr(i)
+		i += copy(b.frame(cur)[cur&(FrameSize-1):], p[i:m])
 	}
-	return nil
+	return err
 }
 
 // Zero clears n bytes of RAM starting at a, allocating untouched frames
@@ -267,21 +290,16 @@ func (b *Bus) WriteBytes(a Addr, p []byte) error {
 // that leaves its DDR or OCM region writes nothing and returns a
 // *BusError at the first address past RAM.
 func (b *Bus) Zero(a Addr, n int) error {
-	if n <= 0 {
-		return nil
+	m, err := ramPrefix(a, n, true)
+	if err != nil {
+		return err
 	}
-	if !isRAM(a) {
-		return &BusError{Addr: a, Write: true}
-	}
-	cur, end := uint64(a), uint64(a)+uint64(n)
-	if re := ramEnd(a); end > re {
-		return &BusError{Addr: Addr(re), Write: true}
-	}
-	for cur < end {
-		off := cur & (FrameSize - 1)
-		m := min(FrameSize-off, end-cur)
-		clear(b.frame(Addr(cur))[off : off+m])
-		cur += m
+	for i := 0; i < m; {
+		cur := a + Addr(i)
+		off := int(cur & (FrameSize - 1))
+		k := min(FrameSize-off, m-i)
+		clear(b.frame(cur)[off : off+k])
+		i += k
 	}
 	return nil
 }

@@ -238,3 +238,46 @@ func TestZeroOffRAM(t *testing.T) {
 		t.Fatalf("empty Zero = %v, want nil", err)
 	}
 }
+
+// TestBulkBytesOffRAM: a bulk copy that runs off the end of its RAM region
+// behaves as a byte-by-byte copy would. WriteBytes writes the in-RAM prefix,
+// both calls touch every frame before the first non-RAM address, and the
+// *BusError names that address.
+func TestBulkBytesOffRAM(t *testing.T) {
+	for _, tc := range []struct {
+		a, want Addr
+		n       int
+		frames  int
+	}{
+		{DDRBase + DDRSize - FrameSize - 0x10, DDRBase + DDRSize, 2 * FrameSize, 2},
+		{OCMBase + (OCMSize - 8), 0, 16, 1}, // past OCM, the address wraps to 0
+		{AXIGP0Base, AXIGP0Base, 4, 0},
+	} {
+		p := make([]byte, tc.n)
+		for i := range p {
+			p[i] = byte(i*7 + 1)
+		}
+		w := NewBus()
+		err := w.WriteBytes(tc.a, p)
+		if be, ok := err.(*BusError); !ok || be.Addr != tc.want || !be.Write {
+			t.Fatalf("WriteBytes(%#x, %d) = %v, want a write BusError at %#x", tc.a, tc.n, err, tc.want)
+		}
+		if got := w.TouchedFrames(); got != tc.frames {
+			t.Errorf("WriteBytes(%#x, %d) touched %d frames, want %d", tc.a, tc.n, got, tc.frames)
+		}
+		for i := Addr(0); i < tc.want-tc.a; i++ {
+			if v, err := w.Read8(tc.a + i); err != nil || v != p[i] {
+				t.Fatalf("byte %#x after WriteBytes = %#x, %v; want %#x", tc.a+i, v, err, p[i])
+			}
+		}
+
+		r := NewBus()
+		got, err := r.ReadBytes(tc.a, tc.n)
+		if be, ok := err.(*BusError); got != nil || !ok || be.Addr != tc.want || be.Write {
+			t.Fatalf("ReadBytes(%#x, %d) = %d bytes, %v; want nil and a read BusError at %#x", tc.a, tc.n, len(got), err, tc.want)
+		}
+		if got := r.TouchedFrames(); got != tc.frames {
+			t.Errorf("ReadBytes(%#x, %d) touched %d frames, want %d", tc.a, tc.n, got, tc.frames)
+		}
+	}
+}

@@ -69,6 +69,7 @@ type TLB struct {
 	stamp   uint64
 	nSmall  int // valid 4 KB small-page entries
 	nLarge  int // valid 1 MB section entries
+	last    int // index of the entry the latest hit or Insert resolved (see Rehit)
 	stats   Stats
 }
 
@@ -85,10 +86,11 @@ func New(entries, ways int) *TLB {
 	return &TLB{ways: ways, entries: make([]entry, entries), setMask: uint32(nsets - 1)}
 }
 
-// set returns the flat slice of ways backing vpn's set.
-func (t *TLB) set(vpn uint32) []entry {
+// set returns the flat slice of ways backing vpn's set, and the index in
+// entries of its first way.
+func (t *TLB) set(vpn uint32) (int, []entry) {
 	base := int(vpn&t.setMask) * t.ways
-	return t.entries[base : base+t.ways]
+	return base, t.entries[base : base+t.ways]
 }
 
 // drop invalidates *e, keeping the size-class population counts coherent.
@@ -135,24 +137,40 @@ func (t *TLB) Lookup(va uint32, asid uint8) (Translation, bool) {
 }
 
 func (t *TLB) probe(vpn uint32, large bool, asid uint8) (Translation, bool) {
-	set := t.set(vpn)
+	base, set := t.set(vpn)
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.vpn == vpn && e.tr.Large == large && (e.global || e.asid == asid) {
 			t.stamp++
 			e.lru = t.stamp
 			t.stats.Hits++
+			t.last = base + i
 			return e.tr, true
 		}
 	}
 	return Translation{}, false
 }
 
+// Rehit repeats the effects of a Lookup that finds the entry the latest
+// hitting Lookup or Insert resolved: one hit, a stamp bump and that entry's
+// lru. It returns the entry's translation. It stands in exactly for a
+// second Lookup(va, asid) of that same va and asid when nothing touched the
+// TLB in between and, after an Insert, the Lookup before the Insert missed:
+// the sequence mmu.Translate leaves. That second Lookup would find this
+// entry. The micro-TLB refill in cpu uses it to skip the second search.
+func (t *TLB) Rehit() Translation {
+	e := &t.entries[t.last]
+	t.stamp++
+	e.lru = t.stamp
+	t.stats.Hits++
+	return e.tr
+}
+
 // Insert caches a walk result for va under asid. Global entries (kernel
 // mappings shared by all spaces) match every ASID.
 func (t *TLB) Insert(va uint32, asid uint8, global bool, tr Translation) {
 	vpn := key(va, tr.Large)
-	set := t.set(vpn)
+	base, set := t.set(vpn)
 	t.stamp++
 	victim := 0
 	for i := range set {
@@ -173,6 +191,7 @@ func (t *TLB) Insert(va uint32, asid uint8, global bool, tr Translation) {
 		t.stats.Evictions++
 	}
 fill:
+	t.last = base + victim
 	t.drop(&set[victim])
 	if tr.Large {
 		t.nLarge++
@@ -209,7 +228,7 @@ func (t *TLB) FlushASID(asid uint8) {
 func (t *TLB) FlushVA(va uint32, asid uint8) {
 	for _, large := range [2]bool{false, true} {
 		vpn := key(va, large)
-		set := t.set(vpn)
+		_, set := t.set(vpn)
 		for w := range set {
 			e := &set[w]
 			if e.valid && e.vpn == vpn && e.tr.Large == large && (e.global || e.asid == asid) {

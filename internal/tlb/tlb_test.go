@@ -236,3 +236,57 @@ func TestProbeSkipStillHits(t *testing.T) {
 		t.Error("small entry missed with no section entries resident")
 	}
 }
+
+// TestRehitMatchesSecondLookup runs two TLBs through the same trace of
+// small-page hits, section hits, inserts after a miss and in-place
+// refills. After each step one TLB calls Rehit and the other a second
+// Lookup of the same VA and ASID. Each VA has one page size and one
+// globalness, as in the kernel's tables, so an Insert refills any entry a
+// Lookup of its VA could find. The translations, stats and every entry
+// (lru stamps included, so every later victim choice) must stay equal.
+func TestRehitMatchesSecondLookup(t *testing.T) {
+	for _, geom := range [][2]int{{16, 2}, {8, 4}, {4, 1}} {
+		a, b := New(geom[0], geom[1]), New(geom[0], geom[1])
+		rng := uint32(0x9E3779B9)
+		for i := 0; i < 4000; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 17
+			rng ^= rng << 5
+			var va uint32
+			var large, global bool
+			switch rng % 4 {
+			case 0, 1: // user small pages
+				va = 0x0001_0000 + rng>>8%48<<12
+			case 2: // user sections
+				va, large = 0x4000_0000+rng>>8%6<<20|rng>>16&0xFFFFF, true
+			case 3: // kernel pages, global
+				va, global = 0xC000_0000+rng>>8%12<<12, true
+			}
+			asid := uint8(rng >> 20 % 3)
+			tr := Translation{PFN: va>>12 + uint32(i), Domain: 1, AP: 3, Large: large}
+			for _, x := range [2]*TLB{a, b} {
+				if rng>>24%8 == 0 {
+					x.Insert(va, asid, global, tr) // in place when resident
+				} else if _, ok := x.Lookup(va, asid); !ok {
+					x.Insert(va, asid, global, tr)
+				}
+			}
+			got := a.Rehit()
+			want, ok := b.Lookup(va, asid)
+			if !ok || got != want {
+				t.Fatalf("%v step %d: Rehit = %+v, second Lookup = %+v, %v", geom, i, got, want, ok)
+			}
+			if a.Stats() != b.Stats() || a.stamp != b.stamp {
+				t.Fatalf("%v step %d: stats %+v stamp %d, want %+v stamp %d", geom, i, a.Stats(), a.stamp, b.Stats(), b.stamp)
+			}
+			for j := range a.entries {
+				if a.entries[j] != b.entries[j] {
+					t.Fatalf("%v step %d: entry %d = %+v, want %+v", geom, i, j, a.entries[j], b.entries[j])
+				}
+			}
+		}
+		if st := a.Stats(); st.Evictions == 0 || st.Misses == 0 {
+			t.Errorf("%v: trace evicted %d and missed %d times; it must do both", geom, st.Evictions, st.Misses)
+		}
+	}
+}
