@@ -438,9 +438,10 @@ func (k *Kernel) failPortalCallers(pd *PD) {
 }
 
 // hcSD copies one 512-byte block between the simulated SD card and the
-// caller's RAM (supervised shared I/O, §V-A).
+// caller's RAM (supervised shared I/O, §V-A). The bounds check is written
+// so that no offset can wrap it.
 func (k *Kernel) hcSD(c *CoreCtx, pd *PD, block, ramOffset uint32, write bool) uint32 {
-	if ramOffset+512 > pd.RAMSize {
+	if ramOffset > pd.RAMSize || pd.RAMSize-ramOffset < 512 {
 		return StatusInval
 	}
 	pa := pd.RAMBase + physmem.Addr(ramOffset)

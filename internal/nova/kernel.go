@@ -604,9 +604,7 @@ func (k *Kernel) Shutdown() {
 // distinct kernel-data lines, so more VMs means a larger switch-path
 // working set — one of Table III's two growth mechanisms.
 func (k *Kernel) touchPDState(c *CoreCtx, pd *PD, write bool) {
-	for i := uint32(0); i < vcpuActiveWords; i++ {
-		c.kctx.Touch(pd.kdata+i*4, write)
-	}
+	c.kctx.StreamRange(pd.kdata, vcpuActiveWords*4, 4, write)
 }
 
 // physicalLine reports whether irq is a per-VM maskable hardware line
@@ -852,10 +850,10 @@ func (k *Kernel) onIRQ(c *CoreCtx) {
 		if pd := k.plirqOwner[id-gic.PLIRQBase]; pd != nil {
 			// Distribution walks the owner VM's vGIC record list (Fig. 2)
 			// and updates the virtual IRQ state — per-VM kernel data that
-			// gets colder as more VMs rotate through the caches.
-			for i := uint32(0); i < 8; i++ {
-				c.kctx.Touch(pd.kdata+0x100+i*8, i >= 6)
-			}
+			// gets colder as more VMs rotate through the caches: six
+			// record reads, then two state writes.
+			c.kctx.StreamRange(pd.kdata+0x100, 48, 8, false)
+			c.kctx.StreamRange(pd.kdata+0x130, 16, 8, true)
 			c.kctx.Exec(14)
 			if pd.VGIC.Inject(id) {
 				k.wakeIfIdle(pd)

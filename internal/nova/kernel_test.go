@@ -1,12 +1,14 @@
 package nova
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/abi"
 	"repro/internal/bitstream"
 	"repro/internal/gic"
+	"repro/internal/physmem"
 	"repro/internal/pl"
 	"repro/internal/simclock"
 )
@@ -362,6 +364,69 @@ func TestSDSupervisedIO(t *testing.T) {
 	}
 	if data != 0x746f6f62 { // "boot" little-endian
 		t.Errorf("guest read %#x, want 'boot'", data)
+	}
+}
+
+// TestSDRejectsWrappingOffset: an SD offset near 2^32 must not wrap the
+// caller's RAM bounds check. Both directions are refused, the bytes below
+// the caller's RAM and the SD block stay as they were, and a clone (no
+// RAM of its own) cannot reach on-chip memory.
+func TestSDRejectsWrappingOffset(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	readBlock, writeBlock := bytes.Repeat([]byte{0xA5}, 512), bytes.Repeat([]byte{0x5A}, 512)
+	k.SDWriteImage(7, readBlock)
+	k.SDWriteImage(8, writeBlock)
+	offsets := []uint32{0xFFFF_FE00, 0xFFFF_FF00}
+	var status []uint32
+	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Caps: CapIODirect, Guest: &scriptGuest{"g", func(env *Env) {
+		for _, off := range offsets {
+			status = append(status, env.Hypercall(HcSDRead, 7, off), env.Hypercall(HcSDWrite, 8, off))
+		}
+	}}})
+	below, err := k.Bus.ReadBytes(pd.RAMBase-512, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(simclock.FromMillis(1))
+	if len(status) != 2*len(offsets) {
+		t.Fatalf("guest made %d SD calls, want %d", len(status), 2*len(offsets))
+	}
+	for i, s := range status {
+		if s != StatusInval {
+			t.Errorf("SD %s at offset %#x = %d, want StatusInval", []string{"read", "write"}[i%2], offsets[i/2], s)
+		}
+	}
+	if after, _ := k.Bus.ReadBytes(pd.RAMBase-512, 512); !bytes.Equal(after, below) {
+		t.Error("an SD read wrote below the caller's RAM")
+	}
+	if !bytes.Equal(k.sd[8], writeBlock) {
+		t.Error("an SD write copied memory from outside the caller's RAM")
+	}
+
+	_, img := bootFrozenTemplate(t, k, false)
+	var cloneStatus uint32
+	c := k.CreateClone(img, CloneConfig{Name: "c", Guest: &scriptGuest{"c", func(env *Env) {
+		env.ResumeSuspendExit()
+		cloneStatus = env.Hypercall(HcSDRead, 7, offsets[0])
+		for {
+			env.Hypercall(HcSuspend, 1)
+			env.CheckPreempt()
+		}
+	}}})
+	ocm, err := k.Bus.ReadBytes(physmem.Addr(offsets[0]), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.ActivateClone(c); err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(simclock.FromMillis(2))
+	if cloneStatus != StatusInval {
+		t.Errorf("clone SD read at offset %#x = %d, want StatusInval", offsets[0], cloneStatus)
+	}
+	if after, _ := k.Bus.ReadBytes(physmem.Addr(offsets[0]), 512); !bytes.Equal(after, ocm) {
+		t.Error("a clone's SD read wrote into on-chip memory")
 	}
 }
 

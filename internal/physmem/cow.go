@@ -15,9 +15,9 @@ import (
 //
 // The refcount table is shared by every core (parallel runs break COW
 // concurrently on different clones), so it is mutex-guarded — unlike the
-// frame table itself, whose safety argument (disjoint per-PD regions)
-// rule in frame() still holds: shared frames are materialized before any
-// clone can read them.
+// frame table itself, whose safety argument at frame() (disjoint per-PD
+// regions) still holds: shared frames are materialized before any clone
+// can read them, and no one writes them.
 //
 // Like the frame table, the refcounts are indexed by frame number
 // (frameNum: DDR, then OCM), in two levels: a table of 1 MB chunks, each
@@ -82,8 +82,9 @@ func (t *cowTable) lookup(a Addr) *frameRef {
 // frameBase rounds a down to its frame base address.
 func frameBase(a Addr) Addr { return a &^ (FrameSize - 1) }
 
-// Materialize force-allocates the backing frame for a RAM address so
-// later concurrent readers never race the lazy allocation in frame().
+// Materialize fills the frame slot of a RAM address (with the shared zero
+// frame if no one has written the frame), so later concurrent readers
+// never race the lazy slot store in frame().
 func (b *Bus) Materialize(a Addr) {
 	if !isRAM(a) {
 		panic(fmt.Sprintf("physmem: materialize of non-RAM address %#08x", uint32(a)))
@@ -172,8 +173,9 @@ func (b *Bus) Pinned(a Addr) bool {
 	return false
 }
 
-// Allocated reports whether the frame containing a has a backing buffer
-// (reclaimed and never-touched frames read as zero once re-allocated).
+// Allocated reports whether the frame containing a is materialized, on a
+// private buffer or on the shared zero frame (reclaimed and never-touched
+// frames read as zero once materialized again).
 func (b *Bus) Allocated(a Addr) bool {
 	return isRAM(a) && b.frames[frameNum(a)] != nil
 }
@@ -189,12 +191,18 @@ func (b *Bus) reclaim(n int) {
 
 // CopyFrame copies the 4 KB frame at src over the frame at dst (both
 // frame-aligned RAM addresses). This is the COW break's data move; the
-// caller charges its simulated cost.
+// caller charges its simulated cost. A src no one has written moves no
+// bytes: dst goes back to the shared zero frame.
 func (b *Bus) CopyFrame(dst, src Addr) {
 	if dst&(FrameSize-1) != 0 || src&(FrameSize-1) != 0 {
 		panic(fmt.Sprintf("physmem: unaligned frame copy %#08x <- %#08x", uint32(dst), uint32(src)))
 	}
-	*b.frame(dst) = *b.frame(src)
+	if s := b.frame(src); s != &zeroFrame {
+		*b.frameW(dst) = *s
+		return
+	}
+	b.frame(dst) // materializes and counts an untouched dst
+	b.frames[frameNum(dst)] = &zeroFrame
 }
 
 // SnapshotFrame returns a copy of the frame's current contents (used by
@@ -210,5 +218,5 @@ func (b *Bus) LoadFrame(a Addr, p []byte) {
 	if len(p) > FrameSize {
 		panic("physmem: LoadFrame payload exceeds a frame")
 	}
-	copy(b.frame(frameBase(a))[:], p)
+	copy(b.frameW(frameBase(a))[:], p)
 }

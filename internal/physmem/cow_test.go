@@ -220,3 +220,43 @@ func TestRefcountMisusePanics(t *testing.T) {
 	mustPanic(t, "second unpin", func() { b.Unpin(a) })
 	mustPanic(t, "share of a non-RAM range", func() { b.ShareRange(DDRBase+DDRSize-FrameSize, 2) })
 }
+
+// TestCopyZeroFrameAllocatesNothing: a COW break of a frame no one has
+// written moves no bytes and allocates nothing, even onto a frame never
+// touched before; the copy's first write gives it one private frame, and a
+// sibling copy still reads zero.
+func TestCopyZeroFrameAllocatesNothing(t *testing.T) {
+	b := NewBus()
+	src := DDRBase + 0x100_0000
+	b.Pin(src) // materialized, never written
+	dst := src
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst += FrameSize
+		b.CopyFrame(dst, src)
+	}); allocs != 0 {
+		t.Fatalf("CopyFrame from a never-written frame: %v allocations, want 0", allocs)
+	}
+	// src and 101 copies: AllocsPerRun makes one warm-up call.
+	if got := b.TouchedFrames(); got != 102 || !b.Allocated(dst) {
+		t.Fatalf("touched = %d, last copy allocated %v; want 102 true", got, b.Allocated(dst))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.CopyFrame(dst, src)
+		if err := b.Write32(dst+8, 0xC0FFEE); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("first write after a zero-frame copy: %v allocations, want 1", allocs)
+	}
+	if v, err := b.Read32(dst + 8); err != nil || v != 0xC0FFEE {
+		t.Fatalf("written copy read %#x, %v; want 0xc0ffee", v, err)
+	}
+	for _, a := range []Addr{src + 8, dst - FrameSize + 8} {
+		if v, err := b.Read32(a); err != nil || v != 0 {
+			t.Fatalf("frame %#x read %#x, %v after a write to a sibling copy; want 0", uint32(a), v, err)
+		}
+	}
+	if got := b.TouchedFrames(); got != 102 {
+		t.Fatalf("touched = %d after the write, want 102", got)
+	}
+}

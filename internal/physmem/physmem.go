@@ -3,8 +3,10 @@
 // windows (GIC, timers, the PL's PRR register groups through the AXI GP
 // port, the PCAP configuration interface, ...).
 //
-// Memory is sparse: DDR frames are allocated on first touch, so modelling
-// the paper's 512 MB part costs only what the workloads actually touch.
+// Memory is sparse: a RAM frame is materialized on first touch, so
+// modelling the paper's 512 MB part costs only what the workloads actually
+// touch, and a frame no one has written shares one read-only zero buffer,
+// so it costs no host memory until its first byte write.
 package physmem
 
 import (
@@ -81,6 +83,10 @@ func (e *BusError) Error() string {
 // frameBuf is one 4 KB sparse backing frame.
 type frameBuf [FrameSize]byte
 
+// zeroFrame backs every materialized frame that no one has written. It is
+// never written itself, so any number of cores may read it at once.
+var zeroFrame frameBuf
+
 // Bus is the physical interconnect: sparse DDR/OCM RAM plus MMIO windows.
 // It is the single source of truth for physical state; the caches sit in
 // front of it, the FPGA's AXI HP masters behind it.
@@ -90,8 +96,8 @@ type frameBuf [FrameSize]byte
 // the table walk issues a RAM read on every TLB miss, which made the map
 // lookup one of the hottest operations in the whole simulator.
 type Bus struct {
-	frames  []*frameBuf  // ramFrames entries, indexed by frameNum
-	touched atomic.Int64 // allocated frames, for the footprint report
+	frames  []*frameBuf  // ramFrames entries, indexed by frameNum; nil until materialized
+	touched atomic.Int64 // materialized frames, for the footprint report
 	windows []window     // sorted by base
 
 	// Copy-on-write frame sharing state (cow.go).
@@ -156,18 +162,34 @@ func ramEnd(a Addr) uint64 {
 	return uint64(DDRBase) + DDRSize
 }
 
-// frame returns the backing frame for a RAM address, allocating on demand.
+// frame and frameW return the backing frame of a RAM address, for reading
+// and for writing. Either materializes an untouched frame and counts it;
+// frame backs it with zeroFrame, and frameW gives a frame still on
+// zeroFrame a private buffer before returning it.
+//
+// Parallel runs keep concurrent cores off shared untouched frames: bytes
+// only move through per-PD regions (disjoint guest RAM bases, page-table
+// arenas carved at construction), while kernel text and data traffic is
+// cost-only — the caches track tag state and never read the bus. A plain
+// slot store is therefore safe; only the global footprint counter is
+// shared and needs to be atomic.
 func (b *Bus) frame(a Addr) *frameBuf {
 	slot := &b.frames[frameNum(a)]
 	if *slot == nil {
-		// Parallel runs keep concurrent cores off shared untouched frames:
-		// bytes only move through per-PD regions (disjoint guest RAM bases,
-		// page-table arenas carved at construction), while kernel text and
-		// data traffic is cost-only — the caches track tag state and never
-		// read the bus. A plain slot store is therefore safe; only the
-		// global footprint counter is shared and needs to be atomic.
-		*slot = new(frameBuf)
+		*slot = &zeroFrame
 		b.touched.Add(1)
+	}
+	return *slot
+}
+
+func (b *Bus) frameW(a Addr) *frameBuf {
+	slot := &b.frames[frameNum(a)]
+	switch *slot {
+	case nil:
+		b.touched.Add(1)
+		fallthrough
+	case &zeroFrame:
+		*slot = new(frameBuf)
 	}
 	return *slot
 }
@@ -201,7 +223,7 @@ func (b *Bus) Read32(a Addr) (uint32, error) {
 // Write32 writes a 32-bit little-endian word.
 func (b *Bus) Write32(a Addr, v uint32) error {
 	if isRAM(a) {
-		f := b.frame(a)
+		f := b.frameW(a)
 		off := a & (FrameSize - 1)
 		if off+4 <= FrameSize {
 			binary.LittleEndian.PutUint32(f[off:off+4], v)
@@ -234,7 +256,7 @@ func (b *Bus) Write8(a Addr, v byte) error {
 	if !isRAM(a) {
 		return &BusError{Addr: a, Write: true}
 	}
-	b.frame(a)[a&(FrameSize-1)] = v
+	b.frameW(a)[a&(FrameSize-1)] = v
 	return nil
 }
 
@@ -280,14 +302,15 @@ func (b *Bus) WriteBytes(a Addr, p []byte) error {
 	m, err := ramPrefix(a, len(p), true)
 	for i := 0; i < m; {
 		cur := a + Addr(i)
-		i += copy(b.frame(cur)[cur&(FrameSize-1):], p[i:m])
+		i += copy(b.frameW(cur)[cur&(FrameSize-1):], p[i:m])
 	}
 	return err
 }
 
-// Zero clears n bytes of RAM starting at a, allocating untouched frames
-// exactly as the word writes it replaces would. It is RAM only: a range
-// that leaves its DDR or OCM region writes nothing and returns a
+// Zero clears n bytes of RAM starting at a, materializing untouched frames
+// exactly as the word writes it replaces would. A frame no one has written
+// stays on zeroFrame; only a private frame is cleared. It is RAM only: a
+// range that leaves its DDR or OCM region writes nothing and returns a
 // *BusError at the first address past RAM.
 func (b *Bus) Zero(a Addr, n int) error {
 	m, err := ramPrefix(a, n, true)
@@ -298,12 +321,15 @@ func (b *Bus) Zero(a Addr, n int) error {
 		cur := a + Addr(i)
 		off := int(cur & (FrameSize - 1))
 		k := min(FrameSize-off, m-i)
-		clear(b.frame(cur)[off : off+k])
+		if f := b.frame(cur); f != &zeroFrame {
+			clear(f[off : off+k])
+		}
 		i += k
 	}
 	return nil
 }
 
-// TouchedFrames reports how many distinct 4 KB frames have been allocated;
-// the footprint report uses it as the resident-memory figure.
+// TouchedFrames reports how many distinct 4 KB frames are materialized,
+// whether on a private buffer or on the shared zero frame; the footprint
+// report uses it as the resident-memory figure.
 func (b *Bus) TouchedFrames() int { return int(b.touched.Load()) }
