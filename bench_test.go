@@ -230,7 +230,7 @@ func BenchmarkAblationHwMMU(b *testing.B) {
 func BenchmarkAblationPCAPPoll(b *testing.B) {
 	run := func(b *testing.B, polled bool) {
 		for i := 0; i < b.N; i++ {
-			nm := ucos.NewNativeMachine(experiments.PaperCores())
+			nm := ucos.NewNativeMachine()
 			os := ucos.NewOS("bench", nm)
 			var total simclock.Cycles
 			runs := 0

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/apps"
+	"repro/internal/abi"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
 	"repro/internal/pl"
@@ -31,11 +31,9 @@ func main() {
 	// One large PRR only: maximal contention for the shared task.
 	caps := hwtask.PaperPRRCapacities()[:1]
 	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for _, id := range hwtask.QAMTaskIDs {
-		fabric.RegisterCore(id, apps.QAMCore{})
-	}
-	for _, id := range hwtask.FFTTaskIDs {
-		fabric.RegisterCore(id, apps.FFTCore{})
+	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
+	for id, core := range hwtask.PaperCores() {
+		fabric.RegisterCore(id, core)
 	}
 	k.AttachFabric(fabric)
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
@@ -44,7 +42,7 @@ func main() {
 	}
 	svcPD := k.CreatePD(nova.PDConfig{
 		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: hwtask.NewService(mgr, k), CodeBase: nova.GuestUserBase,
+		Guest: &hwtask.Service{M: mgr, K: k}, CodeBase: nova.GuestUserBase,
 		CodeSize: 8 << 10, Affinity: sched.MaskOf(1), StartSuspended: true,
 	})
 	k.RegisterHwService(svcPD)
@@ -61,7 +59,7 @@ func main() {
 					for {
 						h, st := t.AcquireHw(hwtask.TaskQAM4)
 						if h == nil {
-							if st == hwtask.ReplyBusy {
+							if st == abi.StatusBusy {
 								t.Delay(2)
 								continue
 							}

@@ -7,12 +7,9 @@ package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
@@ -26,32 +23,13 @@ func main() {
 	k := nova.NewKernelSMP(2)
 	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
 
-	// 2. Build the PL: the paper's four reconfigurable regions with the
-	//    FFT/QAM bitstream catalog and behavioural IP cores.
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for _, id := range hwtask.QAMTaskIDs {
-		fabric.RegisterCore(id, apps.QAMCore{})
-	}
-	for _, id := range hwtask.FFTTaskIDs {
-		fabric.RegisterCore(id, apps.FFTCore{})
-	}
-	k.AttachFabric(fabric)
+	// 2. Bring up the paper's hardware-task platform: the PL with its
+	//    four reconfigurable regions, the FFT/QAM bitstream catalog and
+	//    behavioural IP cores, and the Hardware Task Manager as a
+	//    user-level service PD on core 1.
+	mgr := hwtask.BootPaperPlatform(k, sched.MaskOf(1))
 
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Start the Hardware Task Manager as a user-level service PD.
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: hwtask.NewService(mgr, k), CodeBase: nova.GuestUserBase,
-		CodeSize: 8 << 10, Affinity: sched.MaskOf(1), StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
-
-	// 4. Create one uC/OS-II guest with a task that uses the accelerator.
+	// 3. Create one uC/OS-II guest with a task that uses the accelerator.
 	guest := &ucos.Guest{
 		GuestName: "demo-vm",
 		Setup: func(os *ucos.OS) {
@@ -80,7 +58,7 @@ func main() {
 		Affinity: sched.MaskOf(0),
 	})
 
-	// 5. Run 50 simulated milliseconds and show what happened.
+	// 4. Run 50 simulated milliseconds and show what happened.
 	k.RunFor(simclock.FromMillis(50))
 	defer k.Shutdown()
 

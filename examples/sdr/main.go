@@ -9,43 +9,22 @@ package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
 )
 
 func buildSystem() (*nova.Kernel, *hwtask.Manager) {
-	// Dual-core deployment: the SDR guest owns core 0, the Hardware Task
-	// Manager service owns core 1, so accelerator requests never evict
-	// the pipeline from its core.
+	// Dual-core deployment: the SDR guest owns core 0, and the paper's
+	// hardware-task platform brings the Hardware Task Manager service up
+	// on core 1, so accelerator requests never evict the pipeline from
+	// its core.
 	k := nova.NewKernelSMP(2)
 	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for _, id := range hwtask.QAMTaskIDs {
-		fabric.RegisterCore(id, apps.QAMCore{})
-	}
-	for _, id := range hwtask.FFTTaskIDs {
-		fabric.RegisterCore(id, apps.FFTCore{})
-	}
-	k.AttachFabric(fabric)
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		log.Fatal(err)
-	}
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: hwtask.NewService(mgr, k), CodeBase: nova.GuestUserBase,
-		CodeSize: 8 << 10, Affinity: sched.MaskOf(1), StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
-	return k, mgr
+	return k, hwtask.BootPaperPlatform(k, sched.MaskOf(1))
 }
 
 func main() {

@@ -1,10 +1,10 @@
 // Package abi is the single source of truth for the guest<->kernel
 // binary interface: hypercall selector numbers, status codes, the
-// hardware-task reply packing, and the data-section consistency flags.
-// Both sides of the interface import it — the kernel (internal/nova)
-// aliases these constants for its call sites, and the guest-side stubs
-// (internal/ucos, internal/hwtask) issue calls with them directly — so
-// the two halves of the ABI can never drift apart.
+// hardware-task request descriptor and reply packing, and the
+// data-section consistency flags. Both sides of the interface import it
+// and spell every value abi.* — the kernel (internal/nova), the guest-side
+// stubs (internal/ucos) and the Hardware Task Manager (internal/hwtask) —
+// so the two halves of the ABI can never drift apart.
 //
 // Since the capability-space refactor a hypercall number is a *selector*
 // into the calling protection domain's capability table: the kernel's
@@ -65,6 +65,32 @@ const (
 	// (PD/semaphore/region/slot) are installed above it.
 	NumPortalSelectors = 32
 )
+
+// RequestKind distinguishes a hardware-task acquire (HcHwTaskRequest)
+// from a release (HcHwTaskRelease).
+type RequestKind int
+
+// Request kinds.
+const (
+	ReqAcquire RequestKind = iota
+	ReqRelease
+)
+
+// Request is one hardware-task request as the Hardware Task Manager sees
+// it: the kernel queues it on HcHwTaskRequest/HcHwTaskRelease, hands its
+// ID out through HcMgrNextRequest, and maps the descriptor into the
+// service's space (§IV-E: "Three arguments are passed via this
+// hypercall: the target hardware task ID number, the virtual address of
+// the task interface, and the virtual address of the hardware task data
+// section").
+type Request struct {
+	ID       uint32
+	Kind     RequestKind
+	ClientID int // the requesting PD's ID
+	TaskID   uint16
+	IfaceVA  uint32
+	DataVA   uint32
+}
 
 // HcPortalRecv mode bits (args[0]).
 const (

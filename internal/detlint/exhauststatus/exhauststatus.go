@@ -53,9 +53,6 @@ type family struct {
 
 var families = []family{
 	{pathSuffix: "internal/abi", prefix: "Status", bound: "NumStatusCodes"},
-	// The kernel-side aliases: StatusErr is the out-of-band all-ones
-	// code, so bounding by it keeps exactly the dense block.
-	{pathSuffix: "internal/nova", prefix: "Status", bound: "StatusErr"},
 	{pathSuffix: "internal/hwtask", prefix: "Reply", bound: ""},
 }
 

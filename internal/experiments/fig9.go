@@ -23,15 +23,11 @@ type Fig9 struct {
 // Figure9 derives the ratio series from a Table III run.
 func Figure9(t Table3) Fig9 {
 	f := Fig9{}
-	base := func(native float64, oneVM float64) float64 {
-		if native > 0 {
-			return native
-		}
-		return oneVM
-	}
-	eBase := base(0, t.Virt[0].Entry)
-	xBase := base(0, t.Virt[0].Exit)
-	iBase := base(0, t.Virt[0].IRQEntry)
+	// Entry, exit and IRQ entry are zero natively: the one-VM row is
+	// their base.
+	eBase := t.Virt[0].Entry
+	xBase := t.Virt[0].Exit
+	iBase := t.Virt[0].IRQEntry
 	cBase := t.Native.Exec
 	tBase := t.Native.Exec // native total == native exec (no entry/exit)
 	for i, r := range t.Virt {

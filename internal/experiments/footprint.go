@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/abi"
 	"repro/internal/nova"
 )
 
@@ -32,7 +33,7 @@ const VirtHypercallsUsed = 17
 // counts are best-effort: zero when sources are not on disk).
 func CollectFootprint(root string) Footprint {
 	return Footprint{
-		Hypercalls:        nova.NumHypercalls,
+		Hypercalls:        abi.NumHypercalls,
 		UCOSHypercalls:    VirtHypercallsUsed,
 		KernelModelBytes:  nova.KernelCodeSize,
 		KernelLoC:         countGoLoC(filepath.Join(root, "internal", "nova")),

@@ -7,11 +7,11 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/abi"
 	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/measure"
 	"repro/internal/nova"
-	"repro/internal/pl"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
@@ -31,8 +31,6 @@ type Config struct {
 	Iterations int
 	// QuantumMs is the guest time slice (paper: 33 ms).
 	QuantumMs float64
-	// TickMs is the guest OS tick period (paper-realistic: 1 ms).
-	TickMs float64
 	// RequestGapTicks is T_hw's delay between requests, in guest ticks.
 	// Roughly one request per slice mirrors the paper's heavy-workload
 	// regime.
@@ -59,23 +57,10 @@ func DefaultConfig() Config {
 		Guests:          4,
 		Iterations:      24,
 		QuantumMs:       33,
-		TickMs:          1,
 		RequestGapTicks: 31,
 		Warmup:          4,
 		Seed:            1,
 	}
-}
-
-// PaperCores builds the behavioural IP-core set for the paper's tasks.
-func PaperCores() map[uint16]pl.Accel {
-	cores := map[uint16]pl.Accel{}
-	for _, id := range hwtask.FFTTaskIDs {
-		cores[id] = apps.FFTCore{}
-	}
-	for _, id := range hwtask.QAMTaskIDs {
-		cores[id] = apps.QAMCore{}
-	}
-	return cores
 }
 
 // DefaultTaskMenu is the deterministic stand-in for T_hw's "randomly
@@ -166,7 +151,7 @@ func hwDriverTask(cfg Config, vm int, done *bool, requests *int, stopWhenDone bo
 				if i >= cfg.Warmup {
 					*requests++
 				}
-			} else if st == hwtask.ReplyBusy && i >= cfg.Warmup {
+			} else if st == abi.StatusBusy && i >= cfg.Warmup {
 				*requests++ // busy replies are manager executions too
 			}
 			t.Delay(cfg.RequestGapTicks)
@@ -248,29 +233,10 @@ func BuildVirtSystem(cfg Config) *VirtSystem {
 		k.Sched = sched.NewPrioRR(1, quantum)
 	}
 
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
-
+	mgr := hwtask.BootPaperPlatform(k, svcMask)
 	if cfg.CacheBytes != 0 {
 		k.Reconfig.SetCacheCapacity(cfg.CacheBytes)
 	}
-
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	svc := hwtask.NewService(mgr, k)
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: svc, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
-		Affinity: svcMask, StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
 
 	sys := &VirtSystem{
 		Kernel:  k,
@@ -289,7 +255,6 @@ func BuildVirtSystem(cfg Config) *VirtSystem {
 		g := &ucos.Guest{
 			GuestName: fmt.Sprintf("ucos-vm%d", i),
 			Setup: func(os *ucos.OS) {
-				os.TickPeriod = simclock.FromMillis(cfg.TickMs)
 				os.TaskCreate("t_hw", 8, hwDriverTask(cfg, i, &sys.done[i], &sys.reqs[i], false, onWarm))
 				os.TaskCreate("workload", 30, workloadTask(i))
 			},
@@ -344,9 +309,8 @@ type NativeSystem struct {
 
 // BuildNativeSystem boots the baseline with the same two tasks.
 func BuildNativeSystem(cfg Config) *NativeSystem {
-	nm := ucos.NewNativeMachine(PaperCores())
+	nm := ucos.NewNativeMachine()
 	os := ucos.NewOS("native-ucos", nm)
-	os.TickPeriod = simclock.FromMillis(cfg.TickMs)
 	sys := &NativeSystem{Machine: nm, OS: os, Probes: nm.Probes}
 	os.TaskCreate("t_hw", 8, hwDriverTask(cfg, 0, &sys.done, &sys.reqs, true, nm.Probes.Reset))
 	os.TaskCreate("workload", 30, workloadTask(0))

@@ -3,6 +3,7 @@ package hwtask
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/bitstream"
 	"repro/internal/physmem"
 	"repro/internal/pl"
@@ -83,6 +84,18 @@ func PaperPRRCapacities() []bitstream.Resources {
 		{LUTs: 2200, BRAM: 4, DSP: 8},
 		{LUTs: 2200, BRAM: 4, DSP: 8},
 	}
+}
+
+// PaperCores builds the behavioural IP-core set for the paper's tasks.
+func PaperCores() map[uint16]pl.Accel {
+	cores := map[uint16]pl.Accel{}
+	for _, id := range FFTTaskIDs {
+		cores[id] = apps.FFTCore{}
+	}
+	for _, id := range QAMTaskIDs {
+		cores[id] = apps.QAMCore{}
+	}
+	return cores
 }
 
 // InstallTaskSet encodes each spec's synthetic bitstream into the store

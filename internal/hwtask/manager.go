@@ -14,7 +14,9 @@
 // natively inside a non-virtualized RTOS (NativeActions — the paper's
 // baseline, where "the hardware task manager service does not need to
 // update the page tables since all tasks execute in a unified memory
-// space").
+// space"). Both harnesses hand Manager.Handle the abi.Request the
+// request was queued as. BootPaperPlatform brings the whole evaluation
+// platform up on a kernel: fabric, task set and service PD.
 package hwtask
 
 import (
@@ -56,39 +58,6 @@ type PRRState struct {
 	Executions uint64 // completed dispatches through this region
 }
 
-// RequestKind mirrors nova's acquire/release split without importing it.
-type RequestKind int
-
-// Request kinds.
-const (
-	ReqAcquire RequestKind = iota
-	ReqRelease
-)
-
-// Request is the manager's view of one client request.
-type Request struct {
-	Kind     RequestKind
-	ReqID    uint32
-	ClientID int
-	TaskID   uint16
-	IfaceVA  uint32
-	DataVA   uint32
-}
-
-// Reply status codes — the shared ABI's hypercall statuses, aliased so
-// the decision core keeps its historical spelling without duplicating
-// the values.
-const (
-	ReplyOK       = abi.StatusOK
-	ReplyReconfig = abi.StatusReconfig
-	ReplyBusy     = abi.StatusBusy
-	ReplyInval    = abi.StatusInval
-	// ReplyFaulted means every PRR compatible with the task is quarantined
-	// (repeated configuration faults); retrying will not help until a
-	// region heals or the task set changes.
-	ReplyFaulted = abi.StatusFaulted
-)
-
 // Actions abstracts the privileged effects of an allocation so the same
 // decision core serves the virtualized service (capability portals) and
 // the native baseline (direct device programming).
@@ -105,18 +74,18 @@ type Actions interface {
 	Reclaim(clientID, prr int)
 	// MapIface makes prr's register group reachable by the client at its
 	// requested VA — stage (3). No-op natively (unified space).
-	MapIface(req Request, prr int) bool
+	MapIface(req abi.Request, prr int) bool
 	// LoadWindow points the hwMMU at the client's data section — stage (4).
-	LoadWindow(req Request, prr int) bool
+	LoadWindow(req abi.Request, prr int) bool
 	// StartReconfig launches the PCAP download — stage (5). Under
 	// Mini-NOVA this submits to the kernel's reconfiguration pipeline
 	// (cache + request queue) and only fails on invalid arguments; the
 	// native baseline programs the device directly and still fails when
 	// the PCAP is busy.
-	StartReconfig(req Request, t *TaskInfo, prr int) bool
+	StartReconfig(req abi.Request, t *TaskInfo, prr int) bool
 	// AllocIRQ wires a PL interrupt line for the region to the client and
 	// returns the GIC interrupt ID (ok=false when lines are exhausted).
-	AllocIRQ(req Request, prr int) (irq int, ok bool)
+	AllocIRQ(req abi.Request, prr int) (irq int, ok bool)
 }
 
 // Stats counts manager outcomes.
@@ -186,18 +155,18 @@ func (m *Manager) touchPRR(ctx *cpu.ExecContext, prr int, write bool) {
 
 // Handle runs the Fig. 7 routine for one request and returns the reply
 // status. All privileged effects go through act.
-func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 {
+func (m *Manager) Handle(ctx *cpu.ExecContext, req abi.Request, act Actions) uint32 {
 	m.Stats.Requests++
 	// Stage 1-2 prologue: validate the request, look up the task table.
 	m.exec(ctx, 900)
 
-	if req.Kind == ReqRelease {
+	if req.Kind == abi.ReqRelease {
 		return m.handleRelease(ctx, req, act)
 	}
 
 	t, ok := m.Tasks[req.TaskID]
 	if !ok {
-		return ReplyInval
+		return abi.StatusInval
 	}
 	m.touchTask(ctx, req.TaskID)
 
@@ -249,10 +218,10 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 			// Nothing compatible is left in the placement pool: Busy would
 			// invite a futile retry storm, so tell the client the truth.
 			m.Stats.Faulted++
-			return ReplyFaulted
+			return abi.StatusFaulted
 		}
 		m.Stats.Busy++
-		return ReplyBusy
+		return abi.StatusBusy
 	}
 
 	// Stage 3 preamble: reclaim from the previous owner if necessary
@@ -266,13 +235,13 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 	// Stage 3: map the hardware-task interface into the client.
 	m.exec(ctx, 600)
 	if !act.MapIface(req, chosen) {
-		return ReplyInval
+		return abi.StatusInval
 	}
 
 	// Stage 4: load the hwMMU with the client's data section.
 	m.exec(ctx, 350)
 	if !act.LoadWindow(req, chosen) {
-		return ReplyInval
+		return abi.StatusInval
 	}
 
 	// Interrupt plumbing (§IV-D).
@@ -282,7 +251,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 	// Stage 5: reconfigure if the region does not hold the task yet. The
 	// manager launches the PCAP transfer and does NOT wait ("to overlap
 	// the significant reconfiguration overhead", §IV-E).
-	status := uint32(ReplyOK)
+	status := uint32(abi.StatusOK)
 	if needReconfig {
 		m.exec(ctx, 500)
 		if !act.StartReconfig(req, t, chosen) {
@@ -290,11 +259,11 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 			// transfer, so the caller retries. The virtualized path
 			// queues the request in the reconfiguration pipeline instead.
 			m.Stats.Busy++
-			return ReplyBusy
+			return abi.StatusBusy
 		}
 		m.Stats.Reconfigs++
 		m.PRRs[chosen].Loading = true
-		status = ReplyReconfig
+		status = abi.StatusReconfig
 	} else {
 		m.Stats.Hits++
 	}
@@ -308,7 +277,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 	return abi.MakeReply(status, chosen, irq)
 }
 
-func (m *Manager) handleRelease(ctx *cpu.ExecContext, req Request, act Actions) uint32 {
+func (m *Manager) handleRelease(ctx *cpu.ExecContext, req abi.Request, act Actions) uint32 {
 	m.Stats.Releases++
 	for r := range m.PRRs {
 		if m.PRRs[r].Client == req.ClientID && (req.TaskID == 0 || m.PRRs[r].TaskID == int(req.TaskID)) {
@@ -319,7 +288,7 @@ func (m *Manager) handleRelease(ctx *cpu.ExecContext, req Request, act Actions) 
 			m.touchPRR(ctx, r, true)
 		}
 	}
-	return ReplyOK
+	return abi.StatusOK
 }
 
 // NotifyLoaded marks a PCAP completion for the region (called by the

@@ -27,25 +27,25 @@ type fakeActions struct {
 func (f *fakeActions) PRRBusy(prr int) bool        { return f.busy[prr] }
 func (f *fakeActions) PRRQuarantined(prr int) bool { return f.quar[prr] }
 func (f *fakeActions) Reclaim(c, p int)            { f.reclaims = append(f.reclaims, [2]int{c, p}) }
-func (f *fakeActions) MapIface(r Request, p int) bool {
+func (f *fakeActions) MapIface(r abi.Request, p int) bool {
 	if f.mapFail {
 		return false
 	}
 	f.mapped = append(f.mapped, p)
 	return true
 }
-func (f *fakeActions) LoadWindow(r Request, p int) bool {
+func (f *fakeActions) LoadWindow(r abi.Request, p int) bool {
 	f.windows = append(f.windows, p)
 	return true
 }
-func (f *fakeActions) StartReconfig(r Request, t *TaskInfo, p int) bool {
+func (f *fakeActions) StartReconfig(r abi.Request, t *TaskInfo, p int) bool {
 	if f.pcapBusy {
 		return false
 	}
 	f.reconfigs = append(f.reconfigs, p)
 	return true
 }
-func (f *fakeActions) AllocIRQ(r Request, p int) (int, bool) {
+func (f *fakeActions) AllocIRQ(r abi.Request, p int) (int, bool) {
 	f.irqs = append(f.irqs, p)
 	return 61 + p, true
 }
@@ -75,8 +75,8 @@ func mgr(t *testing.T) *Manager {
 	return m
 }
 
-func req(client int, task uint16) Request {
-	return Request{Kind: ReqAcquire, ReqID: 1, ClientID: client, TaskID: task,
+func req(client int, task uint16) abi.Request {
+	return abi.Request{Kind: abi.ReqAcquire, ID: 1, ClientID: client, TaskID: task,
 		IfaceVA: 0x0900_0000, DataVA: 0x0800_0000}
 }
 
@@ -96,7 +96,7 @@ func TestColdAllocationReconfigures(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}}
 	status := abi.ReplyStatus(m.Handle(testCtx(), req(1, TaskFFT1024), act))
-	if status != ReplyReconfig {
+	if status != abi.StatusReconfig {
 		t.Fatalf("cold allocation status = %d, want reconfig", status)
 	}
 	if len(act.reconfigs) != 1 || act.reconfigs[0] != 0 {
@@ -117,7 +117,7 @@ func TestWarmAllocationAvoidsReconfig(t *testing.T) {
 	m.NotifyLoaded(0)
 	// Same task again, same client: configuration is already loaded.
 	status := abi.ReplyStatus(m.Handle(testCtx(), req(1, TaskQAM16), act))
-	if status != ReplyOK {
+	if status != abi.StatusOK {
 		t.Fatalf("warm allocation status = %d, want OK", status)
 	}
 	if len(act.reconfigs) != 1 {
@@ -135,7 +135,7 @@ func TestReclaimFromOtherVM(t *testing.T) {
 	m.NotifyLoaded(0)
 	// VM 2 wants the same task: region must be reclaimed from VM 1.
 	status := abi.ReplyStatus(m.Handle(testCtx(), req(2, TaskQAM4), act))
-	if status != ReplyOK {
+	if status != abi.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if len(act.reclaims) != 1 || act.reclaims[0] != [2]int{1, 0} {
@@ -150,7 +150,7 @@ func TestBusyWhenAllRegionsExecuting(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{0: true, 1: true}}
 	status := m.Handle(testCtx(), req(1, TaskFFT256), act)
-	if status != ReplyBusy {
+	if status != abi.StatusBusy {
 		t.Fatalf("status = %d, want Busy (Fig. 7 stage 2)", status)
 	}
 	if m.Stats.Busy != 1 {
@@ -172,7 +172,7 @@ func TestBusyRegionsNeverVictims(t *testing.T) {
 	// PRR0 starts executing; a request for a third FFT must take PRR1.
 	act.busy = map[int]bool{0: true}
 	status := abi.ReplyStatus(m.Handle(testCtx(), req(3, TaskFFT1024), act))
-	if status != ReplyReconfig {
+	if status != abi.StatusReconfig {
 		t.Fatalf("status = %d", status)
 	}
 	if got := act.reconfigs[len(act.reconfigs)-1]; got != 1 {
@@ -184,7 +184,7 @@ func TestPCAPContentionReturnsBusy(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}, pcapBusy: true}
 	status := m.Handle(testCtx(), req(1, TaskFFT256), act)
-	if status != ReplyBusy {
+	if status != abi.StatusBusy {
 		t.Errorf("status = %d, want Busy when PCAP is occupied", status)
 	}
 }
@@ -192,7 +192,7 @@ func TestPCAPContentionReturnsBusy(t *testing.T) {
 func TestUnknownTaskRejected(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}}
-	if status := m.Handle(testCtx(), req(1, 999), act); status != ReplyInval {
+	if status := m.Handle(testCtx(), req(1, 999), act); status != abi.StatusInval {
 		t.Errorf("unknown task status = %d, want Inval", status)
 	}
 }
@@ -202,8 +202,8 @@ func TestRelease(t *testing.T) {
 	act := &fakeActions{busy: map[int]bool{}}
 	m.Handle(testCtx(), req(1, TaskQAM4), act)
 	m.NotifyLoaded(0)
-	status := m.Handle(testCtx(), Request{Kind: ReqRelease, ClientID: 1, TaskID: TaskQAM4}, act)
-	if status != ReplyOK {
+	status := m.Handle(testCtx(), abi.Request{Kind: abi.ReqRelease, ClientID: 1, TaskID: TaskQAM4}, act)
+	if status != abi.StatusOK {
 		t.Fatalf("release status = %d", status)
 	}
 	if m.OwnerOf(0) != -1 {
@@ -214,7 +214,7 @@ func TestRelease(t *testing.T) {
 	}
 	// Next client gets a warm hit.
 	st := abi.ReplyStatus(m.Handle(testCtx(), req(2, TaskQAM4), act))
-	if st != ReplyOK || m.Stats.Hits != 1 {
+	if st != abi.StatusOK || m.Stats.Hits != 1 {
 		t.Errorf("post-release allocation: status=%d hits=%d", st, m.Stats.Hits)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/nova"
 	"repro/internal/physmem"
 	"repro/internal/pl"
+	"repro/internal/sched"
 )
 
 // Service adapts Manager to a Mini-NOVA protection domain: the user-level
@@ -21,9 +22,33 @@ type Service struct {
 	K *nova.Kernel
 }
 
-// NewService wires a manager to a kernel.
-func NewService(m *Manager, k *nova.Kernel) *Service {
-	return &Service{M: m, K: k}
+// BootPaperPlatform brings up the paper's hardware-task platform on k
+// (Fig. 8): the PL fabric with the four PRRs of PaperPRRCapacities and
+// the PaperCores accelerators, attached to the kernel; a Manager holding
+// PaperTaskSet, its bitstreams written to the kernel's store; and the
+// Hardware Task Manager service PD "hwtm", created suspended at service
+// priority on the cores of affinity (zero = any) and registered with the
+// kernel.
+func BootPaperPlatform(k *nova.Kernel, affinity sched.CPUMask) *Manager {
+	caps := PaperPRRCapacities()
+	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
+	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
+	for id, core := range PaperCores() {
+		fabric.RegisterCore(id, core)
+	}
+	k.AttachFabric(fabric)
+
+	mgr := NewManager(len(caps), nova.GuestUserBase+0x10_0000)
+	if err := InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, PaperTaskSet()); err != nil {
+		panic(err)
+	}
+	svcPD := k.CreatePD(nova.PDConfig{
+		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
+		Guest: &Service{M: mgr, K: k}, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
+		Affinity: affinity, StartSuspended: true,
+	})
+	k.RegisterHwService(svcPD)
+	return mgr
 }
 
 // RunSlice is the service loop: fetch request, handle, post reply; the
@@ -32,22 +57,10 @@ func NewService(m *Manager, k *nova.Kernel) *Service {
 func (s *Service) RunSlice(env *nova.Env) {
 	reqID := env.Hypercall(abi.HcMgrNextRequest)
 	for {
-		view, ok := s.K.MgrRequest(reqID)
+		req, ok := s.K.MgrRequest(reqID)
 		if !ok {
 			reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusInval)
 			continue
-		}
-		kind := ReqAcquire
-		if view.Kind == nova.HwReqRelease {
-			kind = ReqRelease
-		}
-		req := Request{
-			Kind:     kind,
-			ReqID:    view.ID,
-			ClientID: view.ClientID,
-			TaskID:   view.TaskID,
-			IfaceVA:  view.IfaceVA,
-			DataVA:   view.DataVA,
 		}
 		// Opportunistically clear Loading flags for finished transfers:
 		// a region is done loading once the reconfiguration pipeline has
@@ -59,7 +72,7 @@ func (s *Service) RunSlice(env *nova.Env) {
 				}
 			}
 		}
-		status := s.M.Handle(env.Ctx, req, &portalActions{env: env, req: req})
+		status := s.M.Handle(env.Ctx, req, &portalActions{env: env})
 		reqID = env.Hypercall(abi.HcMgrComplete, reqID, status)
 	}
 }
@@ -67,7 +80,6 @@ func (s *Service) RunSlice(env *nova.Env) {
 // portalActions implements Actions through the HcMgr* capability portals.
 type portalActions struct {
 	env *nova.Env
-	req Request
 }
 
 func (a *portalActions) PRRBusy(prr int) bool {
@@ -87,11 +99,11 @@ func (a *portalActions) Reclaim(clientID, prr int) {
 	a.env.Hypercall(abi.HcMgrUnmapIface, uint32(clientID), uint32(prr))
 }
 
-func (a *portalActions) MapIface(req Request, prr int) bool {
-	return a.env.Hypercall(abi.HcMgrMapIface, req.ReqID, uint32(prr)) == abi.StatusOK
+func (a *portalActions) MapIface(req abi.Request, prr int) bool {
+	return a.env.Hypercall(abi.HcMgrMapIface, req.ID, uint32(prr)) == abi.StatusOK
 }
 
-func (a *portalActions) LoadWindow(req Request, prr int) bool {
+func (a *portalActions) LoadWindow(req abi.Request, prr int) bool {
 	return a.env.Hypercall(abi.HcMgrHwMMULoad, uint32(req.ClientID), uint32(prr)) == abi.StatusOK
 }
 
@@ -99,12 +111,12 @@ func (a *portalActions) LoadWindow(req Request, prr int) bool {
 // which hands the download to the kernel's reconfiguration pipeline:
 // cached bitstreams skip the SD staging read, and a busy PCAP queues the
 // request (by client priority) instead of failing it back here.
-func (a *portalActions) StartReconfig(req Request, t *TaskInfo, prr int) bool {
-	return a.env.Hypercall(abi.HcMgrPCAPStart, req.ReqID, t.BitstreamOff, t.BitstreamLen, uint32(prr)) == abi.StatusOK
+func (a *portalActions) StartReconfig(req abi.Request, t *TaskInfo, prr int) bool {
+	return a.env.Hypercall(abi.HcMgrPCAPStart, req.ID, t.BitstreamOff, t.BitstreamLen, uint32(prr)) == abi.StatusOK
 }
 
-func (a *portalActions) AllocIRQ(req Request, prr int) (int, bool) {
-	ret := a.env.Hypercall(abi.HcMgrAllocIRQ, req.ReqID, uint32(prr))
+func (a *portalActions) AllocIRQ(req abi.Request, prr int) (int, bool) {
+	ret := a.env.Hypercall(abi.HcMgrAllocIRQ, req.ID, uint32(prr))
 	if ret < 32 || ret == abi.StatusErr {
 		return 0, false
 	}
@@ -136,24 +148,24 @@ func (a *NativeActions) PRRQuarantined(prr int) bool { return false }
 func (a *NativeActions) Reclaim(clientID, prr int) {}
 
 // MapIface implements Actions: the register group is already visible.
-func (a *NativeActions) MapIface(req Request, prr int) bool { return true }
+func (a *NativeActions) MapIface(req abi.Request, prr int) bool { return true }
 
 // LoadWindow implements Actions: still required — the hwMMU polices DMA
 // regardless of virtualization. The consistency flag at the head of the
 // data section is reset for the new owner, as the kernel does under
 // virtualization.
-func (a *NativeActions) LoadWindow(req Request, prr int) bool {
+func (a *NativeActions) LoadWindow(req abi.Request, prr int) bool {
 	w, ok := a.Sections[req.ClientID]
 	if !ok {
 		return false
 	}
 	a.Fabric.HwMMU.Load(prr, w)
-	_ = a.Fabric.Bus.Write32(w.Base, 1 /* owned */)
+	_ = a.Fabric.Bus.Write32(w.Base, abi.DataSectFlagOwned)
 	return true
 }
 
 // StartReconfig implements Actions by programming the PCAP directly.
-func (a *NativeActions) StartReconfig(req Request, t *TaskInfo, prr int) bool {
+func (a *NativeActions) StartReconfig(req abi.Request, t *TaskInfo, prr int) bool {
 	if a.Fabric.PCAP.Busy() {
 		return false
 	}
@@ -168,7 +180,7 @@ func (a *NativeActions) StartReconfig(req Request, t *TaskInfo, prr int) bool {
 
 // AllocIRQ implements Actions: allocate the line and enable it at the GIC
 // (the native RTOS receives it directly).
-func (a *NativeActions) AllocIRQ(req Request, prr int) (int, bool) {
+func (a *NativeActions) AllocIRQ(req abi.Request, prr int) (int, bool) {
 	if line := a.Fabric.PRRs[prr].IRQLine; line >= 0 {
 		return gic.PLIRQBase + line, true
 	}

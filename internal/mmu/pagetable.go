@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/physmem"
@@ -30,12 +31,19 @@ func NewFrameAllocator(base physmem.Addr, size uint32) *FrameAllocator {
 // Alloc returns size bytes aligned to align, or panics when the pool is
 // exhausted (a configuration error, not a runtime condition).
 func (a *FrameAllocator) Alloc(size, align uint32) physmem.Addr {
-	p := (a.next + physmem.Addr(align-1)) &^ physmem.Addr(align-1)
-	if p+physmem.Addr(size) > a.end {
+	p, ok := a.fit(size, align)
+	if !ok {
 		panic(fmt.Sprintf("mmu: frame allocator exhausted (want %d bytes)", size))
 	}
 	a.next = p + physmem.Addr(size)
 	return p
+}
+
+// fit returns where Alloc(size, align) would place its block, and
+// whether the pool has room for it.
+func (a *FrameAllocator) fit(size, align uint32) (physmem.Addr, bool) {
+	p := (a.next + physmem.Addr(align-1)) &^ physmem.Addr(align-1)
+	return p, p+physmem.Addr(size) <= a.end
 }
 
 // Remaining reports unallocated bytes.
@@ -137,6 +145,34 @@ func (pt *PageTable) MapPages(va uint32, pa physmem.Addr, n int, domain, ap uint
 		}
 		n -= m
 	}
+}
+
+// Reasons CheckMapPage refuses a mapping.
+var (
+	// ErrSlotInUse: the 1 MB slot holds a section, or a second-level
+	// table of another domain.
+	ErrSlotInUse = errors.New("mmu: 1MB slot holds a section or another domain's table")
+	// ErrNoTableRoom: the slot has no second-level table and the
+	// allocator has no room for one.
+	ErrNoTableRoom = errors.New("mmu: no room for a second-level table")
+)
+
+// CheckMapPage reports, without touching the table, why MapPage(va, _,
+// domain, _) would panic, or nil when it would succeed.
+func (pt *PageTable) CheckMapPage(va uint32, domain uint8) error {
+	l1d := mustRead(pt.bus, pt.l1addr(va))
+	switch l1d & 3 {
+	case descFault:
+		if _, ok := pt.alloc.fit(L2TableSize, L2TableSize); !ok {
+			return ErrNoTableRoom
+		}
+		return nil
+	case descCoarse:
+		if uint8(l1d>>5&0xF) == domain {
+			return nil
+		}
+	}
+	return ErrSlotInUse
 }
 
 // RemapPage rewrites an existing 4 KB small-page mapping in place: the

@@ -3,6 +3,7 @@ package nova
 import (
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/capspace"
 	"repro/internal/simclock"
 )
@@ -30,14 +31,14 @@ func TestPortalErrorPaths(t *testing.T) {
 			invoke: func(env *Env, _ uint32) uint32 {
 				return env.Hypercall(99)
 			},
-			want: StatusBadSel,
+			want: abi.StatusBadSel,
 		},
 		{
 			name: "mgr-portal-never-delegated",
 			invoke: func(env *Env, _ uint32) uint32 {
-				return env.Hypercall(HcMgrHwMMULoad, 0, 0)
+				return env.Hypercall(abi.HcMgrHwMMULoad, 0, 0)
 			},
-			want: StatusBadSel,
+			want: abi.StatusBadSel,
 		},
 		{
 			name: "mgr-portals-without-device-delegation",
@@ -46,26 +47,26 @@ func TestPortalErrorPaths(t *testing.T) {
 			// portal resolves, its queue capability does not.
 			grants: CapHwManager,
 			invoke: func(env *Env, _ uint32) uint32 {
-				return env.Hypercall(HcMgrNextRequest)
+				return env.Hypercall(abi.HcMgrNextRequest)
 			},
-			want: StatusBadSel,
+			want: abi.StatusBadSel,
 		},
 		{
 			name: "insufficient-rights-sd-write",
 			// Every PD holds the SD-write portal capability; without the
 			// I/O grant it carries no rights.
 			invoke: func(env *Env, _ uint32) uint32 {
-				return env.Hypercall(HcSDWrite, 1, 0x2000)
+				return env.Hypercall(abi.HcSDWrite, 1, 0x2000)
 			},
-			want: StatusDenied,
+			want: abi.StatusDenied,
 		},
 		{
 			name:   "io-grant-unlocks-sd-write",
 			grants: CapIODirect,
 			invoke: func(env *Env, _ uint32) uint32 {
-				return env.Hypercall(HcSDWrite, 1, 0x2000)
+				return env.Hypercall(abi.HcSDWrite, 1, 0x2000)
 			},
-			want: StatusOK,
+			want: abi.StatusOK,
 		},
 		{
 			name: "revoked-capability",
@@ -82,18 +83,18 @@ func TestPortalErrorPaths(t *testing.T) {
 				return uint32(sel)
 			},
 			invoke: func(env *Env, sel uint32) uint32 {
-				return env.Hypercall(HcPortalCall, sel, 0x123)
+				return env.Hypercall(abi.HcPortalCall, sel, 0x123)
 			},
-			want: StatusRevoked,
+			want: abi.StatusRevoked,
 		},
 		{
 			name: "wrong-object-type-ipc-destination",
 			// HcNull is a portal capability, not a PD: calling it as an
 			// IPC destination is a type error, not a silent misroute.
 			invoke: func(env *Env, _ uint32) uint32 {
-				return env.Hypercall(HcPortalCall, HcNull, 0x123)
+				return env.Hypercall(abi.HcPortalCall, abi.HcNull, 0x123)
 			},
-			want: StatusBadType,
+			want: abi.StatusBadType,
 		},
 		{
 			name: "wrong-object-type-direct-invoke",
@@ -102,7 +103,7 @@ func TestPortalErrorPaths(t *testing.T) {
 			invoke: func(env *Env, _ uint32) uint32 {
 				return env.Hypercall(SelSelf)
 			},
-			want: StatusBadType,
+			want: abi.StatusBadType,
 		},
 		{
 			name: "cross-pd-selector-forgery",
@@ -120,9 +121,9 @@ func TestPortalErrorPaths(t *testing.T) {
 				return uint32(sel)
 			},
 			invoke: func(env *Env, sel uint32) uint32 {
-				return env.Hypercall(HcPortalCall, sel, 0x123)
+				return env.Hypercall(abi.HcPortalCall, sel, 0x123)
 			},
-			want: StatusBadSel,
+			want: abi.StatusBadSel,
 		},
 	}
 
@@ -183,14 +184,14 @@ func TestManagerClientForgery(t *testing.T) {
 	var got uint32
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		Guest: &scriptGuest{"hwtm", func(env *Env) {
-			got = env.Hypercall(HcMgrUnmapIface, 57 /* no such client */, 0)
+			got = env.Hypercall(abi.HcMgrUnmapIface, 57 /* no such client */, 0)
 		}}})
 	k.RegisterHwService(svc)
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		spin(env, 4)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusBadSel {
+	if got != abi.StatusBadSel {
 		t.Errorf("forged client id = %d, want StatusBadSel", got)
 	}
 }
@@ -204,11 +205,11 @@ func TestManagerSlotBounds(t *testing.T) {
 	var got uint32
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		Guest: &scriptGuest{"hwtm", func(env *Env) {
-			got = env.Hypercall(HcMgrAllocIRQ, 1, 99 /* no such PRR */)
+			got = env.Hypercall(abi.HcMgrAllocIRQ, 1, 99 /* no such PRR */)
 		}}})
 	k.RegisterHwService(svc)
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusBadSel {
+	if got != abi.StatusBadSel {
 		t.Errorf("out-of-range PRR = %d, want StatusBadSel", got)
 	}
 }
@@ -222,14 +223,14 @@ func TestIPCRecvRefusedWithUnrepliedCaller(t *testing.T) {
 	var second uint32 = 12345
 	server := k.CreatePD(PDConfig{Name: "server", Priority: PrioGuest,
 		Guest: &scriptGuest{"server", func(env *Env) {
-			env.Hypercall(HcPortalRecv, 1)          // receive the caller
-			second = env.Hypercall(HcPortalRecv, 0) // no reply yet: refused
-			env.Hypercall(HcPortalRecv, 2, 0x9)     // proper reply unblocks the caller
+			env.Hypercall(abi.HcPortalRecv, 1)          // receive the caller
+			second = env.Hypercall(abi.HcPortalRecv, 0) // no reply yet: refused
+			env.Hypercall(abi.HcPortalRecv, 2, 0x9)     // proper reply unblocks the caller
 		}}})
 	var sel, reply uint32
 	k.CreatePD(PDConfig{Name: "client", Priority: PrioGuest,
 		Guest: &scriptGuest{"client", func(env *Env) {
-			reply = env.Hypercall(HcPortalCall, sel, 0x5)
+			reply = env.Hypercall(abi.HcPortalCall, sel, 0x5)
 		}}})
 	s, err := k.DelegateIPC(server, k.PDs[1])
 	if err != nil {
@@ -237,7 +238,7 @@ func TestIPCRecvRefusedWithUnrepliedCaller(t *testing.T) {
 	}
 	sel = uint32(s)
 	k.RunFor(simclock.FromMillis(2))
-	if second != StatusInval {
+	if second != abi.StatusInval {
 		t.Errorf("recv with un-replied caller = %d, want StatusInval", second)
 	}
 	if reply != 0x9 {
@@ -252,12 +253,12 @@ func TestIPCCallerFailedWhenCalleeExits(t *testing.T) {
 	defer k.Shutdown()
 	server := k.CreatePD(PDConfig{Name: "server", Priority: PrioGuest,
 		Guest: &scriptGuest{"server", func(env *Env) {
-			env.Hypercall(HcPortalRecv, 1) // receive, never reply, exit
+			env.Hypercall(abi.HcPortalRecv, 1) // receive, never reply, exit
 		}}})
 	var sel, reply uint32
 	k.CreatePD(PDConfig{Name: "client", Priority: PrioGuest,
 		Guest: &scriptGuest{"client", func(env *Env) {
-			reply = env.Hypercall(HcPortalCall, sel, 0x5)
+			reply = env.Hypercall(abi.HcPortalCall, sel, 0x5)
 		}}})
 	s, err := k.DelegateIPC(server, k.PDs[1])
 	if err != nil {
@@ -268,7 +269,7 @@ func TestIPCCallerFailedWhenCalleeExits(t *testing.T) {
 	if !server.Dead() {
 		t.Fatal("server did not retire")
 	}
-	if reply != StatusErr {
+	if reply != abi.StatusErr {
 		t.Errorf("caller's reply after callee exit = %#x, want StatusErr", reply)
 	}
 }
@@ -281,17 +282,17 @@ func TestIPCFastPathSameCore(t *testing.T) {
 	const rounds = 64
 	server := k.CreatePD(PDConfig{Name: "server", Priority: PrioGuest,
 		Guest: &scriptGuest{"server", func(env *Env) {
-			word := env.Hypercall(HcPortalRecv, 1 /* RecvBlock */)
+			word := env.Hypercall(abi.HcPortalRecv, 1 /* RecvBlock */)
 			for i := 0; i < rounds-1; i++ {
-				word = env.Hypercall(HcPortalRecv, 3 /* RecvReply|RecvBlock */, (word&0xFF_FFFF)+1)
+				word = env.Hypercall(abi.HcPortalRecv, 3 /* RecvReply|RecvBlock */, (word&0xFF_FFFF)+1)
 			}
-			env.Hypercall(HcPortalRecv, 2 /* RecvReply only */, (word&0xFF_FFFF)+1)
+			env.Hypercall(abi.HcPortalRecv, 2 /* RecvReply only */, (word&0xFF_FFFF)+1)
 		}}})
 	var sel uint32
 	k.CreatePD(PDConfig{Name: "client", Priority: PrioGuest,
 		Guest: &scriptGuest{"client", func(env *Env) {
 			for i := 0; i < rounds; i++ {
-				reply := env.Hypercall(HcPortalCall, sel, uint32(i))
+				reply := env.Hypercall(abi.HcPortalCall, sel, uint32(i))
 				if reply != uint32(i)+1 {
 					t.Errorf("round %d: reply = %d, want %d", i, reply, i+1)
 				}

@@ -3,6 +3,7 @@ package nova
 import (
 	"fmt"
 
+	"repro/internal/abi"
 	"repro/internal/capspace"
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
@@ -382,11 +383,11 @@ func (e *Env) ResumeSuspendExit() {
 	d := since(c.Clock.Now(), t0)
 	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
 	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(HcSuspend), uint64(StatusOK))
+		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(abi.HcSuspend), uint64(abi.StatusOK))
 	}
 	c.Clock.Advance(cpu.CostExceptionReturn)
 	c.CPU.Regs = pd.VCPU.Regs
-	c.CPU.Regs.R[0] = StatusOK
+	c.CPU.Regs.R[0] = abi.StatusOK
 	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeUSR, false
 }
 

@@ -3,6 +3,7 @@ package nova
 import (
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/capspace"
 	"repro/internal/checkpoint"
 	"repro/internal/physmem"
@@ -13,9 +14,9 @@ import (
 // paravirtualized idle forever — the canonical checkpointable shape.
 func idleTemplate(name string) Guest {
 	return &scriptGuest{name, func(env *Env) {
-		env.Hypercall(HcTimerSet, uint32(simclock.FromMillis(1)))
+		env.Hypercall(abi.HcTimerSet, uint32(simclock.FromMillis(1)))
 		for {
-			env.Hypercall(HcSuspend, 1)
+			env.Hypercall(abi.HcSuspend, 1)
 			env.CheckPreempt()
 		}
 	}}
@@ -32,7 +33,7 @@ func cloneWriter(name string, nPages int) Guest {
 			env.CheckPreempt()
 		}
 		for {
-			env.Hypercall(HcSuspend, 1)
+			env.Hypercall(abi.HcSuspend, 1)
 			env.CheckPreempt()
 		}
 	}}

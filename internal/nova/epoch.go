@@ -283,7 +283,7 @@ func (k *Kernel) runCore(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	// core switches to a guest after a completion (the co-resident layout).
 	// The probe state lives on the manager's core, so only this goroutine
 	// reads it; on a dedicated manager core the exit instead ends when the
-	// service self-suspends, inside mgrNextRequest.
+	// service self-suspends, inside awaitRequest.
 	if k.hwSvc != nil && c == k.hwSvc.Core && pd != k.hwSvc && k.mgrExitArmed {
 		k.Probes.Add(measure.PhaseMgrExit, since(c.Clock.Now(), k.mgrExitFrom))
 		k.mgrExitArmed = false

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abi"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -53,7 +54,7 @@ func TestIdleFastForwardWakes(t *testing.T) {
 		StartSuspended: true,
 		Guest: &scriptGuest{"sleeper", func(env *Env) {
 			ranAt = env.Now()
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 		}},
 	})
 	k.Clock.After(simclock.FromMillis(40), func(simclock.Cycles) {

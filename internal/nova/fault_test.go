@@ -8,6 +8,7 @@ package nova
 import (
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/bitstream"
 	"repro/internal/simclock"
 )
@@ -35,18 +36,18 @@ func TestRevokeDuringInFlightReconfig(t *testing.T) {
 	// client resumes while its bitstream is still being staged.
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		StartSuspended: true, Guest: &scriptGuest{"hwtm", func(env *Env) {
-			reqID := env.Hypercall(HcMgrNextRequest)
+			reqID := env.Hypercall(abi.HcMgrNextRequest)
 			for {
 				view, ok := k.MgrRequest(reqID)
 				if !ok {
 					t.Error("MgrRequest lookup failed")
 					return
 				}
-				env.Hypercall(HcMgrMapIface, reqID, 0)
-				env.Hypercall(HcMgrHwMMULoad, uint32(view.ClientID), 0)
-				env.Hypercall(HcMgrAllocIRQ, reqID, 0)
-				env.Hypercall(HcMgrPCAPStart, reqID, 0, uint32(len(raw)), 0)
-				reqID = env.Hypercall(HcMgrComplete, reqID, StatusReconfig)
+				env.Hypercall(abi.HcMgrMapIface, reqID, 0)
+				env.Hypercall(abi.HcMgrHwMMULoad, uint32(view.ClientID), 0)
+				env.Hypercall(abi.HcMgrAllocIRQ, reqID, 0)
+				env.Hypercall(abi.HcMgrPCAPStart, reqID, 0, uint32(len(raw)), 0)
+				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusReconfig)
 			}
 		}}})
 	k.RegisterHwService(svc)
@@ -55,10 +56,10 @@ func TestRevokeDuringInFlightReconfig(t *testing.T) {
 	victim := k.CreatePD(PDConfig{Name: "victim", Priority: PrioGuest,
 		Guest: &scriptGuest{"victim", func(env *Env) {
 			for i := uint32(0); i < 16; i++ {
-				env.Hypercall(HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
+				env.Hypercall(abi.HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
 			}
-			env.Hypercall(HcRegionCreate, GuestDataSect, 16*0x1000)
-			reply = env.Hypercall(HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
+			env.Hypercall(abi.HcRegionCreate, GuestDataSect, 16*0x1000)
+			reply = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
 			// Exit immediately: the reconfiguration is still in flight.
 		}}})
 
@@ -77,7 +78,7 @@ func TestRevokeDuringInFlightReconfig(t *testing.T) {
 
 	k.RunFor(simclock.FromMillis(30))
 
-	if reply != StatusReconfig {
+	if reply != abi.StatusReconfig {
 		t.Fatalf("victim's acquire reply = %d, want StatusReconfig (the overlap window)", reply)
 	}
 	if !victim.Dead() {
@@ -121,11 +122,11 @@ func TestQoSAdmission(t *testing.T) {
 
 	// Two tokens, then throttled.
 	for i := 0; i < 2; i++ {
-		if st := k.admitHwRequest(guest.Core, guest); st != StatusOK {
+		if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusOK {
 			t.Fatalf("admit %d = %d, want OK", i, st)
 		}
 	}
-	if st := k.admitHwRequest(guest.Core, guest); st != StatusThrottled {
+	if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusThrottled {
 		t.Fatalf("admit over capacity = %d, want StatusThrottled", st)
 	}
 	if d, _, _ := k.QoSCounters(guest); d != 1 {
@@ -134,7 +135,7 @@ func TestQoSAdmission(t *testing.T) {
 
 	// A millisecond of simulated time refills a token.
 	k.Clock.Advance(simclock.FromMillis(1))
-	if st := k.admitHwRequest(guest.Core, guest); st != StatusOK {
+	if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusOK {
 		t.Fatalf("admit after refill = %d, want OK", st)
 	}
 
@@ -142,14 +143,14 @@ func TestQoSAdmission(t *testing.T) {
 	// portal answers Retry until the cooldown lapses.
 	now := k.Clock.Now()
 	guest.breaker.Charge(now, 3)
-	if st := k.admitHwRequest(guest.Core, guest); st != StatusRetry {
+	if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusRetry {
 		t.Fatalf("admit with open breaker = %d, want StatusRetry", st)
 	}
 	if _, trips, rej := k.QoSCounters(guest); trips != 1 || rej != 1 {
 		t.Errorf("trips/rejections = %d/%d, want 1/1", trips, rej)
 	}
 	k.Clock.Advance(simclock.FromMillis(6))
-	if st := k.admitHwRequest(guest.Core, guest); st == StatusRetry {
+	if st := k.admitHwRequest(guest.Core, guest); st == abi.StatusRetry {
 		t.Error("breaker still open after its cooldown")
 	}
 
@@ -157,7 +158,7 @@ func TestQoSAdmission(t *testing.T) {
 	// bucket by force and they are still admitted.
 	crit.bucket.Capacity = 1
 	for i := 0; i < 5; i++ {
-		if st := k.admitHwRequest(crit.Core, crit); st != StatusOK {
+		if st := k.admitHwRequest(crit.Core, crit); st != abi.StatusOK {
 			t.Fatalf("critical admit %d = %d, want OK (bypass)", i, st)
 		}
 	}

@@ -14,29 +14,13 @@ import (
 	"repro/internal/trace"
 )
 
-// HwRequestKind distinguishes allocation requests from releases.
-type HwRequestKind int
-
-// Request kinds.
-const (
-	HwReqAcquire HwRequestKind = iota
-	HwReqRelease
-)
-
-// HwRequest is one queued hardware-task request (§IV-E: "Three arguments
-// are passed via this hypercall: the target hardware task ID number, the
-// virtual address of the task interface, and the virtual address of the
-// hardware task data section").
-type HwRequest struct {
-	ID      uint32
-	Kind    HwRequestKind
-	PD      *PD
-	TaskID  uint16
-	IfaceVA uint32
-	DataVA  uint32
-
-	reply   uint32
-	replied bool
+// hwRequest is one queued hardware-task request: the descriptor the
+// manager reads through MgrRequest, the requesting PD, and the reply
+// HcMgrComplete posts for it.
+type hwRequest struct {
+	abi.Request
+	pd    *PD
+	reply uint32
 }
 
 // regionWindow is the payload of an ObjMemRegion kernel object: the
@@ -73,7 +57,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 	t0 := c.Clock.Now()
 	pd := c.Current
 	if pd == nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	pd.Hypercalls++
 	pd.lastHcEntry = t0 // replay anchor for restored suspend exits (clone.go)
@@ -92,7 +76,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 	} else if p, ok := obj.Payload.(*portalDesc); !ok {
 		// A device-authority object (e.g. the PCAP token) is a portal
 		// capability but not a callable service entry.
-		ret = StatusBadType
+		ret = abi.StatusBadType
 	} else {
 		c.kctx.Exec(p.cost)
 		ret = p.fn(k, c, pd, args)
@@ -110,9 +94,10 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 // resumed on switch-in, so a guest's tick count tracks its own runtime —
 // as on the paper's platform, where the virtual timer state is part of
 // the actively-switched vCPU (Table I).
-func (k *Kernel) hcTimerSet(pd *PD, period simclock.Cycles) uint32 {
+func (k *Kernel) hcTimerSet(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	period := simclock.Cycles(args[0])
 	if period < 100 {
-		return StatusInval // guard against interrupt storms
+		return abi.StatusInval // guard against interrupt storms
 	}
 	k.parkVirtualTimer(pd)
 	pd.VCPU.TimerPeriod = period
@@ -120,30 +105,55 @@ func (k *Kernel) hcTimerSet(pd *PD, period simclock.Cycles) uint32 {
 	if pd == pd.Core.Current {
 		k.armVirtualTimer(pd)
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 // hcMapPage inserts va -> RAMBase+offset into the caller's own table —
 // "memory management: mapping inserting, guest page table creation"
-// (§III-A). Guests may only map their own RAM below the kernel split.
-func (k *Kernel) hcMapPage(c *CoreCtx, pd *PD, va, offset uint32) uint32 {
-	if va&0xFFF != 0 || offset&0xFFF != 0 || offset >= pd.RAMSize || va >= KernelCodeVA-0x1000_0000 {
-		return StatusInval
+// (§III-A). Guests may only map their own RAM, at a VA userPage accepts.
+func (k *Kernel) hcMapPage(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	va, offset := args[0], args[1]
+	if offset&0xFFF != 0 || offset >= pd.RAMSize {
+		return abi.StatusInval
+	}
+	if st := userPage(pd, va); st != abi.StatusOK {
+		return st
 	}
 	pd.Table.MapPage(va, pd.RAMBase+physmem.Addr(offset), DomainGuestUser, mmu.APFull)
 	k.chargePTEdit(c, pd, va)
 	pd.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
-	return StatusOK
+	return abi.StatusOK
 }
 
-func (k *Kernel) hcUnmapPage(c *CoreCtx, pd *PD, va uint32) uint32 {
+// userPage checks that a guest-user 4 KB page can go at va in pd's
+// table, which is left untouched. va must be page aligned, below the
+// kernel split, and in a 1 MB slot that is empty or already holds a
+// guest-user table: a section (the kernel's device windows) or another
+// domain's table (the guest-kernel image) is StatusInval. A slot that
+// needs a second-level table the PD's table pool has no room for is
+// StatusErr.
+func userPage(pd *PD, va uint32) uint32 {
+	if va&0xFFF != 0 || va >= KernelCodeVA-0x1000_0000 {
+		return abi.StatusInval
+	}
+	switch pd.Table.CheckMapPage(va, DomainGuestUser) {
+	case mmu.ErrSlotInUse:
+		return abi.StatusInval
+	case mmu.ErrNoTableRoom:
+		return abi.StatusErr
+	}
+	return abi.StatusOK
+}
+
+func (k *Kernel) hcUnmapPage(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	va := args[0]
 	if va >= KernelCodeVA-0x1000_0000 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pd.Table.UnmapPage(va)
 	k.chargePTEdit(c, pd, va)
 	pd.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
-	return StatusOK
+	return abi.StatusOK
 }
 
 // chargePTEdit charges the descriptor traffic of a page-table update on
@@ -162,13 +172,14 @@ func (k *Kernel) chargePTEdit(c *CoreCtx, pd *PD, va uint32) {
 // memory-region kernel object in the caller's space (SelDataSect); the
 // manager's DMA-window load resolves it there, and re-registration
 // revokes the previous object so stale delegations die with it.
-func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
+func (k *Kernel) hcRegionCreate(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	va, size := args[0], args[1]
 	if va&0xFFF != 0 || size == 0 || size&0xFFF != 0 || size > pd.RAMSize {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pa, err := translateGuestVA(pd, va)
 	if err != nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	// The section must be fully mapped and physically contiguous (it is a
 	// DMA window the hwMMU describes with one base+size pair): verify every
@@ -176,7 +187,7 @@ func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 	for off := uint32(0x1000); off < size; off += 0x1000 {
 		p, err := translateGuestVA(pd, va+off)
 		if err != nil || p != pa+physmem.Addr(off) {
-			return StatusInval
+			return abi.StatusInval
 		}
 	}
 	if pd.Space.RightsAt(SelDataSect) != 0 {
@@ -186,27 +197,35 @@ func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 		regionWindow{Base: pa, Size: size})
 	pd.Space.Insert(SelDataSect, region, capspace.RightsAll)
 	pd.DataSectionVA, pd.DataSectionPA, pd.DataSectionSize = va, pa, size
-	return StatusOK
+	return abi.StatusOK
 }
 
-// hcHwTaskRequest queues a request for the Hardware Task Manager,
+func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	return k.submitHwRequest(c, pd, abi.ReqAcquire, args)
+}
+
+func (k *Kernel) hcHwTaskRelease(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	return k.submitHwRequest(c, pd, abi.ReqRelease, args)
+}
+
+// submitHwRequest queues a request for the Hardware Task Manager,
 // signals the request-queue object, and blocks the caller until the
 // manager posts the reply — "the Hardware Task Manager service is
 // created with a higher priority level than general guests, so that this
 // service can preempt guests and execute immediately once it is invoked"
 // (§IV-E).
-func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4]uint32) uint32 {
+func (k *Kernel) submitHwRequest(c *CoreCtx, pd *PD, kind abi.RequestKind, args [4]uint32) uint32 {
 	if k.hwSvc == nil || k.Fabric == nil {
-		return StatusErr
+		return abi.StatusErr
 	}
-	if kind == HwReqAcquire {
+	if kind == abi.ReqAcquire {
 		if _, err := pd.Space.Lookup(SelDataSect, capspace.ObjMemRegion, capspace.RightCall); err != capspace.OK {
-			return StatusInval // must register a data section first
+			return abi.StatusInval // must register a data section first
 		}
 		// QoS admission (qos.go): a throttled or circuit-broken client is
 		// bounced here, at the portal, before its request can cost the
 		// manager service (or the PCAP) anything.
-		if st := k.admitHwRequest(c, pd); st != StatusOK {
+		if st := k.admitHwRequest(c, pd); st != abi.StatusOK {
 			return st
 		}
 	}
@@ -215,14 +234,8 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 		// Same-core request: the queue lives on the manager's core, so the
 		// caller may mutate it directly.
 		k.nextReqID++
-		req := &HwRequest{
-			ID:      k.nextReqID,
-			Kind:    kind,
-			PD:      pd,
-			TaskID:  uint16(args[0]),
-			IfaceVA: args[1],
-			DataVA:  args[2],
-		}
+		req := newHwRequest(pd, kind, args)
+		req.ID = k.nextReqID
 		k.hwQueue = append(k.hwQueue, req)
 		k.hwByID[req.ID] = req
 		c.kctx.Touch(KernelDataVA+0x9000+(req.ID%64)*16, true) // queue slot
@@ -256,13 +269,7 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 	// manager-side dispatch (signal to fetch) — the quantity the dedicated
 	// core shrinks — not the epoch-barrier doorbell lag, which is the
 	// engine's conservative lookahead rather than a kernel cost.
-	req := &HwRequest{
-		Kind:    kind,
-		PD:      pd,
-		TaskID:  uint16(args[0]),
-		IfaceVA: args[1],
-		DataVA:  args[2],
-	}
+	req := newHwRequest(pd, kind, args)
 	c.Clock.Advance(CostDeviceAccess)
 	k.post(c, func() {
 		k.nextReqID++
@@ -289,38 +296,48 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 	return req.reply
 }
 
+// newHwRequest builds pd's request from the HcHwTaskRequest/Release
+// argument words (task ID, interface VA, data-section VA); the ID is
+// drawn when it enters the queue.
+func newHwRequest(pd *PD, kind abi.RequestKind, args [4]uint32) *hwRequest {
+	return &hwRequest{
+		Request: abi.Request{Kind: kind, ClientID: pd.ID, TaskID: uint16(args[0]), IfaceVA: args[1], DataVA: args[2]},
+		pd:      pd,
+	}
+}
+
 // hcHwTaskStatus lets a guest poll PCAP completion ("by polling the
 // completion signal", §IV-E) or a held task's state. With the pipeline a
 // reconfiguration is "in flight" through its whole journey: SD fill,
 // request queue, and PCAP download.
-func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
+func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.Clock.Advance(CostDeviceAccess)
 	if k.Fabric == nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	if pd.Core == k.reconfigCore() {
 		if k.Reconfig.PendingFor(pd) {
-			return StatusReconfig
+			return abi.StatusReconfig
 		}
 		if pd.reconfigFault {
 			// A reconfiguration for this client failed for good (retries
 			// exhausted); clear-on-read, so the client unwinds exactly once.
 			pd.reconfigFault = false
-			return StatusFaulted
+			return abi.StatusFaulted
 		}
-		return StatusOK
+		return abi.StatusOK
 	}
 	// Cross-core poll: the pipeline's state advances on the manager core's
 	// clock; sample it at the barrier and resume the poller with the
 	// answer. The one-epoch sampling lag is the conservative lookahead the
 	// engine grants every cross-core interaction.
-	var status uint32 = StatusOK
+	var status uint32 = abi.StatusOK
 	k.post(c, func() {
 		if k.Reconfig.PendingFor(pd) {
-			status = StatusReconfig
+			status = abi.StatusReconfig
 		} else if pd.reconfigFault {
 			pd.reconfigFault = false
-			status = StatusFaulted
+			status = abi.StatusFaulted
 		}
 		k.wake(pd)
 	})
@@ -336,14 +353,15 @@ func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
 // receive on the same core the handoff takes the fixed-cost fast path
 // (CostIPCFastPath) instead of the cross-core wake; either way the
 // PhaseIPCCall probe records the full call-to-reply round trip.
-func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
+func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	sel, word := int(args[0]), args[1]
 	obj, cerr := pd.Space.Lookup(sel, capspace.ObjPD, capspace.RightCall)
 	if cerr != capspace.OK {
 		return capStatus(cerr)
 	}
 	to := obj.Payload.(*PD)
 	if to == pd || to.dead {
-		return StatusInval
+		return abi.StatusInval
 	}
 	t0 := c.Clock.Now()
 	pd.ipcWord = word
@@ -365,7 +383,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 		c.Clock.Advance(CostDeviceAccess)
 		k.post(c, func() {
 			if to.dead {
-				pd.ipcReply = StatusErr
+				pd.ipcReply = abi.StatusErr
 				k.wake(pd)
 				return
 			}
@@ -386,29 +404,30 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 }
 
 // hcPortalRecv receives the next queued caller, returning
-// sender<<24 | (word & 0xFFFFFF). mode is a bit set (abi.Recv*):
+// sender<<24 | (word & 0xFFFFFF). args[0] is a mode bit set (abi.Recv*):
 // RecvBlock waits for a caller (otherwise StatusNoMsg); RecvReply first
 // replies args[1] to the previously received caller, waking it — the
 // merged reply+wait of a portal server loop. A server must reply to its
 // current caller before receiving the next one; receiving again with an
 // un-replied caller outstanding is refused (StatusInval) rather than
 // silently stranding the blocked caller.
-func (k *Kernel) hcPortalRecv(c *CoreCtx, pd *PD, mode, reply uint32) uint32 {
+func (k *Kernel) hcPortalRecv(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	mode, reply := args[0], args[1]
 	if mode&abi.RecvReply != 0 {
 		caller := pd.replyTo
 		if caller == nil {
-			return StatusInval
+			return abi.StatusInval
 		}
 		pd.replyTo = nil
 		caller.ipcReply = reply // caller is parked; the wake publishes it
 		c.kctx.Touch(caller.kdata+0x80, true)
 		k.wakeFrom(c, caller)
 	} else if pd.replyTo != nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	for len(pd.ipcCallers) == 0 {
 		if mode&abi.RecvBlock == 0 {
-			return StatusNoMsg
+			return abi.StatusNoMsg
 		}
 		pd.recvBlocked = true
 		pd.Env.block()
@@ -426,35 +445,47 @@ func (k *Kernel) hcPortalRecv(c *CoreCtx, pd *PD, mode, reply uint32) uint32 {
 // Shutdown when its callee's guest returns.
 func (k *Kernel) failPortalCallers(pd *PD) {
 	for _, caller := range pd.ipcCallers {
-		caller.ipcReply = StatusErr
+		caller.ipcReply = abi.StatusErr
 		k.wakeFrom(pd.Core, caller)
 	}
 	pd.ipcCallers = nil
 	if caller := pd.replyTo; caller != nil {
 		pd.replyTo = nil
-		caller.ipcReply = StatusErr
+		caller.ipcReply = abi.StatusErr
 		k.wakeFrom(pd.Core, caller)
 	}
 }
 
-// hcSD copies one 512-byte block between the simulated SD card and the
-// caller's RAM (supervised shared I/O, §V-A). The bounds check is written
-// so that no offset can wrap it.
-func (k *Kernel) hcSD(c *CoreCtx, pd *PD, block, ramOffset uint32, write bool) uint32 {
+func (k *Kernel) hcSDRead(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	return k.sdBlock(c, pd, args, false)
+}
+
+// hcSDWrite needs no explicit I/O check: a PD without CapIODirect holds
+// the capability with no rights, so resolution already failed with
+// Denied before the handler could run.
+func (k *Kernel) hcSDWrite(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	return k.sdBlock(c, pd, args, true)
+}
+
+// sdBlock copies SD block args[0] between the simulated SD card and the
+// caller's RAM at offset args[1] (supervised shared I/O, §V-A). The
+// bounds check is written so that no offset can wrap it.
+func (k *Kernel) sdBlock(c *CoreCtx, pd *PD, args [4]uint32, write bool) uint32 {
+	block, ramOffset := args[0], args[1]
 	if ramOffset > pd.RAMSize || pd.RAMSize-ramOffset < 512 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pa := pd.RAMBase + physmem.Addr(ramOffset)
 	c.Clock.Advance(simclock.Cycles(512 / 4 * 2)) // DMA-ish block move
 	if write {
 		data, err := k.Bus.ReadBytes(pa, 512)
 		if err != nil {
-			return StatusErr
+			return abi.StatusErr
 		}
 		k.sdMu.Lock()
 		k.sd[block] = data
 		k.sdMu.Unlock()
-		return StatusOK
+		return abi.StatusOK
 	}
 	k.sdMu.Lock()
 	data, ok := k.sd[block]
@@ -463,23 +494,35 @@ func (k *Kernel) hcSD(c *CoreCtx, pd *PD, block, ramOffset uint32, write bool) u
 		data = make([]byte, 512)
 	}
 	if err := k.Bus.WriteBytes(pa, data); err != nil {
-		return StatusErr
+		return abi.StatusErr
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
-// --- Hardware Task Manager portal bodies (§IV-E, Fig. 7) -------------
+// --- Hardware Task Manager portals (§IV-E, Fig. 7) -------------------
 //
-// The portal wrappers in portals.go have already resolved the caller's
-// capabilities to the objects each operation touches (request-queue
-// semaphore, hw-task slots, client PDs, the PCAP and the bitstream
-// store); these bodies perform the privileged effect.
+// Each portal first re-resolves, from the *caller's* space, the device
+// capabilities its operation needs: the portals are reachable only in a
+// domain they were delegated to, and the objects they act on
+// (request-queue semaphore, hw-task slots, client PDs, the PCAP and the
+// bitstream store) must additionally be held — the manager's powers are
+// exactly the set of capabilities RegisterHwService delegated, not an
+// ambient privilege bit. Then it performs the privileged effect.
 
-// mgrNextRequest pops the oldest queued request, blocking (service
+// mgrNextRequest returns the ID of the oldest queued request (see
+// awaitRequest).
+func (k *Kernel) mgrNextRequest(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	if _, err := pd.Space.Lookup(SelMgrQueue, capspace.ObjSem, capspace.RightCall); err != capspace.OK {
+		return capStatus(err)
+	}
+	return k.awaitRequest(c, pd)
+}
+
+// awaitRequest pops the oldest queued request, blocking (service
 // suspends itself) while the queue is empty. Completing the entry probe
 // here captures hypercall + wakeup + world switch, the paper's "HW
 // Manager entry".
-func (k *Kernel) mgrNextRequest(c *CoreCtx, pd *PD) uint32 {
+func (k *Kernel) awaitRequest(c *CoreCtx, pd *PD) uint32 {
 	for len(k.hwQueue) == 0 {
 		// On a multi-core machine the manager usually owns its core: the
 		// "exit" ends here, when the service removes itself from the run
@@ -507,18 +550,22 @@ func (k *Kernel) mgrNextRequest(c *CoreCtx, pd *PD) uint32 {
 	return req.ID
 }
 
-// mgrComplete posts the reply, wakes the requester, then immediately
-// waits for the next request (merged reply+suspend, §IV-E: "After
-// processing the request, the manager service will remove itself from the
-// running queue list, resuming the interrupted guest OS with a return
-// status"). Returns the next request ID when re-invoked.
-func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
+// mgrComplete posts reply args[1] for request args[0], wakes the
+// requester, then immediately waits for the next request (merged
+// reply+suspend, §IV-E: "After processing the request, the manager
+// service will remove itself from the running queue list, resuming the
+// interrupted guest OS with a return status"). Returns the next request
+// ID when re-invoked.
+func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	if _, err := pd.Space.Lookup(SelMgrQueue, capspace.ObjSem, capspace.RightCall); err != capspace.OK {
+		return capStatus(err)
+	}
+	reqID, status := args[0], args[1]
 	req, ok := k.hwByID[reqID]
 	if !ok {
-		return StatusInval
+		return abi.StatusInval
 	}
 	req.reply = status
-	req.replied = true
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindHwReqComplete, uint64(reqID), uint64(status), 0)
 	}
@@ -526,7 +573,7 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
 		k.Probes.Add(measure.PhaseMgrExec, c.Clock.Now()-k.mgrExecFrom)
 		k.mgrExecArmed = false
 	}
-	target := req.PD
+	target := req.pd
 	switch {
 	case target.Core == c:
 		k.wake(target)
@@ -544,47 +591,42 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
 		k.mgrExitFrom = c.Clock.Now()
 		k.mgrExitArmed = true
 	}
-	return k.mgrNextRequest(c, pd)
+	return k.awaitRequest(c, pd)
 }
 
-// MgrRequestView is the read-only view of a request the manager sees (the
-// kernel maps the descriptor into the service's space).
-type MgrRequestView struct {
-	ID       uint32
-	Kind     HwRequestKind
-	ClientID int
-	TaskID   uint16
-	IfaceVA  uint32
-	DataVA   uint32
-}
-
-// MgrRequest exposes a queued request's fields to the manager service.
-func (k *Kernel) MgrRequest(reqID uint32) (MgrRequestView, bool) {
+// MgrRequest exposes a queued request's descriptor to the manager
+// service (the kernel maps it into the service's space).
+func (k *Kernel) MgrRequest(reqID uint32) (abi.Request, bool) {
 	req, ok := k.hwByID[reqID]
 	if !ok {
-		return MgrRequestView{}, false
+		return abi.Request{}, false
 	}
-	return MgrRequestView{
-		ID: req.ID, Kind: req.Kind, ClientID: req.PD.ID,
-		TaskID: req.TaskID, IfaceVA: req.IfaceVA, DataVA: req.DataVA,
-	}, true
+	return req.Request, true
 }
 
-// mgrMapIface maps the PRR's register page into the requesting client's
-// table at the VA the client asked for — stage (3) of Fig. 7. The page is
-// guest-user accessible, so the client programs its task directly; other
-// guests have no mapping, which is the exclusivity guarantee of §IV-C.
-func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
+// mgrMapIface maps the register page of PRR args[1] into the table of
+// request args[0]'s client, at the VA the client asked for if userPage
+// accepts it — stage (3) of Fig. 7. The page is guest-user accessible,
+// so the client programs its task directly; other guests have no
+// mapping, which is the exclusivity guarantee of §IV-C.
+func (k *Kernel) mgrMapIface(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	reqID, prr := args[0], int(args[1])
+	if st, ok := slotCap(pd, prr); !ok {
+		return st
+	}
 	req, ok := k.hwByID[reqID]
 	if !ok || k.Fabric == nil || prr >= len(k.Fabric.PRRs) {
-		return StatusInval
+		return abi.StatusInval
 	}
 	va := req.IfaceVA
-	if va == 0 || va&0xFFF != 0 {
-		return StatusInval
+	if va == 0 {
+		return abi.StatusInval
 	}
-	client := req.PD
-	// The client is parked in hcHwTaskRequest for the whole acquire, so
+	client := req.pd
+	if st := userPage(client, va); st != abi.StatusOK {
+		return st
+	}
+	// The client is parked in submitHwRequest for the whole acquire, so
 	// its table is quiescent and may be edited from the manager's core.
 	client.Table.MapPage(va, k.Fabric.GroupBase(prr), DomainGuestUser, mmu.APFull)
 	k.chargePTEdit(c, client, va)
@@ -604,22 +646,30 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 		client.ifaceVA = map[int]uint32{}
 	}
 	client.ifaceVA[prr] = va
-	return StatusOK
+	return abi.StatusOK
 }
 
-// mgrUnmapIface revokes a client's interface mapping and performs the
-// consistency save of §IV-C: the register-group snapshot goes into the
-// former owner's data section together with the "inconsistent" state
-// flag, then the PL IRQ line is withdrawn from its vGIC. The client is
-// a capability-resolved PD handle (the manager holds delegated client
-// capabilities, not raw IDs).
-func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
+// mgrUnmapIface revokes client args[0]'s mapping of PRR args[1] and
+// performs the consistency save of §IV-C: the register-group snapshot
+// goes into the former owner's data section together with the
+// "inconsistent" state flag, then the PL IRQ line is withdrawn from its
+// vGIC. The client is a capability-resolved PD handle (the manager holds
+// delegated client capabilities, not raw IDs).
+func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
+	client, st, ok := clientCap(mgr, int(args[0]))
+	if !ok {
+		return st
+	}
+	prr := int(args[1])
+	if st, ok := slotCap(mgr, prr); !ok {
+		return st
+	}
 	if k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	va, ok := client.ifaceVA[prr]
 	if !ok || va == 0 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	if len(k.Cores) == 1 {
 		// Save the register group into the reserved structure at the head of
@@ -628,7 +678,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 		if client.DataSectionSize >= 64 {
 			regs := k.Fabric.SaveRegGroup(prr)
 			base := client.DataSectionPA
-			_ = k.Bus.Write32(base, DataSectFlagInconsistent)
+			_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
 			for i, r := range regs {
 				_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
 			}
@@ -648,7 +698,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 			k.Fabric.ReleaseIRQ(prr)
 			k.Clock.Advance(CostDeviceAccess)
 		}
-		return StatusOK
+		return abi.StatusOK
 	}
 
 	// Multi-core reclaim: the victim may be live on another core, so every
@@ -670,7 +720,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 		if client.DataSectionSize >= 64 {
 			regs := k.Fabric.SaveRegGroup(prr)
 			base := client.DataSectionPA
-			_ = k.Bus.Write32(base, DataSectFlagInconsistent)
+			_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
 			for i, r := range regs {
 				_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
 			}
@@ -688,20 +738,28 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 		k.wake(mgr)
 	})
 	mgr.Env.block()
-	return StatusOK
+	return abi.StatusOK
 }
 
-// mgrHwMMULoad points PRR prr's DMA window at the client's data section —
-// stage (4) of Fig. 7. The window is read from the client's own
-// memory-region object (registered by HcRegionCreate), so the manager
-// can only target a section the client itself declared.
-func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
+// mgrHwMMULoad points PRR args[1]'s DMA window at client args[0]'s data
+// section — stage (4) of Fig. 7. The window is read from the client's
+// own memory-region object (registered by HcRegionCreate), so the
+// manager can only target a section the client itself declared.
+func (k *Kernel) mgrHwMMULoad(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	client, st, ok := clientCap(pd, int(args[0]))
+	if !ok {
+		return st
+	}
+	prr := int(args[1])
+	if st, ok := slotCap(pd, prr); !ok {
+		return st
+	}
 	if k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	obj, err := client.Space.Lookup(SelDataSect, capspace.ObjMemRegion, capspace.RightCall)
 	if err != capspace.OK {
-		return StatusInval // client registered no (live) data section
+		return abi.StatusInval // client registered no (live) data section
 	}
 	w := obj.Payload.(regionWindow)
 	k.Fabric.HwMMU.Load(prr, pl.Window{Base: w.Base, Size: w.Size, Valid: true})
@@ -709,32 +767,45 @@ func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
 	// Run/completion events of this region now ride the owner's core clock.
 	k.Fabric.BindClock(prr, client.Core.Clock)
 	// Reset the consistency flag for the new owner.
-	_ = k.Bus.Write32(w.Base, DataSectFlagOwned)
-	return StatusOK
+	_ = k.Bus.Write32(w.Base, abi.DataSectFlagOwned)
+	return abi.StatusOK
 }
 
-// mgrPCAPStart launches a bitstream download — stage (5) of Fig. 7 —
-// through the reconfiguration pipeline. The source is an offset into the
-// bitstream store region whose capability the manager holds (§IV-B: the
-// store is mapped exclusively into the manager's space): a cached image
-// goes straight to the PCAP leg, a cold one is staged from the SD card
-// first, and a busy PCAP queues the request by the client's priority
-// instead of bouncing it back as Busy. The completion IRQ is routed to
-// the requesting client when its transfer actually starts ("always
-// connected to the VM which launches the current transfer", §IV-D).
-func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int, store regionWindow) uint32 {
+// mgrPCAPStart launches, for request args[0], a download of the args[2]
+// bytes at offset args[1] of the bitstream store into PRR args[3] —
+// stage (5) of Fig. 7 — through the reconfiguration pipeline. The store
+// is a region whose capability the manager holds (§IV-B: the store is
+// mapped exclusively into the manager's space): a cached image goes
+// straight to the PCAP leg, a cold one is staged from the SD card first,
+// and a busy PCAP queues the request by the client's priority instead of
+// bouncing it back as Busy. The completion IRQ is routed to the
+// requesting client when its transfer actually starts ("always connected
+// to the VM which launches the current transfer", §IV-D).
+func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
+	if _, err := mgr.Space.Lookup(SelMgrPCAP, capspace.ObjPortal, capspace.RightCall); err != capspace.OK {
+		return capStatus(err)
+	}
+	storeObj, err := mgr.Space.Lookup(SelMgrStore, capspace.ObjMemRegion, capspace.RightCall)
+	if err != capspace.OK {
+		return capStatus(err)
+	}
+	reqID, srcOff, length, prr := args[0], args[1], args[2], int(args[3])
+	if st, ok := slotCap(mgr, prr); !ok {
+		return st
+	}
+	store := storeObj.Payload.(regionWindow)
 	req, ok := k.hwByID[reqID]
 	if !ok || k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	// Overflow-safe store-bounds check against the region capability:
 	// srcOff+length could wrap uint32.
 	if srcOff > store.Size || length > store.Size-srcOff {
-		return StatusInval
+		return abi.StatusInval
 	}
-	pd := req.PD
+	pd := req.pd
 	// Charge the client's breaker for the launch (weight 1; a failure
-	// below adds qosFaultWeight). The client is parked in hcHwTaskRequest
+	// below adds qosFaultWeight). The client is parked in submitHwRequest
 	// for the whole acquire, so its guard state is quiescent and may be
 	// charged from the manager's core.
 	if pd.breaker.Charge(c.Clock.Now(), 1) && k.Tracer != nil {
@@ -798,17 +869,21 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 		},
 	})
 	c.Clock.Advance(2 * CostDeviceAccess) // portal bookkeeping
-	return StatusOK
+	return abi.StatusOK
 }
 
-// mgrAllocIRQ allocates a PL interrupt line for PRR prr and registers it,
-// enabled, in the requesting client's vGIC (§IV-D).
-func (k *Kernel) mgrAllocIRQ(c *CoreCtx, reqID uint32, prr int) uint32 {
+// mgrAllocIRQ allocates a PL interrupt line for PRR args[1] and registers
+// it, enabled, in the vGIC of request args[0]'s client (§IV-D).
+func (k *Kernel) mgrAllocIRQ(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	reqID, prr := args[0], int(args[1])
+	if st, ok := slotCap(pd, prr); !ok {
+		return st
+	}
 	req, ok := k.hwByID[reqID]
 	if !ok || k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
-	target := req.PD
+	target := req.pd
 	// install re-points line ownership into the new owner's vGIC. On a
 	// multi-core machine it runs at the barrier: SetTarget migrates GIC
 	// pending state between core banks and the previous owner may be live
@@ -835,7 +910,7 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, reqID uint32, prr int) uint32 {
 	}
 	irq, err := k.Fabric.AllocateIRQ(prr)
 	if err != nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	line := irq - gic.PLIRQBase
 	if len(k.Cores) == 1 {
@@ -848,10 +923,3 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, reqID uint32, prr int) uint32 {
 	c.Clock.Advance(2 * CostDeviceAccess)
 	return uint32(irq)
 }
-
-// Data-section reserved-structure flags (§IV-C), shared with the guest
-// side through the ABI package.
-const (
-	DataSectFlagOwned        = abi.DataSectFlagOwned
-	DataSectFlagInconsistent = abi.DataSectFlagInconsistent
-)

@@ -20,76 +20,10 @@
 // memory region, hardware-task slot), each PD holds a capability table,
 // and a hypercall number is a selector the dispatcher resolves through
 // the caller's table before invoking the object's portal handler
-// (portals.go). The numbers themselves live in internal/abi — the single
-// source of truth shared with the guest-side stubs — and are aliased
-// here so kernel code and its tests keep their historical spelling.
+// (portals.go). The selectors, status codes and the request descriptor
+// the manager sees live in internal/abi, the single source of truth
+// shared with the guest-side stubs; kernel code spells them abi.*.
 package nova
-
-import "repro/internal/abi"
-
-// Hypercall selectors (see internal/abi for the authoritative layout and
-// documentation). The paper: "A total number of 25 hypercalls are
-// provided to paravirtualized operating systems" (§V-B). Calls 0–24 are
-// the guest-visible set; the HcMgr* portal capabilities above them exist
-// only in the Hardware Task Manager's protection domain (§III-A: a PD
-// "distributes them to different capability portals").
-const (
-	HcNull          = abi.HcNull
-	HcPrint         = abi.HcPrint
-	HcVMID          = abi.HcVMID
-	HcYield         = abi.HcYield
-	HcTimerSet      = abi.HcTimerSet
-	HcTimerCancel   = abi.HcTimerCancel
-	HcIRQEnable     = abi.HcIRQEnable
-	HcIRQDisable    = abi.HcIRQDisable
-	HcIRQEOI        = abi.HcIRQEOI
-	HcCacheFlush    = abi.HcCacheFlush
-	HcTLBFlush      = abi.HcTLBFlush
-	HcMapPage       = abi.HcMapPage
-	HcUnmapPage     = abi.HcUnmapPage
-	HcRegionCreate  = abi.HcRegionCreate
-	HcDACRSwitch    = abi.HcDACRSwitch
-	HcHwTaskRequest = abi.HcHwTaskRequest
-	HcHwTaskRelease = abi.HcHwTaskRelease
-	HcHwTaskStatus  = abi.HcHwTaskStatus
-	HcPortalCall    = abi.HcPortalCall
-	HcPortalRecv    = abi.HcPortalRecv
-	HcUARTWrite     = abi.HcUARTWrite
-	HcUARTRead      = abi.HcUARTRead
-	HcSDRead        = abi.HcSDRead
-	HcSDWrite       = abi.HcSDWrite
-	HcSuspend       = abi.HcSuspend
-
-	// NumHypercalls is the guest-visible hypercall count (paper §V-B: 25).
-	NumHypercalls = abi.NumHypercalls
-
-	// Capability portals for the Hardware Task Manager service.
-	HcMgrNextRequest = abi.HcMgrNextRequest
-	HcMgrMapIface    = abi.HcMgrMapIface
-	HcMgrUnmapIface  = abi.HcMgrUnmapIface
-	HcMgrHwMMULoad   = abi.HcMgrHwMMULoad
-	HcMgrPCAPStart   = abi.HcMgrPCAPStart
-	HcMgrComplete    = abi.HcMgrComplete
-	HcMgrAllocIRQ    = abi.HcMgrAllocIRQ
-)
-
-// Hypercall status codes returned in R0 (documented in internal/abi;
-// every failure mode has a distinct code).
-const (
-	StatusOK        = abi.StatusOK
-	StatusReconfig  = abi.StatusReconfig
-	StatusBusy      = abi.StatusBusy
-	StatusNoMsg     = abi.StatusNoMsg
-	StatusInval     = abi.StatusInval  // bad arguments to a valid portal
-	StatusDenied    = abi.StatusDenied // capability held, rights missing
-	StatusBadSel    = abi.StatusBadSel // selector resolves no capability
-	StatusRevoked   = abi.StatusRevoked
-	StatusBadType   = abi.StatusBadType
-	StatusThrottled = abi.StatusThrottled // QoS token bucket empty
-	StatusFaulted   = abi.StatusFaulted   // reconfiguration failed / PRRs quarantined
-	StatusRetry     = abi.StatusRetry     // circuit breaker open, back off
-	StatusErr       = abi.StatusErr
-)
 
 // Priority levels (paper Fig. 3: idle=0, guest OSes=1, user services such
 // as the bootloader and the Hardware Task Manager=2).

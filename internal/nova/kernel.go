@@ -117,8 +117,8 @@ type Kernel struct {
 	slotObjs   []*capspace.Object // one hw-task slot per PRR
 
 	// Hardware-task request plumbing (§IV-E).
-	hwQueue   []*HwRequest
-	hwByID    map[uint32]*HwRequest
+	hwQueue   []*hwRequest
+	hwByID    map[uint32]*hwRequest
 	nextReqID uint32
 	hwSvc     *PD
 
@@ -199,7 +199,7 @@ func NewKernelSMP(ncores int) *Kernel {
 		Sched:     sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
 		Probes:    measure.NewSet(),
 		committer: simclock.NewCommitter(ncores),
-		hwByID:    make(map[uint32]*HwRequest),
+		hwByID:    make(map[uint32]*hwRequest),
 		sd:        make(map[uint32][]byte),
 		asidNext:  1,
 	}

@@ -35,9 +35,9 @@ func TestGuestRunsAndHypercalls(t *testing.T) {
 	var vmid uint32 = 99
 	k.CreatePD(PDConfig{Name: "g0", Priority: PrioGuest, Guest: &scriptGuest{"g0", func(env *Env) {
 		env.Ctx.Exec(50)
-		vmid = env.Hypercall(HcVMID)
+		vmid = env.Hypercall(abi.HcVMID)
 		for _, ch := range "hi" {
-			env.Hypercall(HcPrint, uint32(ch))
+			env.Hypercall(abi.HcPrint, uint32(ch))
 		}
 	}}})
 	k.RunFor(simclock.FromMillis(1))
@@ -93,7 +93,7 @@ func TestPriorityPreemption(t *testing.T) {
 		Guest: &scriptGuest{"svc", func(env *Env) {
 			events = append(events, "svc-ran")
 			env.Ctx.Exec(100)
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 			events = append(events, "svc-again")
 		}}})
 	// Let the low guest run a bit, then wake the service via a timer event.
@@ -133,7 +133,7 @@ func TestQuantumCarryOver(t *testing.T) {
 		Guest: &scriptGuest{"svc", func(env *Env) {
 			for {
 				env.Ctx.Exec(500)
-				env.Hypercall(HcSuspend)
+				env.Hypercall(abi.HcSuspend)
 			}
 		}}})
 	// Interrupt the guest twice mid-quantum.
@@ -161,11 +161,11 @@ func TestVirtualTimerInjection(t *testing.T) {
 			if irq == gic.PrivateTimerIRQ {
 				ticks++
 				env.Ctx.Exec(30)
-				env.Hypercall(HcIRQEOI, uint32(irq))
+				env.Hypercall(abi.HcIRQEOI, uint32(irq))
 			}
 		}
-		env.Hypercall(HcIRQEnable, gic.PrivateTimerIRQ)
-		env.Hypercall(HcTimerSet, uint32(simclock.FromMillis(1)))
+		env.Hypercall(abi.HcIRQEnable, gic.PrivateTimerIRQ)
+		env.Hypercall(abi.HcTimerSet, uint32(simclock.FromMillis(1)))
 		for {
 			env.Ctx.Exec(100)
 			env.CheckPreempt()
@@ -186,10 +186,10 @@ func TestVirtualTimerPausedVMStaysPending(t *testing.T) {
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		env.PD.VGIC.Entry = func(irq int) {
 			ticks++
-			env.Hypercall(HcIRQEOI, uint32(irq))
+			env.Hypercall(abi.HcIRQEOI, uint32(irq))
 		}
-		env.Hypercall(HcIRQEnable, gic.PrivateTimerIRQ)
-		env.Hypercall(HcTimerSet, uint32(simclock.FromMillis(1)))
+		env.Hypercall(abi.HcIRQEnable, gic.PrivateTimerIRQ)
+		env.Hypercall(abi.HcTimerSet, uint32(simclock.FromMillis(1)))
 		for {
 			env.Ctx.Exec(100)
 			env.CheckPreempt()
@@ -202,7 +202,7 @@ func TestVirtualTimerPausedVMStaysPending(t *testing.T) {
 			for env.Now() < end {
 				env.Ctx.Exec(200)
 			}
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 		}}})
 	k.Clock.After(simclock.FromMillis(2), func(simclock.Cycles) { k.wake(hog) })
 	k.RunFor(simclock.FromMillis(10))
@@ -252,11 +252,11 @@ func TestDACRSwitchProtectsGuestKernel(t *testing.T) {
 		env.Ctx.Touch(GuestKernelBase, true)
 		faultsAtKernel = env.PD.Faults
 		// Switch to guest-user context: GK pages must domain-fault.
-		env.Hypercall(HcDACRSwitch, 0)
+		env.Hypercall(abi.HcDACRSwitch, 0)
 		env.Ctx.Touch(GuestKernelBase, false)
 		faultsAtUser = env.PD.Faults
 		// And back.
-		env.Hypercall(HcDACRSwitch, 1)
+		env.Hypercall(abi.HcDACRSwitch, 1)
 		env.Ctx.Stalled = false
 		env.Ctx.Touch(GuestKernelBase+64, true)
 	}}})
@@ -280,13 +280,13 @@ func TestIPCRoundTrip(t *testing.T) {
 	defer k.Shutdown()
 	var got, reply uint32
 	server := k.CreatePD(PDConfig{Name: "server", Priority: PrioGuest, Guest: &scriptGuest{"server", func(env *Env) {
-		got = env.Hypercall(HcPortalRecv, abi.RecvBlock)
-		env.Hypercall(HcPortalRecv, abi.RecvReply, 0x51) // reply, poll once
+		got = env.Hypercall(abi.HcPortalRecv, abi.RecvBlock)
+		env.Hypercall(abi.HcPortalRecv, abi.RecvReply, 0x51) // reply, poll once
 	}}})
 	var sel uint32
 	client := k.CreatePD(PDConfig{Name: "client", Priority: PrioGuest, Guest: &scriptGuest{"client", func(env *Env) {
 		env.Ctx.Exec(100)
-		reply = env.Hypercall(HcPortalCall, sel, 0xABCDE)
+		reply = env.Hypercall(abi.HcPortalCall, sel, 0xABCDE)
 	}}})
 	s, err := k.DelegateIPC(server, client)
 	if err != nil {
@@ -313,10 +313,10 @@ func TestIPCNonBlockingEmpty(t *testing.T) {
 	defer k.Shutdown()
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		got = env.Hypercall(HcPortalRecv, 0)
+		got = env.Hypercall(abi.HcPortalRecv, 0)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusNoMsg {
+	if got != abi.StatusNoMsg {
 		t.Errorf("empty non-blocking recv = %#x, want StatusNoMsg", got)
 	}
 }
@@ -351,7 +351,7 @@ func TestSDSupervisedIO(t *testing.T) {
 	var status uint32
 	var data uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		status = env.Hypercall(HcSDRead, 7, 0x2000) // into RAM offset 0x2000
+		status = env.Hypercall(abi.HcSDRead, 7, 0x2000) // into RAM offset 0x2000
 		v, _ := env.Ctx.Load32(GuestUserBase + (0x2000 - 0x10_0000) + 0x10_0000)
 		_ = v
 		// Read back through the guest's own mapping: RAM offset 0x2000 is
@@ -359,7 +359,7 @@ func TestSDSupervisedIO(t *testing.T) {
 		data, _ = env.Ctx.Load32(GuestKernelBase + 0x2000)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if status != StatusOK {
+	if status != abi.StatusOK {
 		t.Fatalf("HcSDRead = %d", status)
 	}
 	if data != 0x746f6f62 { // "boot" little-endian
@@ -381,7 +381,7 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 	var status []uint32
 	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Caps: CapIODirect, Guest: &scriptGuest{"g", func(env *Env) {
 		for _, off := range offsets {
-			status = append(status, env.Hypercall(HcSDRead, 7, off), env.Hypercall(HcSDWrite, 8, off))
+			status = append(status, env.Hypercall(abi.HcSDRead, 7, off), env.Hypercall(abi.HcSDWrite, 8, off))
 		}
 	}}})
 	below, err := k.Bus.ReadBytes(pd.RAMBase-512, 512)
@@ -393,7 +393,7 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 		t.Fatalf("guest made %d SD calls, want %d", len(status), 2*len(offsets))
 	}
 	for i, s := range status {
-		if s != StatusInval {
+		if s != abi.StatusInval {
 			t.Errorf("SD %s at offset %#x = %d, want StatusInval", []string{"read", "write"}[i%2], offsets[i/2], s)
 		}
 	}
@@ -408,9 +408,9 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 	var cloneStatus uint32
 	c := k.CreateClone(img, CloneConfig{Name: "c", Guest: &scriptGuest{"c", func(env *Env) {
 		env.ResumeSuspendExit()
-		cloneStatus = env.Hypercall(HcSDRead, 7, offsets[0])
+		cloneStatus = env.Hypercall(abi.HcSDRead, 7, offsets[0])
 		for {
-			env.Hypercall(HcSuspend, 1)
+			env.Hypercall(abi.HcSuspend, 1)
 			env.CheckPreempt()
 		}
 	}}})
@@ -422,11 +422,59 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.RunFor(simclock.FromMillis(2))
-	if cloneStatus != StatusInval {
+	if cloneStatus != abi.StatusInval {
 		t.Errorf("clone SD read at offset %#x = %d, want StatusInval", offsets[0], cloneStatus)
 	}
 	if after, _ := k.Bus.ReadBytes(physmem.Addr(offsets[0]), 512); !bytes.Equal(after, ocm) {
 		t.Error("a clone's SD read wrote into on-chip memory")
+	}
+}
+
+// TestMapPageRefusesSlotsItCannotMap: HcMapPage refuses, leaving the
+// caller's table untouched, a 1 MB slot the caller may not map (a
+// section, or another domain's second-level table) and a slot that
+// needs a second-level table its PD's pool has no room for. Each of
+// these used to panic the kernel.
+func TestMapPageRefusesSlotsItCannotMap(t *testing.T) {
+	k := NewKernelSMP(2)
+	defer k.Shutdown()
+	var section, guestKernel, reuse uint32
+	var fresh []uint32
+	var last uint32
+	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
+		section = env.Hypercall(abi.HcMapPage, uint32(physmem.AXIGP0Base), 0)
+		guestKernel = env.Hypercall(abi.HcMapPage, GuestKernelBase, 0)
+		// One page into each distinct empty slot until the PD's table
+		// pool runs dry (a private 256 KB arena on a 2-core kernel).
+		for va := uint32(0x1000_0000); va < GuestKernelBase; va += 1 << 20 {
+			last = va
+			if fresh = append(fresh, env.Hypercall(abi.HcMapPage, va, 0)); fresh[len(fresh)-1] != abi.StatusOK {
+				break
+			}
+		}
+		reuse = env.Hypercall(abi.HcMapPage, 0x1000_1000, 0x1000) // a slot with a table
+	}}})
+	k.RunFor(simclock.FromMillis(5))
+
+	if section != abi.StatusInval || guestKernel != abi.StatusInval {
+		t.Errorf("HcMapPage over the AXI GP0 section = %d, over the guest-kernel slot = %d; want StatusInval for both",
+			section, guestKernel)
+	}
+	if pa, dom, _, ok := pd.Table.Lookup(uint32(physmem.AXIGP0Base)); !ok || pa != physmem.AXIGP0Base || dom != DomainKernel {
+		t.Errorf("AXI GP0 section became %#x domain %d (mapped %v)", pa, dom, ok)
+	}
+	if pa, dom, _, ok := pd.Table.Lookup(GuestKernelBase); !ok || pa != pd.RAMBase || dom != DomainGuestKernel {
+		t.Errorf("guest-kernel page became %#x domain %d (mapped %v)", pa, dom, ok)
+	}
+	n := len(fresh)
+	if n < 2 || fresh[n-1] != abi.StatusErr {
+		t.Fatalf("fresh-slot statuses end in %d after %d calls, want StatusErr once the pool is dry", fresh[n-1], n)
+	}
+	if _, _, _, ok := pd.Table.Lookup(last); ok {
+		t.Errorf("refused slot %#x is mapped", last)
+	}
+	if reuse != abi.StatusOK {
+		t.Errorf("HcMapPage into a slot that has a table = %d after the pool ran dry, want StatusOK", reuse)
 	}
 }
 
@@ -472,15 +520,15 @@ func TestHwRequestRequiresDataSection(t *testing.T) {
 	fabricForTest(k)
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		StartSuspended: true, Guest: &scriptGuest{"hwtm", func(env *Env) {
-			env.Hypercall(HcMgrNextRequest) // never reached in this test
+			env.Hypercall(abi.HcMgrNextRequest) // never reached in this test
 		}}})
 	k.RegisterHwService(svc)
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		got = env.Hypercall(HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
+		got = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusInval {
+	if got != abi.StatusInval {
 		t.Errorf("request without data section = %d, want StatusInval", got)
 	}
 }
@@ -493,10 +541,10 @@ func TestManagerPortalUnreachableWithoutDelegation(t *testing.T) {
 	defer k.Shutdown()
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		got = env.Hypercall(HcMgrHwMMULoad, 0, 0)
+		got = env.Hypercall(abi.HcMgrHwMMULoad, 0, 0)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusBadSel {
+	if got != abi.StatusBadSel {
 		t.Errorf("portal without delegation = %d, want StatusBadSel", got)
 	}
 }
@@ -510,7 +558,7 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		StartSuspended: true, Guest: &scriptGuest{"hwtm", func(env *Env) {
-			reqID := env.Hypercall(HcMgrNextRequest)
+			reqID := env.Hypercall(abi.HcMgrNextRequest)
 			for {
 				view, ok := k.MgrRequest(reqID)
 				if !ok {
@@ -518,10 +566,10 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 					return
 				}
 				env.Ctx.Exec(500) // allocation bookkeeping
-				env.Hypercall(HcMgrMapIface, reqID, 0)
-				env.Hypercall(HcMgrHwMMULoad, uint32(view.ClientID), 0)
-				env.Hypercall(HcMgrAllocIRQ, reqID, 0)
-				reqID = env.Hypercall(HcMgrComplete, reqID, StatusOK)
+				env.Hypercall(abi.HcMgrMapIface, reqID, 0)
+				env.Hypercall(abi.HcMgrHwMMULoad, uint32(view.ClientID), 0)
+				env.Hypercall(abi.HcMgrAllocIRQ, reqID, 0)
+				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusOK)
 			}
 		}}})
 	k.RegisterHwService(svc)
@@ -538,15 +586,15 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		env.PD.VGIC.Entry = func(irq int) {
 			plIRQ = uint32(irq)
-			env.Hypercall(HcIRQEOI, uint32(irq))
+			env.Hypercall(abi.HcIRQEOI, uint32(irq))
 		}
 		// Build a data section: map 16 pages at the conventional VA.
 		for i := uint32(0); i < 16; i++ {
-			env.Hypercall(HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
+			env.Hypercall(abi.HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
 		}
-		env.Hypercall(HcRegionCreate, GuestDataSect, 16*0x1000)
-		reqStatus = env.Hypercall(HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
-		if reqStatus != StatusOK {
+		env.Hypercall(abi.HcRegionCreate, GuestDataSect, 16*0x1000)
+		reqStatus = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
+		if reqStatus != abi.StatusOK {
 			return
 		}
 		// Program the task through the freshly mapped interface page.
@@ -561,7 +609,7 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 		done = true
 	}}})
 	k.RunFor(simclock.FromMillis(5))
-	if reqStatus != StatusOK {
+	if reqStatus != abi.StatusOK {
 		t.Fatalf("hw task request status = %d, want OK", reqStatus)
 	}
 	if !done {
@@ -594,8 +642,8 @@ func (loopbackCore) Process(in []byte, _ uint32) ([]byte, error) {
 }
 
 func TestHypercallCountMatchesPaper(t *testing.T) {
-	if NumHypercalls != 25 {
-		t.Errorf("NumHypercalls = %d, paper says 25", NumHypercalls)
+	if abi.NumHypercalls != 25 {
+		t.Errorf("NumHypercalls = %d, paper says 25", abi.NumHypercalls)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"repro/internal/capspace"
 	"repro/internal/cpu"
 	"repro/internal/gic"
-	"repro/internal/simclock"
 )
 
 // Object-capability selector conventions above the service-portal range
@@ -72,15 +71,15 @@ type portalDesc struct {
 func capStatus(e capspace.Err) uint32 {
 	switch e {
 	case capspace.ErrBadSel:
-		return StatusBadSel
+		return abi.StatusBadSel
 	case capspace.ErrRevoked:
-		return StatusRevoked
+		return abi.StatusRevoked
 	case capspace.ErrBadType:
-		return StatusBadType
+		return abi.StatusBadType
 	case capspace.ErrDenied:
-		return StatusDenied
+		return abi.StatusDenied
 	}
-	return StatusErr
+	return abi.StatusErr
 }
 
 // newPortal mints one service-portal object.
@@ -95,39 +94,39 @@ func newPortal(name string, cost int, fn portalFn) *capspace.Object {
 func (k *Kernel) buildPortalObjects() {
 	p := make([]*capspace.Object, abi.NumPortalSelectors)
 
-	p[HcNull] = newPortal("null", 18, portalNull)
-	p[HcPrint] = newPortal("print", 30, portalPrint)
-	p[HcVMID] = newPortal("vmid", 20, portalVMID)
-	p[HcYield] = newPortal("yield", 28, portalYield)
-	p[HcTimerSet] = newPortal("timer_set", 55, portalTimerSet)
-	p[HcTimerCancel] = newPortal("timer_cancel", 35, portalTimerCancel)
-	p[HcIRQEnable] = newPortal("irq_enable", 45, portalIRQEnable)
-	p[HcIRQDisable] = newPortal("irq_disable", 45, portalIRQDisable)
-	p[HcIRQEOI] = newPortal("irq_eoi", 32, portalIRQEOI)
-	p[HcCacheFlush] = newPortal("cache_flush", 60, portalCacheFlush)
-	p[HcTLBFlush] = newPortal("tlb_flush", 40, portalTLBFlush)
-	p[HcMapPage] = newPortal("map_page", 90, portalMapPage)
-	p[HcUnmapPage] = newPortal("unmap_page", 80, portalUnmapPage)
-	p[HcRegionCreate] = newPortal("region_create", 85, portalRegionCreate)
-	p[HcDACRSwitch] = newPortal("dacr_switch", 30, portalDACRSwitch)
-	p[HcHwTaskRequest] = newPortal("hwtask_request", 95, portalHwTaskRequest)
-	p[HcHwTaskRelease] = newPortal("hwtask_release", 70, portalHwTaskRelease)
-	p[HcHwTaskStatus] = newPortal("hwtask_status", 40, portalHwTaskStatus)
-	p[HcPortalCall] = newPortal("portal_call", 70, portalIPCCall)
-	p[HcPortalRecv] = newPortal("portal_recv", 60, portalIPCRecv)
-	p[HcUARTWrite] = newPortal("uart_write", 35, portalUARTWrite)
-	p[HcUARTRead] = newPortal("uart_read", 35, portalUARTRead)
-	p[HcSDRead] = newPortal("sd_read", 120, portalSDRead)
-	p[HcSDWrite] = newPortal("sd_write", 120, portalSDWrite)
-	p[HcSuspend] = newPortal("suspend", 40, portalSuspend)
+	p[abi.HcNull] = newPortal("null", 18, (*Kernel).hcNull)
+	p[abi.HcPrint] = newPortal("print", 30, (*Kernel).hcConsoleWrite)
+	p[abi.HcVMID] = newPortal("vmid", 20, (*Kernel).hcVMID)
+	p[abi.HcYield] = newPortal("yield", 28, (*Kernel).hcYield)
+	p[abi.HcTimerSet] = newPortal("timer_set", 55, (*Kernel).hcTimerSet)
+	p[abi.HcTimerCancel] = newPortal("timer_cancel", 35, (*Kernel).hcTimerCancel)
+	p[abi.HcIRQEnable] = newPortal("irq_enable", 45, (*Kernel).hcIRQEnable)
+	p[abi.HcIRQDisable] = newPortal("irq_disable", 45, (*Kernel).hcIRQDisable)
+	p[abi.HcIRQEOI] = newPortal("irq_eoi", 32, (*Kernel).hcIRQEOI)
+	p[abi.HcCacheFlush] = newPortal("cache_flush", 60, (*Kernel).hcCacheFlush)
+	p[abi.HcTLBFlush] = newPortal("tlb_flush", 40, (*Kernel).hcTLBFlush)
+	p[abi.HcMapPage] = newPortal("map_page", 90, (*Kernel).hcMapPage)
+	p[abi.HcUnmapPage] = newPortal("unmap_page", 80, (*Kernel).hcUnmapPage)
+	p[abi.HcRegionCreate] = newPortal("region_create", 85, (*Kernel).hcRegionCreate)
+	p[abi.HcDACRSwitch] = newPortal("dacr_switch", 30, (*Kernel).hcDACRSwitch)
+	p[abi.HcHwTaskRequest] = newPortal("hwtask_request", 95, (*Kernel).hcHwTaskRequest)
+	p[abi.HcHwTaskRelease] = newPortal("hwtask_release", 70, (*Kernel).hcHwTaskRelease)
+	p[abi.HcHwTaskStatus] = newPortal("hwtask_status", 40, (*Kernel).hcHwTaskStatus)
+	p[abi.HcPortalCall] = newPortal("portal_call", 70, (*Kernel).hcPortalCall)
+	p[abi.HcPortalRecv] = newPortal("portal_recv", 60, (*Kernel).hcPortalRecv)
+	p[abi.HcUARTWrite] = newPortal("uart_write", 35, (*Kernel).hcConsoleWrite)
+	p[abi.HcUARTRead] = newPortal("uart_read", 35, (*Kernel).hcUARTRead)
+	p[abi.HcSDRead] = newPortal("sd_read", 120, (*Kernel).hcSDRead)
+	p[abi.HcSDWrite] = newPortal("sd_write", 120, (*Kernel).hcSDWrite)
+	p[abi.HcSuspend] = newPortal("suspend", 40, (*Kernel).hcSuspend)
 
-	p[HcMgrNextRequest] = newPortal("mgr_next_request", 50, portalMgrNextRequest)
-	p[HcMgrMapIface] = newPortal("mgr_map_iface", 110, portalMgrMapIface)
-	p[HcMgrUnmapIface] = newPortal("mgr_unmap_iface", 70, portalMgrUnmapIface)
-	p[HcMgrHwMMULoad] = newPortal("mgr_hwmmu_load", 45, portalMgrHwMMULoad)
-	p[HcMgrPCAPStart] = newPortal("mgr_pcap_start", 85, portalMgrPCAPStart)
-	p[HcMgrComplete] = newPortal("mgr_complete", 60, portalMgrComplete)
-	p[HcMgrAllocIRQ] = newPortal("mgr_alloc_irq", 75, portalMgrAllocIRQ)
+	p[abi.HcMgrNextRequest] = newPortal("mgr_next_request", 50, (*Kernel).mgrNextRequest)
+	p[abi.HcMgrMapIface] = newPortal("mgr_map_iface", 110, (*Kernel).mgrMapIface)
+	p[abi.HcMgrUnmapIface] = newPortal("mgr_unmap_iface", 70, (*Kernel).mgrUnmapIface)
+	p[abi.HcMgrHwMMULoad] = newPortal("mgr_hwmmu_load", 45, (*Kernel).mgrHwMMULoad)
+	p[abi.HcMgrPCAPStart] = newPortal("mgr_pcap_start", 85, (*Kernel).mgrPCAPStart)
+	p[abi.HcMgrComplete] = newPortal("mgr_complete", 60, (*Kernel).mgrComplete)
+	p[abi.HcMgrAllocIRQ] = newPortal("mgr_alloc_irq", 75, (*Kernel).mgrAllocIRQ)
 
 	k.portalObjs = p
 }
@@ -136,9 +135,9 @@ func (k *Kernel) buildPortalObjects() {
 // service portals (call-only — guests cannot delegate kernel portals),
 // the PD's own object (full rights), and whatever the boot grants name.
 func (k *Kernel) populateCaps(pd *PD, grants Capability) {
-	for sel := 0; sel < NumHypercalls; sel++ {
+	for sel := 0; sel < abi.NumHypercalls; sel++ {
 		r := capspace.RightCall
-		if sel == HcSDWrite && grants&CapIODirect == 0 {
+		if sel == abi.HcSDWrite && grants&CapIODirect == 0 {
 			// The portal is present in every table, but without the I/O
 			// grant the capability carries no rights: invoking it is a
 			// rights failure (Denied), not an unknown selector.
@@ -147,7 +146,7 @@ func (k *Kernel) populateCaps(pd *PD, grants Capability) {
 		pd.Space.Insert(sel, k.portalObjs[sel], r)
 	}
 	if grants&CapHwManager != 0 {
-		for sel := NumHypercalls; sel < abi.NumPortalSelectors; sel++ {
+		for sel := abi.NumHypercalls; sel < abi.NumPortalSelectors; sel++ {
 			pd.Space.Insert(sel, k.portalObjs[sel], capspace.RightCall)
 		}
 	}
@@ -204,262 +203,140 @@ func (k *Kernel) writeConsole(c *CoreCtx, b byte) {
 }
 
 // --- Guest service portals (the paper's 25 hypercalls) ---------------
+//
+// Each portal is one portalFn: a Kernel method that unpacks its own
+// argument words. HcPrint and HcUARTWrite share hcConsoleWrite; the
+// bodies too large for this file live in hypercall.go.
 
-func portalNull(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return StatusOK
+func (k *Kernel) hcNull(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+	return abi.StatusOK
 }
 
-func portalPrint(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcConsoleWrite(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	k.writeConsole(c, byte(args[0]))
-	return StatusOK
+	return abi.StatusOK
 }
 
-// portalVMID resolves the caller's own PD object — the identity read is
+// hcVMID resolves the caller's own PD object — the identity read is
 // a real capability lookup, so a domain that revoked its self
 // capability has no VMID. Failures return StatusErr (all-ones), never a
 // small status code: the reply channel carries the ID itself, and a
 // legitimate PD ID must stay distinguishable from an error.
-func portalVMID(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcVMID(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	obj, err := pd.Space.Lookup(SelSelf, capspace.ObjPD, capspace.RightCall)
 	if err != capspace.OK {
-		return StatusErr
+		return abi.StatusErr
 	}
 	return uint32(obj.Payload.(*PD).ID)
 }
 
-func portalYield(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcYield(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.quantumExpired = true
 	c.needResched = true
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalTimerSet(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcTimerSet(pd, simclock.Cycles(args[0]))
-}
-
-func portalTimerCancel(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcTimerCancel(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	k.parkVirtualTimer(pd)
 	pd.VCPU.TimerPeriod = 0
 	pd.timerRemaining = 0
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalIRQEnable(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcIRQEnable(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	irq := int(args[0])
 	if irq == gic.PrivateTimerIRQ {
 		pd.VGIC.Register(irq) // virtual timer PPI: self-service
 	}
 	if !pd.VGIC.Enable(irq) {
-		return StatusDenied
+		return abi.StatusDenied
 	}
 	if physicalLine(irq) && pd == c.Current {
 		k.GIC.Enable(irq)
 		c.Clock.Advance(CostDeviceAccess)
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalIRQDisable(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcIRQDisable(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	irq := int(args[0])
 	if !pd.VGIC.Disable(irq) {
-		return StatusDenied
+		return abi.StatusDenied
 	}
 	if physicalLine(irq) {
 		k.GIC.Disable(irq)
 		c.Clock.Advance(CostDeviceAccess)
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalIRQEOI(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcIRQEOI(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	if !pd.VGIC.EOI(int(args[0])) {
-		return StatusInval
+		return abi.StatusInval
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalCacheFlush(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcCacheFlush(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.CPU.CP15Write(cpu.CP15DCCISW, 0)
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalTLBFlush(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcTLBFlush(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.CPU.CP15Write(cpu.CP15TLBIASID, uint32(pd.ASID))
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalMapPage(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcMapPage(c, pd, args[0], args[1])
-}
-
-func portalUnmapPage(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcUnmapPage(c, pd, args[0])
-}
-
-func portalRegionCreate(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcRegionCreate(pd, args[0], args[1])
-}
-
-func portalDACRSwitch(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcDACRSwitch(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	guestKernelCtx := args[0] != 0
 	d := dacrFor(guestKernelCtx)
 	pd.VCPU.DACR = d
 	c.CPU.CP15Write(cpu.CP15DACR, d)
-	return StatusOK
+	return abi.StatusOK
 }
 
-func portalHwTaskRequest(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcHwTaskRequest(c, pd, HwReqAcquire, args)
-}
-
-func portalHwTaskRelease(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcHwTaskRequest(c, pd, HwReqRelease, args)
-}
-
-func portalHwTaskStatus(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcHwTaskStatus(c, pd, args[0])
-}
-
-func portalIPCCall(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcPortalCall(c, pd, int(args[0]), args[1])
-}
-
-func portalIPCRecv(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcPortalRecv(c, pd, args[0], args[1])
-}
-
-func portalUARTWrite(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	k.writeConsole(c, byte(args[0]))
-	return StatusOK
-}
-
-func portalUARTRead(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcUARTRead(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.Clock.Advance(CostDeviceAccess)
 	return 0 // no input source modelled; returns "no data"
 }
 
-func portalSDRead(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcSD(c, pd, args[0], args[1], false)
-}
-
-// portalSDWrite needs no explicit I/O check: a PD without CapIODirect
-// holds the capability with no rights, so resolution already failed
-// with Denied before the handler could run.
-func portalSDWrite(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return k.hcSD(c, pd, args[0], args[1], true)
-}
-
-func portalSuspend(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
+func (k *Kernel) hcSuspend(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	if args[0] == 1 {
 		// Paravirtualized idle: sleep until a virtual interrupt is
 		// injected (the guest's WFI). A pending injection returns
 		// immediately.
 		if pd.VGIC.HasPending() {
-			return StatusOK
+			return abi.StatusOK
 		}
 		pd.idleWaiting = true
 		pd.Env.block()
 		pd.idleWaiting = false
-		return StatusOK
+		return abi.StatusOK
 	}
 	pd.Env.block()
-	return StatusOK
-}
-
-// --- Hardware Task Manager portals (§IV-E, Fig. 7) -------------------
-//
-// Each handler re-resolves the device capabilities the operation needs
-// from the *caller's* space: the portals are reachable only in a domain
-// they were delegated to, and the objects they act on (queue, slots,
-// PCAP, store, client PDs) must additionally be held — the manager's
-// powers are exactly the set of capabilities RegisterHwService
-// delegated, not an ambient privilege bit.
-
-func portalMgrNextRequest(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	if _, err := pd.Space.Lookup(SelMgrQueue, capspace.ObjSem, capspace.RightCall); err != capspace.OK {
-		return capStatus(err)
-	}
-	return k.mgrNextRequest(c, pd)
-}
-
-func portalMgrComplete(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	if _, err := pd.Space.Lookup(SelMgrQueue, capspace.ObjSem, capspace.RightCall); err != capspace.OK {
-		return capStatus(err)
-	}
-	return k.mgrComplete(c, pd, args[0], args[1])
+	return abi.StatusOK
 }
 
 // slotCap resolves the caller's capability to PRR prr's hardware-task
 // slot object.
 func slotCap(pd *PD, prr int) (uint32, bool) {
 	if prr < 0 {
-		return StatusBadSel, false
+		return abi.StatusBadSel, false
 	}
 	if _, err := pd.Space.Lookup(SelMgrSlotBase+prr, capspace.ObjHwSlot, capspace.RightCall); err != capspace.OK {
 		return capStatus(err), false
 	}
-	return StatusOK, true
+	return abi.StatusOK, true
 }
 
 // clientCap resolves the caller's capability to client PD pdID.
 func clientCap(pd *PD, pdID int) (*PD, uint32, bool) {
 	if pdID < 0 {
-		return nil, StatusBadSel, false
+		return nil, abi.StatusBadSel, false
 	}
 	obj, err := pd.Space.Lookup(SelMgrClientBase+pdID, capspace.ObjPD, capspace.RightCall)
 	if err != capspace.OK {
 		return nil, capStatus(err), false
 	}
-	return obj.Payload.(*PD), StatusOK, true
-}
-
-func portalMgrMapIface(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	prr := int(args[1])
-	if st, ok := slotCap(pd, prr); !ok {
-		return st
-	}
-	return k.mgrMapIface(c, args[0], prr)
-}
-
-func portalMgrUnmapIface(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	client, st, ok := clientCap(pd, int(args[0]))
-	if !ok {
-		return st
-	}
-	if st, ok := slotCap(pd, int(args[1])); !ok {
-		return st
-	}
-	return k.mgrUnmapIface(c, pd, client, int(args[1]))
-}
-
-func portalMgrHwMMULoad(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	client, st, ok := clientCap(pd, int(args[0]))
-	if !ok {
-		return st
-	}
-	if st, ok := slotCap(pd, int(args[1])); !ok {
-		return st
-	}
-	return k.mgrHwMMULoad(c, client, int(args[1]))
-}
-
-func portalMgrPCAPStart(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	if _, err := pd.Space.Lookup(SelMgrPCAP, capspace.ObjPortal, capspace.RightCall); err != capspace.OK {
-		return capStatus(err)
-	}
-	store, err := pd.Space.Lookup(SelMgrStore, capspace.ObjMemRegion, capspace.RightCall)
-	if err != capspace.OK {
-		return capStatus(err)
-	}
-	if st, ok := slotCap(pd, int(args[3])); !ok {
-		return st
-	}
-	return k.mgrPCAPStart(c, args[0], args[1], args[2], int(args[3]), store.Payload.(regionWindow))
-}
-
-func portalMgrAllocIRQ(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	if st, ok := slotCap(pd, int(args[1])); !ok {
-		return st
-	}
-	return k.mgrAllocIRQ(c, args[0], int(args[1]))
+	return obj.Payload.(*PD), abi.StatusOK, true
 }

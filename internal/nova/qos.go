@@ -24,6 +24,7 @@ package nova
 // sequence exactly.
 
 import (
+	"repro/internal/abi"
 	"repro/internal/fault"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -94,20 +95,20 @@ func (k *Kernel) initQoS(pd *PD) {
 // request before it touches the manager queue.
 func (k *Kernel) admitHwRequest(c *CoreCtx, pd *PD) uint32 {
 	if !k.qosOn || pd == k.hwSvc || pd.Priority >= PrioService {
-		return StatusOK
+		return abi.StatusOK
 	}
 	now := c.Clock.Now()
 	if pd.breaker.Open(now) {
-		return StatusRetry
+		return abi.StatusRetry
 	}
 	if !pd.bucket.Take(now) {
 		if k.Tracer != nil {
 			k.Tracer.Core(c.ID).Emit(now, trace.KindQoSThrottle,
 				0, uint64(pd.ID), pd.bucket.Denials)
 		}
-		return StatusThrottled
+		return abi.StatusThrottled
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 // QoSCounters returns pd's guard ledger — bucket denials, breaker trips

@@ -1,9 +1,9 @@
 package nova
 
 import (
-	"repro/internal/abi"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/bitstream"
 	"repro/internal/gic"
 	"repro/internal/pl"
@@ -69,8 +69,8 @@ func TestCrossCoreWakeRaisesSGI(t *testing.T) {
 	server := k.CreatePD(PDConfig{
 		Name: "recv", Priority: PrioService, Affinity: sched.MaskOf(1),
 		Guest: &scriptGuest{"recv", func(env *Env) {
-			got = env.Hypercall(HcPortalRecv, abi.RecvBlock) // blocked on core 1
-			env.Hypercall(HcPortalRecv, abi.RecvReply, 0x77) // reply the caller
+			got = env.Hypercall(abi.HcPortalRecv, abi.RecvBlock) // blocked on core 1
+			env.Hypercall(abi.HcPortalRecv, abi.RecvReply, 0x77) // reply the caller
 			for {
 				env.Ctx.Exec(100)
 				env.CheckPreempt()
@@ -96,7 +96,7 @@ func TestCrossCoreWakeRaisesSGI(t *testing.T) {
 				env.Ctx.Exec(100)
 				env.CheckPreempt()
 			}
-			reply = env.Hypercall(HcPortalCall, sel, 0xBEEF)
+			reply = env.Hypercall(abi.HcPortalCall, sel, 0xBEEF)
 			for {
 				env.Ctx.Exec(100)
 				env.CheckPreempt()
@@ -137,7 +137,7 @@ func TestCrossCoreWakeLatency(t *testing.T) {
 		StartSuspended: true,
 		Guest: &scriptGuest{"svc", func(env *Env) {
 			ranAt = env.Now()
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 		}},
 	})
 	k.CreatePD(PDConfig{
@@ -203,7 +203,7 @@ func TestDualCoreHwServicePinnedEndToEnd(t *testing.T) {
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		Affinity: sched.MaskOf(1), StartSuspended: true,
 		Guest: &scriptGuest{"hwtm", func(env *Env) {
-			reqID := env.Hypercall(HcMgrNextRequest)
+			reqID := env.Hypercall(abi.HcMgrNextRequest)
 			for {
 				view, ok := k.MgrRequest(reqID)
 				if !ok {
@@ -211,10 +211,10 @@ func TestDualCoreHwServicePinnedEndToEnd(t *testing.T) {
 					return
 				}
 				env.Ctx.Exec(500)
-				env.Hypercall(HcMgrMapIface, reqID, 0)
-				env.Hypercall(HcMgrHwMMULoad, uint32(view.ClientID), 0)
-				env.Hypercall(HcMgrAllocIRQ, reqID, 0)
-				reqID = env.Hypercall(HcMgrComplete, reqID, StatusOK)
+				env.Hypercall(abi.HcMgrMapIface, reqID, 0)
+				env.Hypercall(abi.HcMgrHwMMULoad, uint32(view.ClientID), 0)
+				env.Hypercall(abi.HcMgrAllocIRQ, reqID, 0)
+				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusOK)
 			}
 		}}})
 	k.RegisterHwService(svc)
@@ -230,14 +230,14 @@ func TestDualCoreHwServicePinnedEndToEnd(t *testing.T) {
 		Guest: &scriptGuest{"g", func(env *Env) {
 			env.PD.VGIC.Entry = func(irq int) {
 				plIRQ = uint32(irq)
-				env.Hypercall(HcIRQEOI, uint32(irq))
+				env.Hypercall(abi.HcIRQEOI, uint32(irq))
 			}
 			for i := uint32(0); i < 16; i++ {
-				env.Hypercall(HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
+				env.Hypercall(abi.HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
 			}
-			env.Hypercall(HcRegionCreate, GuestDataSect, 16*0x1000)
-			reqStatus = env.Hypercall(HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
-			if reqStatus != StatusOK {
+			env.Hypercall(abi.HcRegionCreate, GuestDataSect, 16*0x1000)
+			reqStatus = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
+			if reqStatus != abi.StatusOK {
 				return
 			}
 			env.Ctx.Store32(GuestIfaceBase+pl.RegSrc, 0x100)
@@ -251,7 +251,7 @@ func TestDualCoreHwServicePinnedEndToEnd(t *testing.T) {
 		}}})
 	k.RunFor(simclock.FromMillis(5))
 
-	if reqStatus != StatusOK {
+	if reqStatus != abi.StatusOK {
 		t.Fatalf("hw task request status = %d, want OK", reqStatus)
 	}
 	if plIRQ < gic.PLIRQBase {

@@ -117,7 +117,7 @@ func (k *Kernel) traceCompletionIRQ(own pcapOwner, irq int) {
 // from hypercall entry to the wake that delivered the reply. Emitted
 // after resume (req.ID is stable by then on both the same-core and
 // cross-core paths), backdated to the entry stamp.
-func (k *Kernel) traceHwReq(c *CoreCtx, t0 simclock.Cycles, req *HwRequest) {
+func (k *Kernel) traceHwReq(c *CoreCtx, t0 simclock.Cycles, req *hwRequest) {
 	if k.Tracer == nil {
 		return
 	}

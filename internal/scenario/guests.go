@@ -4,7 +4,6 @@ import (
 	"repro/internal/abi"
 	"repro/internal/apps"
 	"repro/internal/experiments"
-	"repro/internal/hwtask"
 	"repro/internal/ucos"
 )
 
@@ -63,7 +62,7 @@ func (s *System) churnTask(p *vmProbe, vmIndex int, seed uint32) func(t *ucos.Ta
 				// anything else retries at the base gap.
 				//detlint:partial success statuses unreachable here; unlisted failures use the base backoff
 				switch st {
-				case hwtask.ReplyBusy:
+				case abi.StatusBusy:
 					p.busy++
 				case abi.StatusThrottled:
 					p.throttled++

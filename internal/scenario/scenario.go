@@ -16,13 +16,11 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/gic"
 	"repro/internal/hwtask"
 	"repro/internal/measure"
 	"repro/internal/nova"
-	"repro/internal/pl"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -77,8 +75,6 @@ type Spec struct {
 	Policy string
 	// QuantumMs is the guest time slice (0 = the paper's 33 ms).
 	QuantumMs float64
-	// TickMs is the guest OS tick period (0 = 1 ms).
-	TickMs float64
 	// RunMs is the simulated runtime budget.
 	RunMs float64
 	// Seed diversifies the per-VM pseudo-random streams.
@@ -125,9 +121,6 @@ func (s Spec) normalized() Spec {
 	if s.QuantumMs == 0 {
 		s.QuantumMs = nova.DefaultQuantumMs
 	}
-	if s.TickMs == 0 {
-		s.TickMs = 1
-	}
 	if s.RunMs == 0 {
 		s.RunMs = 100
 	}
@@ -146,7 +139,7 @@ type vmProbe struct {
 
 	requests     uint64 // completed hardware-task runs
 	failures     uint64 // runs that returned false (timeout, DMA error)
-	busy         uint64 // ReplyBusy answers
+	busy         uint64 // StatusBusy answers
 	throttled    uint64 // StatusThrottled answers (QoS bucket empty)
 	retried      uint64 // StatusRetry answers (circuit breaker open)
 	faulted      uint64 // StatusFaulted answers (retries exhausted / PRRs down)
@@ -189,13 +182,7 @@ func Build(spec Spec) *System {
 		k.EnableTrace()
 	}
 
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range experiments.PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
+	mgr := hwtask.BootPaperPlatform(k, spec.ServiceCore)
 	if spec.CacheBytes != 0 {
 		k.Reconfig.SetCacheCapacity(spec.CacheBytes)
 	}
@@ -208,18 +195,6 @@ func Build(spec Spec) *System {
 		k.Reconfig.Inject = fault.New(fc)
 	}
 	k.EnableQoS(spec.QoS)
-
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		panic(fmt.Sprintf("scenario %q: %v", spec.Name, err))
-	}
-	svc := hwtask.NewService(mgr, k)
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: svc, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
-		Affinity: spec.ServiceCore, StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
 
 	sys := &System{Spec: spec, Kernel: k, Manager: mgr, stormNext: 0}
 	for i, vm := range spec.VMs {
@@ -273,9 +248,7 @@ func (s *System) addVM(idx int, vm VM) {
 		s.startStorm(p.pd, line, simclock.FromMicros(vm.StormPeriodUs), vm.StormBurst)
 	}
 
-	tick := s.Spec.TickMs
 	p.guest.Setup = func(os *ucos.OS) {
-		os.TickPeriod = simclock.FromMillis(tick)
 		for _, irq := range stormIRQs {
 			irq := irq
 			os.RegisterIRQ(irq, func(int) { p.stormHandled++ })

@@ -87,9 +87,8 @@ func slsBody(st *slsState, idx int) func(t *ucos.Task) {
 // same setup shape runs on the template at boot and on every clone at
 // restore (with the clone's own states), satisfying ucos.Restore's
 // tasks-recreated contract.
-func slsSetup(tickMs float64, states []*slsState) func(os *ucos.OS) {
+func slsSetup(states []*slsState) func(os *ucos.OS) {
 	return func(os *ucos.OS) {
-		os.TickPeriod = simclock.FromMillis(tickMs)
 		for i, st := range states {
 			if err := os.TaskCreate(fmt.Sprintf("fn%d", i), 8+i, slsBody(st, i)); err != nil {
 				panic(err)
@@ -135,7 +134,7 @@ func (s *System) addTemplateVM(idx int, vm VM) {
 	for i := range states {
 		states[i] = &slsState{rng: mix(seed, uint32(0x515+i)), cold: templateColdExec}
 	}
-	p.guest.Setup = slsSetup(s.Spec.TickMs, states)
+	p.guest.Setup = slsSetup(states)
 	if s.snap == nil {
 		s.snap = &snapRun{cfg: *s.Spec.Snapshot, key: p.spec.Name, tpl: p, tplStates: states}
 	}
@@ -187,7 +186,7 @@ func (s *System) buildClone(seq int) *cloneVM {
 		cp.rng = (cp.rng ^ mix(s.Spec.Seed, uint32(0xC10E+seq*8+i))) | 1
 		states[i] = &cp
 	}
-	g := &ucos.ResumedGuest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(s.Spec.TickMs, states)}
+	g := &ucos.ResumedGuest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(states)}
 	pd := s.Kernel.CreateClone(sr.img, nova.CloneConfig{Name: name, Guest: g})
 	cv := &cloneVM{name: name, pd: pd, guest: g, states: states}
 	sr.clones = append(sr.clones, cv)

@@ -111,7 +111,7 @@ func midpointRun(t *testing.T, shards int, interrupt bool) Result {
 		rg := &ucos.ResumedGuest{
 			GuestName: "template",
 			Snap:      osnap,
-			Setup:     slsSetup(sys.Spec.TickMs, sr.tplStates),
+			Setup:     slsSetup(sr.tplStates),
 		}
 		if err := k.RestoreInPlace(pd, img, rg); err != nil {
 			t.Fatalf("restore in place: %v", err)

@@ -2,7 +2,6 @@ package ucos
 
 import (
 	"repro/internal/abi"
-	"repro/internal/hwtask"
 	"repro/internal/pl"
 )
 
@@ -16,20 +15,13 @@ type HwTask struct {
 	doneSem *Sem
 }
 
-// Data-section reserved-structure flags (first word of the section),
-// from the shared ABI — the kernel writes them, the guest checks them.
-const (
-	flagOwned        = abi.DataSectFlagOwned
-	flagInconsistent = abi.DataSectFlagInconsistent
-)
-
 // AcquireHw requests taskID from the Hardware Task Manager. On a
 // Reconfig grant it waits for the PCAP download using the polling method
 // of §IV-E (delaying a tick between polls so other tasks run). Returns
 // nil and the status byte on Busy/Inval.
 func (t *Task) AcquireHw(taskID uint16) (*HwTask, uint32) {
 	g := t.OS.M.RequestHwTask(taskID)
-	if g.Status != hwtask.ReplyOK && g.Status != hwtask.ReplyReconfig {
+	if g.Status != abi.StatusOK && g.Status != abi.StatusReconfig {
 		return nil, g.Status
 	}
 	h := &HwTask{Grant: g, TaskID: taskID, doneSem: t.OS.SemCreate(0)}
@@ -37,7 +29,7 @@ func (t *Task) AcquireHw(taskID uint16) (*HwTask, uint32) {
 		sem := h.doneSem
 		t.OS.RegisterIRQ(g.IRQ, func(int) { sem.Post() })
 	}
-	if g.Status == hwtask.ReplyReconfig {
+	if g.Status == abi.StatusReconfig {
 		for {
 			st := t.OS.M.ReconfigStatus()
 			if st == abi.StatusFaulted {
@@ -75,7 +67,7 @@ func (t *Task) ReleaseHw(h *HwTask) {
 // hardware task data section whenever it uses the task").
 func (h *HwTask) Consistent(t *Task) bool {
 	v, err := t.Ctx.Load32(h.Grant.DataVA)
-	return err == nil && v == flagOwned
+	return err == nil && v == abi.DataSectFlagOwned
 }
 
 // Run programs the task's register group through the mapped interface,

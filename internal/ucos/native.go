@@ -56,9 +56,9 @@ type NativeMachine struct {
 }
 
 // NewNativeMachine assembles the baseline system: machine, flat address
-// space, fabric with the paper's PRR layout, manager with the paper's
-// task set, and the given behavioural cores.
-func NewNativeMachine(cores map[uint16]pl.Accel) *NativeMachine {
+// space, fabric with the paper's PRR layout and behavioural cores, and a
+// manager with the paper's task set.
+func NewNativeMachine() *NativeMachine {
 	clock := simclock.New()
 	bus := physmem.NewBus()
 	g := gic.New()
@@ -67,7 +67,7 @@ func NewNativeMachine(cores map[uint16]pl.Accel) *NativeMachine {
 	caps := hwtask.PaperPRRCapacities()
 	fabric := pl.NewFabric(clock, bus, g, caps)
 	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range cores {
+	for id, core := range hwtask.PaperCores() {
 		fabric.RegisterCore(id, core)
 	}
 
@@ -234,9 +234,9 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 			nm.Mgr.NotifyLoaded(r)
 		}
 	}
-	req := hwtask.Request{
-		Kind:     hwtask.ReqAcquire,
-		ReqID:    nm.reqSeq,
+	req := abi.Request{
+		Kind:     abi.ReqAcquire,
+		ID:       nm.reqSeq,
 		ClientID: 0,
 		TaskID:   taskID,
 		DataVA:   uint32(nm.dataWin.Base),
@@ -260,7 +260,7 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 // ReleaseHwTask implements Machine.
 func (nm *NativeMachine) ReleaseHwTask(taskID uint16) {
 	nm.reqSeq++
-	req := hwtask.Request{Kind: hwtask.ReqRelease, ReqID: nm.reqSeq, ClientID: 0, TaskID: taskID}
+	req := abi.Request{Kind: abi.ReqRelease, ID: nm.reqSeq, ClientID: 0, TaskID: taskID}
 	nm.Mgr.Handle(nm.mgrCtx, req, nm.actions)
 }
 

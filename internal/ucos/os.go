@@ -33,6 +33,10 @@ const NumPriorities = 64
 // private-timer PPI number, virtualized by Mini-NOVA).
 const TickIRQ = 29
 
+// TickMs is the OS tick period NewOS sets, in milliseconds
+// (paper-realistic: 1 ms).
+const TickMs = 1
+
 // taskState is a TCB lifecycle state.
 type taskState int
 
@@ -114,7 +118,7 @@ func NewOS(name string, m Machine) *OS {
 	os := &OS{
 		Name:       name,
 		M:          m,
-		TickPeriod: simclock.FromMillis(1),
+		TickPeriod: simclock.FromMillis(TickMs),
 		irqTable:   make(map[int]func(int)),
 	}
 	os.kctx = m.NewContext(name+"/kernel", m.KernelCodeBase(), 12<<10)

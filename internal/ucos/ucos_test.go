@@ -4,28 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/apps"
 	"repro/internal/hwtask"
-	"repro/internal/pl"
 	"repro/internal/simclock"
 )
-
-func paperCores() map[uint16]pl.Accel {
-	cores := map[uint16]pl.Accel{}
-	for _, id := range hwtask.FFTTaskIDs {
-		cores[id] = apps.FFTCore{}
-	}
-	for _, id := range hwtask.QAMTaskIDs {
-		cores[id] = apps.QAMCore{}
-	}
-	return cores
-}
 
 // nativeOS builds a native uC/OS-II, runs setup, and executes until the
 // given simulated horizon.
 func nativeOS(t *testing.T, horizon simclock.Cycles, setup func(os *OS)) (*OS, *NativeMachine) {
 	t.Helper()
-	nm := NewNativeMachine(paperCores())
+	nm := NewNativeMachine()
 	os := NewOS("native-ucos", nm)
 	setup(os)
 	os.Deadline = nm.Now() + horizon
@@ -52,7 +41,7 @@ func TestTaskPriorityScheduling(t *testing.T) {
 }
 
 func TestOneTaskPerPriority(t *testing.T) {
-	nm := NewNativeMachine(paperCores())
+	nm := NewNativeMachine()
 	os := NewOS("t", nm)
 	if err := os.TaskCreate("a", 7, func(*Task) {}); err != nil {
 		t.Fatal(err)
@@ -223,7 +212,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueFullRejects(t *testing.T) {
-	nm := NewNativeMachine(paperCores())
+	nm := NewNativeMachine()
 	os := NewOS("t", nm)
 	q := os.QueueCreate(2)
 	if !q.Post(1) || !q.Post(2) {
@@ -262,7 +251,7 @@ func TestNativeHwTaskRoundTrip(t *testing.T) {
 			ok = h.Run(task, 0x100, 0x800, 64, 16, 50)
 		})
 	})
-	if status != hwtask.ReplyReconfig {
+	if status != abi.StatusReconfig {
 		t.Fatalf("first acquire status = %d, want Reconfig (cold PRR)", status)
 	}
 	if !ok {

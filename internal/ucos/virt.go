@@ -3,7 +3,6 @@ package ucos
 import (
 	"repro/internal/abi"
 	"repro/internal/cpu"
-	"repro/internal/hwtask"
 	"repro/internal/nova"
 	"repro/internal/simclock"
 )
@@ -145,7 +144,7 @@ func (m *VirtMachine) RequestHwTask(taskID uint16) HwGrant {
 		IfaceVA: iface,
 		DataVA:  m.dataVA,
 	}
-	if g.Status != hwtask.ReplyOK && g.Status != hwtask.ReplyReconfig {
+	if g.Status != abi.StatusOK && g.Status != abi.StatusReconfig {
 		m.ifaceNext -= 0x1000 // nothing was mapped
 		g.IfaceVA = 0
 	}

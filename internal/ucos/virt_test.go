@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abi"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
 	"repro/internal/simclock"
 )
 
@@ -16,24 +16,7 @@ import (
 func virtSystem(t *testing.T, n int, setup func(vm int, os *OS)) (*nova.Kernel, []*Guest) {
 	t.Helper()
 	k := nova.NewKernel()
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for id, core := range paperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
-
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		t.Fatal(err)
-	}
-	svc := hwtask.NewService(mgr, k)
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: svc, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
-		StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
+	hwtask.BootPaperPlatform(k, 0)
 
 	var guests []*Guest
 	for i := 0; i < n; i++ {
@@ -95,7 +78,7 @@ func TestVirtHwTaskEndToEnd(t *testing.T) {
 	})
 	defer k.Shutdown()
 	k.RunFor(simclock.FromMillis(50))
-	if status != hwtask.ReplyReconfig {
+	if status != abi.StatusReconfig {
 		t.Fatalf("acquire status = %d, want Reconfig (cold PRR)", status)
 	}
 	if !ran {
@@ -123,7 +106,7 @@ func TestVirtTwoVMsShareHardwareTask(t *testing.T) {
 			for try := 0; try < 60; try++ {
 				h, st := task.AcquireHw(hwtask.TaskQAM4)
 				if h == nil {
-					if st == hwtask.ReplyBusy {
+					if st == abi.StatusBusy {
 						task.Delay(uint32(2 + vm))
 						continue
 					}
