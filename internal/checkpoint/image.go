@@ -3,14 +3,15 @@
 // restore or fork consumes. The package sits below the kernel in the
 // import graph and holds no live kernel references — capability-table
 // entries are re-minted by the kernel on restore (an image carries only
-// the boot-grant bits, never object pointers), guest memory is a frame
-// set the image pins on the bus, and the guest's host-side state rides
-// along as an opaque value the hosting layer (ucos) knows how to rebuild.
+// the boot-grant bits, never object pointers), and guest memory is a
+// frame set the image pins on the bus. The image holds hypervisor state
+// only: the software inside the domain is captured separately by its
+// hosting layer (ucos.OS.Snapshot), which the caller keeps next to the
+// image and hands to the resumed guest.
 package checkpoint
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -51,9 +52,6 @@ type Frame struct {
 // bus, so the template's bytes survive however many clones come and go;
 // ReleaseImage drops the pins.
 type Image struct {
-	Name       string
-	CapturedAt simclock.Cycles
-
 	// Domain identity to re-mint on restore: scheduling priority and the
 	// boot-grant bits (the kernel rebuilds actual capability-table
 	// contents from these — raw cap-table entries never enter an image).
@@ -95,10 +93,6 @@ type Image struct {
 	// Frames holds captured frame contents; empty unless the checkpoint
 	// was taken WithContents.
 	Frames []Frame
-
-	// Guest is the hosting layer's opaque snapshot of the software inside
-	// the domain (e.g. a ucos.Snapshot); the kernel never looks at it.
-	Guest any
 }
 
 // FrameCount is the number of 4 KB frames the image's regions cover.
@@ -119,75 +113,6 @@ func (img *Image) EachFrame(f func(va uint32, pa physmem.Addr)) {
 			f(r.VA+off, r.PA+physmem.Addr(off))
 		}
 	}
-}
-
-// Fingerprint is an FNV-1a hash over the image's canonical serialized
-// form. Two captures of identical machine state fingerprint identically,
-// whatever host produced them; tests use this to prove checkpoint
-// stability. The opaque fields (Exec, Guest) are excluded — they carry
-// no serializable identity of their own.
-func (img *Image) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(p []byte) {
-		for _, b := range p {
-			h = (h ^ uint64(b)) * prime
-		}
-	}
-	var w [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		mix(w[:])
-	}
-	mix([]byte(img.Name))
-	u64(uint64(img.CapturedAt))
-	u64(uint64(img.Priority))
-	u64(uint64(img.CapBits))
-	u64(uint64(img.CodeBase)<<32 | uint64(img.CodeSize))
-	for _, r := range img.Regs.R {
-		u64(uint64(r))
-	}
-	u64(uint64(img.Regs.CPSR))
-	u64(uint64(img.DACR))
-	for _, v := range img.VFP {
-		u64(uint64(v))
-	}
-	u64(uint64(img.L2Ctrl))
-	if img.VFPValid {
-		u64(1)
-	}
-	u64(uint64(img.QuantumLeft))
-	u64(uint64(img.TimerPeriod))
-	u64(uint64(img.TimerRemaining))
-	u64(uint64(img.LastHcEntry))
-	for _, l := range img.VGIC {
-		v := uint64(l.IRQ) << 3
-		if l.Enabled {
-			v |= 1
-		}
-		if l.InService {
-			v |= 2
-		}
-		if l.RePending {
-			v |= 4
-		}
-		u64(v)
-	}
-	for _, p := range img.VGICPending {
-		u64(uint64(p))
-	}
-	for _, r := range img.Regions {
-		u64(uint64(r.VA)<<32 | uint64(r.PA))
-		u64(uint64(r.Size)<<8 | uint64(r.Domain))
-	}
-	for _, f := range img.Frames {
-		u64(uint64(f.PA))
-		mix(f.Data)
-	}
-	return h
 }
 
 // Validate checks the structural invariants a kernel restore or fork

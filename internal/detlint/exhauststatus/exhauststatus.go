@@ -1,25 +1,20 @@
 // Package exhauststatus enforces exhaustive handling of the ABI status
-// domains. The status codes in internal/abi (and their client-facing
-// hwtask.Reply* aliases) are an append-only enum: PR 8 added
-// StatusThrottled/StatusFaulted/StatusRetry, and any dispatch that
+// domain. The status codes in internal/abi are an append-only enum: PR 8
+// added StatusThrottled/StatusFaulted/StatusRetry, and any dispatch that
 // enumerates statuses without covering the full set silently drops new
 // ones — the exact failure the dynamic TestStatusNameExhaustive guards
 // against for the one statusNames table, generalized here to every
 // switch and keyed table in the tree.
 //
 // A construct is in scope when a case expression (or composite-literal
-// key) resolves to a constant of one of the status families:
+// key) resolves to an internal/abi constant named Status*. The required
+// set is the dense block bounded by NumStatusCodes; StatusErr is the
+// documented out-of-band all-ones code and is excluded.
 //
-//   - internal/abi constants named Status* (dense block bounded by
-//     NumStatusCodes; StatusErr is the documented out-of-band all-ones
-//     code and is excluded from the required set), and
-//   - internal/hwtask constants named Reply* (the client-visible reply
-//     statuses).
-//
-// Such a switch must list every family constant, or carry a `default`
+// Such a switch must list every status constant, or carry a `default`
 // clause (a new status then lands somewhere visible rather than falling
 // through silently), or be annotated `//detlint:partial <reason>`.
-// Keyed composite literals must list every family constant as a key or
+// Keyed composite literals must list every status constant as a key or
 // carry the annotation.
 package exhauststatus
 
@@ -44,17 +39,14 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// family describes one status constant namespace.
-type family struct {
-	pathSuffix string // declaring package import-path suffix
-	prefix     string // constant name prefix
-	bound      string // optional dense-block bound constant (excluded, with everything >= it)
-}
-
-var families = []family{
-	{pathSuffix: "internal/abi", prefix: "Status", bound: "NumStatusCodes"},
-	{pathSuffix: "internal/hwtask", prefix: "Reply", bound: ""},
-}
+// The status family: constants named prefix in the package whose import
+// path ends in pathSuffix, below the dense-block bound (which is excluded,
+// with everything at or above its value).
+const (
+	pathSuffix = "internal/abi"
+	prefix     = "Status"
+	bound      = "NumStatusCodes"
+)
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	dirs := directive.Collect(pass.Fset, pass.Files)
@@ -90,36 +82,26 @@ func constOf(pass *analysis.Pass, e ast.Expr) *types.Const {
 	return c
 }
 
-// familyOf returns the status family a constant belongs to, if any.
-func familyOf(c *types.Const) (family, bool) {
-	if c == nil || c.Pkg() == nil {
-		return family{}, false
-	}
-	for _, fam := range families {
-		if strings.HasSuffix(c.Pkg().Path(), fam.pathSuffix) &&
-			strings.HasPrefix(c.Name(), fam.prefix) {
-			return fam, true
-		}
-	}
-	return family{}, false
+// isStatus reports whether a constant belongs to the status family.
+func isStatus(c *types.Const) bool {
+	return c != nil && c.Pkg() != nil &&
+		strings.HasSuffix(c.Pkg().Path(), pathSuffix) && strings.HasPrefix(c.Name(), prefix)
 }
 
 // members enumerates the family's required constants in the declaring
-// package, as value → name. Bounded families drop the bound constant
-// and everything at or above its value (abi.StatusErr).
-func members(pkg *types.Package, fam family) map[uint64]string {
+// package, as value → name, dropping the bound constant and everything
+// at or above its value (abi.StatusErr).
+func members(pkg *types.Package) map[uint64]string {
 	limit := ^uint64(0)
-	if fam.bound != "" {
-		if b, ok := pkg.Scope().Lookup(fam.bound).(*types.Const); ok {
-			if v, ok := constant.Uint64Val(constant.ToInt(b.Val())); ok {
-				limit = v
-			}
+	if b, ok := pkg.Scope().Lookup(bound).(*types.Const); ok {
+		if v, ok := constant.Uint64Val(constant.ToInt(b.Val())); ok {
+			limit = v
 		}
 	}
 	out := make(map[uint64]string)
 	for _, name := range pkg.Scope().Names() {
 		c, ok := pkg.Scope().Lookup(name).(*types.Const)
-		if !ok || !strings.HasPrefix(name, fam.prefix) || name == fam.bound {
+		if !ok || !strings.HasPrefix(name, prefix) || name == bound {
 			continue
 		}
 		v, ok := constant.Uint64Val(constant.ToInt(c.Val()))
@@ -136,11 +118,9 @@ func members(pkg *types.Package, fam family) map[uint64]string {
 }
 
 // covered records the constant values present among exprs and returns
-// the family + declaring package of the first status constant found.
-func covered(pass *analysis.Pass, exprs []ast.Expr, into map[uint64]bool) (family, *types.Package, bool) {
-	var fam family
+// the declaring package of the first status constant found (nil if none).
+func covered(pass *analysis.Pass, exprs []ast.Expr, into map[uint64]bool) *types.Package {
 	var pkg *types.Package
-	found := false
 	for _, e := range exprs {
 		c := constOf(pass, e)
 		if c == nil {
@@ -149,13 +129,11 @@ func covered(pass *analysis.Pass, exprs []ast.Expr, into map[uint64]bool) (famil
 		if v, ok := constant.Uint64Val(constant.ToInt(c.Val())); ok {
 			into[v] = true
 		}
-		if !found {
-			if f, ok := familyOf(c); ok {
-				fam, pkg, found = f, c.Pkg(), true
-			}
+		if pkg == nil && isStatus(c) {
+			pkg = c.Pkg()
 		}
 	}
-	return fam, pkg, found
+	return pkg
 }
 
 func missing(req map[uint64]string, got map[uint64]bool) []string {
@@ -183,8 +161,8 @@ func checkSwitch(pass *analysis.Pass, dirs *directive.Map, sw *ast.SwitchStmt) {
 		}
 		exprs = append(exprs, cc.List...)
 	}
-	fam, pkg, ok := covered(pass, exprs, got)
-	if !ok || hasDefault {
+	pkg := covered(pass, exprs, got)
+	if pkg == nil || hasDefault {
 		return
 	}
 	if d, ok := dirs.For("partial", sw.Pos()); ok {
@@ -193,7 +171,7 @@ func checkSwitch(pass *analysis.Pass, dirs *directive.Map, sw *ast.SwitchStmt) {
 		}
 		return
 	}
-	if miss := missing(members(pkg, fam), got); len(miss) > 0 {
+	if miss := missing(members(pkg), got); len(miss) > 0 {
 		pass.Reportf(sw.Pos(), "switch on %s status values does not handle %s: add cases, a default clause, or //detlint:partial <reason>", pkg.Name(), strings.Join(miss, ", "))
 	}
 }
@@ -208,8 +186,8 @@ func checkLiteral(pass *analysis.Pass, dirs *directive.Map, lit *ast.CompositeLi
 		}
 		keys = append(keys, kv.Key)
 	}
-	fam, pkg, ok := covered(pass, keys, got)
-	if !ok {
+	pkg := covered(pass, keys, got)
+	if pkg == nil {
 		return
 	}
 	if d, ok := dirs.For("partial", lit.Pos()); ok {
@@ -218,7 +196,7 @@ func checkLiteral(pass *analysis.Pass, dirs *directive.Map, lit *ast.CompositeLi
 		}
 		return
 	}
-	if miss := missing(members(pkg, fam), got); len(miss) > 0 {
-		pass.Reportf(lit.Pos(), "status-keyed table does not cover %s: a new %s.%s* constant would render as the zero value; add entries or //detlint:partial <reason>", strings.Join(miss, ", "), pkg.Name(), fam.prefix)
+	if miss := missing(members(pkg), got); len(miss) > 0 {
+		pass.Reportf(lit.Pos(), "status-keyed table does not cover %s: a new %s.%s* constant would render as the zero value; add entries or //detlint:partial <reason>", strings.Join(miss, ", "), pkg.Name(), prefix)
 	}
 }

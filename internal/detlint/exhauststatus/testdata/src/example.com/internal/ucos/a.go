@@ -1,12 +1,9 @@
 // Fixture client package: switches and keyed tables over the status
-// families, covering the historical bug class (a dispatch written
+// family, covering the historical bug class (a dispatch written
 // before StatusThrottled existed) plus every escape hatch.
 package ucos
 
-import (
-	"example.com/internal/abi"
-	"example.com/internal/hwtask"
-)
+import "example.com/internal/abi"
 
 // HandleMissing is the PR 8 bug class: written before StatusThrottled
 // existed, it silently drops the new status.
@@ -66,17 +63,6 @@ func HandleBare(st uint32) bool {
 		return true
 	}
 	return false
-}
-
-// HandleReply exercises the Reply* family: missing ReplyThrottled.
-func HandleReply(st uint32) string {
-	switch st { // want `switch on hwtask status values does not handle ReplyThrottled`
-	case hwtask.ReplyOK:
-		return "ok"
-	case hwtask.ReplyBusy:
-		return "busy"
-	}
-	return ""
 }
 
 // names is an incomplete status-keyed table: a new constant would

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/hwtask"
 )
 
 // testConfig is small enough for CI but large enough to exercise every
@@ -161,9 +163,12 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
+// TestTaskPickerDeterministicAndCoversSet pins T_hw's task stream: the
+// catalog's picker over a VM's default menu is reproducible and draws
+// from the whole menu.
 func TestTaskPickerDeterministicAndCoversSet(t *testing.T) {
-	p1 := NewMenuPicker(DefaultTaskMenu(1), 7, false)
-	p2 := NewMenuPicker(DefaultTaskMenu(1), 7, false)
+	p1 := hwtask.NewMenuPicker(hwtask.DefaultTaskMenu(1), 7, false)
+	p2 := hwtask.NewMenuPicker(hwtask.DefaultTaskMenu(1), 7, false)
 	seen := map[uint16]bool{}
 	for i := 0; i < 200; i++ {
 		a, b := p1.Next(), p2.Next()
@@ -179,7 +184,7 @@ func TestTaskPickerDeterministicAndCoversSet(t *testing.T) {
 
 func TestTaskPickerSequentialCyclesMenu(t *testing.T) {
 	menu := []uint16{5, 9, 2}
-	p := NewMenuPicker(menu, 0, true)
+	p := hwtask.NewMenuPicker(menu, 0, true)
 	for i := 0; i < 9; i++ {
 		if got, want := p.Next(), menu[i%len(menu)]; got != want {
 			t.Fatalf("sequential pick %d = %d, want %d", i, got, want)

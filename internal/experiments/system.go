@@ -63,71 +63,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// DefaultTaskMenu is the deterministic stand-in for T_hw's "randomly
-// selects a hardware task from the hardware task set" (§V-B). All VMs
-// draw from the shared QAM pool (Fig. 8: hardware tasks are shared
-// across guests — "one hardware task can be shared by any VM") plus a
-// per-VM FFT stage. This reproduces the paper's two §V-B growth
-// mechanisms with the right saturation: the probability that a request
-// finds its task owned by another VM — forcing a client reclaim with the
-// §IV-C consistency protocol — is roughly (N-1)/N, concave in N; and the
-// number of distinct FFT configurations competing for the two large PRRs
-// grows 1, 2, 3, 3, driving "more PCAP transfers" that likewise level
-// off.
-func DefaultTaskMenu(vm int) []uint16 {
-	return []uint16{
-		hwtask.TaskQAM4,
-		hwtask.TaskQAM16,
-		hwtask.TaskQAM64,
-		hwtask.FFTTaskIDs[vm%3], // per-VM FFT stage
-	}
-}
-
-// TaskPicker draws hardware-task IDs from a menu: pseudo-randomly
-// (xorshift32 — T_hw's selection stream) or cycling the menu in order (a
-// periodic sequence the reconfiguration prefetcher can learn). Shared by
-// T_hw below and the scenario engine's churn drivers.
-type TaskPicker struct {
-	state      uint32
-	menu       []uint16
-	pos        int
-	sequential bool
-}
-
-// NewMenuPicker builds a picker over an explicit menu.
-func NewMenuPicker(menu []uint16, seed uint32, sequential bool) *TaskPicker {
-	if seed == 0 {
-		seed = 0x9E3779B9
-	}
-	return &TaskPicker{state: seed, menu: menu, sequential: sequential}
-}
-
-// Next returns the next task ID in the stream.
-func (p *TaskPicker) Next() uint16 {
-	if p.sequential {
-		id := p.menu[p.pos%len(p.menu)]
-		p.pos++
-		return id
-	}
-	p.state ^= p.state << 13
-	p.state ^= p.state >> 17
-	p.state ^= p.state << 5
-	return p.menu[p.state%uint32(len(p.menu))]
-}
-
-// TaskParams returns the Run() parameters (input length and the
-// core-specific parameter register value) for a paper-catalog task. The
-// scenario engine's churn drivers share it with T_hw below.
-func TaskParams(id uint16) (length, param uint32) {
-	switch {
-	case id >= hwtask.TaskFFT256 && id <= hwtask.TaskFFT8192:
-		points := uint32(hwtask.FFTPoints(id))
-		return points * 4, points
-	default:
-		return 48, uint32(hwtask.QAMOrder(id))
-	}
-}
-
 // hwDriverTask is T_hw: the special guest task that exercises the
 // Hardware Task Manager. It acquires a pseudo-random task, runs it once
 // through its data section, and sleeps until the next request. When
@@ -135,7 +70,7 @@ func TaskParams(id uint16) (length, param uint32) {
 // iteration; under virtualization it parks so the VM keeps running.
 func hwDriverTask(cfg Config, vm int, done *bool, requests *int, stopWhenDone bool, onWarm func()) func(t *ucos.Task) {
 	return func(t *ucos.Task) {
-		picker := NewMenuPicker(DefaultTaskMenu(vm), cfg.Seed*2654435761+uint32(vm)*97, false)
+		picker := hwtask.NewMenuPicker(hwtask.DefaultTaskMenu(vm), cfg.Seed*2654435761+uint32(vm)*97, false)
 		if _, ok := t.OS.M.SetupDataSection(64 << 10); !ok {
 			panic("experiments: data section setup failed")
 		}
@@ -146,7 +81,7 @@ func hwDriverTask(cfg Config, vm int, done *bool, requests *int, stopWhenDone bo
 			id := picker.Next()
 			h, st := t.AcquireHw(id)
 			if h != nil {
-				length, param := TaskParams(id)
+				length, param := hwtask.TaskParams(id)
 				h.Run(t, 0x1000, 0x9000, length, param, 400)
 				if i >= cfg.Warmup {
 					*requests++

@@ -35,7 +35,7 @@ const (
 	CostCloneBase = 2000
 	// CostClonePerFrame is the page-table descriptor write per shared frame.
 	CostClonePerFrame = 4
-	// CostCloneActivate covers taking a warm clone off the pool shelf:
+	// CostCloneActivate covers taking a warm clone off the shelf:
 	// unfreezing, arming the virtual timer, the runqueue insert.
 	CostCloneActivate = 300
 	// CostCOWCopy is the 4 KB frame copy of a COW break (data move at
@@ -113,11 +113,12 @@ func (k *Kernel) allocCloneArena() physmem.Addr {
 // (capabilities are re-minted on restore, never copied), and the guest's
 // memory as a pinned frame set. withContents additionally captures every
 // frame's bytes, which an in-place restore needs; forks do not. The
-// guest's host-side snapshot (e.g. a ucos.Snapshot) rides along opaquely.
+// software inside the PD is the caller's to capture (ucos.OS.Snapshot)
+// and to hand to the guest that resumes the image.
 //
 // Checkpoint is an out-of-band observer: it charges no simulated cycles,
 // so a timeline that checkpoints and one that doesn't stay byte-equal.
-func (k *Kernel) Checkpoint(pd *PD, guest any, withContents bool, name string) (*checkpoint.Image, error) {
+func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error) {
 	if !pd.idleWaiting {
 		return nil, fmt.Errorf("nova: checkpoint of %s: PD not parked in paravirtualized idle", pd.Name_)
 	}
@@ -125,8 +126,6 @@ func (k *Kernel) Checkpoint(pd *PD, guest any, withContents bool, name string) (
 		return nil, fmt.Errorf("nova: checkpoint of %s: checkpointing a clone is unsupported", pd.Name_)
 	}
 	img := &checkpoint.Image{
-		Name:        name,
-		CapturedAt:  k.Clock.Now(),
 		Priority:    pd.Priority,
 		CapBits:     uint32(pd.Caps),
 		CodeBase:    pd.Env.Ctx.CodeBase,
@@ -139,7 +138,6 @@ func (k *Kernel) Checkpoint(pd *PD, guest any, withContents bool, name string) (
 		TimerPeriod: pd.VCPU.TimerPeriod,
 		LastHcEntry: pd.lastHcEntry,
 		Exec:        pd.Env.Ctx.SaveState(),
-		Guest:       guest,
 	}
 	// Register file: the live CPU holds it while the PD is resident;
 	// otherwise the last world switch saved it into the vCPU.
@@ -197,23 +195,16 @@ func (k *Kernel) Freeze(pd *PD) error {
 	return nil
 }
 
-// CloneConfig names what a fork needs beyond the image: the clone's
-// identity and the host-side guest that resumes the snapshot.
-type CloneConfig struct {
-	Name     string
-	Affinity sched.CPUMask
-	Guest    Guest
-}
-
-// CreateClone forks a new PD from a checkpoint image in O(metadata):
-// page-table construction and one read-only descriptor per shared frame
-// — no guest bytes move. The clone is born frozen (a warm-pool shelf
-// item); ActivateClone makes it runnable. Its capability table is
-// re-minted from the image's grant bits with a fresh-generation self
-// object; it is deliberately NOT registered as a hardware-service client
-// (clones are compute workers, and client-handle windows are a bounded
-// boot-time resource).
-func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
+// CreateClone forks a new PD named name from a checkpoint image in
+// O(metadata): page-table construction and one read-only descriptor per
+// shared frame — no guest bytes move. guest is the host-side guest that
+// resumes the captured software. The clone is born frozen (a warm-shelf
+// item) and may run on any core; ActivateClone makes it runnable. Its
+// capability table is re-minted from the image's grant bits with a
+// fresh-generation self object; it is deliberately NOT registered as a
+// hardware-service client (clones are compute workers, and client-handle
+// windows are a bounded boot-time resource).
+func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *PD {
 	id := len(k.PDs)
 	arenaBase := k.allocCloneArena()
 	arena := mmu.NewFrameAllocator(arenaBase, cloneArenaSize)
@@ -223,7 +214,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	cs := &cloneState{img: img, arena: arena, arenaBase: arenaBase, shared: shared}
 	pd := &PD{
 		ID:       id,
-		Name_:    cfg.Name,
+		Name_:    name,
 		Priority: img.Priority,
 		Caps:     Capability(img.CapBits),
 		Space:    capspace.NewSpace(SelGrantBase),
@@ -232,7 +223,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 		ASID:     k.nextASID(),
 		RAMBase:  0, // no private RAM block: RAMSize 0 refuses HcMapPage &
 		RAMSize:  0, // friends, which would alias shared frames writable
-		Guest:    cfg.Guest,
+		Guest:    guest,
 		kdata:    KernelDataVA + uint32(id)*0x400,
 		clone:    cs,
 		frozen:   true,
@@ -252,7 +243,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 		k.Bus.ShareRange(r.PA, n)
 	}
 	k.populateCaps(pd, Capability(img.CapBits))
-	pd.node = sched.NewNode(pd, img.Priority, cfg.Affinity)
+	pd.node = sched.NewNode(pd, img.Priority, 0)
 	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
 	pd.VCPU = VCPU{
 		Regs:        img.Regs,
@@ -265,7 +256,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 		L2Ctrl:      img.L2Ctrl,
 		QuantumLeft: img.QuantumLeft,
 	}
-	ctx := cpu.NewExecContext(pd.Core.CPU, cfg.Name, img.CodeBase, img.CodeSize)
+	ctx := cpu.NewExecContext(pd.Core.CPU, name, img.CodeBase, img.CodeSize)
 	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
 	ctx.RestoreState(img.Exec)
 	pd.VGIC.restoreLines(img.VGIC, img.VGICPending)
@@ -277,7 +268,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	}
 	// The O(metadata) fork charge: fixed base + one descriptor write per
 	// shared frame. Charged on the boot core's clock — forks happen at
-	// engine-stopped points (pool operations), like boot-time CreatePD.
+	// engine-stopped points (shelf operations), like boot-time CreatePD.
 	k.Clock.Advance(CostCloneBase + simclock.Cycles(shared)*CostClonePerFrame)
 	return pd
 }

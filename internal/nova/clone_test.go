@@ -48,7 +48,7 @@ func bootFrozenTemplate(t testing.TB, k *Kernel, withContents bool) (*PD, *check
 	if !tpl.IdleParked() {
 		t.Fatal("template did not quiesce in paravirtualized idle")
 	}
-	img, err := k.Checkpoint(tpl, nil, withContents, "tpl")
+	img, err := k.Checkpoint(tpl, withContents)
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 		}
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if _, err := k.Checkpoint(busy, nil, false, "busy"); err == nil {
+	if _, err := k.Checkpoint(busy, false); err == nil {
 		t.Fatal("checkpoint of a running PD accepted")
 	}
 }
@@ -98,8 +98,8 @@ func TestCloneRevocationAndSharing(t *testing.T) {
 	}
 
 	const dirty = 3
-	c1 := k.CreateClone(img, CloneConfig{Name: "c1", Guest: cloneWriter("c1", dirty)})
-	c2 := k.CreateClone(img, CloneConfig{Name: "c2", Guest: cloneWriter("c2", dirty)})
+	c1 := k.CreateClone(img, "c1", cloneWriter("c1", dirty))
+	c2 := k.CreateClone(img, "c2", cloneWriter("c2", dirty))
 	if r := k.Bus.Refs(pa0); r != 2 {
 		t.Fatalf("shared frame refs = %d after two forks, want 2", r)
 	}
@@ -198,7 +198,7 @@ func TestCloneArenaRecycling(t *testing.T) {
 	_, img := bootFrozenTemplate(t, k, false)
 	defer k.ReleaseImage(img)
 	for i := 0; i < 4; i++ {
-		c := k.CreateClone(img, CloneConfig{Name: "c", Guest: cloneWriter("c", 1)})
+		c := k.CreateClone(img, "c", cloneWriter("c", 1))
 		if err := k.DestroyClone(c); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestFrozenCloneStaysParked(t *testing.T) {
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
 	defer k.ReleaseImage(img)
-	c := k.CreateClone(img, CloneConfig{Name: "shelf", Guest: cloneWriter("shelf", 1)})
+	c := k.CreateClone(img, "shelf", cloneWriter("shelf", 1))
 	k.RunFor(simclock.FromMillis(5))
 	if st, _ := c.CloneStats(); st.COWFaults != 0 {
 		t.Fatalf("frozen clone ran: %+v", st)
@@ -241,7 +241,7 @@ func TestCloneForkChargeIsMetadataOnly(t *testing.T) {
 	_, img := bootFrozenTemplate(t, k, false)
 	defer k.ReleaseImage(img)
 	before := k.Clock.Now()
-	c := k.CreateClone(img, CloneConfig{Name: "c", Guest: cloneWriter("c", 0)})
+	c := k.CreateClone(img, "c", cloneWriter("c", 0))
 	defer k.DestroyClone(c)
 	want := simclock.Cycles(CostCloneBase + img.FrameCount()*CostClonePerFrame)
 	if d := k.Clock.Now() - before; d != want {
@@ -273,7 +273,7 @@ func TestForkDestroyRestoresRefs(t *testing.T) {
 		accepted++
 		var before []int
 		cand.EachFrame(func(_ uint32, pa physmem.Addr) { before = append(before, k.Bus.Refs(pa)) })
-		c := k.CreateClone(cand, CloneConfig{Name: "c", Guest: cloneWriter("c", 0)})
+		c := k.CreateClone(cand, "c", cloneWriter("c", 0))
 		if err := k.DestroyClone(c); err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func BenchmarkCreateClone(b *testing.B) {
 	g := cloneWriter("c", 0)
 	b.ReportAllocs()
 	for b.Loop() {
-		c := k.CreateClone(img, CloneConfig{Name: "c", Guest: g})
+		c := k.CreateClone(img, "c", g)
 		if err := k.DestroyClone(c); err != nil {
 			b.Fatal(err)
 		}

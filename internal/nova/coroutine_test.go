@@ -93,7 +93,7 @@ func TestShutdownTerminatesGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			img, err := k.Checkpoint(tpl, snap, true, "tpl")
+			img, err := k.Checkpoint(tpl, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,17 +110,17 @@ func TestShutdownTerminatesGoroutines(t *testing.T) {
 			if snap, err = rg.OS.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			if img, err = k.Checkpoint(tpl, snap, false, "tpl"); err != nil {
+			if img, err = k.Checkpoint(tpl, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := k.Freeze(tpl); err != nil {
 				t.Fatal(err)
 			}
 			before = runtime.NumGoroutine()
-			c := k.CreateClone(img, nova.CloneConfig{Name: "clone", Guest: &ucos.ResumedGuest{
+			c := k.CreateClone(img, "clone", &ucos.ResumedGuest{
 				GuestName: "clone", Snap: snap,
 				Setup: func(os *ucos.OS) { tickTask(os); spinTask(os) },
-			}})
+			})
 			if err := k.ActivateClone(c); err != nil {
 				t.Fatal(err)
 			}

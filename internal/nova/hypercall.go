@@ -181,6 +181,14 @@ func (k *Kernel) hcRegionCreate(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	if err != nil {
 		return abi.StatusInval
 	}
+	// The section must lie in the caller's own RAM. The manager aims a
+	// PRR's DMA window at it with the kernel's rights, so a range the
+	// guest's table maps privileged-only (kernel text, page tables, the
+	// bitstream store, the PRR registers) must not pass. size <= RAMSize,
+	// so the right-hand side cannot wrap.
+	if pa < pd.RAMBase || pa-pd.RAMBase > physmem.Addr(pd.RAMSize-size) {
+		return abi.StatusInval
+	}
 	// The section must be fully mapped and physically contiguous (it is a
 	// DMA window the hwMMU describes with one base+size pair): verify every
 	// page translates linearly.

@@ -406,14 +406,14 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 
 	_, img := bootFrozenTemplate(t, k, false)
 	var cloneStatus uint32
-	c := k.CreateClone(img, CloneConfig{Name: "c", Guest: &scriptGuest{"c", func(env *Env) {
+	c := k.CreateClone(img, "c", &scriptGuest{"c", func(env *Env) {
 		env.ResumeSuspendExit()
 		cloneStatus = env.Hypercall(abi.HcSDRead, 7, offsets[0])
 		for {
 			env.Hypercall(abi.HcSuspend, 1)
 			env.CheckPreempt()
 		}
-	}}})
+	}})
 	ocm, err := k.Bus.ReadBytes(physmem.Addr(offsets[0]), 512)
 	if err != nil {
 		t.Fatal(err)
@@ -427,6 +427,48 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 	}
 	if after, _ := k.Bus.ReadBytes(physmem.Addr(offsets[0]), 512); !bytes.Equal(after, ocm) {
 		t.Error("a clone's SD read wrote into on-chip memory")
+	}
+}
+
+// TestRegionCreateConfinedToOwnRAM: a data section is a DMA window the
+// manager programs with the kernel's rights, so it must lie in the
+// caller's RAM. Ranges the guest's table maps privileged-only — kernel
+// text, the page-table pool, the bitstream store, the PRR register
+// groups — are refused and leave no capability behind; a section in the
+// guest's own RAM is still accepted.
+func TestRegionCreateConfinedToOwnRAM(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	outside := []uint32{KernelCodeVA, 0xF020_0000, BitstreamStoreVA, uint32(physmem.AXIGP0Base)}
+	var status []uint32
+	var caps []uint32
+	var own uint32
+	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
+		for _, va := range outside {
+			status = append(status, env.Hypercall(abi.HcRegionCreate, va, 0x1000))
+			caps = append(caps, uint32(env.PD.Space.RightsAt(SelDataSect)))
+		}
+		env.Hypercall(abi.HcMapPage, GuestDataSect, 0x20_0000)
+		own = env.Hypercall(abi.HcRegionCreate, GuestDataSect, 0x1000)
+	}}})
+	k.RunFor(simclock.FromMillis(1))
+	if len(status) != len(outside) {
+		t.Fatalf("guest made %d region creates, want %d", len(status), len(outside))
+	}
+	for i, va := range outside {
+		if status[i] != abi.StatusInval {
+			t.Errorf("HcRegionCreate(%#x) = %d, want StatusInval (RAM is [%#x, +%#x))",
+				va, status[i], uint32(pd.RAMBase), pd.RAMSize)
+		}
+		if caps[i] != 0 {
+			t.Errorf("HcRegionCreate(%#x) left a data-section capability (rights %#x)", va, caps[i])
+		}
+	}
+	if own != abi.StatusOK {
+		t.Fatalf("HcRegionCreate in the guest's own RAM = %d, want StatusOK", own)
+	}
+	if want := pd.RAMBase + 0x20_0000; pd.DataSectionPA != want {
+		t.Errorf("data section PA = %#x, want %#x", uint32(pd.DataSectionPA), uint32(want))
 	}
 }
 

@@ -14,7 +14,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/gic"
@@ -106,7 +105,7 @@ type Spec struct {
 
 	// Snapshot switches the scenario into checkpoint/fork mode: VMs[0]
 	// becomes a serverless template that is booted to quiescence,
-	// checkpointed and frozen, then forked through a warm pool into
+	// checkpointed and frozen, then forked through a warm shelf into
 	// Snapshot.Clones copy-on-write clones (snapshot.go).
 	Snapshot *SnapshotSpec
 
@@ -158,9 +157,8 @@ type System struct {
 	Kernel  *nova.Kernel
 	Manager *hwtask.Manager
 
-	probes      []*vmProbe
-	stormPulses uint64
-	stormNext   int // next synthetic PL line, allocated top-down
+	probes    []*vmProbe
+	stormNext int // next synthetic PL line, allocated top-down
 
 	// snap is the checkpoint/fork state machine, non-nil only when the
 	// spec has a SnapshotSpec (snapshot.go).
@@ -289,7 +287,6 @@ func (s *System) startStorm(pd *nova.PD, line int, period simclock.Cycles, burst
 	shot := 0
 	pulse = func(simclock.Cycles) {
 		s.Kernel.RaisePL(line)
-		atomic.AddUint64(&s.stormPulses, 1)
 		shot++
 		if shot%burst == 0 {
 			clk.After(rest, pulse)
@@ -314,10 +311,7 @@ type Result struct {
 	Injected     uint64 // vIRQ injections across all PDs
 	Relatched    uint64 // in-service re-raises latched for EOI redelivery
 	Switches     uint64 // world switches
-	Hypercalls   uint64
 	Requests     uint64 // completed hardware-task runs
-	Busy         uint64 // manager busy replies
-	StormPulses  uint64
 	StormHandled uint64
 	Reconfigs    uint64 // pipeline completions
 	PrefetchHits uint64
@@ -331,13 +325,6 @@ type Result struct {
 	Throttled      uint64 // QoS bucket denials across all VMs
 	BreakerTrips   uint64 // circuit-breaker trips across all VMs
 
-	// Capability-space traffic (aggregated over the kernel root space
-	// and every PD's table; all covered by the checksum).
-	CapLookups     uint64
-	CapDenials     uint64 // failed resolutions of any kind
-	CapDelegations uint64
-	IPCFastCalls   uint64 // same-core synchronous portal handoffs
-
 	// Snapshot/fork ledger (zero outside snapshot scenarios; all covered
 	// by the checksum).
 	BootCycles   simclock.Cycles // sim time for the template to boot and quiesce
@@ -346,10 +333,10 @@ type Result struct {
 	COWFaults    uint64          // write faults resolved as COW breaks, all clones
 	FramesCopied uint64          // frames privately copied, all clones
 	FramesShared uint64          // frames still template-shared at collection
-	PoolHits     uint64
-	PoolMisses   uint64
-	PoolBuilt    uint64
-	PoolReaped   uint64
+	PoolHits     uint64          // acquires served off the warm shelf
+	PoolMisses   uint64          // acquires that forked a fresh clone
+	PoolBuilt    uint64          // clones forked, prewarmed or on a miss
+	PoolReaped   uint64          // shelf clones destroyed by TTL
 
 	// VMStats carries each VM's counters and acquire-latency percentiles
 	// in spec order (the interference probes read them by name).
@@ -421,18 +408,16 @@ func (s *System) advance(d simclock.Cycles) {
 func (s *System) collect() Result {
 	k := s.Kernel
 	res := Result{
-		Name:        s.Spec.Name,
-		Cores:       len(k.Cores),
-		VMs:         len(s.probes),
-		SimMs:       k.Clock.Now().Millis(),
-		StormPulses: atomic.LoadUint64(&s.stormPulses),
+		Name:  s.Spec.Name,
+		Cores: len(k.Cores),
+		VMs:   len(s.probes),
+		SimMs: k.Clock.Now().Millis(),
 	}
 	d := newDigest()
 	d.addf("scenario %s seed %d clock %d", s.Spec.Name, s.Spec.Seed, k.Clock.Now())
 
 	for _, pd := range k.PDs {
 		res.Switches += pd.Switches
-		res.Hypercalls += pd.Hypercalls
 		res.Injected += pd.VGIC.Injected
 		res.Relatched += pd.VGIC.Relatched
 		cs := pd.Space.Stats
@@ -442,16 +427,11 @@ func (s *System) collect() Result {
 			pd.Space.CapCount(), cs.Lookups, cs.Denials())
 	}
 	caps := k.CapStats()
-	res.CapLookups = caps.Lookups
-	res.CapDenials = caps.Denials()
-	res.CapDelegations = caps.Delegations
-	res.IPCFastCalls = k.IPCFastCalls()
 	d.addf("capspace lookups %d hits %d badsel %d revoked %d badtype %d denied %d delegations %d revocations %d ipcfast %d",
 		caps.Lookups, caps.Hits, caps.BadSel, caps.Revoked, caps.BadType,
 		caps.Denied, caps.Delegations, caps.Revocations, k.IPCFastCalls())
 	for _, p := range s.probes {
 		res.Requests += p.requests
-		res.Busy += p.busy
 		res.StormHandled += p.stormHandled
 		var ticks uint64
 		if p.resumed != nil && p.resumed.OS != nil {

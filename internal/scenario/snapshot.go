@@ -1,11 +1,12 @@
 // Checkpoint/fork scenario mode: a serverless-style template VM is
 // booted to quiescence, checkpointed (hypervisor image + guest-kernel
-// snapshot) and frozen, then forked through a warm pool into
-// copy-on-write clones — the many-VMs-from-one-boot shape that motivates
-// O(metadata) cloning. Every phase boundary happens at engine-stopped
-// points, and every clone's divergence is seeded from the spec, so the
-// whole lifecycle — boot, checkpoint, prewarm, fork storm, COW breaks,
-// TTL reaping — is covered by the scenario's replay checksum.
+// snapshot) and frozen, then forked into copy-on-write clones through a
+// warm shelf of prebuilt frozen clones — the many-VMs-from-one-boot
+// shape that motivates O(metadata) cloning. Every phase boundary happens
+// at engine-stopped points, and every clone's divergence and every reap
+// deadline is seeded from the spec, so the whole lifecycle — boot,
+// checkpoint, prewarm, fork storm, COW breaks, TTL reaping — is covered
+// by the scenario's replay checksum.
 package scenario
 
 import (
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/nova"
-	"repro/internal/pool"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
 )
@@ -22,7 +22,7 @@ import (
 type SnapshotSpec struct {
 	// Clones is how many VMs to fork and activate from the template.
 	Clones int
-	// Prewarm is the warm pool's shelf target (0 = every fork is cold).
+	// Prewarm is the warm shelf's target (0 = every fork is cold).
 	Prewarm int
 	// TTLMs reaps shelf clones unused for this long (0 = never).
 	TTLMs float64
@@ -85,8 +85,8 @@ func slsBody(st *slsState, idx int) func(t *ucos.Task) {
 
 // slsSetup creates the serverless handlers over the given states. The
 // same setup shape runs on the template at boot and on every clone at
-// restore (with the clone's own states), satisfying ucos.Restore's
-// tasks-recreated contract.
+// restore (with the clone's own states), so the restored snapshot finds
+// a task at every priority it checkpointed.
 func slsSetup(states []*slsState) func(os *ucos.OS) {
 	return func(os *ucos.OS) {
 		for i, st := range states {
@@ -100,26 +100,35 @@ func slsSetup(states []*slsState) func(os *ucos.OS) {
 // cloneVM is one forked VM's harness-side record, kept in build order so
 // the per-clone digest lines are deterministic.
 type cloneVM struct {
-	name   string
-	pd     *nova.PD
-	guest  *ucos.ResumedGuest
-	states []*slsState
-	reaped bool
+	name     string
+	pd       *nova.PD
+	guest    *ucos.ResumedGuest
+	states   []*slsState
+	deadline simclock.Cycles // shelf reap time; 0 = never reaped
+	reaped   bool
 }
 
 // snapRun is the checkpoint/fork state machine of one snapshot scenario.
 type snapRun struct {
 	cfg       SnapshotSpec
-	key       string // pool image key = template VM name
+	key       string // template VM name, the prefix of every clone name
 	tpl       *vmProbe
 	tplStates []*slsState
 
 	osnap *ucos.Snapshot
 	img   *checkpoint.Image
-	pool  *pool.Pool
+
+	// shelf holds the frozen prewarmed clones, newest last: acquire takes
+	// the newest (the warmest caches), reaping and draining go oldest
+	// first. ttl and rng give each prewarmed clone its reap deadline.
+	shelf []*cloneVM
+	ttl   simclock.Cycles
+	rng   uint64
 
 	clones []*cloneVM // every clone ever built, in build order
 	active int
+	hits   uint64 // acquires served off the shelf
+	reaped uint64 // shelf clones destroyed by TTL
 
 	bootCycles simclock.Cycles
 	forkCycles simclock.Cycles
@@ -136,7 +145,12 @@ func (s *System) addTemplateVM(idx int, vm VM) {
 	}
 	p.guest.Setup = slsSetup(states)
 	if s.snap == nil {
-		s.snap = &snapRun{cfg: *s.Spec.Snapshot, key: p.spec.Name, tpl: p, tplStates: states}
+		cfg := *s.Spec.Snapshot
+		s.snap = &snapRun{
+			cfg: cfg, key: p.spec.Name, tpl: p, tplStates: states,
+			ttl: simclock.FromMillis(cfg.TTLMs),
+			rng: uint64(mix(s.Spec.Seed, 0x9001)),
+		}
 	}
 }
 
@@ -158,13 +172,13 @@ func (s *System) bootToQuiescence() {
 // checkpointTemplate snapshots the quiesced template (guest-kernel state
 // + hypervisor image, frames shared not copied) and freezes it under its
 // future clones.
-func (s *System) checkpointTemplate(withContents bool) {
+func (s *System) checkpointTemplate() {
 	sr := s.snap
 	osnap, err := sr.tpl.guest.OS.Snapshot()
 	if err != nil {
 		panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
 	}
-	img, err := s.Kernel.Checkpoint(sr.tpl.pd, osnap, withContents, sr.key)
+	img, err := s.Kernel.Checkpoint(sr.tpl.pd, false)
 	if err != nil {
 		panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
 	}
@@ -174,11 +188,12 @@ func (s *System) checkpointTemplate(withContents bool) {
 	}
 }
 
-// buildClone forks clone #seq from the template image: deep-copied,
+// buildClone forks the next clone from the template image: deep-copied,
 // seed-perturbed handler states and a ResumedGuest that re-enters the
-// captured timeline. Pool Build callback; runs at engine-stopped points.
-func (s *System) buildClone(seq int) *cloneVM {
+// captured timeline. The clone's build ordinal names it and seeds it.
+func (s *System) buildClone() *cloneVM {
 	sr := s.snap
+	seq := len(sr.clones)
 	name := fmt.Sprintf("%s.c%d", sr.key, seq)
 	states := make([]*slsState, len(sr.tplStates))
 	for i, st := range sr.tplStates {
@@ -187,13 +202,13 @@ func (s *System) buildClone(seq int) *cloneVM {
 		states[i] = &cp
 	}
 	g := &ucos.ResumedGuest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(states)}
-	pd := s.Kernel.CreateClone(sr.img, nova.CloneConfig{Name: name, Guest: g})
+	pd := s.Kernel.CreateClone(sr.img, name, g)
 	cv := &cloneVM{name: name, pd: pd, guest: g, states: states}
 	sr.clones = append(sr.clones, cv)
 	return cv
 }
 
-// destroyClone is the pool's Destroy callback (TTL reap / drain).
+// destroyClone tears down a reaped or drained shelf clone.
 func (s *System) destroyClone(cv *cloneVM) {
 	if err := s.Kernel.DestroyClone(cv.pd); err != nil {
 		panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
@@ -201,26 +216,61 @@ func (s *System) destroyClone(cv *cloneVM) {
 	cv.reaped = true
 }
 
-// newPool wires the warm pool over the scenario's build/destroy hooks.
-func (s *System) newPool() *pool.Pool {
+// prewarm tops the shelf up to the spec's target. Each new clone's reap
+// deadline is now+TTL plus a seeded xorshift jitter of up to an eighth
+// of the TTL, so a batch built in one instant does not expire in one
+// reap storm.
+func (s *System) prewarm(now simclock.Cycles) {
 	sr := s.snap
-	return pool.New(
-		pool.Config{
-			Target: sr.cfg.Prewarm,
-			TTL:    simclock.FromMillis(sr.cfg.TTLMs),
-			Seed:   uint64(mix(s.Spec.Seed, 0x9001)),
-		},
-		pool.Funcs{
-			Image:   func(string) (any, error) { return sr.img, nil },
-			Build:   func(_ string, _ any, seq int) (any, error) { return s.buildClone(seq), nil },
-			Destroy: func(v any) { s.destroyClone(v.(*cloneVM)) },
-		})
+	for len(sr.shelf) < sr.cfg.Prewarm {
+		cv := s.buildClone()
+		if sr.ttl > 0 {
+			cv.deadline = now + sr.ttl
+			if span := uint64(sr.ttl / 8); span > 0 {
+				sr.rng ^= sr.rng << 13
+				sr.rng ^= sr.rng >> 7
+				sr.rng ^= sr.rng << 17
+				cv.deadline += simclock.Cycles(sr.rng % span)
+			}
+		}
+		sr.shelf = append(sr.shelf, cv)
+	}
+}
+
+// acquire takes the newest clone off the shelf, or forks a fresh one
+// when the shelf is empty.
+func (s *System) acquire() *cloneVM {
+	sr := s.snap
+	n := len(sr.shelf)
+	if n == 0 {
+		return s.buildClone()
+	}
+	cv := sr.shelf[n-1]
+	sr.shelf = sr.shelf[:n-1]
+	sr.hits++
+	return cv
+}
+
+// reapExpired destroys, oldest first, every shelf clone whose deadline
+// has passed.
+func (s *System) reapExpired(now simclock.Cycles) {
+	sr := s.snap
+	kept := sr.shelf[:0]
+	for _, cv := range sr.shelf {
+		if cv.deadline != 0 && cv.deadline <= now {
+			s.destroyClone(cv)
+			sr.reaped++
+		} else {
+			kept = append(kept, cv)
+		}
+	}
+	sr.shelf = kept
 }
 
 // runSnapshot is the snapshot scenario's phased run loop:
 //
 //	A) boot the template until it parks, checkpoint + freeze it;
-//	B) prewarm the pool, then acquire/activate the clone fleet — the
+//	B) prewarm the shelf, then acquire/activate the clone fleet — the
 //	   fork storm whose simulated cost ForkCycles records;
 //	C) run the fleet for the spec's budget in chunks, reaping expired
 //	   shelf clones (and optionally re-warming) between chunks.
@@ -230,20 +280,12 @@ func (s *System) runSnapshot(d simclock.Cycles) {
 
 	s.bootToQuiescence()
 	sr.bootCycles = k.Clock.Now()
-	s.checkpointTemplate(false)
+	s.checkpointTemplate()
 
-	sr.pool = s.newPool()
 	fork0 := k.Clock.Now()
-	if err := sr.pool.Prewarm(sr.key, fork0); err != nil {
-		panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
-	}
+	s.prewarm(fork0)
 	for i := 0; i < sr.cfg.Clones; i++ {
-		v, _, err := sr.pool.Acquire(sr.key, k.Clock.Now())
-		if err != nil {
-			panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
-		}
-		cv := v.(*cloneVM)
-		if err := k.ActivateClone(cv.pd); err != nil {
+		if err := k.ActivateClone(s.acquire().pd); err != nil {
 			panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
 		}
 		sr.active++
@@ -256,22 +298,21 @@ func (s *System) runSnapshot(d simclock.Cycles) {
 	}
 	for done := simclock.Cycles(0); done < d; done += chunk {
 		s.advance(chunk)
-		if sr.cfg.TTLMs > 0 {
-			sr.pool.ReapExpired(k.Clock.Now())
-		}
+		s.reapExpired(k.Clock.Now())
 		if sr.cfg.KeepWarm {
-			if err := sr.pool.Prewarm(sr.key, k.Clock.Now()); err != nil {
-				panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
-			}
+			s.prewarm(k.Clock.Now())
 		}
 	}
-	// Deterministic teardown: shelf leftovers die before collection so
-	// the final refcount/arena state is budget-independent.
-	sr.pool.DrainAll()
+	// Deterministic teardown: shelf leftovers die, oldest first, before
+	// collection so the final refcount/arena state is budget-independent.
+	for _, cv := range sr.shelf {
+		s.destroyClone(cv)
+	}
+	sr.shelf = nil
 }
 
 // snapshotCollect folds the snapshot/fork ledger into the result and the
-// checksummed dump: the phase timings, the pool counters, and one line
+// checksummed dump: the phase timings, the shelf counters, and one line
 // per clone ever built (build order) with its COW and handler state.
 func (s *System) snapshotCollect(d *digest, res *Result) {
 	sr := s.snap
@@ -279,12 +320,16 @@ func (s *System) snapshotCollect(d *digest, res *Result) {
 	res.CloneCount = sr.active
 	d.addf("snapshot %s boot %d fork %d clones %d prewarm %d",
 		sr.key, uint64(sr.bootCycles), uint64(sr.forkCycles), sr.active, sr.cfg.Prewarm)
-	if sr.pool != nil {
-		st := sr.pool.Stats()
-		res.PoolHits, res.PoolMisses = st.Hits, st.Misses
-		res.PoolBuilt, res.PoolReaped = st.Built, st.Reaped
-		d.addf("pool built %d hits %d misses %d reaped %d prewarmed %d imageonce %d",
-			st.Built, st.Hits, st.Misses, st.Reaped, st.Prewarmed, st.ImageOnce)
+	if sr.img != nil { // the fork phases ran
+		// Every clone came from a prewarm or from an acquire's miss, every
+		// acquire activated one clone, and the template was checkpointed
+		// into one image.
+		built := uint64(len(sr.clones))
+		misses := uint64(sr.active) - sr.hits
+		res.PoolHits, res.PoolMisses = sr.hits, misses
+		res.PoolBuilt, res.PoolReaped = built, sr.reaped
+		d.addf("pool built %d hits %d misses %d reaped %d prewarmed %d imageonce 1",
+			built, sr.hits, misses, sr.reaped, built-misses)
 	}
 	for _, cv := range sr.clones {
 		cs, _ := cv.pd.CloneStats()

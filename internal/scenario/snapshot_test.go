@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/physmem"
@@ -62,6 +63,138 @@ func TestWarmPoolReapScenario(t *testing.T) {
 	}
 }
 
+// shelfSystem builds a one-template snapshot spec, boots the template to
+// quiescence and checkpoints it: the state runSnapshot starts its fork
+// phases from.
+func shelfSystem(t *testing.T, snap SnapshotSpec) *System {
+	t.Helper()
+	sys := Build(Spec{
+		Name: "shelf", Cores: 2, RunMs: 4, Seed: 14,
+		Snapshot: &snap,
+		VMs:      []VM{{Name: "template"}},
+	})
+	t.Cleanup(sys.Kernel.Shutdown)
+	sys.bootToQuiescence()
+	sys.checkpointTemplate()
+	return sys
+}
+
+// TestWarmShelfAcquireIsLIFO: acquire takes the most recently built
+// clone off the shelf, and forks a fresh one when the shelf is empty.
+func TestWarmShelfAcquireIsLIFO(t *testing.T) {
+	sys := shelfSystem(t, SnapshotSpec{Prewarm: 3})
+	sr := sys.snap
+	sys.prewarm(sys.Kernel.Clock.Now())
+	if len(sr.shelf) != 3 {
+		t.Fatalf("prewarm shelved %d clones, want 3", len(sr.shelf))
+	}
+	newest := sr.shelf[2]
+	if got := sys.acquire(); got != newest || got.name != "template.c2" || sr.hits != 1 {
+		t.Fatalf("acquire = %s (hits %d), want the newest clone template.c2 off the shelf", got.name, sr.hits)
+	}
+	for len(sr.shelf) > 0 {
+		sys.acquire()
+	}
+	if got := sys.acquire(); got != sr.clones[len(sr.clones)-1] || got.name != "template.c3" || sr.hits != 3 {
+		t.Errorf("acquire on an empty shelf = %s (hits %d), want a fresh template.c3 (hits 3)", got.name, sr.hits)
+	}
+}
+
+// TestWarmShelfTTLReapingIsDeterministic: prewarmed clones get a reap
+// deadline in [now+TTL, now+TTL+TTL/8) from the seeded jitter, the same
+// seed gives the same deadlines, nothing expires before now+TTL,
+// everything has by now+TTL+TTL/8, and the reap goes oldest first.
+func TestWarmShelfTTLReapingIsDeterministic(t *testing.T) {
+	ttl := simclock.FromMillis(1)
+	var first []simclock.Cycles
+	for run := 0; run < 2; run++ {
+		sys := shelfSystem(t, SnapshotSpec{Prewarm: 4, TTLMs: 1})
+		sr := sys.snap
+		now := sys.Kernel.Clock.Now()
+		sys.prewarm(now)
+		if len(sr.shelf) != 4 {
+			t.Fatalf("prewarm shelved %d clones, want 4", len(sr.shelf))
+		}
+		for i, cv := range sr.shelf {
+			if cv.deadline < now+ttl || cv.deadline >= now+ttl+ttl/8 {
+				t.Errorf("%s deadline %d outside [%d, %d)", cv.name, cv.deadline, now+ttl, now+ttl+ttl/8)
+			}
+			if run == 0 {
+				first = append(first, cv.deadline)
+			} else if cv.deadline != first[i] {
+				t.Errorf("%s deadline %d on the second run, %d on the first", cv.name, cv.deadline, first[i])
+			}
+		}
+
+		sys.reapExpired(now + ttl - 1)
+		if len(sr.shelf) != 4 || sr.reaped != 0 {
+			t.Fatalf("early reap left %d shelved and reaped %d, want 4 and 0", len(sr.shelf), sr.reaped)
+		}
+		// A destroyed clone's arena goes on a LIFO free list, so the
+		// order the top-up's forks get the arenas back in shows the
+		// order the reap destroyed them.
+		var arenas []uint32
+		for _, cv := range sr.shelf {
+			arenas = append(arenas, cv.pd.VCPU.TTBR)
+		}
+		sys.reapExpired(now + ttl + ttl/8)
+		if len(sr.shelf) != 0 || sr.reaped != 4 {
+			t.Fatalf("reap at TTL+TTL/8 left %d shelved and reaped %d, want 0 and 4", len(sr.shelf), sr.reaped)
+		}
+		sys.prewarm(now + 2*ttl)
+		for i, cv := range sr.shelf {
+			if want := arenas[len(arenas)-1-i]; cv.pd.VCPU.TTBR != want {
+				t.Errorf("%s reuses arena %#x, want %#x: the reap did not go oldest first",
+					cv.name, cv.pd.VCPU.TTBR, want)
+			}
+		}
+	}
+}
+
+// TestWarmShelfPrewarmTopsUpAfterReap: once a reap empties the shelf,
+// the next prewarm refills it with fresh build ordinals — the
+// template.cN names continue rather than recycle.
+func TestWarmShelfPrewarmTopsUpAfterReap(t *testing.T) {
+	sys := shelfSystem(t, SnapshotSpec{Prewarm: 2, TTLMs: 1})
+	sr := sys.snap
+	ttl := simclock.FromMillis(1)
+	now := sys.Kernel.Clock.Now()
+	sys.prewarm(now)
+	sys.reapExpired(now + 2*ttl)
+	if len(sr.shelf) != 0 || sr.reaped != 2 {
+		t.Fatalf("reap at 2*TTL left %d shelved and reaped %d, want 0 and 2", len(sr.shelf), sr.reaped)
+	}
+	sys.prewarm(now + 2*ttl)
+	if len(sr.shelf) != 2 {
+		t.Fatalf("top-up shelved %d clones, want 2", len(sr.shelf))
+	}
+	for i, cv := range sr.shelf {
+		if want := fmt.Sprintf("template.c%d", 2+i); cv.name != want {
+			t.Errorf("top-up shelf[%d] = %s, want %s (fresh ordinals)", i, cv.name, want)
+		}
+	}
+	if got := sys.acquire(); got.name != "template.c3" {
+		t.Errorf("post-reap acquire = %s, want template.c3", got.name)
+	}
+}
+
+// TestWarmShelfZeroTTLNeverReaps: without a TTL, shelf clones carry no
+// deadline and no reap scan destroys them.
+func TestWarmShelfZeroTTLNeverReaps(t *testing.T) {
+	sys := shelfSystem(t, SnapshotSpec{Prewarm: 2})
+	sr := sys.snap
+	sys.prewarm(sys.Kernel.Clock.Now())
+	sys.reapExpired(1 << 40)
+	if len(sr.shelf) != 2 || sr.reaped != 0 {
+		t.Fatalf("zero-TTL reap left %d shelved and reaped %d, want 2 and 0", len(sr.shelf), sr.reaped)
+	}
+	for _, cv := range sr.shelf {
+		if cv.deadline != 0 || cv.reaped {
+			t.Errorf("%s: deadline %d reaped %v, want no deadline and alive", cv.name, cv.deadline, cv.reaped)
+		}
+	}
+}
+
 // midpointRun boots the template to quiescence and runs it for the
 // spec's budget. With interrupt set, the quiesced midpoint is
 // checkpointed withContents, the guest's restorable state is then
@@ -87,7 +220,7 @@ func midpointRun(t *testing.T, shards int, interrupt bool) Result {
 		if err != nil {
 			t.Fatalf("guest snapshot: %v", err)
 		}
-		img, err := k.Checkpoint(pd, osnap, true, "mid")
+		img, err := k.Checkpoint(pd, true)
 		if err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}

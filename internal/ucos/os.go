@@ -167,9 +167,10 @@ func (os *OS) Run() {
 	os.loop()
 }
 
-// loop is the scheduler proper, shared by Run (cold boot) and ResumeLoop
-// (re-entry after a checkpoint restore, which must skip the boot
-// hypercalls because their effects live in the restored machine state).
+// loop is the scheduler proper, shared by Run (cold boot) and
+// ResumedGuest (re-entry after a checkpoint restore, which must skip the
+// boot hypercalls because their effects live in the restored machine
+// state).
 func (os *OS) loop() {
 	for !os.stopped {
 		if os.Deadline != 0 && os.M.Now() >= os.Deadline {

@@ -10,7 +10,7 @@
 // (inside Machine.Idle, i.e. a HcSuspend hypercall): no task is current,
 // so every task coroutine is either unstarted or parked at the top of a
 // Delay and can be re-hosted on a fresh coroutine without capturing Go
-// stacks. Restore relies on the tasks' bodies being loop-shaped with the
+// stacks. A restore relies on the tasks' bodies being loop-shaped with the
 // Delay at the bottom: a re-created task resumes at the loop top, which
 // charges the same cycles the parked original would have.
 package ucos
@@ -101,13 +101,13 @@ func (os *OS) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// Restore overwrites this (freshly built, tasks already re-created)
+// restore overwrites this (freshly built, tasks already re-created)
 // instance's state with a snapshot's. Task bodies come from the caller's
 // TaskCreate calls — a snapshot carries no code — so every checkpointed
 // priority must have been re-created. Restored tasks stay unstarted; the
 // first dispatch lazily hosts them on fresh coroutines, which costs the
 // same as resuming a parked one (dispatch charges unconditionally).
-func (os *OS) Restore(s *Snapshot) error {
+func (os *OS) restore(s *Snapshot) error {
 	os.Ticks = s.Ticks
 	os.TickPeriod = s.TickPeriod
 	os.Switches = s.Switches
@@ -128,17 +128,14 @@ func (os *OS) Restore(s *Snapshot) error {
 	return nil
 }
 
-// AttachResumeHandlers re-installs the host-side halves of boot — the
+// attachResumeHandlers re-installs the host-side halves of boot — the
 // vGIC entry callback and the tick handler in the local table — without
 // issuing the boot hypercalls (EnableIRQ, SetTickTimer): their effects
 // are machine state the hypervisor restored with the PD.
-func (os *OS) AttachResumeHandlers() {
+func (os *OS) attachResumeHandlers() {
 	os.M.SetIRQEntry(os.irqEntry)
 	os.irqTable[TickIRQ] = os.tickHandler
 }
-
-// ResumeLoop re-enters the scheduler after a restore, skipping boot.
-func (os *OS) ResumeLoop() { os.loop() }
 
 // ResumedGuest adapts a Snapshot to nova.Guest: the guest body installed
 // in a cloned or restored-in-place PD. Where Guest boots an OS from
@@ -162,17 +159,17 @@ type ResumedGuest struct {
 // at its checkpoint.
 func (g *ResumedGuest) RunSlice(env *nova.Env) {
 	m := NewVirtMachine(env)
-	m.RestoreCursors(g.Snap.Mach)
+	m.restoreCursors(g.Snap.Mach)
 	g.OS = NewOS(g.GuestName, m)
 	defer g.OS.Shutdown()
 	if g.Setup != nil {
 		g.Setup(g.OS)
 	}
-	if err := g.OS.Restore(g.Snap); err != nil {
+	if err := g.OS.restore(g.Snap); err != nil {
 		panic(err)
 	}
-	g.OS.AttachResumeHandlers()
+	g.OS.attachResumeHandlers()
 	env.ResumeSuspendExit()
 	env.CheckPreempt()
-	g.OS.ResumeLoop()
+	g.OS.loop()
 }

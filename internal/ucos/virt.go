@@ -78,11 +78,11 @@ func (m *VirtMachine) SetTickTimer(period simclock.Cycles) {
 // CheckPreempt implements Machine: vIRQ delivery + hypervisor yield.
 func (m *VirtMachine) CheckPreempt() { m.Env.CheckPreempt() }
 
-// RestoreCursors rewinds the machine's allocation cursors to a
+// restoreCursors rewinds the machine's allocation cursors to a
 // checkpointed position, so a restored guest that later calls
 // SetupDataSection or RequestHwTask carves the same addresses the
 // template would have.
-func (m *VirtMachine) RestoreCursors(s MachineSnap) {
+func (m *VirtMachine) restoreCursors(s MachineSnap) {
 	m.dataVA, m.dataSize = s.DataVA, s.DataSize
 	m.ifaceNext, m.ramNext = s.IfaceNext, s.RamNext
 }

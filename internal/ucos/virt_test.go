@@ -148,7 +148,7 @@ func TestDestroyRunningCloneInTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := k.Checkpoint(tpl, snap, false, "tpl")
+	img, err := k.Checkpoint(tpl, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDestroyRunningCloneInTask(t *testing.T) {
 			}
 		})
 	}}
-	c := k.CreateClone(img, nova.CloneConfig{Name: "clone", Guest: rg})
+	c := k.CreateClone(img, "clone", rg)
 	if err := k.ActivateClone(c); err != nil {
 		t.Fatal(err)
 	}
