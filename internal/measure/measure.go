@@ -15,7 +15,9 @@ import (
 	"repro/internal/simclock"
 )
 
-// Probe accumulates duration samples for one measured phase.
+// Probe accumulates duration samples for one measured phase. Add is safe
+// for concurrent use, so the cores of a parallel run can record into one
+// probe; read the exported aggregates once the run has quiesced.
 type Probe struct {
 	Count uint64
 	Total simclock.Cycles
@@ -29,10 +31,14 @@ type Probe struct {
 	// late Keep skews every percentile toward the tail that followed it.
 	Keep    bool
 	samples []simclock.Cycles
+
+	mu sync.Mutex // serializes Add and Set.Reset
 }
 
 // Add records one sample.
 func (p *Probe) Add(d simclock.Cycles) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.Count == 0 || d < p.Min {
 		p.Min = d
 	}
@@ -96,11 +102,14 @@ func (p *Probe) Samples() []simclock.Cycles {
 
 // Set is a collection of named probes.
 //
-// Set.Add is safe to call from concurrent core goroutines during a
-// parallel run: the probe aggregates (Count, Total, Min, Max) are
-// commutative, so the final values are independent of host
-// interleaving. Reading a *Probe returned by Get is only safe once the run
-// has quiesced (the reporting paths all run after Run/RunParallel return).
+// Set.Add, and Probe.Add on a probe returned by Get, are safe to call from
+// concurrent core goroutines during a parallel run: the probe aggregates
+// (Count, Total, Min, Max) are commutative, so the final values are
+// independent of host interleaving. A hot path resolves its probe once
+// with Get and records through the pointer, skipping the name lookup;
+// Reset keeps every probe's identity, so such a handle stays valid.
+// Reading a probe's fields is only safe once the run has quiesced (the
+// reporting paths all run after Run/RunParallel return).
 type Set struct {
 	mu     sync.Mutex
 	probes map[string]*Probe
@@ -115,10 +124,6 @@ func NewSet() *Set {
 func (s *Set) Get(name string) *Probe {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.get(name)
-}
-
-func (s *Set) get(name string) *Probe {
 	p, ok := s.probes[name]
 	if !ok {
 		p = &Probe{}
@@ -129,19 +134,19 @@ func (s *Set) get(name string) *Probe {
 
 // Add records a sample on the named probe.
 func (s *Set) Add(name string, d simclock.Cycles) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.get(name).Add(d)
+	s.Get(name).Add(d)
 }
 
-// Reset clears all samples but keeps the probe names and their
-// sample-retention settings.
+// Reset clears all samples but keeps the probes themselves (so handles
+// from Get stay valid), their names and their sample-retention settings.
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//detlint:ordered every probe is reset independently; no cross-probe state
 	for _, p := range s.probes {
-		*p = Probe{Keep: p.Keep}
+		p.mu.Lock()
+		p.Count, p.Total, p.Min, p.Max, p.samples = 0, 0, 0, 0, nil
+		p.mu.Unlock()
 	}
 }
 

@@ -3,6 +3,7 @@ package measure
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/simclock"
@@ -143,6 +144,9 @@ func TestSetResetKeepsNamesAndRetention(t *testing.T) {
 	p.Keep = true
 	p.Add(10)
 	s.Reset()
+	if s.Get("phase") != p {
+		t.Fatal("reset replaced the probe; a handle from Get went stale")
+	}
 	if got := s.Get("phase").Count; got != 0 {
 		t.Errorf("count after reset = %d, want 0", got)
 	}
@@ -209,5 +213,32 @@ func TestSetRenderingOrderStable(t *testing.T) {
 		if an[i-1] > an[i] {
 			t.Fatalf("names not sorted: %v", an)
 		}
+	}
+}
+
+// Cores record concurrently, some through a resolved handle and some by
+// name; every sample must land (run under -race for the data-race half).
+func TestConcurrentAddThroughHandleAndName(t *testing.T) {
+	s := NewSet()
+	h := s.Get(PhaseVMSwitch)
+	const workers, per = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= per; i++ {
+				if w%2 == 0 {
+					h.Add(simclock.Cycles(i))
+				} else {
+					s.Add(PhaseVMSwitch, simclock.Cycles(i))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if h.Count != workers*per || h.Total != workers*per*(per+1)/2 || h.Min != 1 || h.Max != per {
+		t.Errorf("count %d total %d min %d max %d, want %d %d 1 %d",
+			h.Count, h.Total, h.Min, h.Max, workers*per, workers*per*(per+1)/2, per)
 	}
 }

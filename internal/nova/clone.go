@@ -7,7 +7,6 @@ import (
 	"repro/internal/capspace"
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
-	"repro/internal/measure"
 	"repro/internal/mmu"
 	"repro/internal/physmem"
 	"repro/internal/sched"
@@ -149,8 +148,8 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 	}
 	// Virtual-timer phase: idle keeps the timer live, so the remaining
 	// time usually sits in the armed event rather than timerRemaining.
-	if pd.timerEvent != nil {
-		img.TimerRemaining = since(pd.timerEvent.When, pd.Core.Clock.Now())
+	if pd.vtimer.Queued() {
+		img.TimerRemaining = since(pd.vtimer.When, pd.Core.Clock.Now())
 	} else {
 		img.TimerRemaining = pd.timerRemaining
 	}
@@ -233,6 +232,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 		lastHcEntry:    img.LastHcEntry,
 		timerRemaining: img.TimerRemaining,
 	}
+	k.bindVirtualTimer(pd)
 	// Map every template frame read-only and take a share reference, one
 	// region at a time. The domain comes from the region; AP
 	// user-read-only is what turns a clone write into the permission
@@ -372,7 +372,7 @@ func (e *Env) ResumeSuspendExit() {
 	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeSVC, true
 	t0 := pd.lastHcEntry
 	d := since(c.Clock.Now(), t0)
-	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
+	k.probe(c, hotHypercall).Add(c.Clock.Now() - t0)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(abi.HcSuspend), uint64(abi.StatusOK))
 	}
@@ -418,7 +418,7 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 	pd.VGIC.restoreLines(img.VGIC, img.VGICPending)
 	pd.lastHcEntry = img.LastHcEntry
 	want := pd.Core.Clock.Now() + img.TimerRemaining
-	if pd.timerEvent == nil || pd.timerEvent.When != want {
+	if !pd.vtimer.Queued() || pd.vtimer.When != want {
 		k.parkVirtualTimer(pd)
 		pd.timerRemaining = img.TimerRemaining
 		k.armVirtualTimer(pd)

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"repro/internal/cpu"
+	"repro/internal/measure"
 	"repro/internal/simclock"
 	"repro/internal/timer"
 )
@@ -30,6 +31,15 @@ type CoreCtx struct {
 	// kctx is the kernel's execution context on this core.
 	kctx *cpu.ExecContext
 
+	// edge is the scheduling window's end, re-armed by every runCore: it
+	// asks the resident PD to give the core back at the window edge.
+	edge simclock.Event
+
+	// probes holds the hot-path probes this core has recorded into,
+	// resolved from Kernel.Probes on first use (see Kernel.probe). Each
+	// core fills only its own cache, so the lazy lookup never races.
+	probes [numHotProbes]*measure.Probe
+
 	// needResched asks the core to return to its scheduler at the next
 	// chunk boundary; quantumExpired marks a genuine end-of-slice (the
 	// private-timer PPI) as opposed to a pause or cross-core kick.
@@ -57,6 +67,33 @@ func (c *CoreCtx) Utilization(now simclock.Cycles) float64 {
 		return 0
 	}
 	return float64(c.BusyCycles) / float64(now)
+}
+
+// Hot-path probes: the phases the kernel records on every hypercall,
+// portal round trip and world switch.
+const (
+	hotHypercall = iota
+	hotIPCCall
+	hotVMSwitch
+	numHotProbes
+)
+
+var hotProbeNames = [numHotProbes]string{
+	hotHypercall: measure.PhaseHypercall,
+	hotIPCCall:   measure.PhaseIPCCall,
+	hotVMSwitch:  measure.PhaseVMSwitch,
+}
+
+// probe returns core c's handle on hot probe i, resolving it by name on
+// the core's first sample, so a kernel lists only the phases it has
+// recorded. Reset keeps probe identity, so a handle never goes stale.
+func (k *Kernel) probe(c *CoreCtx, i int) *measure.Probe {
+	p := c.probes[i]
+	if p == nil {
+		p = k.Probes.Get(hotProbeNames[i])
+		c.probes[i] = p
+	}
+	return p
 }
 
 // activate hands core c to pd by resuming its coroutine until the PD

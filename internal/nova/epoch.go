@@ -294,14 +294,14 @@ func (k *Kernel) runCore(c *CoreCtx, pd *PD, w simclock.Cycles) {
 		pd.VCPU.QuantumLeft = k.Sched.Quantum()
 	}
 	c.Timer.Start(pd.VCPU.QuantumLeft, true)
-	stop := c.Clock.At(w, func(simclock.Cycles) { c.needResched = true })
+	c.Clock.Schedule(&c.edge, w)
 
 	start := c.Clock.Now()
 	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeUSR, false
 	k.activate(c, pd)
 	elapsed := c.Clock.Now() - start
 	c.Timer.Stop()
-	c.Clock.Cancel(stop)
+	c.Clock.Cancel(&c.edge)
 	c.BusyCycles += elapsed
 
 	if c.quantumExpired || elapsed >= pd.VCPU.QuantumLeft {

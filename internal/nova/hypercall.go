@@ -1,6 +1,8 @@
 package nova
 
 import (
+	"slices"
+
 	"repro/internal/abi"
 	"repro/internal/capspace"
 	"repro/internal/cpu"
@@ -81,8 +83,8 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 		c.kctx.Exec(p.cost)
 		ret = p.fn(k, c, pd, args)
 	}
-	d := since(c.Clock.Now(), t0)
-	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
+	d := c.Clock.Now() - t0
+	k.probe(c, hotHypercall).Add(d)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(sel), uint64(ret))
 	}
@@ -404,7 +406,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	}
 	pd.Env.block() // resumes when the callee replies
 	d := since(c.Clock.Now(), t0)
-	k.Probes.Add(measure.PhaseIPCCall, d)
+	k.probe(c, hotIPCCall).Add(d)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindIPCCall, 0, uint64(pd.ID), uint64(to.ID))
 	}
@@ -441,7 +443,7 @@ func (k *Kernel) hcPortalRecv(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		pd.Env.block()
 	}
 	caller := pd.ipcCallers[0]
-	pd.ipcCallers = pd.ipcCallers[1:]
+	pd.ipcCallers = slices.Delete(pd.ipcCallers, 0, 1) // keeps the backing array
 	pd.replyTo = caller
 	c.kctx.Touch(pd.kdata+0x80, false)
 	return uint32(caller.ID)<<24 | caller.ipcWord&0xFF_FFFF

@@ -240,6 +240,7 @@ func NewKernelSMP(ncores int) *Kernel {
 		c.CPU.CP15Write(cpu.CP15DACR, dacrFor(true))
 		c.CPU.CP15Write(cpu.CP15SCTLR, 1)
 		c.kctx = cpu.NewExecContext(c.CPU, fmt.Sprintf("mininova/cpu%d", i), KernelCodeVA, KernelCodeSize)
+		c.edge.Fire = func(simclock.Cycles) { c.needResched = true }
 
 		// Vector table (banked per core; handlers close over the core).
 		c.CPU.Vectors.SWI = func(num int, args [4]uint32) uint32 { return k.onSWI(c, num, args) }
@@ -418,6 +419,7 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 		Guest:    cfg.Guest,
 		kdata:    KernelDataVA + uint32(id)*0x400,
 	}
+	k.bindVirtualTimer(pd)
 	k.populateCaps(pd, cfg.Caps)
 	if k.hwSvc != nil && pd != k.hwSvc {
 		// The manager acts on clients through delegated PD capabilities:
@@ -617,15 +619,21 @@ func physicalLine(irq int) bool {
 // armVirtualTimer schedules the current PD's next virtual tick from its
 // preserved remaining time.
 func (k *Kernel) armVirtualTimer(pd *PD) {
-	if pd.VCPU.TimerPeriod == 0 || pd.timerEvent != nil {
+	if pd.VCPU.TimerPeriod == 0 || pd.vtimer.Queued() {
 		return
 	}
 	d := pd.timerRemaining
 	if d == 0 {
 		d = pd.VCPU.TimerPeriod
 	}
-	pd.timerEvent = pd.Core.Clock.After(d, func(simclock.Cycles) {
-		pd.timerEvent = nil
+	clk := pd.Core.Clock
+	clk.Schedule(&pd.vtimer, clk.Now()+d)
+}
+
+// bindVirtualTimer points the PD's owned virtual-timer event at its tick
+// handler, once, when the PD is built.
+func (k *Kernel) bindVirtualTimer(pd *PD) {
+	pd.vtimer.Fire = func(simclock.Cycles) {
 		pd.timerRemaining = 0
 		if pd.dead || pd.VCPU.TimerPeriod == 0 {
 			return
@@ -635,23 +643,18 @@ func (k *Kernel) armVirtualTimer(pd *PD) {
 		if pd.Core.Current == pd || pd.idleWaiting {
 			k.armVirtualTimer(pd)
 		}
-	})
+	}
 }
 
 // parkVirtualTimer suspends the PD's virtual tick, preserving the time
 // remaining until the next expiry.
 func (k *Kernel) parkVirtualTimer(pd *PD) {
-	if pd.timerEvent == nil {
+	if !pd.vtimer.Queued() {
 		return
 	}
 	clk := pd.Core.Clock
-	if pd.timerEvent.When > clk.Now() {
-		pd.timerRemaining = pd.timerEvent.When - clk.Now()
-	} else {
-		pd.timerRemaining = 0
-	}
-	clk.Cancel(pd.timerEvent)
-	pd.timerEvent = nil
+	pd.timerRemaining = since(pd.vtimer.When, clk.Now())
+	clk.Cancel(&pd.vtimer)
 }
 
 // worldSwitch performs the full VM switch of §III-A/B/C on core c: save
@@ -678,7 +681,7 @@ func (k *Kernel) worldSwitch(c *CoreCtx, next *PD) {
 		// distributor enable word, so the whole set costs a single
 		// GICD_ICENABLER write regardless of how many lines the VM holds.
 		masked := false
-		for _, irq := range prev.VGIC.AllLines() {
+		for irq := range prev.VGIC.lines() {
 			if physicalLine(irq) {
 				k.GIC.Disable(irq)
 				masked = true
@@ -693,8 +696,8 @@ func (k *Kernel) worldSwitch(c *CoreCtx, next *PD) {
 	k.touchPDState(c, next, false)
 	next.VCPU.RestoreActive(c.CPU) // CP15 writes: TTBR, ASID, DACR
 	unmasked := false
-	for _, irq := range next.VGIC.EnabledLines() {
-		if physicalLine(irq) {
+	for irq, enabled := range next.VGIC.lines() {
+		if enabled && physicalLine(irq) {
 			k.GIC.Enable(irq)
 			unmasked = true
 		}
@@ -720,7 +723,7 @@ func (k *Kernel) worldSwitch(c *CoreCtx, next *PD) {
 	k.armVirtualTimer(next)
 	next.Switches++
 	d := c.Clock.Now() - t0
-	k.Probes.Add(measure.PhaseVMSwitch, d)
+	k.probe(c, hotVMSwitch).Add(d)
 	if k.Tracer != nil {
 		prevID := uint64(0) // 0 = idle; PD ids are shifted by one
 		if prev != nil {

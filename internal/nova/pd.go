@@ -99,8 +99,9 @@ type PD struct {
 	// Virtual timer state: the timer advances only while the VM runs
 	// (vCPU active state, Table I row "Platform-specific timer"): parked
 	// on switch-out with the remaining time preserved, re-armed on
-	// switch-in.
-	timerEvent     *simclock.Event
+	// switch-in. vtimer is owned: its Fire is bound once at creation
+	// (bindVirtualTimer) and every arm re-schedules it.
+	vtimer         simclock.Event
 	timerRemaining simclock.Cycles
 
 	// Portal IPC state (call/reply through PD-object capabilities):

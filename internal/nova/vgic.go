@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"iter"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -18,9 +19,9 @@ type VGIC struct {
 	entries map[int]*virq
 
 	// order is the record list proper: every registered IRQ ID in
-	// ascending order. All iteration over the record list (EnabledLines,
-	// AllLines) walks this slice, never the map, so the distributor-op
-	// sequence is identical run to run.
+	// ascending order. All iteration over the record list (lines) walks
+	// this slice, never the map, so the distributor-op sequence is
+	// identical run to run.
 	order []int
 
 	// Entry is the VM's IRQ handler entry point, registered by the guest.
@@ -118,24 +119,18 @@ func (v *VGIC) Owns(irq int) bool {
 	return ok
 }
 
-// EnabledLines lists, in ascending IRQ order, the lines the kernel must
-// unmask when this VM runs.
-func (v *VGIC) EnabledLines() []int {
-	var out []int
-	for _, irq := range v.order {
-		if v.entries[irq].enabled {
-			out = append(out, irq)
+// lines walks the record list in place, in ascending IRQ order,
+// yielding each registered line and whether it is enabled. The world
+// switch masks every line of the outgoing VM and unmasks the incoming
+// VM's enabled ones straight from this walk.
+func (v *VGIC) lines() iter.Seq2[int, bool] {
+	return func(yield func(irq int, enabled bool) bool) {
+		for _, irq := range v.order {
+			if !yield(irq, v.entries[irq].enabled) {
+				return
+			}
 		}
 	}
-	return out
-}
-
-// AllLines lists every registered line in ascending IRQ order (masked on
-// switch-out).
-func (v *VGIC) AllLines() []int {
-	out := make([]int, len(v.order))
-	copy(out, v.order)
-	return out
 }
 
 // Inject queues a virtual interrupt for delivery. The caller (kernel IRQ

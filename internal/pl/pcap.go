@@ -33,8 +33,10 @@ type PCAP struct {
 	f    *Fabric
 	regs map[physmem.Addr]uint32
 
-	busy    bool
-	pending *simclock.Event
+	busy bool
+	// done is the in-flight transfer's completion, owned and re-armed by
+	// every kick.
+	done simclock.Event
 	// cur latches the in-flight transfer's parameters at kick time, so
 	// register writes (or rejected starts) during the transfer cannot
 	// disturb it.
@@ -82,7 +84,9 @@ const (
 const pcapStallFactor = 64
 
 func newPCAP(f *Fabric) *PCAP {
-	return &PCAP{f: f, regs: make(map[physmem.Addr]uint32)}
+	p := &PCAP{f: f, regs: make(map[physmem.Addr]uint32)}
+	p.done.Fire = p.finish
+	return p
 }
 
 // Name implements physmem.Device.
@@ -126,15 +130,12 @@ func (p *PCAP) kick() {
 	if p.armed == FaultStall {
 		delay *= pcapStallFactor
 	}
-	p.pending = p.f.Clock.After(delay, func(simclock.Cycles) {
-		p.finish()
-	})
+	p.f.Clock.Schedule(&p.done, p.f.Clock.Now()+delay)
 }
 
-func (p *PCAP) finish() {
+func (p *PCAP) finish(simclock.Cycles) {
 	src, n, target := p.cur.src, p.cur.n, p.cur.target
 	p.busy = false
-	p.pending = nil
 	armed := p.armed
 	p.armed = FaultNone
 	fail := func(err error) {
@@ -195,10 +196,7 @@ func (p *PCAP) Abort() {
 	if !p.busy {
 		return
 	}
-	if p.pending != nil {
-		p.f.Clock.Cancel(p.pending)
-		p.pending = nil
-	}
+	p.f.Clock.Cancel(&p.done)
 	p.busy = false
 	p.armed = FaultNone
 	p.regs[PCAPRegStatus] = 0

@@ -130,8 +130,11 @@ type PRR struct {
 	// clock (single-clock configurations and unit tests).
 	clock *simclock.Clock
 
-	regs    [8]uint32
-	pending *simclock.Event
+	regs [8]uint32
+	// done is the in-flight run's completion, owned and re-armed by every
+	// start; runner is the behavioural model that run completes through.
+	done   simclock.Event
+	runner Accel
 
 	// Stats
 	Runs      uint64
@@ -163,7 +166,9 @@ func NewFabric(clock *simclock.Clock, bus *physmem.Bus, g *gic.GIC, capacities [
 		cores: make(map[uint16]Accel),
 	}
 	for i, c := range capacities {
-		f.PRRs = append(f.PRRs, &PRR{Index: i, Capacity: c, IRQLine: -1})
+		p := &PRR{Index: i, Capacity: c, IRQLine: -1}
+		p.done.Fire = func(simclock.Cycles) { f.complete(p) }
+		f.PRRs = append(f.PRRs, p)
 	}
 	f.PCAP = newPCAP(f)
 	bus.MapDevice(physmem.AXIGP0Base, uint32(len(capacities))*GroupStride, f)
@@ -216,15 +221,14 @@ func (f *Fabric) BindClock(r int, clk *simclock.Clock) { f.PRRs[r].clock = clk }
 // region has been handed to a new one.
 func (f *Fabric) AbortRun(r int) {
 	p := f.PRRs[r]
-	if p.pending == nil {
+	if !p.done.Queued() {
 		return
 	}
 	clk := p.clock
 	if clk == nil {
 		clk = f.Clock
 	}
-	clk.Cancel(p.pending)
-	p.pending = nil
+	clk.Cancel(&p.done)
 	p.regs[RegStatus/4] = StatusError
 	p.regs[RegIRQStat/4] |= 2
 }
@@ -299,15 +303,13 @@ func (f *Fabric) start(p *PRR) {
 	if clk == nil {
 		clk = f.Clock
 	}
-	p.pending = clk.After(lat, func(simclock.Cycles) {
-		f.complete(p, core)
-	})
+	p.runner = core
+	clk.Schedule(&p.done, clk.Now()+lat)
 }
 
 // complete performs the DMA through the hwMMU, runs the behavioural model
 // and finishes the task.
-func (f *Fabric) complete(p *PRR, core Accel) {
-	p.pending = nil
+func (f *Fabric) complete(p *PRR) {
 	p.Runs++
 	win := f.HwMMU.WindowOf(p.Index)
 	src := win.Base + physmem.Addr(p.regs[RegSrc/4])
@@ -330,7 +332,7 @@ func (f *Fabric) complete(p *PRR, core Accel) {
 		fail()
 		return
 	}
-	output, err := core.Process(input, p.regs[RegParam/4])
+	output, err := p.runner.Process(input, p.regs[RegParam/4])
 	if err != nil {
 		fail()
 		return

@@ -283,18 +283,18 @@ func (s *System) startStorm(pd *nova.PD, line int, period simclock.Cycles, burst
 		rest = period - span
 	}
 	clk := pd.Core.Clock
-	var pulse func(simclock.Cycles)
+	var pulse simclock.Event // owned: every shot re-arms it
 	shot := 0
-	pulse = func(simclock.Cycles) {
+	pulse.Fire = func(simclock.Cycles) {
 		s.Kernel.RaisePL(line)
 		shot++
 		if shot%burst == 0 {
-			clk.After(rest, pulse)
+			clk.Schedule(&pulse, clk.Now()+rest)
 		} else {
-			clk.After(gap, pulse)
+			clk.Schedule(&pulse, clk.Now()+gap)
 		}
 	}
-	clk.After(period, pulse)
+	clk.Schedule(&pulse, clk.Now()+period)
 }
 
 // Result is one scenario's outcome: the replay checksum plus the headline

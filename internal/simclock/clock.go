@@ -48,17 +48,21 @@ func FromMillis(ms float64) Cycles {
 	return FromMicros(ms * 1000)
 }
 
-// Event is a callback scheduled to fire at an absolute instant.
+// Event is a callback scheduled to fire at an absolute instant. At and
+// After build a fresh one per call; a source with at most one event in
+// flight instead owns an Event, binds its Fire once, and re-arms it with
+// Schedule, which allocates nothing. The zero Event is not queued.
 type Event struct {
 	When Cycles
 	Fire func(now Cycles)
 
-	seq   uint64 // tiebreaker: FIFO among equal deadlines
-	index int    // heap bookkeeping; -1 once popped or cancelled
+	seq uint64 // tiebreaker: FIFO among equal deadlines
+	pos int    // heap index + 1; 0 while not queued (never armed, fired or cancelled)
 }
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
+// Queued reports whether the event is armed: scheduled, and neither fired
+// nor cancelled since.
+func (e *Event) Queued() bool { return e.pos > 0 }
 
 type eventHeap []*Event
 
@@ -71,20 +75,20 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].pos = i + 1
+	h[j].pos = j + 1
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
 	*h = append(*h, e)
+	e.pos = len(*h)
 }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	e.pos = 0
 	*h = old[:n-1]
 	return e
 }
@@ -172,24 +176,38 @@ func (c *Clock) After(d Cycles, fire func(now Cycles)) *Event {
 // At schedules fire at the absolute instant when. If when is in the past the
 // event fires on the next Advance of any size (including Advance(0)).
 func (c *Clock) At(when Cycles, fire func(now Cycles)) *Event {
-	if when < c.now {
-		when = c.now
-	}
-	e := &Event{When: when, Fire: fire, seq: c.seq}
-	c.seq++
-	heap.Push(&c.events, e)
-	c.syncNext()
+	e := &Event{Fire: fire}
+	c.Schedule(e, when)
 	return e
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or already-
-// cancelled event is a harmless no-op.
+// Schedule arms e, an event the caller owns, to fire at the absolute
+// instant when, moving it if it is already queued. It applies At's clamp
+// and takes a fresh FIFO sequence number, so a re-armed event fires
+// exactly where a fresh At event armed at the same point would. e must not
+// be queued on another clock.
+func (c *Clock) Schedule(e *Event, when Cycles) {
+	if when < c.now {
+		when = c.now
+	}
+	e.When = when
+	e.seq = c.seq
+	c.seq++
+	if e.pos > 0 {
+		heap.Fix(&c.events, e.pos-1)
+	} else {
+		heap.Push(&c.events, e)
+	}
+	c.syncNext()
+}
+
+// Cancel removes a queued event. Cancelling an event that is not queued
+// (never armed, already fired or already cancelled) is a harmless no-op.
 func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+	if e == nil || e.pos == 0 {
 		return
 	}
-	heap.Remove(&c.events, e.index)
-	e.index = -2
+	heap.Remove(&c.events, e.pos-1)
 	c.syncNext()
 }
 

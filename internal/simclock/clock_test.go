@@ -70,8 +70,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Queued() {
+		t.Error("Queued() = true after Cancel")
 	}
 	c.Cancel(e) // double-cancel must be harmless
 }
@@ -224,5 +224,173 @@ func TestPropertyChunkedAdvanceEquivalent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Cancel must leave the queue alone for an event that is not queued:
+// never armed (the zero Event), already fired, or already cancelled —
+// whether or not other events are pending.
+func TestCancelUnqueuedEventIsNoOp(t *testing.T) {
+	cases := []struct {
+		name string
+		ev   func(c *Clock) *Event
+	}{
+		{"nil", func(*Clock) *Event { return nil }},
+		{"zero", func(*Clock) *Event { return &Event{} }},
+		{"fired", func(c *Clock) *Event {
+			e := c.At(c.Now(), func(Cycles) {})
+			c.Advance(0)
+			return e
+		}},
+		{"cancelled", func(c *Clock) *Event {
+			e := c.At(c.Now()+5, func(Cycles) {})
+			c.Cancel(e)
+			return e
+		}},
+	}
+	for _, tc := range cases {
+		for _, pending := range []bool{false, true} {
+			name := tc.name + "/empty"
+			if pending {
+				name = tc.name + "/pending"
+			}
+			t.Run(name, func(t *testing.T) {
+				c := New()
+				e := tc.ev(c)
+				fired := false
+				if pending {
+					c.At(10, func(Cycles) { fired = true })
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("Cancel panicked: %v", r)
+						}
+					}()
+					c.Cancel(e)
+				}()
+				c.Advance(20)
+				if pending && !fired {
+					t.Error("cancelling an unqueued event removed a different one")
+				}
+			})
+		}
+	}
+}
+
+// An owned event re-armed with Schedule fires once per arm, wherever it
+// was: never armed, queued (the arm moves it), fired or cancelled.
+func TestScheduleOwnedEvent(t *testing.T) {
+	c := New()
+	var at []Cycles
+	var e Event
+	e.Fire = func(now Cycles) { at = append(at, now) }
+	if e.Queued() {
+		t.Fatal("zero Event reports queued")
+	}
+	c.Schedule(&e, 10)
+	c.Schedule(&e, 30) // moves it: one firing, at 30
+	if !e.Queued() {
+		t.Fatal("scheduled event not queued")
+	}
+	c.Advance(40)
+	c.Schedule(&e, 50) // re-arm after firing
+	c.Cancel(&e)
+	c.Schedule(&e, 60) // re-arm after cancelling
+	c.Advance(30)
+	c.Schedule(&e, 5) // in the past: clamped to now, like At
+	c.Advance(0)
+	want := []Cycles{30, 60, 70}
+	if len(at) != len(want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("fired at %v, want %v", at, want)
+		}
+	}
+	if e.Queued() {
+		t.Error("fired event still reports queued")
+	}
+}
+
+// Property: a seeded random sequence of Schedule and Cancel on owned
+// events, some of which re-arm themselves when they fire, fires in the
+// same order at the same instants as the same sequence run with At and
+// Cancel on fresh events (a re-arm being a cancel plus a new At).
+// Deadlines are drawn from a narrow range so many coincide, which
+// exercises the FIFO tiebreak.
+func TestScheduleMatchesFreshEvents(t *testing.T) {
+	type firing struct {
+		slot int
+		at   Cycles
+	}
+	const slots = 6
+	run := func(seed uint64, owned bool) []firing {
+		x := seed | 1
+		rnd := func(n uint64) uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return x % n
+		}
+		c := New()
+		var log []firing
+		var own [slots]Event
+		var fresh [slots]*Event
+		var period [slots]Cycles
+		var arm func(i int, when Cycles)
+		fire := func(i int) func(Cycles) {
+			return func(now Cycles) {
+				log = append(log, firing{i, now})
+				if period[i] != 0 {
+					arm(i, now+period[i])
+				}
+			}
+		}
+		arm = func(i int, when Cycles) {
+			if owned {
+				c.Schedule(&own[i], when)
+				return
+			}
+			c.Cancel(fresh[i])
+			fresh[i] = c.At(when, fire(i))
+		}
+		for i := range own {
+			own[i].Fire = fire(i)
+			period[i] = Cycles(rnd(3) * 4) // 0 (one-shot), 4 or 8
+		}
+		for op := 0; op < 400; op++ {
+			i := int(rnd(slots))
+			switch rnd(4) {
+			case 0, 1:
+				// Deadlines up to 2 cycles in the past exercise the clamp.
+				arm(i, c.Now()+Cycles(rnd(12))-min(c.Now(), 2))
+			case 2:
+				if owned {
+					c.Cancel(&own[i])
+				} else {
+					c.Cancel(fresh[i])
+				}
+			case 3:
+				c.Advance(Cycles(rnd(6)))
+			}
+		}
+		c.Advance(100)
+		return log
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		a, b := run(seed, true), run(seed, false)
+		if len(a) != len(b) {
+			t.Fatalf("seed %d: %d owned firings vs %d fresh", seed, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("seed %d: firing %d is %+v owned vs %+v fresh", seed, i, a[i], b[i])
+			}
+		}
+		if len(a) == 0 {
+			t.Fatalf("seed %d: nothing fired", seed)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package simclock
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file holds the committer that carries cross-shard effects to the
 // epoch barrier. A shard (a simulated core with its own *Clock cursor)
@@ -63,31 +66,35 @@ func (cm *Committer) Pending() bool {
 
 // Commit merges every shard's log in (when, shard, seq) order and fires
 // the closures. A closure may itself Post follow-up effects; those land in
-// the next epoch's logs unless the caller drains again. Returns the number
-// of closures fired.
+// the next epoch's logs unless the caller drains again. Fired closures are
+// dropped from the logs, so nothing they capture outlives the barrier.
+// Returns the number of closures fired.
 func (cm *Committer) Commit() int {
 	cm.merged = cm.merged[:0]
 	for i := range cm.bufs {
-		cm.merged = append(cm.merged, cm.bufs[i].entries...)
-		cm.bufs[i].entries = cm.bufs[i].entries[:0]
+		b := &cm.bufs[i]
+		cm.merged = append(cm.merged, b.entries...)
+		clear(b.entries)
+		b.entries = b.entries[:0]
 	}
 	if len(cm.merged) == 0 {
 		return 0
 	}
-	sort.Slice(cm.merged, func(i, j int) bool {
-		a, b := cm.merged[i], cm.merged[j]
-		if a.when != b.when {
-			return a.when < b.when
+	// (when, shard, seq) is unique per entry, so the sort is a total order.
+	slices.SortFunc(cm.merged, func(a, b commitEntry) int {
+		if c := cmp.Compare(a.when, b.when); c != 0 {
+			return c
 		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
+		if c := cmp.Compare(a.shard, b.shard); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range cm.merged {
 		cm.merged[i].fn()
 	}
 	n := len(cm.merged)
+	clear(cm.merged)
 	cm.Commits += uint64(n)
 	return n
 }

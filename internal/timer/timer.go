@@ -22,7 +22,7 @@ type PrivateTimer struct {
 	interval simclock.Cycles
 	oneShot  bool
 	running  bool
-	event    *simclock.Event
+	event    simclock.Event // owned: Fire is bound once, every arm re-schedules it
 
 	Expiries uint64
 }
@@ -35,7 +35,9 @@ func New(c *simclock.Clock, g *gic.GIC) *PrivateTimer {
 // NewFor wires the private timer of one core of an MPCore: expiries raise
 // the private-timer PPI on that core's GIC CPU interface.
 func NewFor(c *simclock.Clock, g *gic.GIC, cpu int) *PrivateTimer {
-	return &PrivateTimer{clock: c, gic: g, cpu: cpu}
+	t := &PrivateTimer{clock: c, gic: g, cpu: cpu}
+	t.event.Fire = t.expire
+	return t
 }
 
 // Start programs the timer to fire every interval cycles (auto-reload) or
@@ -49,7 +51,7 @@ func (t *PrivateTimer) Start(interval simclock.Cycles, oneShot bool) {
 }
 
 func (t *PrivateTimer) arm() {
-	t.event = t.clock.After(t.interval, t.expire)
+	t.clock.Schedule(&t.event, t.clock.Now()+t.interval)
 }
 
 func (t *PrivateTimer) expire(simclock.Cycles) {
@@ -64,10 +66,7 @@ func (t *PrivateTimer) expire(simclock.Cycles) {
 
 // Stop cancels the timer.
 func (t *PrivateTimer) Stop() {
-	if t.event != nil {
-		t.clock.Cancel(t.event)
-		t.event = nil
-	}
+	t.clock.Cancel(&t.event)
 	t.running = false
 }
 
@@ -76,7 +75,7 @@ func (t *PrivateTimer) Running() bool { return t.running }
 
 // Remaining returns cycles until the next expiry (0 when stopped).
 func (t *PrivateTimer) Remaining() simclock.Cycles {
-	if !t.running || t.event == nil || t.event.Cancelled() {
+	if !t.running || !t.event.Queued() {
 		return 0
 	}
 	if t.event.When <= t.clock.Now() {
