@@ -25,7 +25,6 @@ func main() {
 	// Dual-core: the contending VMs share core 0 while the Hardware Task
 	// Manager arbitrates from core 1.
 	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
 	defer k.Shutdown()
 
 	// One large PRR only: maximal contention for the shared task.

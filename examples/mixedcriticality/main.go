@@ -24,7 +24,6 @@ func main() {
 	// — the partitioned-hypervisor arrangement that removes scheduling
 	// jitter from the control loop entirely.
 	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
 	defer k.Shutdown()
 
 	// Control VM: 1 kHz loop, must observe its tick within a tolerance.

@@ -21,7 +21,6 @@ func main() {
 	//    Task Manager service owns core 1 (the paper's intended
 	//    deployment on the dual-core part).
 	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
 
 	// 2. Bring up the paper's hardware-task platform: the PL with its
 	//    four reconfigurable regions, the FFT/QAM bitstream catalog and

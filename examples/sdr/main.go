@@ -23,7 +23,6 @@ func buildSystem() (*nova.Kernel, *hwtask.Manager) {
 	// on core 1, so accelerator requests never evict the pipeline from
 	// its core.
 	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
 	return k, hwtask.BootPaperPlatform(k, sched.MaskOf(1))
 }
 

@@ -151,9 +151,6 @@ func TestFootprint(t *testing.T) {
 	if f.Hypercalls != 25 {
 		t.Errorf("hypercalls = %d, want 25", f.Hypercalls)
 	}
-	if f.UCOSHypercalls != 17 {
-		t.Errorf("uCOS hypercalls = %d, want 17", f.UCOSHypercalls)
-	}
 	if f.KernelLoC == 0 {
 		t.Error("kernel LoC count failed (sources should be on disk in tests)")
 	}

@@ -26,8 +26,10 @@ type Footprint struct {
 }
 
 // VirtHypercallsUsed is the count of distinct hypercalls the
-// paravirtualized uCOS-II port issues (documented in ucos.VirtMachine).
-const VirtHypercallsUsed = 17
+// paravirtualized uCOS-II port issues (listed in ucos.VirtMachine's doc;
+// TestPortHypercallCount counts them on a traced kernel). The paper's
+// port uses 17.
+const VirtHypercallsUsed = 15
 
 // CollectFootprint gathers the scalars; root is the repository root (LoC
 // counts are best-effort: zero when sources are not on disk).

@@ -157,15 +157,12 @@ func BuildVirtSystem(cfg Config) *VirtSystem {
 		cores = 1
 	}
 	k := nova.NewKernelSMP(cores)
-	quantum := simclock.FromMillis(cfg.QuantumMs)
+	k.Sched = sched.New(cores, simclock.FromMillis(cfg.QuantumMs))
 	var svcMask, guestMask sched.CPUMask
 	if cores > 1 {
 		// Static partitioning (Bao-style): the service owns core 1, the
 		// guests share core 0 — the paper's intended Zynq deployment.
-		k.Sched = sched.NewPartitioned(cores, quantum)
 		svcMask, guestMask = sched.MaskOf(1), sched.MaskOf(0)
-	} else {
-		k.Sched = sched.NewPrioRR(1, quantum)
 	}
 
 	mgr := hwtask.BootPaperPlatform(k, svcMask)

@@ -63,15 +63,6 @@ func (b *TokenBucket) Take(now simclock.Cycles) bool {
 	return true
 }
 
-// Tokens reports the balance after refilling at now (diagnostics).
-func (b *TokenBucket) Tokens(now simclock.Cycles) uint32 {
-	if b == nil || b.Capacity == 0 {
-		return ^uint32(0)
-	}
-	b.refill(now)
-	return b.tokens
-}
-
 // Breaker is a leaky-counter circuit breaker: Charge adds weight to a
 // score that leaks one point every DecayEvery cycles; when the score
 // crosses TripAt the breaker opens for Cooldown cycles, during which

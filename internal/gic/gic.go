@@ -67,10 +67,6 @@ type GIC struct {
 	// it: every line is routed to exactly the core that owns it).
 	target [NumIRQs]int
 
-	// priorityMask is each CPU interface's PMR: only prios < mask taken.
-	priorityMask []uint8
-	ctrlEnabled  bool
-
 	// npending counts latched pending sources per CPU interface (an SPI
 	// counts against its target), so the nIRQ sample the CPU takes at
 	// every instruction boundary (PendingDeliverable) is O(1) in the
@@ -78,10 +74,6 @@ type GIC struct {
 	// keeps each simulated core's hot path on its own cache line when
 	// cores run on concurrent host goroutines.
 	npending []int
-
-	// Signal is invoked on the rising edge of "an enabled interrupt is
-	// pending and not masked" for a CPU — the nIRQ wire to that core.
-	Signal func(cpu int)
 
 	// stats is sharded per CPU interface for the same reason as npending:
 	// an event is always counted on the goroutine of the interface it is
@@ -109,18 +101,15 @@ func NewMP(ncpu int) *GIC {
 		panic("gic: need at least one CPU interface")
 	}
 	g := &GIC{
-		ncpu:         ncpu,
-		banked:       make([][PrivateBase]irqState, ncpu),
-		priorityMask: make([]uint8, ncpu),
-		ctrlEnabled:  true,
-		npending:     make([]int, ncpu),
-		stats:        make([]Stats, ncpu),
+		ncpu:     ncpu,
+		banked:   make([][PrivateBase]irqState, ncpu),
+		npending: make([]int, ncpu),
+		stats:    make([]Stats, ncpu),
 	}
 	for i := range g.shared {
 		g.shared[i].priority = 0xA0
 	}
 	for c := range g.banked {
-		g.priorityMask[c] = 0xFF
 		for i := range g.banked[c] {
 			g.banked[c][i].priority = 0xA0
 		}
@@ -156,12 +145,10 @@ func (g *GIC) Enable(id int) {
 	if id < PrivateBase {
 		for c := 0; c < g.ncpu; c++ {
 			g.banked[c][id].enabled = true
-			g.maybeSignal(c)
 		}
 		return
 	}
 	g.shared[id].enabled = true
-	g.maybeSignal(g.target[id])
 }
 
 // Disable masks one interrupt source (all banks for banked ids). A
@@ -176,13 +163,6 @@ func (g *GIC) Disable(id int) {
 		return
 	}
 	g.shared[id].enabled = false
-}
-
-// IsEnabled reports the distributor enable bit for id (bank 0 for banked
-// ids).
-func (g *GIC) IsEnabled(id int) bool {
-	g.check(id)
-	return g.state(0, id).enabled
 }
 
 // IsPending reports whether id is latched pending on any CPU interface.
@@ -212,13 +192,6 @@ func (g *GIC) SetPriority(id int, prio uint8) {
 	g.shared[id].priority = prio
 }
 
-// SetPriorityMask programs cpu's CPU-interface PMR.
-func (g *GIC) SetPriorityMask(cpu int, m uint8) {
-	g.checkCPU(cpu)
-	g.priorityMask[cpu] = m
-	g.maybeSignal(cpu)
-}
-
 // SetTarget routes an SPI to one CPU interface (GICD_ITARGETSR). Banked
 // ids have no target; calls for them are rejected. A latched pending
 // state migrates with the line: it counts against the new target.
@@ -233,7 +206,6 @@ func (g *GIC) SetTarget(id, cpu int) {
 		g.npending[cpu]++
 	}
 	g.target[id] = cpu
-	g.maybeSignal(cpu)
 }
 
 // TargetOf returns the CPU an SPI is routed to (0 for banked ids).
@@ -246,7 +218,7 @@ func (g *GIC) TargetOf(id int) int {
 }
 
 // Raise latches an interrupt pending (device-side edge). SPIs latch at
-// the distributor and signal their target CPU; banked ids latch on CPU0
+// the distributor against their target CPU; banked ids latch on CPU0
 // (single-core compatibility — per-CPU devices use RaiseOn).
 func (g *GIC) Raise(id int) {
 	g.check(id)
@@ -256,7 +228,6 @@ func (g *GIC) Raise(id int) {
 	}
 	g.stats[g.target[id]].Raised++
 	g.setPending(g.target[id], &g.shared[id], true)
-	g.maybeSignal(g.target[id])
 }
 
 // RaiseOn latches a banked (SGI/PPI) interrupt pending on one CPU's
@@ -271,7 +242,6 @@ func (g *GIC) RaiseOn(cpu, id int) {
 	}
 	g.stats[cpu].Raised++
 	g.setPending(cpu, &g.banked[cpu][id], true)
-	g.maybeSignal(cpu)
 }
 
 // RaiseSGI sends a software-generated interrupt (id < NumSGIs) to the
@@ -284,7 +254,6 @@ func (g *GIC) RaiseSGI(target, id int) {
 	g.checkCPU(target)
 	g.stats[target].SGIsSent++
 	g.setPending(target, &g.banked[target][id], true)
-	g.maybeSignal(target)
 }
 
 // setPending flips one source's pending latch, keeping the per-interface
@@ -301,9 +270,11 @@ func (g *GIC) setPending(cpu int, s *irqState, v bool) {
 	}
 }
 
-// deliverable reports whether s may be taken on cpu right now.
-func (g *GIC) deliverable(cpu int, s *irqState) bool {
-	return s.enabled && s.pending && !s.active && s.priority < g.priorityMask[cpu]
+// deliverable reports whether s may be taken right now. Mini-NOVA never
+// programs the CPU interfaces' priority mask (GICC_PMR), so every
+// interface keeps the 0xFF it resets to: any priority below it is taken.
+func (s *irqState) deliverable() bool {
+	return s.enabled && s.pending && !s.active && s.priority < 0xFF
 }
 
 // highestPending returns the best deliverable IRQ for cpu, or -1. SGIs
@@ -312,7 +283,7 @@ func (g *GIC) highestPending(cpu int) int {
 	best := -1
 	bestPrio := uint8(0xFF)
 	consider := func(id int, s *irqState) {
-		if !g.deliverable(cpu, s) {
+		if !s.deliverable() {
 			return
 		}
 		if best < 0 || s.priority < bestPrio {
@@ -338,13 +309,7 @@ func (g *GIC) PendingDeliverable(cpu int) bool {
 	if g.npending[cpu] == 0 {
 		return false
 	}
-	return g.ctrlEnabled && g.highestPending(cpu) >= 0
-}
-
-func (g *GIC) maybeSignal(cpu int) {
-	if g.PendingDeliverable(cpu) && g.Signal != nil {
-		g.Signal(cpu)
-	}
+	return g.highestPending(cpu) >= 0
 }
 
 // Acknowledge implements a read of cpu's GICC_IAR: it returns the
@@ -376,7 +341,6 @@ func (g *GIC) EOI(cpu, id int) {
 	}
 	s.active = false
 	g.stats[cpu].Completed++
-	g.maybeSignal(cpu)
 }
 
 // Stats returns the counters summed across every CPU interface.
@@ -390,16 +354,4 @@ func (g *GIC) Stats() Stats {
 		total.Spurious += g.stats[i].Spurious
 	}
 	return total
-}
-
-// EnabledSet snapshots the distributor enable bits as seen by cpu 0 (used
-// by the VM switch path to mask/unmask per-VM interrupt sets; §III-B).
-func (g *GIC) EnabledSet() []int {
-	var out []int
-	for id := 0; id < NumIRQs; id++ {
-		if g.state(0, id).enabled {
-			out = append(out, id)
-		}
-	}
-	return out
 }

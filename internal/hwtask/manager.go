@@ -104,11 +104,6 @@ type Manager struct {
 	Tasks map[uint16]*TaskInfo
 	PRRs  []PRRState
 
-	// WorkFactor scales the modelled manager path length. The default of
-	// 2.2 calibrates the end-to-end handler to the paper's ~15 µs
-	// execution time on the simulated 660 MHz pipeline.
-	WorkFactor float64
-
 	// dataVA is where the manager's tables live in its own address space;
 	// table scans touch this range so manager data competes for cache.
 	dataVA uint32
@@ -119,10 +114,9 @@ type Manager struct {
 // NewManager builds a manager for nPRR regions.
 func NewManager(nPRR int, dataVA uint32) *Manager {
 	m := &Manager{
-		Tasks:      make(map[uint16]*TaskInfo),
-		PRRs:       make([]PRRState, nPRR),
-		WorkFactor: 2.2,
-		dataVA:     dataVA,
+		Tasks:  make(map[uint16]*TaskInfo),
+		PRRs:   make([]PRRState, nPRR),
+		dataVA: dataVA,
 	}
 	for i := range m.PRRs {
 		m.PRRs[i] = PRRState{Client: -1, TaskID: -1}
@@ -138,9 +132,14 @@ func (m *Manager) AddTask(t *TaskInfo) {
 	m.Tasks[t.ID] = t
 }
 
-// exec charges n×WorkFactor instructions on the manager's context.
+// workFactor scales the modelled manager path length: 2.2 calibrates the
+// end-to-end handler to the paper's ~15 µs execution time on the
+// simulated 660 MHz pipeline.
+const workFactor = 2.2
+
+// exec charges n×workFactor instructions on the manager's context.
 func (m *Manager) exec(ctx *cpu.ExecContext, n int) {
-	ctx.Exec(int(float64(n) * m.WorkFactor))
+	ctx.Exec(int(float64(n) * workFactor))
 }
 
 // touchTask streams the task-table entry for id (batched engine).

@@ -131,8 +131,6 @@ type NativeActions struct {
 	Fabric *pl.Fabric
 	// Sections maps client id -> physical data-section window.
 	Sections map[int]pl.Window
-	// IRQEnable enables a GIC line directly (native uCOS owns the GIC).
-	IRQEnable func(irq int)
 	// StorePA is the physical base of the bitstream store.
 	StorePA uint32
 }
@@ -178,8 +176,8 @@ func (a *NativeActions) StartReconfig(req abi.Request, t *TaskInfo, prr int) boo
 	return true
 }
 
-// AllocIRQ implements Actions: allocate the line and enable it at the GIC
-// (the native RTOS receives it directly).
+// AllocIRQ implements Actions: allocate the line, then program and enable
+// it at the fabric's GIC, which the native RTOS owns.
 func (a *NativeActions) AllocIRQ(req abi.Request, prr int) (int, bool) {
 	if line := a.Fabric.PRRs[prr].IRQLine; line >= 0 {
 		return gic.PLIRQBase + line, true
@@ -188,9 +186,8 @@ func (a *NativeActions) AllocIRQ(req abi.Request, prr int) (int, bool) {
 	if err != nil {
 		return 0, false
 	}
-	if a.IRQEnable != nil {
-		a.IRQEnable(irq)
-	}
+	a.Fabric.GIC.SetPriority(irq, 0x60)
+	a.Fabric.GIC.Enable(irq)
 	return irq, true
 }
 

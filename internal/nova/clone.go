@@ -309,7 +309,9 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 	pd.stop()
 	pd.dead = true
 	k.parkVirtualTimer(pd)
-	k.Sched.Unplace(&pd.node)
+	if k.Sched.Unplace(&pd.node) {
+		k.traceSched(trace.KindSchedBlock, pd)
+	}
 	if pd.Core.Current == pd {
 		pd.Core.Current = nil
 	}

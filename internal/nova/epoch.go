@@ -249,7 +249,9 @@ func (k *Kernel) runSlice(c *CoreCtx, w simclock.Cycles) {
 				pd = p
 				break
 			}
-			k.Sched.Dequeue(n)
+			if k.Sched.Dequeue(n) {
+				k.traceSched(trace.KindSchedBlock, p)
+			}
 		}
 		if pd == nil {
 			d, ok := c.Clock.NextDeadline()
@@ -308,8 +310,11 @@ func (k *Kernel) runCore(c *CoreCtx, pd *PD, w simclock.Cycles) {
 		// Slice fully consumed: fresh quantum next time, go to the back
 		// of the priority circle (round-robin, §III-D).
 		pd.VCPU.QuantumLeft = 0
-		if k.Sched.Queued(&pd.node) {
+		if pd.node.Queued() {
 			k.Sched.Rotate(c.ID, pd.Priority)
+			if k.Tracer != nil {
+				k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindSchedRotate, 0, uint64(pd.Priority), 0)
+			}
 		}
 	} else {
 		// Paused early (preemption, window edge, cross-core kick): carry

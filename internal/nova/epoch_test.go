@@ -15,7 +15,7 @@ import (
 // grinding through empty 20 µs epochs. A 100 ms horizon holds 5000
 // epochs; a handful of timer pops must cost a comparable handful.
 func TestIdleFastForward(t *testing.T) {
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	var pops int
 	var tick func(simclock.Cycles)
@@ -46,7 +46,7 @@ func TestIdleFastForward(t *testing.T) {
 // woken by a timer must run at the wake instant, with the cores' clocks
 // converged on the horizon afterwards.
 func TestIdleFastForwardWakes(t *testing.T) {
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	var ranAt simclock.Cycles
 	pd := k.CreatePD(PDConfig{
@@ -78,7 +78,7 @@ func TestIdleFastForwardWakes(t *testing.T) {
 // negative shards all run.
 func TestRunParallelShardClamp(t *testing.T) {
 	for _, shards := range []int{-1, 0, 1, 2, 8} {
-		k := dualKernel()
+		k := NewKernelSMP(2)
 		var ran simclock.Cycles
 		k.CreatePD(PDConfig{
 			Name: "g", Priority: PrioGuest, Affinity: sched.MaskOf(0),
@@ -108,7 +108,7 @@ func TestDueNowEventOnIdleMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		k    *Kernel
-	}{{"single-core", NewKernel()}, {"dual-core", dualKernel()}} {
+	}{{"single-core", NewKernel()}, {"dual-core", NewKernelSMP(2)}} {
 		k := tc.k
 		fired := false
 		k.Clock.At(k.Clock.Now(), func(simclock.Cycles) { fired = true })

@@ -121,7 +121,6 @@ func runHcOps(t *testing.T, cores int, guest, mgr []hcOp) {
 	defer k.Shutdown()
 	var mgrMask, guestMask sched.CPUMask
 	if cores > 1 {
-		k.Sched = sched.NewPartitioned(cores, simclock.FromMillis(nova.DefaultQuantumMs))
 		mgrMask, guestMask = sched.MaskOf(1), sched.MaskOf(0)
 	}
 	caps := hwtask.PaperPRRCapacities()

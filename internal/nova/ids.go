@@ -10,7 +10,7 @@
 // aborts, exactly as §III of the paper lays out. The four microkernel
 // properties of §III — CPU virtualization (vcpu.go), memory management
 // (memory.go), communication (portal IPC in hypercall.go) and scheduling
-// (delegated to the pluggable internal/sched subsystem) — plus the
+// (delegated to the internal/sched Scheduler) — plus the
 // virtual interrupt layer (vgic.go) are tied together by the Kernel
 // object (kernel.go), which owns one CoreCtx (core.go) per simulated
 // Cortex-A9 core.

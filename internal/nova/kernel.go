@@ -72,10 +72,9 @@ type Kernel struct {
 	Reconfig *reconfig.Pipeline
 	Alloc    *mmu.FrameAllocator
 
-	// Sched is the pluggable scheduling policy (per-CPU runqueues). The
-	// kernel depends on the interface only; replace it before creating
-	// any PD (its CPU count must match len(Cores)).
-	Sched  sched.Policy
+	// Sched is the scheduler (per-CPU runqueues). Replace it before
+	// creating any PD (its CPU count must match len(Cores)).
+	Sched  *sched.Scheduler
 	Probes *measure.Set
 
 	// Tracer is the structured-event tracing layer (nil = disabled, the
@@ -196,7 +195,7 @@ func NewKernelSMP(ncores int) *Kernel {
 		Bus:       bus,
 		GIC:       g,
 		Alloc:     mmu.NewFrameAllocator(physTables, 8<<20),
-		Sched:     sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
+		Sched:     sched.New(ncores, simclock.FromMillis(DefaultQuantumMs)),
 		Probes:    measure.NewSet(),
 		committer: simclock.NewCommitter(ncores),
 		hwByID:    make(map[uint32]*hwRequest),
@@ -365,8 +364,8 @@ type PDConfig struct {
 	Caps     Capability
 	Guest    Guest
 	// Affinity restricts which cores may host the PD (zero = any). The
-	// scheduling policy chooses the home core from this mask; the PD's
-	// vCPU, contexts and interrupt routing bind to that core.
+	// scheduler chooses the home core from this mask; the PD's vCPU,
+	// contexts and interrupt routing bind to that core.
 	Affinity sched.CPUMask
 	// CodeBase/CodeSize locate the guest's text inside its address space
 	// (defaults: GuestKernelBase, 64 KB).
@@ -444,8 +443,8 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	if k.Tracer != nil {
 		k.traceVGIC(pd)
 	}
-	if !cfg.StartSuspended {
-		k.Sched.Enqueue(&pd.node)
+	if !cfg.StartSuspended && k.Sched.Enqueue(&pd.node) {
+		k.traceSched(trace.KindSchedWake, pd)
 	}
 	return pd
 }
@@ -510,7 +509,9 @@ func (k *Kernel) spawn(pd *PD) {
 		// parked on the dead PD (queued, or awaiting its reply) would block
 		// forever — fail them out.
 		pd.dead = true
-		k.Sched.Unplace(&pd.node)
+		if k.Sched.Unplace(&pd.node) {
+			k.traceSched(trace.KindSchedBlock, pd)
+		}
 		k.failPortalCallers(pd)
 		k.reconfigPurge(pd)
 	})
@@ -578,7 +579,9 @@ func (e *Env) CheckPreempt() {
 // Block suspends the calling PD until another event re-enqueues it. Used
 // by kernel handlers running in the caller's goroutine.
 func (e *Env) block() {
-	e.K.Sched.Dequeue(&e.PD.node)
+	if e.K.Sched.Dequeue(&e.PD.node) {
+		e.K.traceSched(trace.KindSchedBlock, e.PD)
+	}
 	e.PD.Core.needResched = true
 	e.yield(yieldBlocked)
 }
@@ -888,7 +891,7 @@ func (k *Kernel) maybePreemptFor(pd *PD) {
 	// core from the wake; a blocked one (including the woken PD itself,
 	// resident but just re-enqueued) will be rescheduled anyway.
 	cur := target.Current
-	if cur != nil && cur != pd && k.Sched.Queued(&cur.node) && pd.Priority <= cur.Priority {
+	if cur != nil && cur != pd && cur.node.Queued() && pd.Priority <= cur.Priority {
 		return
 	}
 	if k.inCommit && len(k.Cores) > 1 {
@@ -905,7 +908,9 @@ func (k *Kernel) wake(pd *PD) {
 		return
 	}
 	pd.node.Priority = pd.Priority
-	k.Sched.Enqueue(&pd.node)
+	if k.Sched.Enqueue(&pd.node) {
+		k.traceSched(trace.KindSchedWake, pd)
+	}
 	k.maybePreemptFor(pd)
 }
 

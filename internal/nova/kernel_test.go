@@ -119,7 +119,7 @@ func TestQuantumCarryOver(t *testing.T) {
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		for {
 			start := env.Now()
-			for !env.Preempted() {
+			for !env.PD.Core.needResched {
 				env.Ctx.Exec(100)
 				env.PendingVIRQ()
 			}

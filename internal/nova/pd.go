@@ -62,7 +62,7 @@ type PD struct {
 	Space   *capspace.Space
 	selfObj *capspace.Object
 
-	// Core is the PD's home core, chosen by the scheduling policy from
+	// Core is the PD's home core, chosen by the scheduler from
 	// the PD's affinity mask at creation. The vCPU, all of the guest's
 	// execution contexts, and the PD's interrupt routing bind to it.
 	Core *CoreCtx
@@ -183,11 +183,6 @@ func (e *Env) Hypercall(n int, args ...uint32) uint32 {
 	copy(a[:], args)
 	return e.PD.Core.CPU.SWI(n, a)
 }
-
-// Preempted reports whether the kernel wants the core back (quantum
-// expiry or a higher-priority PD became ready). Guests poll it between
-// chunks.
-func (e *Env) Preempted() bool { return e.PD.Core.needResched }
 
 // PendingVIRQ drains and dispatches injected virtual interrupts through
 // the VM's registered IRQ entry — the model's equivalent of taking the

@@ -11,15 +11,8 @@ import (
 	"repro/internal/simclock"
 )
 
-// dualKernel boots a 2-core kernel with a partitioned scheduler.
-func dualKernel() *Kernel {
-	k := NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(DefaultQuantumMs))
-	return k
-}
-
 func TestSMPPartitionedGuestsBothProgress(t *testing.T) {
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	ran := make([]simclock.Cycles, 2)
 	for i := 0; i < 2; i++ {
@@ -63,7 +56,7 @@ func TestCrossCoreWakeRaisesSGI(t *testing.T) {
 	// The receiver (service priority) blocks on core 1 while a guest
 	// spins there; a sender on core 0 must preempt the spinner across
 	// cores, which travels as a reschedule SGI on core 1's interface.
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	var got, reply uint32
 	server := k.CreatePD(PDConfig{
@@ -129,7 +122,7 @@ func TestCrossCoreWakeLatency(t *testing.T) {
 	// quantum must run long before the guest's 33 ms quantum expires:
 	// the wake breaks the active window and the SGI forces core 1 to
 	// reschedule.
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	var wokenAt, ranAt simclock.Cycles
 	svc := k.CreatePD(PDConfig{
@@ -169,7 +162,7 @@ func TestCrossCoreWakeLatency(t *testing.T) {
 }
 
 func TestPerCoreUtilizationIdleCore(t *testing.T) {
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	k.CreatePD(PDConfig{
 		Name: "busy", Priority: PrioGuest, Affinity: sched.MaskOf(0),
@@ -196,7 +189,7 @@ func TestDualCoreHwServicePinnedEndToEnd(t *testing.T) {
 	// owns core 1, a guest on core 0 acquires and runs a hardware task —
 	// the full §IV-E flow crossing cores via SGI, with the guest's core
 	// never world-switching to the service.
-	k := dualKernel()
+	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	f := fabricForTest(k)
 

@@ -1,18 +1,17 @@
 package nova
 
 import (
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
 // Tracing wiring: EnableTrace attaches per-core bounded event rings to
-// the kernel, then points every instrumented subsystem (scheduler, vGICs,
-// reconfiguration pipeline) at them. Tracing is
-// strictly read-only with respect to simulated state — no emission ever
-// advances a clock, touches a probe the scenario digest hashes, or
-// iterates a map — so a traced run produces byte-identical scenario
-// checksums to an untraced one.
+// the kernel, then points every instrumented subsystem (vGICs,
+// reconfiguration pipeline) at them; the kernel traces its own scheduler
+// calls. Tracing is strictly read-only with respect to simulated state —
+// no emission ever advances a clock, touches a probe the scenario digest
+// hashes, or iterates a map — so a traced run produces byte-identical
+// scenario checksums to an untraced one.
 //
 // Ring writer discipline: each per-core ring is written only by the
 // goroutine that logically holds that core — mid-epoch by the core's own
@@ -36,9 +35,6 @@ func (k *Kernel) EnableTrace() *trace.Tracer {
 		return ""
 	}
 	k.Tracer = t
-	if o, ok := k.Sched.(sched.Observable); ok {
-		o.SetObserver(kernelSchedObserver{k})
-	}
 	for _, pd := range k.PDs {
 		k.traceVGIC(pd)
 	}
@@ -57,36 +53,19 @@ func (k *Kernel) portalName(sel int) string {
 	return ""
 }
 
-// kernelSchedObserver forwards runqueue transitions into the owning
-// core's ring. Under the kernel's discipline every Enqueue/Dequeue runs
-// on the node's home core or inside the single-threaded barrier commit,
-// both of which may write that core's ring.
-type kernelSchedObserver struct{ k *Kernel }
-
-func (o kernelSchedObserver) Enqueued(n *sched.Node) {
-	pd, ok := n.Owner.(*PD)
-	if !ok || pd.Core == nil {
+// traceSched records a runqueue transition of pd (a sched_wake, carrying
+// its priority, or a sched_block) on its home core's ring. Every
+// Enqueue, Dequeue and Unplace runs on that core or inside the
+// single-threaded barrier commit, both of which may write the ring.
+func (k *Kernel) traceSched(kind trace.Kind, pd *PD) {
+	if k.Tracer == nil {
 		return
 	}
-	o.k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
-		trace.KindSchedWake, 0, uint64(pd.ID), uint64(pd.Priority))
-}
-
-func (o kernelSchedObserver) Dequeued(n *sched.Node) {
-	pd, ok := n.Owner.(*PD)
-	if !ok || pd.Core == nil {
-		return
+	var prio uint64
+	if kind == trace.KindSchedWake {
+		prio = uint64(pd.Priority)
 	}
-	o.k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
-		trace.KindSchedBlock, 0, uint64(pd.ID), 0)
-}
-
-func (o kernelSchedObserver) Rotated(cpu, prio int) {
-	if cpu < 0 || cpu >= len(o.k.Cores) {
-		return
-	}
-	o.k.Tracer.Core(cpu).Emit(o.k.Cores[cpu].Clock.Now(),
-		trace.KindSchedRotate, 0, uint64(prio), 0)
+	k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(), kind, 0, uint64(pd.ID), prio)
 }
 
 // traceVGIC points one PD's vGIC transition hook at its core's ring.

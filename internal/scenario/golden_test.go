@@ -3,13 +3,16 @@ package scenario
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden_short.txt and testdata/golden_full.txt from this run")
+var update = flag.Bool("update", false, "rewrite testdata/golden_short.txt, testdata/golden_full.txt and testdata/golden_trace.txt from this run")
 
 // goldenHeader opens each scenario's block in a golden file: the header
 // line carries the name and checksum, the block's remaining lines are the
@@ -35,7 +38,7 @@ func splitGolden(text string) (names []string, blocks map[string]string) {
 	var name string
 	for _, line := range strings.SplitAfter(text, "\n") {
 		if rest, ok := strings.CutPrefix(line, goldenHeader); ok {
-			name, _, _ = strings.Cut(rest, " ")
+			name, _, _ = strings.Cut(strings.TrimSuffix(rest, "\n"), " ")
 			names = append(names, name)
 		}
 		blocks[name] += line
@@ -132,4 +135,84 @@ func diffDetail(want, got string) string {
 		return b.String()
 	}
 	return "(no differing line)"
+}
+
+// traceGoldenPath pins the traced event stream of traceGoldenScenarios.
+var traceGoldenPath = filepath.Join("testdata", "golden_trace.txt")
+
+// traceGoldenScenarios are the short-mode runs whose whole Chrome trace is
+// pinned: a single-core system, and reconfig-thrash, whose two cores emit
+// scheduler events on both sides of the epoch barrier.
+var traceGoldenScenarios = []string{"baseline-2vm", "reconfig-thrash"}
+
+// traceGoldenBlock renders one traced run as its golden-file block: one
+// "kind count" line per event kind the rings retained, in kind order,
+// then the FNV-64a digest of the Chrome trace JSON. A mismatch in the
+// counts is reported as the first differing line, ahead of the digest.
+func traceGoldenBlock(name string, tr *trace.Tracer, raw []byte) string {
+	h := fnv.New64a()
+	h.Write(raw)
+	var counts [256]int // one per trace.Kind value
+	for c := 0; c < tr.Cores(); c++ {
+		for _, e := range tr.Core(c).Events() {
+			counts[e.Kind]++
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s%s\n", goldenHeader, name)
+	for k, n := range counts {
+		if n > 0 {
+			fmt.Fprintf(&b, "%s %d\n", trace.Kind(k), n)
+		}
+	}
+	fmt.Fprintf(&b, "chrome-json-fnv64a %016x\n", h.Sum64())
+	return b.String()
+}
+
+// TestTraceGolden pins the traced event stream byte for byte: each
+// scenario's Chrome trace JSON must match the checked-in digest, and must
+// be the same whether its cores share one host goroutine or run on two.
+// -update rewrites the file.
+func TestTraceGolden(t *testing.T) {
+	var blocks []string
+	for _, name := range traceGoldenScenarios {
+		spec, ok := FindSpec(name, true)
+		if !ok {
+			t.Fatalf("%s spec missing", name)
+		}
+		spec.Trace = true
+		var block string
+		for _, shards := range []int{1, 2} {
+			spec.Shards = shards
+			res := Build(spec).Run()
+			raw, err := res.Trace.ChromeJSON()
+			if err != nil {
+				t.Fatalf("%s: ChromeJSON: %v", name, err)
+			}
+			got := traceGoldenBlock(name, res.Trace, raw)
+			if block == "" {
+				block = got
+			} else if got != block {
+				t.Errorf("%s: trace with %d shards differs from the one-shard trace\n%s", name, shards, diffDetail(block, got))
+			}
+		}
+		blocks = append(blocks, block)
+	}
+	if *update {
+		if err := os.WriteFile(traceGoldenPath, []byte(strings.Join(blocks, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d scenarios)", traceGoldenPath, len(blocks))
+		return
+	}
+	raw, err := os.ReadFile(traceGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run go test ./internal/scenario -run TestTraceGolden -update to create it)", err)
+	}
+	_, want := splitGolden(string(raw))
+	for i, name := range traceGoldenScenarios {
+		if got := blocks[i]; got != want[name] {
+			t.Errorf("%s: %s trace differs from the golden\n%s", traceGoldenPath, name, diffDetail(want[name], got))
+		}
+	}
 }

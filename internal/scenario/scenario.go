@@ -70,8 +70,6 @@ type Spec struct {
 
 	// Cores is the number of simulated A9 cores (0 = 1).
 	Cores int
-	// Policy selects the scheduler by name ("" = prio-rr).
-	Policy string
 	// QuantumMs is the guest time slice (0 = the paper's 33 ms).
 	QuantumMs float64
 	// RunMs is the simulated runtime budget.
@@ -87,8 +85,7 @@ type Spec struct {
 	CacheBytes uint32
 	// PrefetchOff disables speculative fills.
 	PrefetchOff bool
-	// ServiceCore pins the Hardware Task Manager service (zero = any;
-	// meaningful under "partitioned").
+	// ServiceCore pins the Hardware Task Manager service (zero = any).
 	ServiceCore sched.CPUMask
 
 	// Trace enables the kernel's structured-event tracing (per-core
@@ -170,12 +167,7 @@ type System struct {
 func Build(spec Spec) *System {
 	spec = spec.normalized()
 	k := nova.NewKernelSMP(spec.Cores)
-	quantum := simclock.FromMillis(spec.QuantumMs)
-	pol, err := sched.New(spec.Policy, spec.Cores, quantum)
-	if err != nil {
-		panic(fmt.Sprintf("scenario %q: %v", spec.Name, err))
-	}
-	k.Sched = pol
+	k.Sched = sched.New(spec.Cores, simclock.FromMillis(spec.QuantumMs))
 	if spec.Trace {
 		k.EnableTrace()
 	}

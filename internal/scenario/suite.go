@@ -53,7 +53,7 @@ func Suite(short bool) []Spec {
 		{
 			Name:  "reconfig-thrash",
 			About: "four VMs churn the full FFT family through a 192 KB cache — eviction and PCAP-queue pressure",
-			Cores: 2, Policy: "partitioned", QuantumMs: 8, RunMs: ms(200), Seed: 3,
+			Cores: 2, QuantumMs: 8, RunMs: ms(200), Seed: 3,
 			CacheBytes:  192 << 10,
 			ServiceCore: sched.MaskOf(1),
 			VMs: []VM{
@@ -81,7 +81,7 @@ func Suite(short bool) []Spec {
 		{
 			Name:  "prefetch-friendly",
 			About: "a high-priority VM cycles four FFT images in order through a cache that holds two — periodic transitions plus idle windows, the prefetcher's home turf",
-			Cores: 2, Policy: "partitioned", QuantumMs: 8, RunMs: ms(200), Seed: 5,
+			Cores: 2, QuantumMs: 8, RunMs: ms(200), Seed: 5,
 			CacheBytes:  512 << 10,
 			ServiceCore: sched.MaskOf(1),
 			VMs: []VM{
@@ -93,7 +93,7 @@ func Suite(short bool) []Spec {
 		{
 			Name:  "mixed-criticality",
 			About: "a critical storm+codec VM partitioned on core 1 beside best-effort churn on core 0",
-			Cores: 2, Policy: "partitioned", QuantumMs: 8, RunMs: ms(160), Seed: 6,
+			Cores: 2, QuantumMs: 8, RunMs: ms(160), Seed: 6,
 			ServiceCore: sched.MaskOf(1),
 			VMs: []VM{
 				{Name: "critical", Priority: 2, Affinity: sched.MaskOf(1),
@@ -163,7 +163,7 @@ func Suite(short bool) []Spec {
 		{
 			Name:  "prr-degraded",
 			About: "transient PRR config faults quarantine regions — placement falls back to the healthy remainder on two cores",
-			Cores: 2, Policy: "partitioned", QuantumMs: 8, RunMs: ms(240), Seed: 12,
+			Cores: 2, QuantumMs: 8, RunMs: ms(240), Seed: 12,
 			CacheBytes:  1 << 20,
 			ServiceCore: sched.MaskOf(1),
 			Faults:      fault.Config{PRRFaultPermille: 400, QuarantineAfter: 2},
@@ -177,7 +177,7 @@ func Suite(short bool) []Spec {
 		{
 			Name:  "noisy-neighbor",
 			About: "a greedy churn VM hammers the manager beside a critical VM — QoS throttle and circuit breaker confine the interference",
-			Cores: 2, Policy: "partitioned", QuantumMs: 8, RunMs: ms(240), Seed: 13,
+			Cores: 2, QuantumMs: 8, RunMs: ms(240), Seed: 13,
 			CacheBytes:  1 << 20,
 			ServiceCore: sched.MaskOf(1),
 			Faults:      fault.Config{SDStallPermille: 500, SDStallFactor: 2},

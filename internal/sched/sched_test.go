@@ -14,17 +14,30 @@ func mkEnt(id, prio int, mask CPUMask) *ent {
 	return e
 }
 
-func place(t *testing.T, p Policy, e *ent) {
+func place(t *testing.T, s *Scheduler, e *ent) {
 	t.Helper()
-	p.Place(&e.node)
+	s.Place(&e.node)
 }
 
-func pickID(p Policy, cpu int) int {
-	n := p.Pick(cpu)
+func pickID(s *Scheduler, cpu int) int {
+	n := s.Pick(cpu)
 	if n == nil {
 		return -1
 	}
 	return n.Owner.(*ent).id
+}
+
+// ringLen counts the nodes on one CPU's ring at one priority level.
+func ringLen(s *Scheduler, cpu, prio int) int {
+	head := s.queues[cpu].rings[prio]
+	if head == nil {
+		return 0
+	}
+	n := 1
+	for p := head.next; p != head; p = p.next {
+		n++
+	}
+	return n
 }
 
 const (
@@ -33,7 +46,7 @@ const (
 )
 
 func TestPickHighestPriority(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	low := mkEnt(0, prioGuest, 0)
 	high := mkEnt(1, prioService, 0)
 	for _, e := range []*ent{low, high} {
@@ -50,7 +63,7 @@ func TestPickHighestPriority(t *testing.T) {
 }
 
 func TestRoundRobinRotation(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	for i := 0; i < 3; i++ {
 		e := mkEnt(i, prioGuest, 0)
 		place(t, s, e)
@@ -66,7 +79,7 @@ func TestRoundRobinRotation(t *testing.T) {
 }
 
 func TestDequeueMidRing(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	var ents []*ent
 	for i := 0; i < 4; i++ {
 		e := mkEnt(i, prioGuest, 0)
@@ -76,7 +89,7 @@ func TestDequeueMidRing(t *testing.T) {
 	}
 	s.Dequeue(&ents[1].node)
 	s.Dequeue(&ents[3].node)
-	if n := s.RingLen(0, prioGuest); n != 2 {
+	if n := ringLen(s, 0, prioGuest); n != 2 {
 		t.Fatalf("ring len = %d, want 2", n)
 	}
 	seen := map[int]bool{}
@@ -90,7 +103,7 @@ func TestDequeueMidRing(t *testing.T) {
 }
 
 func TestDequeueHeadAdjusts(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	a, b := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0)
 	for _, e := range []*ent{a, b} {
 		place(t, s, e)
@@ -107,16 +120,20 @@ func TestDequeueHeadAdjusts(t *testing.T) {
 }
 
 func TestDoubleEnqueueIdempotent(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	a := mkEnt(0, prioGuest, 0)
 	place(t, s, a)
-	s.Enqueue(&a.node)
-	s.Enqueue(&a.node)
-	if n := s.RingLen(0, prioGuest); n != 1 {
+	// Each transition reports whether the node changed state: only the
+	// first of two enqueues (and of two dequeues) is a wake (a block).
+	if !s.Enqueue(&a.node) || s.Enqueue(&a.node) {
+		t.Error("Enqueue reports: want true, then false for the queued node")
+	}
+	if n := ringLen(s, 0, prioGuest); n != 1 {
 		t.Errorf("double enqueue produced ring of %d", n)
 	}
-	s.Dequeue(&a.node)
-	s.Dequeue(&a.node) // and double dequeue is harmless
+	if !s.Dequeue(&a.node) || s.Dequeue(&a.node) {
+		t.Error("Dequeue reports: want true, then false for the dequeued node")
+	}
 	if s.Pick(0) != nil {
 		t.Error("entity still schedulable after dequeue")
 	}
@@ -125,7 +142,7 @@ func TestDoubleEnqueueIdempotent(t *testing.T) {
 func TestEnqueuePreservesRRWindow(t *testing.T) {
 	// A re-enqueued entity goes to the tail: the current head keeps its
 	// turn.
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	a, b, c := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0), mkEnt(2, prioGuest, 0)
 	for _, e := range []*ent{a, b} {
 		place(t, s, e)
@@ -149,7 +166,7 @@ func TestEnqueuePreservesRRWindow(t *testing.T) {
 }
 
 func TestPriorityChangeTakesEffectOnReenqueue(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New(1, 1000)
 	a, b := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0)
 	for _, e := range []*ent{a, b} {
 		place(t, s, e)
@@ -170,7 +187,7 @@ func TestPriorityChangeTakesEffectOnReenqueue(t *testing.T) {
 // --- multi-CPU behavior ---------------------------------------------------
 
 func TestPrioRRBalancesPlacement(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New(2, 1000)
 	homes := map[int]int{}
 	for i := 0; i < 4; i++ {
 		e := mkEnt(i, prioGuest, 0) // any CPU
@@ -180,13 +197,13 @@ func TestPrioRRBalancesPlacement(t *testing.T) {
 	if homes[0] != 2 || homes[1] != 2 {
 		t.Errorf("placement = %v, want 2 per CPU", homes)
 	}
-	if s.QueueLen(0) != 2 || s.QueueLen(1) != 2 {
-		t.Errorf("queue lens = %d/%d, want 2/2", s.QueueLen(0), s.QueueLen(1))
+	if l0, l1 := ringLen(s, 0, prioGuest), ringLen(s, 1, prioGuest); l0 != 2 || l1 != 2 {
+		t.Errorf("queue lens = %d/%d, want 2/2", l0, l1)
 	}
 }
 
 func TestPrioRRHonorsAffinity(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New(2, 1000)
 	// Load CPU1 with pinned entities, then place a free one: it must go
 	// to CPU0 (least loaded), and a CPU1-pinned one must stay on CPU1.
 	for i := 0; i < 3; i++ {
@@ -204,10 +221,22 @@ func TestPrioRRHonorsAffinity(t *testing.T) {
 	if got := s.Place(&pinned.node); got != 1 {
 		t.Errorf("pinned entity placed on CPU%d, want 1", got)
 	}
+	// Per-CPU picks are independent: a service-priority entity pinned to
+	// CPU1 wins there, and never on CPU0, whose guest is lower priority.
+	svc := mkEnt(11, prioService, MaskOf(1))
+	s.Place(&svc.node)
+	s.Enqueue(&svc.node)
+	s.Enqueue(&free.node)
+	if got := pickID(s, 1); got != 11 {
+		t.Errorf("CPU1 pick = ent%d, want the pinned service", got)
+	}
+	if got := pickID(s, 0); got != 9 {
+		t.Errorf("CPU0 pick = ent%d, want its own guest", got)
+	}
 }
 
 func TestPlacementStable(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New(2, 1000)
 	a := mkEnt(0, prioGuest, 0)
 	first := s.Place(&a.node)
 	// More load lands on the other CPU; re-placing must not migrate.
@@ -220,44 +249,10 @@ func TestPlacementStable(t *testing.T) {
 	}
 }
 
-func TestPartitionedPinsLowestMaskBit(t *testing.T) {
-	s := NewPartitioned(2, 1000)
-	svc := mkEnt(0, prioService, MaskOf(1))
-	if got := s.Place(&svc.node); got != 1 {
-		t.Fatalf("service placed on CPU%d, want 1", got)
-	}
-	s.Enqueue(&svc.node)
-	for i := 1; i < 4; i++ {
-		g := mkEnt(i, prioGuest, MaskOf(0))
-		if got := s.Place(&g.node); got != 0 {
-			t.Fatalf("guest placed on CPU%d, want 0", got)
-		}
-		s.Enqueue(&g.node)
-	}
-	// Per-CPU picks are independent: CPU1 sees only the service even
-	// though CPU0's guests are lower priority.
-	if got := pickID(s, 1); got != 0 {
-		t.Errorf("CPU1 pick = ent%d, want the pinned service", got)
-	}
-	if got := pickID(s, 0); got == 0 {
-		t.Error("CPU0 picked the CPU1-pinned service")
-	}
-	multi := mkEnt(9, prioGuest, MaskOf(0, 1))
-	if got := s.Place(&multi.node); got != 0 {
-		t.Errorf("multi-bit mask placed on CPU%d, want lowest bit 0", got)
-	}
-}
-
 func TestCPUMaskHelpers(t *testing.T) {
 	m := MaskOf(0, 2)
 	if !m.Has(0) || m.Has(1) || !m.Has(2) {
 		t.Errorf("MaskOf(0,2) membership wrong: %v", m)
-	}
-	if m.First() != 0 || m.Count() != 2 {
-		t.Errorf("First/Count = %d/%d, want 0/2", m.First(), m.Count())
-	}
-	if CPUMask(0).First() != -1 {
-		t.Error("empty mask First should be -1")
 	}
 	if got := CPUMask(0).Normalize(2); got != MaskOf(0, 1) {
 		t.Errorf("zero mask normalize = %v, want both CPUs", got)
@@ -278,14 +273,16 @@ func TestCPUMaskHelpers(t *testing.T) {
 }
 
 func TestUnplaceReleasesPlacement(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New(2, 1000)
 	a, b := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0)
 	s.Place(&a.node)
 	s.Place(&b.node) // one entity per CPU
 	s.Enqueue(&a.node)
-	home := a.node.CPU()
-	s.Unplace(&a.node)
-	if a.node.Queued() || a.node.CPU() != -1 {
+	home := a.node.cpu
+	if !s.Unplace(&a.node) {
+		t.Error("Unplace of a runnable node reported no dequeue")
+	}
+	if a.node.Queued() || a.node.cpu != -1 {
 		t.Error("Unplace left the node placed or queued")
 	}
 	// The freed CPU must be the least-loaded target again.
@@ -293,10 +290,13 @@ func TestUnplaceReleasesPlacement(t *testing.T) {
 	if got := s.Place(&c.node); got != home {
 		t.Errorf("new entity placed on CPU%d, want freed CPU%d", got, home)
 	}
+	if s.Unplace(&b.node) {
+		t.Error("Unplace of a never-enqueued node reported a dequeue")
+	}
 }
 
 func TestQuantumExposed(t *testing.T) {
-	if q := NewPrioRR(1, 12345).Quantum(); q != 12345 {
+	if q := New(1, 12345).Quantum(); q != 12345 {
 		t.Errorf("Quantum = %d, want 12345", q)
 	}
 }

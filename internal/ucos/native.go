@@ -92,10 +92,6 @@ func NewNativeMachine() *NativeMachine {
 		dataNext: nativeDataBase,
 		Probes:   measure.NewSet(),
 	}
-	nm.actions.IRQEnable = func(irq int) {
-		g.SetPriority(irq, 0x60)
-		g.Enable(irq)
-	}
 	nm.mgrCtx = cpu.NewExecContext(c, "native/hwmgr", nativeMgrCode, 8<<10)
 
 	// Flat privileged address space: sections over RAM and devices, all

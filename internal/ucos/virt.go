@@ -9,11 +9,11 @@ import (
 
 // VirtMachine is the paravirtualized port: uC/OS-II de-privileged into a
 // Mini-NOVA protection domain. Every method that touches sensitive state
-// issues one of the kernel's hypercalls — 17 distinct calls in total,
-// matching the paper's count of hypercalls used by the ported uCOS-II:
+// issues one of the kernel's hypercalls — 15 distinct calls in total,
+// where the paper's ported uCOS-II uses 17:
 //
-//	HcUARTWrite, HcVMID, HcYield, HcTimerSet, HcTimerCancel,
-//	HcIRQEnable, HcIRQDisable, HcIRQEOI, HcCacheFlush, HcTLBFlush,
+//	HcUARTWrite, HcVMID, HcTimerSet, HcTimerCancel,
+//	HcIRQEnable, HcIRQDisable, HcIRQEOI, HcCacheFlush,
 //	HcMapPage, HcRegionCreate, HcDACRSwitch, HcHwTaskRequest,
 //	HcHwTaskRelease, HcHwTaskStatus, HcSuspend
 type VirtMachine struct {
