@@ -19,24 +19,34 @@ const L2TableSize = 1 << 10
 // for page tables. Mini-NOVA's kernel owns one; the native-baseline system
 // owns another.
 type FrameAllocator struct {
+	base physmem.Addr
 	next physmem.Addr
 	end  physmem.Addr
 }
 
 // NewFrameAllocator serves allocations from [base, base+size).
 func NewFrameAllocator(base physmem.Addr, size uint32) *FrameAllocator {
-	return &FrameAllocator{next: base, end: base + physmem.Addr(size)}
+	return &FrameAllocator{base: base, next: base, end: base + physmem.Addr(size)}
 }
 
 // Alloc returns size bytes aligned to align, or panics when the pool is
 // exhausted (a configuration error, not a runtime condition).
 func (a *FrameAllocator) Alloc(size, align uint32) physmem.Addr {
-	p, ok := a.fit(size, align)
+	p, ok := a.TryAlloc(size, align)
 	if !ok {
 		panic(fmt.Sprintf("mmu: frame allocator exhausted (want %d bytes)", size))
 	}
-	a.next = p + physmem.Addr(size)
 	return p
+}
+
+// TryAlloc is Alloc for a pool that may run out at run time: it reports
+// false, and allocates nothing, when the pool has no room.
+func (a *FrameAllocator) TryAlloc(size, align uint32) (physmem.Addr, bool) {
+	p, ok := a.fit(size, align)
+	if ok {
+		a.next = p + physmem.Addr(size)
+	}
+	return p, ok
 }
 
 // fit returns where Alloc(size, align) would place its block, and

@@ -88,3 +88,68 @@ func panics(f func()) (panicked bool) {
 	f()
 	return false
 }
+
+// TestTableImageInstantiate: a table captured in one allocator and
+// instantiated in others, above and below it, has the bytes, the
+// allocator cursor and the translations a build in place gives, and a
+// write to one instance changes neither the captured table nor another
+// instance.
+func TestTableImageInstantiate(t *testing.T) {
+	const size = 64 << 10
+	build := func(bus *physmem.Bus, alloc *FrameAllocator) *PageTable {
+		pt := NewPageTable(bus, alloc)
+		pt.MapSection(0xF000_0000, physmem.DDRBase, 15, APPriv)
+		pt.MapPages(0x0001_0000, physmem.DDRBase+0x100_0000, 300, 1, APUserRO)
+		pt.MapPages(0x3000_0000, physmem.DDRBase+0x200_0000, 16, 2, APUserRO)
+		return pt
+	}
+	vas := []uint32{0xF000_0000, 0xF00F_F000, 0x0001_0000, 0x0013_B000, 0x3000_0000, 0x3000_F000, 0x3001_0000, 0x4000_0000}
+	bus := physmem.NewBus()
+	srcBase := physmem.DDRBase + 0x400_0000
+	src := build(bus, NewFrameAllocator(srcBase, size))
+	im := CaptureTable(src)
+	want := func(base physmem.Addr) ([]byte, *PageTable, uint32) {
+		ref := physmem.NewBus()
+		alloc := NewFrameAllocator(base, size)
+		pt := build(ref, alloc)
+		p, err := ref.ReadBytes(base, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, pt, alloc.Remaining()
+	}
+	var insts []*PageTable
+	for _, base := range []physmem.Addr{srcBase + 0x10_0000, srcBase - 0x10_0000} {
+		alloc := NewFrameAllocator(base, size)
+		pt := im.Instantiate(alloc)
+		insts = append(insts, pt)
+		wantBytes, ref, left := want(base)
+		got, err := bus.ReadBytes(base, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes) || pt.Base != ref.Base || alloc.Remaining() != left {
+			t.Fatalf("instance at %#x differs from a build in place (base %#x, %d bytes left; want %#x, %d)",
+				uint32(base), uint32(pt.Base), alloc.Remaining(), uint32(ref.Base), left)
+		}
+		for _, va := range vas {
+			pa, dom, ap, ok := pt.Lookup(va)
+			wpa, wdom, wap, wok := ref.Lookup(va)
+			if pa != wpa || dom != wdom || ap != wap || ok != wok {
+				t.Fatalf("instance at %#x: Lookup(%#x) = %#x %d %d %v, want %#x %d %d %v",
+					uint32(base), va, pa, dom, ap, ok, wpa, wdom, wap, wok)
+			}
+		}
+	}
+	before, _ := bus.ReadBytes(srcBase, size)
+	other, _ := bus.ReadBytes(insts[1].Base, size)
+	insts[0].RemapPage(0x0001_0000, physmem.DDRBase+0x500_0000, APFull)
+	if pa, _, _, _ := insts[0].Lookup(0x0001_0000); pa != physmem.DDRBase+0x500_0000 {
+		t.Fatalf("remapped instance maps %#x", pa)
+	}
+	after, _ := bus.ReadBytes(srcBase, size)
+	otherAfter, _ := bus.ReadBytes(insts[1].Base, size)
+	if !bytes.Equal(before, after) || !bytes.Equal(other, otherAfter) {
+		t.Fatal("a write to one instance changed the captured table or another instance")
+	}
+}

@@ -32,7 +32,11 @@ import (
 const (
 	// CostCloneBase covers the fixed fork work.
 	CostCloneBase = 2000
-	// CostClonePerFrame is the page-table descriptor write per shared frame.
+	// CostClonePerFrame is the page-table descriptor write per shared
+	// frame. It models the descriptor writes of a kernel that builds each
+	// clone's table; the host no longer performs them one by one (only an
+	// image's first clone is built that way, cloneTable), but the charge
+	// stays, so no simulated figure depends on how the host builds tables.
 	CostClonePerFrame = 4
 	// CostCloneActivate covers taking a warm clone off the shelf:
 	// unfreezing, arming the virtual timer, the runqueue insert.
@@ -176,10 +180,12 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 	return img, nil
 }
 
-// ReleaseImage drops the image's pins. Frames still shared by live
-// clones survive until their last reference; the rest are reclaimed.
+// ReleaseImage drops the image's pins and its captured clone page table.
+// Frames still shared by live clones survive until their last reference;
+// the rest are reclaimed.
 func (k *Kernel) ReleaseImage(img *checkpoint.Image) {
 	img.EachFrame(func(_ uint32, pa physmem.Addr) { k.Bus.Unpin(pa) })
+	delete(k.cloneTables, img)
 }
 
 // Freeze parks a checkpointed template for good: its virtual timer is
@@ -196,7 +202,9 @@ func (k *Kernel) Freeze(pd *PD) error {
 
 // CreateClone forks a new PD named name from a checkpoint image in
 // O(metadata): page-table construction and one read-only descriptor per
-// shared frame — no guest bytes move. guest is the host-side guest that
+// shared frame — no guest bytes move. On the host, every fork after the
+// image's first copies a captured table instead (cloneTable), sharing
+// its frames until the clone writes them. guest is the host-side guest that
 // resumes the captured software. The clone is born frozen (a warm-shelf
 // item) and may run on any core; ActivateClone makes it runnable. Its
 // capability table is re-minted from the image's grant bits with a
@@ -207,8 +215,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 	id := len(k.PDs)
 	arenaBase := k.allocCloneArena()
 	arena := mmu.NewFrameAllocator(arenaBase, cloneArenaSize)
-	pt := mmu.NewPageTable(k.Bus, arena)
-	mapKernelInto(pt)
+	pt := k.cloneTable(img, arena)
 	shared := img.FrameCount()
 	cs := &cloneState{img: img, arena: arena, arenaBase: arenaBase, shared: shared}
 	pd := &PD{
@@ -233,14 +240,10 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 		timerRemaining: img.TimerRemaining,
 	}
 	k.bindVirtualTimer(pd)
-	// Map every template frame read-only and take a share reference, one
-	// region at a time. The domain comes from the region; AP
-	// user-read-only is what turns a clone write into the permission
-	// fault cowBreak resolves.
+	// Take a share reference on every template frame, one region at a
+	// time.
 	for _, r := range img.Regions {
-		n := int(r.Size / physmem.FrameSize)
-		pt.MapPages(r.VA, r.PA, n, r.Domain, mmu.APUserRO)
-		k.Bus.ShareRange(r.PA, n)
+		k.Bus.ShareRange(r.PA, int(r.Size/physmem.FrameSize))
 	}
 	k.populateCaps(pd, Capability(img.CapBits))
 	pd.node = sched.NewNode(pd, img.Priority, 0)
@@ -271,6 +274,37 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 	// engine-stopped points (shelf operations), like boot-time CreatePD.
 	k.Clock.Advance(CostCloneBase + simclock.Cycles(shared)*CostClonePerFrame)
 	return pd
+}
+
+// cloneTable builds a clone's page table in arena. The image's first
+// clone builds it descriptor by descriptor (buildCloneTable) and captures
+// it; every later clone instantiates the capture, which shares the
+// captured frames on the host and writes only the L1 entries that point
+// at the clone's own L2 tables.
+func (k *Kernel) cloneTable(img *checkpoint.Image, arena *mmu.FrameAllocator) *mmu.PageTable {
+	if ti := k.cloneTables[img]; ti != nil {
+		return ti.Instantiate(arena)
+	}
+	pt := buildCloneTable(k.Bus, arena, img)
+	if k.cloneTables == nil {
+		k.cloneTables = map[*checkpoint.Image]*mmu.TableImage{}
+	}
+	k.cloneTables[img] = mmu.CaptureTable(pt)
+	return pt
+}
+
+// buildCloneTable writes a clone's page table into arena descriptor by
+// descriptor: the kernel's global mappings, then every template frame
+// read-only, one region at a time. The domain comes from the region; AP
+// user-read-only is what turns a clone write into the permission fault
+// cowBreak resolves.
+func buildCloneTable(bus *physmem.Bus, arena *mmu.FrameAllocator, img *checkpoint.Image) *mmu.PageTable {
+	pt := mmu.NewPageTable(bus, arena)
+	mapKernelInto(pt)
+	for _, r := range img.Regions {
+		pt.MapPages(r.VA, r.PA, int(r.Size/physmem.FrameSize), r.Domain, mmu.APUserRO)
+	}
+	return pt
 }
 
 // ActivateClone takes a frozen clone off the shelf: it thaws, re-arms
@@ -346,8 +380,11 @@ func (k *Kernel) cowBreak(c *CoreCtx, pd *PD, f *mmu.Fault) bool {
 	if !ok || ap != mmu.APUserRO {
 		return false // a genuine permission offence (e.g. kernel page)
 	}
+	dst, ok := pd.clone.arena.TryAlloc(physmem.FrameSize, physmem.FrameSize)
+	if !ok {
+		return false // arena full: an unrecovered abort like any other
+	}
 	c.kctx.Exec(30) // fault decode + COW bookkeeping
-	dst := pd.clone.arena.Alloc(physmem.FrameSize, physmem.FrameSize)
 	k.Bus.CopyFrame(dst, src)
 	c.Clock.Advance(CostCOWCopy)
 	pd.Table.RemapPage(page, dst, mmu.APFull)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/capspace"
+	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/gic"
 	"repro/internal/measure"
@@ -170,6 +171,10 @@ type Kernel struct {
 	// clone's tables-and-copies arena is handed to the next fork.
 	cloneArenaNext physmem.Addr
 	cloneArenaFree []physmem.Addr
+	// cloneTables holds each live image's captured clone page table
+	// (cloneTable), so that every fork after an image's first shares its
+	// frames.
+	cloneTables map[*checkpoint.Image]*mmu.TableImage
 }
 
 // NewKernel boots a Mini-NOVA kernel on a fresh single-core machine — the

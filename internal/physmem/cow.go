@@ -118,21 +118,28 @@ func (b *Bus) Unpin(a Addr) {
 }
 
 // ShareRange takes one clone reference on each of the n frames starting
-// with the one containing a. The frames are materialized first, then one
-// lock covers all n refcounts.
+// with the one containing a, which must lie in one RAM region. The frames
+// are materialized first, then one lock covers all n refcounts.
 func (b *Bus) ShareRange(a Addr, n int) {
 	a = frameBase(a)
-	for i := 0; i < n; i++ {
-		b.Materialize(a + Addr(i)<<FrameShift)
+	if !isRAM(a) || uint64(a)+uint64(n)<<FrameShift > ramEnd(a) {
+		panic(fmt.Sprintf("physmem: share of %d frames at %#08x leaves RAM", n, uint32(a)))
 	}
-	// Materialize rejected any range leaving its RAM region, so the n
-	// frames are numbered consecutively.
 	first := frameNum(a)
+	frames := b.frames[first : first+n]
+	var fresh int64
+	for i, f := range frames {
+		if f == nil {
+			frames[i] = &zeroFrame
+			fresh++
+		}
+	}
+	b.touched.Add(fresh)
 	t := &b.cow
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := 0; i < n; i++ {
-		t.ref(first+i, true).refs++
+	for i := first; i < first+n; i++ {
+		t.ref(i, true).refs++
 	}
 }
 
@@ -187,6 +194,9 @@ func (b *Bus) reclaim(n int) {
 		b.frames[n] = nil
 		b.touched.Add(-1)
 	}
+	if b.shared != nil {
+		b.shared[n] = false
+	}
 }
 
 // CopyFrame copies the 4 KB frame at src over the frame at dst (both
@@ -198,11 +208,10 @@ func (b *Bus) CopyFrame(dst, src Addr) {
 		panic(fmt.Sprintf("physmem: unaligned frame copy %#08x <- %#08x", uint32(dst), uint32(src)))
 	}
 	if s := b.frame(src); s != &zeroFrame {
-		*b.frameW(dst) = *s
+		*b.frameW(frameNum(dst)) = *s
 		return
 	}
-	b.frame(dst) // materializes and counts an untouched dst
-	b.frames[frameNum(dst)] = &zeroFrame
+	b.setFrame(frameNum(dst), &zeroFrame, false)
 }
 
 // SnapshotFrame returns a copy of the frame's current contents (used by
@@ -218,5 +227,5 @@ func (b *Bus) LoadFrame(a Addr, p []byte) {
 	if len(p) > FrameSize {
 		panic("physmem: LoadFrame payload exceeds a frame")
 	}
-	copy(b.frameW(frameBase(a))[:], p)
+	copy(b.frameW(frameNum(a))[:], p)
 }

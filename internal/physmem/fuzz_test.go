@@ -148,20 +148,32 @@ func sameErr(a, b error) bool {
 	return (a == nil) == (b == nil) && (ea == nil) == (eb == nil) && (ea == nil || *ea == *eb)
 }
 
+// capturedFrame is a buffer the trace captured for sharing, with the
+// bytes it held then: no op may change them.
+type capturedFrame struct {
+	s    SharedFrame
+	data frameBuf
+}
+
 // FuzzBusMatchesReference runs an op trace through a Bus and through the
 // reference model, and requires the same results and errors, the same
 // bytes in every materialized frame, the same TouchedFrames, Allocated,
-// Refs and Pinned answers, and an all-zero zeroFrame after every op. Each
-// op is eight trace bytes: kind, target, a 12-bit offset in the target's
-// frame (so words straddle frames and ranges leave RAM), and a 32-bit value
-// that also gives lengths. Pin and Unpin, and ShareRange and Release, are
-// only issued where they are legal. Only the first 256 ops run.
+// Refs and Pinned answers, an all-zero zeroFrame and unchanged captured
+// buffers after every op. Each op is eight trace bytes: kind, target, a
+// 12-bit offset in the target's frame (so words straddle frames and
+// ranges leave RAM), and a 32-bit value that also gives lengths. Pin and
+// Unpin, and ShareRange and Release, are only issued where they are
+// legal. The share op captures the target frame and installs it in the
+// next one to three trace frames; the reference copies the bytes, so
+// every later write, Zero, CopyFrame or reclaim through one sharer must
+// leave the others' bytes alone. Only the first 256 ops run.
 func FuzzBusMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, trace []byte) {
 		trace = trace[:min(len(trace), 8*256)]
 		b, r := NewBus(), &refBus{frames: map[Addr]*refFrame{}}
+		var captured []capturedFrame
 		for i := 0; i+8 <= len(trace); i += 8 {
-			kind, sel := trace[i]%14, int(trace[i+1])
+			kind, sel := trace[i]%15, int(trace[i+1])
 			off := Addr(binary.LittleEndian.Uint16(trace[i+2:]) & (FrameSize - 1))
 			v := binary.LittleEndian.Uint32(trace[i+4:])
 			a := fuzzAnchors[sel%len(fuzzAnchors)] + off // any address, RAM or not
@@ -255,7 +267,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 				for j := 0; j < k; j++ {
 					r.frame(fr+Addr(j)*FrameSize).refs++
 				}
-			default:
+			case 13:
 				rf := r.frames[fr]
 				if rf == nil || rf.refs == 0 {
 					continue
@@ -266,6 +278,17 @@ func FuzzBusMatchesReference(f *testing.F) {
 				r.reclaimIfFree(fr)
 				if got := b.Release(fr + off); got != want {
 					fail("= %d, reference %d", got, want)
+				}
+			default:
+				k := 1 + int(v%3)
+				op = fmt.Sprintf("share %#x into %d frames", fr+off, k)
+				s := b.CaptureFrame(fr + off)
+				captured = append(captured, capturedFrame{s, *s.buf})
+				src := r.frame(fr)
+				for j := 1; j <= k; j++ {
+					dst := fuzzFrames[(sel+j)%len(fuzzFrames)]
+					b.InstallFrame(dst, s)
+					r.frame(dst).data = src.data
 				}
 			}
 
@@ -293,6 +316,11 @@ func FuzzBusMatchesReference(f *testing.F) {
 			}
 			if zeroFrame != (frameBuf{}) {
 				fail("zeroFrame was written")
+			}
+			for _, c := range captured {
+				if *c.s.buf != c.data {
+					fail("a captured buffer was written")
+				}
 			}
 		}
 	})

@@ -6,7 +6,9 @@
 // Memory is sparse: a RAM frame is materialized on first touch, so
 // modelling the paper's 512 MB part costs only what the workloads actually
 // touch, and a frame no one has written shares one read-only zero buffer,
-// so it costs no host memory until its first byte write.
+// so it costs no host memory until its first byte write. Frames may share
+// other immutable buffers too (CaptureFrame, InstallFrame): a frame gets a
+// private copy at its first write, so sharing is invisible to the bytes.
 package physmem
 
 import (
@@ -87,6 +89,12 @@ type frameBuf [FrameSize]byte
 // never written itself, so any number of cores may read it at once.
 var zeroFrame frameBuf
 
+// SharedFrame is an immutable 4 KB buffer that any number of frames may
+// point at: CaptureFrame takes one from a frame, InstallFrame points
+// another frame at it. No one writes the buffer again; a frame on it gets
+// a private copy at its first write.
+type SharedFrame struct{ buf *frameBuf }
+
 // Bus is the physical interconnect: sparse DDR/OCM RAM plus MMIO windows.
 // It is the single source of truth for physical state; the caches sit in
 // front of it, the FPGA's AXI HP masters behind it.
@@ -97,8 +105,15 @@ var zeroFrame frameBuf
 // lookup one of the hottest operations in the whole simulator.
 type Bus struct {
 	frames  []*frameBuf  // ramFrames entries, indexed by frameNum; nil until materialized
-	touched atomic.Int64 // materialized frames, for the footprint report
+	touched atomic.Int64 // materialized frames (TouchedFrames)
 	windows []window     // sorted by base
+
+	// shared marks the frames whose buffer is a SharedFrame other than the
+	// zero frame, indexed like frames. It is nil until the bus first
+	// captures or installs one, so a bus that never shares pays nothing.
+	// One flag per frame, not a bitmap: cores clear the flags of their own
+	// frames concurrently.
+	shared []bool
 
 	// Copy-on-write frame sharing state (cow.go).
 	cow cowTable
@@ -164,15 +179,18 @@ func ramEnd(a Addr) uint64 {
 
 // frame and frameW return the backing frame of a RAM address, for reading
 // and for writing. Either materializes an untouched frame and counts it;
-// frame backs it with zeroFrame, and frameW gives a frame still on
-// zeroFrame a private buffer before returning it.
+// frame backs it with zeroFrame, and frameW gives a frame on zeroFrame or
+// on a shared buffer a private copy before returning it. frameW takes the
+// frame number (frameNum) rather than the address, which keeps it within
+// the inlining budget with the shared-buffer case.
 //
 // Parallel runs keep concurrent cores off shared untouched frames: bytes
 // only move through per-PD regions (disjoint guest RAM bases, page-table
 // arenas carved at construction), while kernel text and data traffic is
 // cost-only — the caches track tag state and never read the bus. A plain
-// slot store is therefore safe; only the global footprint counter is
-// shared and needs to be atomic.
+// slot store is therefore safe, and so is copying a shared buffer, which
+// no one writes; only the global footprint counter is shared and needs to
+// be atomic.
 func (b *Bus) frame(a Addr) *frameBuf {
 	slot := &b.frames[frameNum(a)]
 	if *slot == nil {
@@ -182,16 +200,59 @@ func (b *Bus) frame(a Addr) *frameBuf {
 	return *slot
 }
 
-func (b *Bus) frameW(a Addr) *frameBuf {
-	slot := &b.frames[frameNum(a)]
-	switch *slot {
-	case nil:
+func (b *Bus) frameW(n int) *frameBuf {
+	slot := &b.frames[n]
+	switch f := *slot; {
+	case f == nil:
 		b.touched.Add(1)
 		fallthrough
-	case &zeroFrame:
+	case f == &zeroFrame:
 		*slot = new(frameBuf)
+	case b.shared != nil && b.shared[n]:
+		*slot = new(frameBuf)
+		**slot = *f
+		b.shared[n] = false
 	}
 	return *slot
+}
+
+// setFrame points frame n at f, counting a frame it materializes; shared
+// says whether f is a SharedFrame's buffer other than the zero frame.
+func (b *Bus) setFrame(n int, f *frameBuf, shared bool) {
+	if b.frames[n] == nil {
+		b.touched.Add(1)
+	}
+	b.frames[n] = f
+	if shared && b.shared == nil {
+		b.shared = make([]bool, ramFrames)
+	}
+	if b.shared != nil {
+		b.shared[n] = shared
+	}
+}
+
+// CaptureFrame returns the buffer behind the frame containing a (RAM),
+// materializing it as a read would, and freezes it: from now on the
+// frame gets a private copy at its next write, so the returned buffer
+// keeps the bytes the frame holds now.
+func (b *Bus) CaptureFrame(a Addr) SharedFrame {
+	b.Materialize(a)
+	n := frameNum(a)
+	f := b.frames[n]
+	if f != &zeroFrame {
+		b.setFrame(n, f, true)
+	}
+	return SharedFrame{f}
+}
+
+// InstallFrame points the frame containing a (RAM) at s's buffer: its old
+// bytes are dropped, reads see s's, and its first write gives it a
+// private copy. Every other frame on the buffer keeps its bytes.
+func (b *Bus) InstallFrame(a Addr, s SharedFrame) {
+	if !isRAM(a) {
+		panic(fmt.Sprintf("physmem: install at non-RAM address %#08x", uint32(a)))
+	}
+	b.setFrame(frameNum(a), s.buf, s.buf != &zeroFrame)
 }
 
 // Read32 reads a 32-bit little-endian word. RAM reads are naturally-aligned
@@ -223,7 +284,7 @@ func (b *Bus) Read32(a Addr) (uint32, error) {
 // Write32 writes a 32-bit little-endian word.
 func (b *Bus) Write32(a Addr, v uint32) error {
 	if isRAM(a) {
-		f := b.frameW(a)
+		f := b.frameW(frameNum(a))
 		off := a & (FrameSize - 1)
 		if off+4 <= FrameSize {
 			binary.LittleEndian.PutUint32(f[off:off+4], v)
@@ -256,7 +317,7 @@ func (b *Bus) Write8(a Addr, v byte) error {
 	if !isRAM(a) {
 		return &BusError{Addr: a, Write: true}
 	}
-	b.frameW(a)[a&(FrameSize-1)] = v
+	b.frameW(frameNum(a))[a&(FrameSize-1)] = v
 	return nil
 }
 
@@ -302,16 +363,17 @@ func (b *Bus) WriteBytes(a Addr, p []byte) error {
 	m, err := ramPrefix(a, len(p), true)
 	for i := 0; i < m; {
 		cur := a + Addr(i)
-		i += copy(b.frameW(cur)[cur&(FrameSize-1):], p[i:m])
+		i += copy(b.frameW(frameNum(cur))[cur&(FrameSize-1):], p[i:m])
 	}
 	return err
 }
 
 // Zero clears n bytes of RAM starting at a, materializing untouched frames
 // exactly as the word writes it replaces would. A frame no one has written
-// stays on zeroFrame; only a private frame is cleared. It is RAM only: a
-// range that leaves its DDR or OCM region writes nothing and returns a
-// *BusError at the first address past RAM.
+// stays on zeroFrame, and a shared frame cleared whole moves to it; a
+// private frame is cleared in place. It is RAM only: a range that leaves
+// its DDR or OCM region writes nothing and returns a *BusError at the
+// first address past RAM.
 func (b *Bus) Zero(a Addr, n int) error {
 	m, err := ramPrefix(a, n, true)
 	if err != nil {
@@ -321,8 +383,12 @@ func (b *Bus) Zero(a Addr, n int) error {
 		cur := a + Addr(i)
 		off := int(cur & (FrameSize - 1))
 		k := min(FrameSize-off, m-i)
-		if f := b.frame(cur); f != &zeroFrame {
-			clear(f[off : off+k])
+		switch fn := frameNum(cur); {
+		case b.frame(cur) == &zeroFrame:
+		case k == FrameSize && b.shared != nil && b.shared[fn]:
+			b.setFrame(fn, &zeroFrame, false)
+		default:
+			clear(b.frameW(fn)[off : off+k])
 		}
 		i += k
 	}
@@ -330,6 +396,6 @@ func (b *Bus) Zero(a Addr, n int) error {
 }
 
 // TouchedFrames reports how many distinct 4 KB frames are materialized,
-// whether on a private buffer or on the shared zero frame; the footprint
-// report uses it as the resident-memory figure.
+// whether on a private buffer or on a shared one, the zero frame
+// included.
 func (b *Bus) TouchedFrames() int { return int(b.touched.Load()) }
