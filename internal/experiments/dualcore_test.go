@@ -12,6 +12,28 @@ func TestDualCoreOffload(t *testing.T) {
 	}
 	d := RunDualCore(cfg)
 	t.Logf("\n%s", d.String())
+	// The rows are pinned: entry, exit and execution (us), samples, world
+	// switches and reschedule SGIs at 1 and 2 cores.
+	type pin struct {
+		entry, exit, exec           float64
+		samples, switches, sgisSent uint64
+	}
+	want := [2]pin{
+		{0.4070707070707071, 0.3393939393939394, 15.997373737373737, 15, 66, 0},
+		{0.25343434343434346, 0, 18.17080808080808, 15, 55, 34},
+	}
+	if testing.Short() {
+		want = [2]pin{
+			{0.41010101010101013, 0.33636363636363636, 15.644612794612796, 9, 48, 0},
+			{0.2584175084175084, 0, 16.573905723905725, 9, 43, 25},
+		}
+	}
+	for i, r := range []DualCoreReport{d.Single, d.Dual} {
+		got := pin{r.Entry, r.Exit, r.Exec, r.Samples, r.VMSwitches, r.SGIsSent}
+		if got != want[i] {
+			t.Errorf("%d-core row drifted from the pinned values:\n  got  %+v\n  want %+v", i+1, got, want[i])
+		}
+	}
 	checks := d.Check()
 	if !checks.AllHold() {
 		t.Errorf("dual-core checks failed: %+v", checks)

@@ -284,3 +284,27 @@ func TestCheckpointRestoreContinuity(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotSweepPinned pins the rows of the short -snapshot sweep
+// (fleets of 1 and 8 clones), from which cmd/experiments derives the
+// fork/boot ratio, the copy rate and the shelf hit ratio.
+func TestSnapshotSweepPinned(t *testing.T) {
+	for _, want := range []struct {
+		clones         int
+		boot, fork     simclock.Cycles
+		copied, shared uint64
+		hits, misses   uint64
+	}{
+		{1, 2310012, 6396, 9, 1015, 0, 1},
+		{8, 2310012, 51168, 70, 8122, 4, 4},
+	} {
+		r := Build(snapshotForkSpec(want.clones)).Run()
+		if r.CloneCount != want.clones || r.BootCycles != want.boot || r.ForkCycles != want.fork ||
+			r.FramesCopied != want.copied || r.FramesShared != want.shared ||
+			r.PoolHits != want.hits || r.PoolMisses != want.misses {
+			t.Errorf("%s drifted from the pinned row:\n  got  clones=%d boot=%d fork=%d copied=%d shared=%d hits=%d misses=%d\n  want %+v",
+				r.Name, r.CloneCount, r.BootCycles, r.ForkCycles, r.FramesCopied, r.FramesShared,
+				r.PoolHits, r.PoolMisses, want)
+		}
+	}
+}
