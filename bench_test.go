@@ -84,7 +84,7 @@ func BenchmarkDualCoreOffload(b *testing.B) {
 				cfg.Guests = 2
 				rep := experiments.RunDualCoreRow(cfg, cores)
 				b.ReportMetric(rep.Entry, "entry_us")
-				b.ReportMetric(rep.Total, "total_us")
+				b.ReportMetric(rep.Total(), "total_us")
 				b.ReportMetric(float64(rep.VMSwitches), "vm_switches")
 				if cores == 2 {
 					b.ReportMetric(rep.PerCore[0].Utilization*100, "cpu0_util_pct")
@@ -115,7 +115,7 @@ func BenchmarkReconfigColdVsWarm(b *testing.B) {
 			if err := bus.WriteBytes(storePA, raw); err != nil {
 				b.Fatal(err)
 			}
-			pipe := reconfig.New(clock, fab, bus, storePA, reconfig.DefaultConfig())
+			pipe := reconfig.New(clock, fab, bus, storePA)
 			submit := func() simclock.Cycles {
 				t0 := clock.Now()
 				pipe.Submit(&reconfig.Request{

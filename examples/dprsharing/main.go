@@ -15,7 +15,6 @@ import (
 	"repro/internal/abi"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
@@ -29,14 +28,9 @@ func main() {
 
 	// One large PRR only: maximal contention for the shared task.
 	caps := hwtask.PaperPRRCapacities()[:1]
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range hwtask.PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
+	k.AttachFabric(hwtask.NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		log.Fatal(err)
 	}
 	svcPD := k.CreatePD(nova.PDConfig{

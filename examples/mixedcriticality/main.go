@@ -58,7 +58,7 @@ func main() {
 	}
 
 	// Batch VM: ADPCM compression, as much as it can get.
-	var w *apps.ADPCMWorkload
+	var w *apps.CodecWorkload[apps.ADPCMState]
 	batch := &ucos.Guest{
 		GuestName: "batch-compress",
 		Setup: func(os *ucos.OS) {
@@ -93,6 +93,6 @@ func main() {
 	for _, c := range k.Cores {
 		fmt.Printf("cpu%d utilization: %.2f%%\n", c.ID, c.Utilization(k.Clock.Now())*100)
 	}
-	fmt.Printf("batch blocks compressed meanwhile: %d\n", w.Blocks())
+	fmt.Printf("batch blocks compressed meanwhile: %d\n", w.Steps())
 	fmt.Printf("world switches: %d\n", k.Probes.Get("vm_switch").Count)
 }

@@ -7,9 +7,12 @@
 // All algorithms are real implementations — codecs round-trip, the FFT
 // satisfies Parseval — so the working-set traffic the workloads charge to
 // the cache model corresponds to computation with a real, verifiable
-// result. The codec workloads' input is cyclic: once a cycle starts and
-// ends in the same codec state, they replay that cycle's recorded output
-// and states exactly instead of encoding the same bytes again.
+// result. GSM and ADPCM run as one CodecWorkload, generic in the codec's
+// state: per codec it knows only the samples and encoded bytes of a step,
+// the step's instruction bursts and the encoder. The codec workloads'
+// input is cyclic: once a cycle starts and ends in the same codec state,
+// they replay that cycle's recorded output and states exactly instead of
+// encoding the same bytes again.
 package apps
 
 // IMA ADPCM (DVI4) codec: 16-bit PCM <-> 4-bit codes. This is the ADPCM

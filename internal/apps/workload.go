@@ -39,121 +39,107 @@ func NewWorkloadByName(name string, seed uint32) (Workload, bool) {
 	return nil, false
 }
 
-// GSMWorkload encodes synthetic speech frame by frame.
-type GSMWorkload struct {
-	st     GSMState
+// CodecWorkload encodes synthetic audio one fixed-size step at a time
+// (a GSM frame, an ADPCM block) with a stateful codec whose inter-step
+// state is S.
+type CodecWorkload[S comparable] struct {
+	codec  *codec[S]
+	st     S
 	input  []int16
 	pos    int
-	frames uint64
+	steps  uint64
 	digest uint64
-	enc    []byte // scratch: one encoded frame, reused across Steps
-	rep    cycleReplay[GSMState]
-
-	// Span is the charged working-set size: the input stream advances
-	// circularly through [bufVA, bufVA+Span), so a running workload
-	// genuinely churns the cache hierarchy (default 64 KB of live
-	// buffering, a realistic footprint for a codec pipeline's buffers).
-	Span uint32
+	enc    []byte // scratch: one encoded step, reused across Steps
+	rep    cycleReplay[S]
 }
 
-// NewGSMWorkload prepares the given number of seconds of synthetic speech.
-func NewGSMWorkload(seconds int, seed uint32) *GSMWorkload {
-	return &GSMWorkload{
-		input: SyntheticSpeech(seconds*8000, seed),
-		rep:   cycleReplay[GSMState]{mul: pow131(GSMEncodedBytes)},
-		Span:  64 << 10,
-	}
+// codec is what a CodecWorkload knows of one encoder.
+type codec[S comparable] struct {
+	samples int // input samples per step
+	encoded int // encoded bytes per step
+	// bursts are the instructions charged per step, one Exec each: a
+	// burst's fetch charge depends on its length, so summing them would
+	// change what a step costs.
+	bursts []int
+	encode func(st *S, pcm []int16, dst []byte) []byte
 }
 
-// Step implements Workload: one 160-sample frame. The charged traffic
-// mirrors the algorithm: streaming reads of the frame, MAC-heavy loops
-// (autocorrelation ~9×160, Schur 8², filtering 8×160), table writes.
-func (w *GSMWorkload) Step(ctx *cpu.ExecContext, bufVA uint32) {
-	if w.pos+GSMFrameSamples > len(w.input) {
-		w.pos = 0
-	}
-	frame := w.input[w.pos : w.pos+GSMFrameSamples]
-	w.digest = w.rep.step(w.pos/GSMFrameSamples, &w.st, w.digest, func(st *GSMState) []byte {
-		w.enc = AppendGSMFrame(st, frame, w.enc[:0])
-		return w.enc
-	})
-	w.pos += GSMFrameSamples
-	w.frames++
+// codecSpan is the charged working-set size of a codec workload: the
+// input stream advances circularly through [bufVA, bufVA+codecSpan) and
+// the output through the quarter span after it, so a running workload
+// genuinely churns the cache hierarchy (64 KB of live buffering, a
+// realistic footprint for a codec pipeline's buffers).
+const codecSpan = 64 << 10
 
-	// Charge: read the frame (int16 stream) at its position in the
-	// circular input buffer, ~5.5k instructions of MACs, write the
-	// encoded frame to the moving output cursor. The charged cursor runs
-	// on the frame counter so it sweeps the whole Span even though the
-	// synthetic source signal is shorter.
-	inOff := uint32(w.frames*GSMFrameSamples*2) % w.Span
-	ctx.StreamRange(bufVA+inOff, GSMFrameSamples*2, 8, false)
-	ctx.Exec(1600) // preprocess + autocorrelation
-	ctx.Exec(900)  // Schur + LAR
-	ctx.Exec(2200) // short-term filtering
-	ctx.Exec(800)  // RPE selection + packing
-	outOff := uint32(w.frames*GSMEncodedBytes) % (w.Span / 4)
-	ctx.StreamRange(bufVA+w.Span+outOff, GSMEncodedBytes, 8, true)
+var gsmCodec = codec[GSMState]{
+	samples: GSMFrameSamples,
+	encoded: GSMEncodedBytes,
+	// ~5.5k instructions of MACs: preprocess + autocorrelation (~9×160),
+	// Schur + LAR (8²), short-term filtering (8×160), RPE selection +
+	// packing.
+	bursts: []int{1600, 900, 2200, 800},
+	encode: AppendGSMFrame,
 }
 
-// Output implements Workload.
-func (w *GSMWorkload) Output() uint64 { return w.digest }
-
-// Frames returns the number of encoded frames.
-func (w *GSMWorkload) Frames() uint64 { return w.frames }
-
-// ADPCMWorkload compresses synthetic audio in 1 KB blocks.
-type ADPCMWorkload struct {
-	st     ADPCMState
-	input  []int16
-	pos    int
-	blocks uint64
-	digest uint64
-	enc    []byte // scratch: one encoded block, reused across Steps
-	rep    cycleReplay[ADPCMState]
-
-	// Span is the charged circular working-set size (default 64 KB).
-	Span uint32
+var adpcmCodec = codec[ADPCMState]{
+	samples: ADPCMBlockSamples,
+	encoded: ADPCMBlockSamples / 2,
+	bursts:  []int{ADPCMBlockSamples * 8}, // ~8 instructions per sample + table lookups
+	encode:  AppendADPCM,
 }
 
 // ADPCMBlockSamples is the per-step block size.
 const ADPCMBlockSamples = 512
 
-// NewADPCMWorkload prepares n seconds of synthetic audio.
-func NewADPCMWorkload(seconds int, seed uint32) *ADPCMWorkload {
-	return &ADPCMWorkload{
-		input: SyntheticSpeech(seconds*8000, seed^0xA5A5),
-		rep:   cycleReplay[ADPCMState]{mul: pow131(ADPCMBlockSamples / 2)},
-		Span:  64 << 10,
-	}
+// NewGSMWorkload prepares the given number of seconds of synthetic speech,
+// encoded one 160-sample frame per Step.
+func NewGSMWorkload(seconds int, seed uint32) *CodecWorkload[GSMState] {
+	return newCodecWorkload(&gsmCodec, SyntheticSpeech(seconds*8000, seed))
 }
 
-// Step implements Workload: one 512-sample block.
-func (w *ADPCMWorkload) Step(ctx *cpu.ExecContext, bufVA uint32) {
-	if w.pos+ADPCMBlockSamples > len(w.input) {
+// NewADPCMWorkload prepares n seconds of synthetic audio, compressed one
+// 512-sample (1 KB) block per Step.
+func NewADPCMWorkload(seconds int, seed uint32) *CodecWorkload[ADPCMState] {
+	return newCodecWorkload(&adpcmCodec, SyntheticSpeech(seconds*8000, seed^0xA5A5))
+}
+
+func newCodecWorkload[S comparable](c *codec[S], input []int16) *CodecWorkload[S] {
+	return &CodecWorkload[S]{codec: c, input: input, rep: cycleReplay[S]{mul: pow131(c.encoded)}}
+}
+
+// Step implements Workload: one step of the codec. The charged traffic
+// mirrors the algorithm: a streaming read of the step's samples (int16) at
+// their position in the circular input buffer, the codec's instruction
+// bursts, and a streaming write of the encoded bytes at the moving output
+// cursor. The charged cursors run on the step counter, so they sweep the
+// whole span even though the synthetic source signal is shorter.
+func (w *CodecWorkload[S]) Step(ctx *cpu.ExecContext, bufVA uint32) {
+	c := w.codec
+	if w.pos+c.samples > len(w.input) {
 		w.pos = 0
 	}
-	block := w.input[w.pos : w.pos+ADPCMBlockSamples]
-	w.digest = w.rep.step(w.pos/ADPCMBlockSamples, &w.st, w.digest, func(st *ADPCMState) []byte {
-		w.enc = AppendADPCM(st, block, w.enc[:0])
+	pcm := w.input[w.pos : w.pos+c.samples]
+	w.digest = w.rep.step(w.pos/c.samples, &w.st, w.digest, func(st *S) []byte {
+		w.enc = c.encode(st, pcm, w.enc[:0])
 		return w.enc
 	})
-	w.pos += ADPCMBlockSamples
-	w.blocks++
+	w.pos += c.samples
+	w.steps++
 
-	// ~8 instructions per sample + table lookups; stream in PCM at the
-	// moving input cursor, out codes at the moving output cursor.
-	inOff := uint32(w.blocks*ADPCMBlockSamples*2) % w.Span
-	ctx.StreamRange(bufVA+inOff, ADPCMBlockSamples*2, 8, false)
-	ctx.Exec(ADPCMBlockSamples * 8)
-	outOff := uint32(w.blocks*ADPCMBlockSamples/2) % (w.Span / 4)
-	ctx.StreamRange(bufVA+w.Span+outOff, ADPCMBlockSamples/2, 8, true)
+	inOff := uint32(w.steps*uint64(c.samples)*2) % codecSpan
+	ctx.StreamRange(bufVA+inOff, uint32(c.samples)*2, 8, false)
+	for _, n := range c.bursts {
+		ctx.Exec(n)
+	}
+	outOff := uint32(w.steps*uint64(c.encoded)) % (codecSpan / 4)
+	ctx.StreamRange(bufVA+codecSpan+outOff, uint32(c.encoded), 8, true)
 }
 
 // Output implements Workload.
-func (w *ADPCMWorkload) Output() uint64 { return w.digest }
+func (w *CodecWorkload[S]) Output() uint64 { return w.digest }
 
-// Blocks returns processed block count.
-func (w *ADPCMWorkload) Blocks() uint64 { return w.blocks }
+// Steps returns the number of encoded steps (frames or blocks).
+func (w *CodecWorkload[S]) Steps() uint64 { return w.steps }
 
 // cycleReplay skips codec work whose output provably repeats. A codec
 // workload's input is a fixed buffer that Step wraps to its start after a

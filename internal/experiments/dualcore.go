@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/measure"
+	"repro/internal/nova"
 )
 
 // CoreStat is one core's share of a dual-core run.
@@ -19,19 +19,10 @@ type CoreStat struct {
 // Table III phase averages plus the topology-level counters that change
 // when the Hardware Task Manager service moves to its own core.
 type DualCoreReport struct {
-	Cores      int
-	Label      string
-	Entry      float64 // HW Manager entry (µs)
-	Exit       float64 // HW Manager exit (µs)
-	Exec       float64 // HW Manager execution (µs)
-	Total      float64 // entry + exec + exit
-	Samples    uint64
+	Row
 	VMSwitches uint64 // world switches across all cores
 	SGIsSent   uint64 // cross-core reschedule IPIs
 	PerCore    []CoreStat
-	// ReconfigSummary is the reconfiguration pipeline's one-line counter
-	// report (PCAP transfers/errors, cache hits/misses, queue depth).
-	ReconfigSummary string
 }
 
 // RunDualCoreRow measures the fixed workload of Fig. 8 on the given core
@@ -41,36 +32,22 @@ type DualCoreReport struct {
 func RunDualCoreRow(cfg Config, cores int) DualCoreReport {
 	c := cfg
 	c.Cores = cores
-	sys := BuildVirtSystem(c)
-	defer sys.Kernel.Shutdown()
-	probes := sys.RunToCompletion(safetyHorizon(c))
-
-	k := sys.Kernel
-	rep := DualCoreReport{
-		Cores:    cores,
-		Label:    fmt.Sprintf("%d-core", cores),
-		Entry:    probes.Get(measure.PhaseMgrEntry).MeanMicros(),
-		Exit:     probes.Get(measure.PhaseMgrExit).MeanMicros(),
-		Exec:     probes.Get(measure.PhaseMgrExec).MeanMicros(),
-		Samples:  probes.Get(measure.PhaseMgrExec).Count,
-		SGIsSent: k.GIC.Stats().SGIsSent,
-	}
-	rep.Total = rep.Entry + rep.Exec + rep.Exit
-	if k.Reconfig != nil {
-		rep.ReconfigSummary = k.Reconfig.Summary()
-	}
-	now := k.Clock.Now()
-	for _, pd := range k.PDs {
-		rep.VMSwitches += pd.Switches
-	}
-	for _, core := range k.Cores {
-		rep.PerCore = append(rep.PerCore, CoreStat{
-			ID:          core.ID,
-			Utilization: core.Utilization(now),
-			L1DMissRate: core.CPU.Caches.L1D.Stats().MissRate(),
-			TLBMissRate: core.CPU.TLB.Stats().MissRate(),
-		})
-	}
+	var rep DualCoreReport
+	rep.Row = runVirtRow(c, fmt.Sprintf("%d-core", cores), func(k *nova.Kernel) {
+		rep.SGIsSent = k.GIC.Stats().SGIsSent
+		now := k.Clock.Now()
+		for _, pd := range k.PDs {
+			rep.VMSwitches += pd.Switches
+		}
+		for _, core := range k.Cores {
+			rep.PerCore = append(rep.PerCore, CoreStat{
+				ID:          core.ID,
+				Utilization: core.Utilization(now),
+				L1DMissRate: core.CPU.Caches.L1D.Stats().MissRate(),
+				TLBMissRate: core.CPU.TLB.Stats().MissRate(),
+			})
+		}
+	})
 	return rep
 }
 
@@ -104,7 +81,7 @@ func (d DualCore) String() string {
 	row("HW Manager entry (us)", func(r DualCoreReport) string { return us(r.Entry) })
 	row("HW Manager exit (us)", func(r DualCoreReport) string { return us(r.Exit) })
 	row("HW Manager execution (us)", func(r DualCoreReport) string { return us(r.Exec) })
-	row("Total overhead (us)", func(r DualCoreReport) string { return us(r.Total) })
+	row("Total overhead (us)", func(r DualCoreReport) string { return us(r.Total()) })
 	row("VM switches", func(r DualCoreReport) string { return fmt.Sprintf("%d", r.VMSwitches) })
 	row("Reschedule SGIs", func(r DualCoreReport) string { return fmt.Sprintf("%d", r.SGIsSent) })
 	row("Samples", func(r DualCoreReport) string { return fmt.Sprintf("%d", r.Samples) })

@@ -46,7 +46,7 @@ type Config struct {
 	// them because that is where the cold (SD-fetch) misses happen.
 	KeepWarmupProbes bool
 	// CacheBytes overrides the reconfiguration pipeline's bitstream
-	// cache budget (0 keeps reconfig.DefaultConfig's). Small budgets
+	// cache budget (0 keeps reconfig.New's 1 MiB). Small budgets
 	// force evictions and give the prefetcher work.
 	CacheBytes uint32
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/measure"
+	"repro/internal/nova"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
 )
@@ -62,12 +63,21 @@ func RunTable3Row(cfg Config, nGuests int) Row {
 	if c.Iterations < 8 {
 		c.Iterations = 8
 	}
+	return runVirtRow(c, fmt.Sprintf("%d OS", nGuests), nil)
+}
+
+// runVirtRow builds the virtualized system c describes, runs it to
+// completion and returns its row, labelled label. read, when not nil,
+// reads the kernel after the run, before it shuts down.
+func runVirtRow(c Config, label string, read func(k *nova.Kernel)) Row {
 	sys := BuildVirtSystem(c)
 	defer sys.Kernel.Shutdown()
-	probes := sys.RunToCompletion(safetyHorizon(c))
-	row := rowFrom(fmt.Sprintf("%d OS", nGuests), probes)
+	row := rowFrom(label, sys.RunToCompletion(safetyHorizon(c)))
 	if sys.Kernel.Reconfig != nil {
 		row.ReconfigSummary = sys.Kernel.Reconfig.Summary()
+	}
+	if read != nil {
+		read(sys.Kernel)
 	}
 	return row
 }

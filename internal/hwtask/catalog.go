@@ -2,11 +2,14 @@ package hwtask
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/bitstream"
+	"repro/internal/gic"
 	"repro/internal/physmem"
 	"repro/internal/pl"
+	"repro/internal/simclock"
 )
 
 // Task IDs of the paper's evaluation set (§V-B, Fig. 8): an FFT family
@@ -151,27 +154,41 @@ func PaperPRRCapacities() []bitstream.Resources {
 	}
 }
 
-// PaperCores builds the behavioural IP-core set for the paper's tasks.
-func PaperCores() map[uint16]pl.Accel {
-	cores := map[uint16]pl.Accel{}
+// NewPaperFabric builds a PL fabric with one PRR per capacity and the
+// behavioural FFT and QAM cores registered for the paper's tasks.
+func NewPaperFabric(clock *simclock.Clock, bus *physmem.Bus, g *gic.GIC, capacities []bitstream.Resources) *pl.Fabric {
+	f := pl.NewFabric(clock, bus, g, capacities)
 	for _, id := range FFTTaskIDs {
-		cores[id] = apps.FFTCore{}
+		f.RegisterCore(id, apps.FFTCore{})
 	}
 	for _, id := range QAMTaskIDs {
-		cores[id] = apps.QAMCore{}
+		f.RegisterCore(id, apps.QAMCore{})
 	}
-	return cores
+	return f
 }
 
-// InstallTaskSet encodes each spec's synthetic bitstream into the store
-// region on the bus (the .bit files of §IV-B, "stored in the DDR memory"),
-// registers the task in the manager's table with its PRR compatibility
-// list, and returns the specs for reference.
-func InstallTaskSet(m *Manager, bus *physmem.Bus, storePA physmem.Addr, capacities []bitstream.Resources, specs []PaperTaskSpec) error {
-	off := uint32(0)
-	for _, s := range specs {
-		bs := bitstream.Synthesize(s.ID, s.Variant, s.Needs, s.BitLen)
-		raw := bs.Encode()
+// paperImages holds the encoded bitstream of each PaperTaskSet entry, in
+// order. Synthesizing them would dominate a platform's bring-up and the
+// bytes never change, so they are encoded once per process;
+// InstallTaskSet copies them onto each bus, so no two simulations share a
+// writable buffer.
+var paperImages = sync.OnceValue(func() [][]byte {
+	specs := PaperTaskSet()
+	raws := make([][]byte, len(specs))
+	for i, s := range specs {
+		raws[i] = bitstream.Synthesize(s.ID, s.Variant, s.Needs, s.BitLen).Encode()
+	}
+	return raws
+})
+
+// InstallTaskSet writes the bitstream of each PaperTaskSet entry into the
+// store region on the bus (the .bit files of §IV-B, "stored in the DDR
+// memory") and registers the task in the manager's table with its PRR
+// compatibility list.
+func InstallTaskSet(m *Manager, bus *physmem.Bus, storePA physmem.Addr, capacities []bitstream.Resources) error {
+	off, raws := uint32(0), paperImages()
+	for i, s := range PaperTaskSet() {
+		raw := raws[i]
 		if err := bus.WriteBytes(storePA+physmem.Addr(off), raw); err != nil {
 			return fmt.Errorf("hwtask: installing %s: %w", s.Name, err)
 		}

@@ -15,8 +15,11 @@
 // baseline, where "the hardware task manager service does not need to
 // update the page tables since all tasks execute in a unified memory
 // space"). Both harnesses hand Manager.Handle the abi.Request the
-// request was queued as. BootPaperPlatform brings the whole evaluation
-// platform up on a kernel: fabric, task set and service PD.
+// request was queued as. The paper's platform is PaperPRRCapacities, the
+// fabric NewPaperFabric builds over them, and PaperTaskSet, which
+// InstallTaskSet writes to a bus from bitstreams encoded once per
+// process. BootPaperPlatform brings it up on a kernel: fabric, task set
+// and service PD.
 package hwtask
 
 import (

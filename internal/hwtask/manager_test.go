@@ -223,7 +223,7 @@ func TestInstallTaskSet(t *testing.T) {
 	bus := physmem.NewBus()
 	m := NewManager(4, 0x10_0000)
 	caps := PaperPRRCapacities()
-	if err := InstallTaskSet(m, bus, physmem.DDRBase+0xA0_0000, caps, PaperTaskSet()); err != nil {
+	if err := InstallTaskSet(m, bus, physmem.DDRBase+0xA0_0000, caps); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Tasks) != 9 {

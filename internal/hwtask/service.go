@@ -23,23 +23,17 @@ type Service struct {
 }
 
 // BootPaperPlatform brings up the paper's hardware-task platform on k
-// (Fig. 8): the PL fabric with the four PRRs of PaperPRRCapacities and
-// the PaperCores accelerators, attached to the kernel; a Manager holding
+// (Fig. 8): the fabric NewPaperFabric builds over the four PRRs of
+// PaperPRRCapacities, attached to the kernel; a Manager holding
 // PaperTaskSet, its bitstreams written to the kernel's store; and the
 // Hardware Task Manager service PD "hwtm", created suspended at service
 // priority on the cores of affinity (zero = any) and registered with the
 // kernel.
 func BootPaperPlatform(k *nova.Kernel, affinity sched.CPUMask) *Manager {
 	caps := PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
-
+	k.AttachFabric(NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	mgr := NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, PaperTaskSet()); err != nil {
+	if err := InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		panic(err)
 	}
 	svcPD := k.CreatePD(nova.PDConfig{

@@ -210,16 +210,15 @@ func TestDomainMismatchPanics(t *testing.T) {
 	pt.MapPage(0x0040_1000, physmem.DDRBase+0x20_1000, 2, APFull)
 }
 
-func TestDescriptorAddrs(t *testing.T) {
+func TestWalkDepth(t *testing.T) {
 	_, _, pt, _ := rig()
 	pt.MapPage(0x0040_0000, physmem.DDRBase+0x20_0000, 1, APFull)
-	addrs := pt.DescriptorAddrs(0x0040_0000)
-	if len(addrs) != 2 {
-		t.Fatalf("small page walk touches %d descriptors, want 2", len(addrs))
+	if got := pt.WalkDepth(0x0040_0000); got != 2 {
+		t.Fatalf("small page walk touches %d descriptors, want 2", got)
 	}
 	pt.MapSection(0x5000_0000, 0x0400_0000, 1, APFull)
-	if got := pt.DescriptorAddrs(0x5000_0000); len(got) != 1 {
-		t.Errorf("section walk touches %d descriptors, want 1", len(got))
+	if got := pt.WalkDepth(0x5000_0000); got != 1 {
+		t.Errorf("section walk touches %d descriptors, want 1", got)
 	}
 }
 

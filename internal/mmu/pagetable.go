@@ -234,14 +234,12 @@ func (pt *PageTable) Lookup(va uint32) (pa physmem.Addr, domain, ap uint8, ok bo
 	return 0, 0, 0, false
 }
 
-// DescriptorAddrs returns the physical addresses of the descriptors that a
-// walk of va touches, so kernel code can charge realistic cache traffic for
-// page-table edits.
-func (pt *PageTable) DescriptorAddrs(va uint32) []physmem.Addr {
-	l1a := pt.l1addr(va)
-	l1d := mustRead(pt.bus, l1a)
-	if l1d&3 == descCoarse {
-		return []physmem.Addr{l1a, physmem.Addr(l1d&^0x3FF) + physmem.Addr(va>>12&0xFF*4)}
+// WalkDepth returns how many descriptors a walk of va reads: two through
+// a coarse L1 entry, one otherwise. Kernel code charges a page-table
+// edit's cache traffic per level.
+func (pt *PageTable) WalkDepth(va uint32) int {
+	if mustRead(pt.bus, pt.l1addr(va))&3 == descCoarse {
+		return 2
 	}
-	return []physmem.Addr{l1a}
+	return 1
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/abi"
-	"repro/internal/capspace"
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/mmu"
 	"repro/internal/physmem"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -212,45 +210,25 @@ func (k *Kernel) Freeze(pd *PD) error {
 // hardware-service client (clones are compute workers, and client-handle
 // windows are a bounded boot-time resource).
 func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *PD {
-	id := len(k.PDs)
 	arenaBase := k.allocCloneArena()
 	arena := mmu.NewFrameAllocator(arenaBase, cloneArenaSize)
-	pt := k.cloneTable(img, arena)
+	// The clone has no private RAM block: RAMSize 0 refuses HcMapPage &
+	// friends, which would alias shared frames writable.
+	pd := k.newPD(name, img.Priority, Capability(img.CapBits), k.cloneTable(img, arena), guest)
 	shared := img.FrameCount()
-	cs := &cloneState{img: img, arena: arena, arenaBase: arenaBase, shared: shared}
-	pd := &PD{
-		ID:       id,
-		Name_:    name,
-		Priority: img.Priority,
-		Caps:     Capability(img.CapBits),
-		Space:    capspace.NewSpace(SelGrantBase),
-		VGIC:     NewVGIC(),
-		Table:    pt,
-		ASID:     k.nextASID(),
-		RAMBase:  0, // no private RAM block: RAMSize 0 refuses HcMapPage &
-		RAMSize:  0, // friends, which would alias shared frames writable
-		Guest:    guest,
-		kdata:    KernelDataVA + uint32(id)*0x400,
-		clone:    cs,
-		frozen:   true,
-		// The template was captured parked in paravirtualized idle; the
-		// clone resumes from exactly that state.
-		idleWaiting:    true,
-		lastHcEntry:    img.LastHcEntry,
-		timerRemaining: img.TimerRemaining,
-	}
-	k.bindVirtualTimer(pd)
+	pd.clone = &cloneState{img: img, arena: arena, arenaBase: arenaBase, shared: shared}
+	// The template was captured parked in paravirtualized idle; the clone
+	// resumes from exactly that state, frozen until ActivateClone.
+	pd.frozen, pd.idleWaiting = true, true
+	pd.lastHcEntry, pd.timerRemaining = img.LastHcEntry, img.TimerRemaining
 	// Take a share reference on every template frame, one region at a
 	// time.
 	for _, r := range img.Regions {
 		k.Bus.ShareRange(r.PA, int(r.Size/physmem.FrameSize))
 	}
-	k.populateCaps(pd, Capability(img.CapBits))
-	pd.node = sched.NewNode(pd, img.Priority, 0)
-	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
 	pd.VCPU = VCPU{
 		Regs:        img.Regs,
-		TTBR:        uint32(pt.Base),
+		TTBR:        uint32(pd.Table.Base),
 		DACR:        img.DACR,
 		ASID:        pd.ASID,
 		TimerPeriod: img.TimerPeriod,
@@ -259,16 +237,9 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 		L2Ctrl:      img.L2Ctrl,
 		QuantumLeft: img.QuantumLeft,
 	}
-	ctx := cpu.NewExecContext(pd.Core.CPU, name, img.CodeBase, img.CodeSize)
-	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
-	ctx.RestoreState(img.Exec)
+	k.startPD(pd, 0, img.CodeBase, img.CodeSize)
+	pd.Env.Ctx.RestoreState(img.Exec)
 	pd.VGIC.restoreLines(img.VGIC, img.VGICPending)
-	k.spawn(pd)
-
-	k.PDs = append(k.PDs, pd)
-	if k.Tracer != nil {
-		k.traceVGIC(pd)
-	}
 	// The O(metadata) fork charge: fixed base + one descriptor write per
 	// shared frame. Charged on the boot core's clock — forks happen at
 	// engine-stopped points (shelf operations), like boot-time CreatePD.
@@ -409,12 +380,7 @@ func (e *Env) ResumeSuspendExit() {
 	c := pd.Core
 	pd.idleWaiting = false
 	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeSVC, true
-	t0 := pd.lastHcEntry
-	d := since(c.Clock.Now(), t0)
-	k.probe(c, hotHypercall).Add(c.Clock.Now() - t0)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(abi.HcSuspend), uint64(abi.StatusOK))
-	}
+	k.hotSpan(c, hotHypercall, pd.lastHcEntry, uint64(abi.HcSuspend), uint64(abi.StatusOK))
 	c.Clock.Advance(cpu.CostExceptionReturn)
 	c.CPU.Regs = pd.VCPU.Regs
 	c.CPU.Regs.R[0] = abi.StatusOK

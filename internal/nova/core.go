@@ -5,6 +5,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/simclock"
 	"repro/internal/timer"
+	"repro/internal/trace"
 )
 
 // CoreCtx is one simulated Cortex-A9 core as the kernel sees it: the
@@ -36,7 +37,7 @@ type CoreCtx struct {
 	edge simclock.Event
 
 	// probes holds the hot-path probes this core has recorded into,
-	// resolved from Kernel.Probes on first use (see Kernel.probe). Each
+	// resolved from Kernel.Probes on first use (see Kernel.hotSpan). Each
 	// core fills only its own cache, so the lazy lookup never races.
 	probes [numHotProbes]*measure.Probe
 
@@ -69,8 +70,9 @@ func (c *CoreCtx) Utilization(now simclock.Cycles) float64 {
 	return float64(c.BusyCycles) / float64(now)
 }
 
-// Hot-path probes: the phases the kernel records on every hypercall,
-// portal round trip and world switch.
+// Hot-path spans: the phases the kernel records on every hypercall,
+// portal round trip and world switch, each as a probe sample and a trace
+// span of its kind.
 const (
 	hotHypercall = iota
 	hotIPCCall
@@ -78,22 +80,31 @@ const (
 	numHotProbes
 )
 
-var hotProbeNames = [numHotProbes]string{
-	hotHypercall: measure.PhaseHypercall,
-	hotIPCCall:   measure.PhaseIPCCall,
-	hotVMSwitch:  measure.PhaseVMSwitch,
+var hotProbes = [numHotProbes]struct {
+	phase string
+	kind  trace.Kind
+}{
+	hotHypercall: {measure.PhaseHypercall, trace.KindHypercall},
+	hotIPCCall:   {measure.PhaseIPCCall, trace.KindIPCCall},
+	hotVMSwitch:  {measure.PhaseVMSwitch, trace.KindVMSwitch},
 }
 
-// probe returns core c's handle on hot probe i, resolving it by name on
-// the core's first sample, so a kernel lists only the phases it has
-// recorded. Reset keeps probe identity, so a handle never goes stale.
-func (k *Kernel) probe(c *CoreCtx, i int) *measure.Probe {
+// hotSpan records hot span i on core c from t0 to now: a sample of its
+// probe and, when tracing, a span event with arguments a and b. The probe
+// handle is resolved by name on the core's first sample, so a kernel
+// lists only the phases it has recorded; Reset keeps probe identity, so a
+// handle never goes stale.
+func (k *Kernel) hotSpan(c *CoreCtx, i int, t0 simclock.Cycles, a, b uint64) {
 	p := c.probes[i]
 	if p == nil {
-		p = k.Probes.Get(hotProbeNames[i])
+		p = k.Probes.Get(hotProbes[i].phase)
 		c.probes[i] = p
 	}
-	return p
+	now := c.Clock.Now()
+	p.Add(now - t0)
+	if k.Tracer != nil {
+		k.Tracer.Core(c.ID).EmitSpan(t0, since(now, t0), hotProbes[i].kind, 0, a, b)
+	}
 }
 
 // activate hands core c to pd by resuming its coroutine until the PD

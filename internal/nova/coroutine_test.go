@@ -98,7 +98,7 @@ func TestShutdownTerminatesGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := runtime.NumGoroutine()
-			rg := &ucos.ResumedGuest{GuestName: "tpl", Snap: snap, Setup: tickTask}
+			rg := &ucos.Guest{GuestName: "tpl", Snap: snap, Setup: tickTask}
 			if err := k.RestoreInPlace(tpl, img, rg); err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestShutdownTerminatesGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			before = runtime.NumGoroutine()
-			c := k.CreateClone(img, "clone", &ucos.ResumedGuest{
+			c := k.CreateClone(img, "clone", &ucos.Guest{
 				GuestName: "clone", Snap: snap,
 				Setup: func(os *ucos.OS) { tickTask(os); spinTask(os) },
 			})

@@ -2,15 +2,12 @@ package nova_test
 
 import (
 	"encoding/binary"
-	"sync"
 	"testing"
 
 	"repro/internal/abi"
 	"repro/internal/capspace"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/physmem"
-	"repro/internal/pl"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -92,26 +89,6 @@ func (g *opsGuest) RunSlice(env *nova.Env) {
 	}
 }
 
-// paperStore is the bitstream store holding the paper's task set,
-// encoded once per process (synthesizing it dominates a kernel's boot).
-var paperStore = sync.OnceValue(func() []byte {
-	bus := physmem.NewBus()
-	caps := hwtask.PaperPRRCapacities()
-	m := hwtask.NewManager(len(caps), 0)
-	if err := hwtask.InstallTaskSet(m, bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		panic(err)
-	}
-	var end uint32
-	for _, s := range hwtask.PaperTaskSet() {
-		end = max(end, m.Tasks[s.ID].BitstreamOff+m.Tasks[s.ID].BitstreamLen)
-	}
-	img, err := bus.ReadBytes(nova.BitstreamStorePA(), int(end))
-	if err != nil {
-		panic(err)
-	}
-	return img
-})
-
 // runHcOps boots a kernel with the paper's PL fabric and bitstream store,
 // a guest PD and a PD registered as the Hardware Task Manager (each
 // holding an IPC capability to the other), and plays the two call
@@ -124,12 +101,8 @@ func runHcOps(t *testing.T, cores int, guest, mgr []hcOp) {
 		mgrMask, guestMask = sched.MaskOf(1), sched.MaskOf(0)
 	}
 	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for id, core := range hwtask.PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
-	if err := k.Bus.WriteBytes(nova.BitstreamStorePA(), paperStore()); err != nil {
+	k.AttachFabric(hwtask.NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
+	if err := hwtask.InstallTaskSet(hwtask.NewManager(len(caps), 0), k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		t.Fatal(err)
 	}
 

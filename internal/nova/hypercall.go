@@ -83,11 +83,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 		c.kctx.Exec(p.cost)
 		ret = p.fn(k, c, pd, args)
 	}
-	d := c.Clock.Now() - t0
-	k.probe(c, hotHypercall).Add(d)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(sel), uint64(ret))
-	}
+	k.hotSpan(c, hotHypercall, t0, uint64(sel), uint64(ret))
 	return ret
 }
 
@@ -163,7 +159,7 @@ func (k *Kernel) hcUnmapPage(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 // virtualized manager ("switching to the kernel space to update the
 // target VM's page table").
 func (k *Kernel) chargePTEdit(c *CoreCtx, pd *PD, va uint32) {
-	for range pd.Table.DescriptorAddrs(va) {
+	for range pd.Table.WalkDepth(va) {
 		c.kctx.Touch(0xF020_0000+(va>>12&0x3FF)*4, true)
 	}
 }
@@ -405,11 +401,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		})
 	}
 	pd.Env.block() // resumes when the callee replies
-	d := since(c.Clock.Now(), t0)
-	k.probe(c, hotIPCCall).Add(d)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindIPCCall, 0, uint64(pd.ID), uint64(to.ID))
-	}
+	k.hotSpan(c, hotIPCCall, t0, uint64(pd.ID), uint64(to.ID))
 	return pd.ipcReply
 }
 
@@ -583,24 +575,15 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		k.Probes.Add(measure.PhaseMgrExec, c.Clock.Now()-k.mgrExecFrom)
 		k.mgrExecArmed = false
 	}
-	target := req.pd
-	switch {
-	case target.Core == c:
-		k.wake(target)
-		// Arm the "HW Manager exit" probe: from here to the world switch
-		// that resumes a guest.
-		k.mgrExitFrom = c.Clock.Now()
-		k.mgrExitArmed = true
-	default:
-		// Cross-core completion: the reply is published by the barrier
-		// that wakes the requester. The exit probe stays on the manager's
-		// core — it measures the manager leaving the CPU (self-suspend or
-		// switch to a guest), not the client's scheduling latency.
-		c.Clock.Advance(CostDeviceAccess)
-		k.post(c, func() { k.wake(target) })
-		k.mgrExitFrom = c.Clock.Now()
-		k.mgrExitArmed = true
-	}
+	// A requester on another core is woken (and sees the reply) at the
+	// next barrier.
+	k.wakeFrom(c, req.pd)
+	// Arm the "HW Manager exit" probe: from here to the world switch that
+	// resumes a guest. It stays on the manager's core — it measures the
+	// manager leaving the CPU (self-suspend or switch to a guest), not a
+	// cross-core client's scheduling latency.
+	k.mgrExitFrom = c.Clock.Now()
+	k.mgrExitArmed = true
 	return k.awaitRequest(c, pd)
 }
 

@@ -30,6 +30,20 @@ type pcapOwner struct {
 	flow uint64
 }
 
+// deliverCompletion injects PCAP completion interrupt irq into own's
+// client and wakes it, unless the client exited between the completion
+// and its delivery.
+func (k *Kernel) deliverCompletion(own pcapOwner, irq int) {
+	if own.pd.dead {
+		return
+	}
+	k.traceCompletionIRQ(own, irq)
+	if own.pd.VGIC.Inject(irq) {
+		k.wakeIfIdle(own.pd)
+		k.maybePreemptFor(own.pd)
+	}
+}
+
 // CostDeviceAccess is the cycle cost of one strongly-ordered device
 // register access (GIC, devcfg, PRR controller) — uncached, so constant.
 const CostDeviceAccess = 20
@@ -287,7 +301,7 @@ func NewKernelSMP(ncores int) *Kernel {
 // reconfiguration pipeline over its PCAP.
 func (k *Kernel) AttachFabric(f *pl.Fabric) {
 	k.Fabric = f
-	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA(), reconfig.DefaultConfig())
+	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA())
 	k.Reconfig.Probes = k.Probes
 	if k.Tracer != nil {
 		k.Reconfig.Trace = k.Tracer.Core(k.reconfigCore().ID)
@@ -407,24 +421,9 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	if cfg.CodeSize == 0 {
 		cfg.CodeSize = 64 << 10
 	}
-	id := len(k.PDs)
-	space := k.buildGuestSpace(id)
-	pd := &PD{
-		ID:       id,
-		Name_:    cfg.Name,
-		Priority: cfg.Priority,
-		Caps:     cfg.Caps,
-		Space:    capspace.NewSpace(SelGrantBase),
-		VGIC:     NewVGIC(),
-		Table:    space.Table,
-		ASID:     k.nextASID(),
-		RAMBase:  space.RAMBase,
-		RAMSize:  space.RAMSize,
-		Guest:    cfg.Guest,
-		kdata:    KernelDataVA + uint32(id)*0x400,
-	}
-	k.bindVirtualTimer(pd)
-	k.populateCaps(pd, cfg.Caps)
+	space := k.buildGuestSpace(len(k.PDs))
+	pd := k.newPD(cfg.Name, cfg.Priority, cfg.Caps, space.Table, cfg.Guest)
+	pd.RAMBase, pd.RAMSize = space.RAMBase, space.RAMSize
 	if k.hwSvc != nil && pd != k.hwSvc {
 		// The manager acts on clients through delegated PD capabilities:
 		// every domain born after the service registers is handed over.
@@ -433,25 +432,52 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	if k.qosOn {
 		k.initQoS(pd)
 	}
-	pd.node = sched.NewNode(pd, cfg.Priority, cfg.Affinity)
-	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
 	pd.VCPU.TTBR = uint32(pd.Table.Base)
 	pd.VCPU.ASID = pd.ASID
 	pd.VCPU.DACR = dacrFor(true) // guests boot in guest-kernel context
 	pd.VCPU.QuantumLeft = k.Sched.Quantum()
-
-	ctx := cpu.NewExecContext(pd.Core.CPU, cfg.Name, cfg.CodeBase, cfg.CodeSize)
-	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
-	k.spawn(pd)
-
-	k.PDs = append(k.PDs, pd)
-	if k.Tracer != nil {
-		k.traceVGIC(pd)
-	}
+	k.startPD(pd, cfg.Affinity, cfg.CodeBase, cfg.CodeSize)
 	if !cfg.StartSuspended && k.Sched.Enqueue(&pd.node) {
 		k.traceSched(trace.KindSchedWake, pd)
 	}
 	return pd
+}
+
+// newPD gives a new PD its identity: the next ID, a capability space
+// minted from its boot grants, a vGIC, an ASID, its kernel-data slot and
+// its virtual timer. table is built first, so the ASID is drawn after it.
+func (k *Kernel) newPD(name string, prio int, grants Capability, table *mmu.PageTable, guest Guest) *PD {
+	id := len(k.PDs)
+	pd := &PD{
+		ID:       id,
+		Name_:    name,
+		Priority: prio,
+		Caps:     grants,
+		Space:    capspace.NewSpace(SelGrantBase),
+		VGIC:     NewVGIC(),
+		Table:    table,
+		ASID:     k.nextASID(),
+		Guest:    guest,
+		kdata:    KernelDataVA + uint32(id)*0x400,
+	}
+	k.bindVirtualTimer(pd)
+	k.populateCaps(pd, grants)
+	return pd
+}
+
+// startPD places pd on a home core within affinity (zero = any), gives it
+// its execution context over [codeBase, codeBase+codeSize) and its guest
+// coroutine, and registers it with the kernel. The PD runs once something
+// enqueues or wakes it.
+func (k *Kernel) startPD(pd *PD, affinity sched.CPUMask, codeBase, codeSize uint32) {
+	pd.node = sched.NewNode(pd, pd.Priority, affinity)
+	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
+	pd.Env = &Env{K: k, PD: pd, Ctx: cpu.NewExecContext(pd.Core.CPU, pd.Name_, codeBase, codeSize)}
+	k.spawn(pd)
+	k.PDs = append(k.PDs, pd)
+	if k.Tracer != nil {
+		k.traceVGIC(pd)
+	}
 }
 
 // RegisterHwService names the PD running the Hardware Task Manager; the
@@ -730,15 +756,11 @@ func (k *Kernel) worldSwitch(c *CoreCtx, next *PD) {
 	c.Current = next
 	k.armVirtualTimer(next)
 	next.Switches++
-	d := c.Clock.Now() - t0
-	k.probe(c, hotVMSwitch).Add(d)
-	if k.Tracer != nil {
-		prevID := uint64(0) // 0 = idle; PD ids are shifted by one
-		if prev != nil {
-			prevID = uint64(prev.ID) + 1
-		}
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindVMSwitch, 0, prevID, uint64(next.ID)+1)
+	prevID := uint64(0) // 0 = idle; PD ids are shifted by one
+	if prev != nil {
+		prevID = uint64(prev.ID) + 1
 	}
+	k.hotSpan(c, hotVMSwitch, t0, prevID, uint64(next.ID)+1)
 }
 
 // onUndef handles undefined-instruction traps: privileged-op emulation and
@@ -829,29 +851,12 @@ func (k *Kernel) onIRQ(c *CoreCtx) {
 		// clients homed elsewhere defer their vGIC injection to the barrier
 		// (the owning core's goroutine must not be written mid-epoch).
 		for _, own := range k.pcapDone {
-			own := own
 			if own.pd.Core == c {
-				if own.pd.dead {
-					continue // owner exited between completion and delivery
-				}
-				k.traceCompletionIRQ(own, id)
-				if own.pd.VGIC.Inject(id) {
-					k.wakeIfIdle(own.pd)
-					k.maybePreemptFor(own.pd)
-				}
+				k.deliverCompletion(own, id)
 			} else {
-				k.post(c, func() {
-					// The owner may have died this epoch on its own core;
-					// its dead flag is safe to read only here, at the barrier.
-					if own.pd.dead {
-						return
-					}
-					k.traceCompletionIRQ(own, id)
-					if own.pd.VGIC.Inject(id) {
-						k.wakeIfIdle(own.pd)
-						k.maybePreemptFor(own.pd)
-					}
-				})
+				// The owner may die this epoch on its own core; its dead
+				// flag is safe to read only at the barrier.
+				k.post(c, func() { k.deliverCompletion(own, id) })
 			}
 		}
 		k.pcapDone = k.pcapDone[:0]

@@ -27,7 +27,7 @@ func findSeed(t *testing.T, cfg fault.Config, pattern func(in *fault.Injector) b
 // placeholder entry — the cache previously kept a pinned, loading entry
 // forever, leaking its reservation.
 func TestFailedFillUnpinsAndEvicts(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(fault.Config{Seed: 3, SDErrorPermille: 1000, MaxRetries: 2})
 	var ok, failed int
 	req := r.request(1, 0, 1, &ok)
@@ -69,7 +69,7 @@ func TestSDErrorRetriesThenSucceeds(t *testing.T) {
 		return in.SDFill(0).Err && !in.SDFill(0).Err
 	})
 	cfg.Seed = seed
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(cfg)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
@@ -95,7 +95,7 @@ func TestSDStallStretchesFill(t *testing.T) {
 		return in.SDFill(0).Stall
 	})
 	cfg.Seed = seed
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(cfg)
 	var done int
 	t0 := r.clock.Now()
@@ -122,7 +122,7 @@ func TestPoisonedEntryInvalidatedAndRefetched(t *testing.T) {
 		return in.SDFill(0).Corrupt && !in.SDFill(0).Corrupt
 	})
 	cfg.Seed = seed
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(cfg)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
@@ -155,7 +155,7 @@ func TestPCAPCRCRetries(t *testing.T) {
 		return in.PCAPStart(0, 0).CRC && !in.PCAPStart(0, 0).CRC
 	})
 	cfg.Seed = seed
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(cfg)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
@@ -183,7 +183,7 @@ func TestPCAPStallReapedByWatchdog(t *testing.T) {
 		return in.PCAPStart(0, 0).Stall && !in.PCAPStart(0, 0).Stall
 	})
 	cfg.Seed = seed
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(cfg)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
@@ -205,7 +205,7 @@ func TestPCAPStallReapedByWatchdog(t *testing.T) {
 // TestPRRQuarantine: repeated config faults on one PRR quarantine it and
 // fail the request instead of retrying forever.
 func TestPRRQuarantine(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1)
+	r := newRig(t, 1<<20, 8<<10, 1)
 	r.pipe.Inject = fault.New(fault.Config{
 		Seed: 11, PRRFaultPermille: 1000, QuarantineAfter: 2, MaxRetries: 5,
 	})
@@ -242,7 +242,7 @@ func TestPRRQuarantine(t *testing.T) {
 // waiters, releases their pins, and orphans (but does not abort) its
 // active transfer.
 func TestPurgeOwner(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 8<<10, 1, 2)
+	r := newRig(t, 1<<20, 8<<10, 1, 2)
 	var stage int
 	r.pipe.Submit(r.request(2, 0, 1, &stage)) // stage image 2
 	r.clock.RunUntilIdle(200)
@@ -295,7 +295,7 @@ func TestPurgeOwner(t *testing.T) {
 // traffic yields byte-identical stats and device counters.
 func TestFaultPipelineDeterministic(t *testing.T) {
 	run := func() (Stats, fault.Stats, uint64, uint64) {
-		r := newRig(t, Config{CacheBytes: 48 << 10}, 8<<10, 1, 2, 3)
+		r := newRig(t, 48<<10, 8<<10, 1, 2, 3)
 		r.pipe.Inject = fault.New(fault.Config{
 			Seed: 99, SDErrorPermille: 150, SDStallPermille: 100, CorruptPermille: 120,
 			PCAPCRCPermille: 150, PCAPStallPermille: 80, PRRFaultPermille: 120,

@@ -56,20 +56,6 @@ func SDFetchCycles(n int) simclock.Cycles {
 	return sdSetupCycles + simclock.Cycles(n)*sdCyclesPerByte
 }
 
-// Config parameterizes a pipeline.
-type Config struct {
-	// CacheBytes bounds the bitstream cache (0 disables caching: every
-	// request pays the SD fetch).
-	CacheBytes uint32
-	// Prefetch enables the history-based speculative fills.
-	Prefetch bool
-}
-
-// DefaultConfig holds the paper-platform defaults: a 1 MiB cache (a
-// fraction of the 22 MiB catalog, enough for a working set of a few
-// images) with prefetching on.
-func DefaultConfig() Config { return Config{CacheBytes: 1 << 20, Prefetch: true} }
-
 // Request is one reconfiguration through the pipeline.
 type Request struct {
 	// Key identifies the bitstream image (its offset inside the store).
@@ -196,24 +182,27 @@ type Pipeline struct {
 
 // New builds a pipeline over the fabric's PCAP and installs its
 // completion hook. storePA is the physical base of the bitstream store.
-func New(clock *simclock.Clock, fabric *pl.Fabric, bus *physmem.Bus, storePA physmem.Addr, cfg Config) *Pipeline {
+// The pipeline has the paper platform's defaults: a 1 MiB cache (a
+// fraction of the 22 MiB catalog, enough for a working set of a few
+// images) with prefetching on.
+func New(clock *simclock.Clock, fabric *pl.Fabric, bus *physmem.Bus, storePA physmem.Addr) *Pipeline {
 	p := &Pipeline{
 		Clock:      clock,
 		Fabric:     fabric,
 		Bus:        bus,
 		StorePA:    storePA,
-		Cache:      NewCache(cfg.CacheBytes),
 		Queue:      NewQueue(),
 		Prefetch:   NewPrefetcher(),
-		PrefetchOn: cfg.Prefetch,
+		PrefetchOn: true,
 	}
-	p.Cache.OnEvict = p.onEvict
+	p.SetCacheCapacity(1 << 20)
 	fabric.PCAP.OnComplete = p.pcapComplete
 	return p
 }
 
 // SetCacheCapacity replaces the cache with an empty one of the given
-// budget (experiment sweeps resize before any traffic flows).
+// budget (experiment sweeps resize before any traffic flows). A budget of
+// 0 disables caching: every request pays the SD fetch.
 func (p *Pipeline) SetCacheCapacity(bytes uint32) {
 	p.Cache = NewCache(bytes)
 	p.Cache.OnEvict = p.onEvict

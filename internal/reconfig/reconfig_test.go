@@ -25,7 +25,7 @@ type testRig struct {
 
 const testStorePA = physmem.DDRBase + 0xA0_0000
 
-func newRig(t *testing.T, cfg Config, payloadBytes int, tasks ...uint16) *testRig {
+func newRig(t *testing.T, cacheBytes uint32, payloadBytes int, tasks ...uint16) *testRig {
 	t.Helper()
 	clock := simclock.New()
 	bus := physmem.NewBus()
@@ -49,7 +49,9 @@ func newRig(t *testing.T, cfg Config, payloadBytes int, tasks ...uint16) *testRi
 		r.lens[id] = uint32(len(raw))
 		off += uint32(len(raw)+0xFFF) &^ 0xFFF
 	}
-	r.pipe = New(clock, fab, bus, testStorePA, cfg)
+	r.pipe = New(clock, fab, bus, testStorePA)
+	r.pipe.SetCacheCapacity(cacheBytes)
+	r.pipe.PrefetchOn = false
 	r.pipe.Probes = measure.NewSet()
 	return r
 }
@@ -69,7 +71,7 @@ func (r *testRig) request(id uint16, prr, prio int, done *int) *Request {
 }
 
 func TestColdThenWarmLatency(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 32<<10, 1)
+	r := newRig(t, 1<<20, 32<<10, 1)
 	done := 0
 
 	t0 := r.clock.Now()
@@ -114,7 +116,7 @@ func TestColdThenWarmLatency(t *testing.T) {
 }
 
 func TestQueueOverlapsAndPriority(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 16<<10, 1, 2, 3)
+	r := newRig(t, 1<<20, 16<<10, 1, 2, 3)
 	// Stage all three images so the PCAP channel is the only bottleneck.
 	var done int
 	for _, id := range []uint16{1, 2, 3} {
@@ -156,7 +158,7 @@ func TestQueueOverlapsAndPriority(t *testing.T) {
 }
 
 func TestCoalescedMissJoinsFill(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 16<<10, 1)
+	r := newRig(t, 1<<20, 16<<10, 1)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
 	// Second request for the same image while the SD fill is in flight:
@@ -176,7 +178,7 @@ func TestCoalescedMissJoinsFill(t *testing.T) {
 
 func TestLRUEvictionAndPinning(t *testing.T) {
 	// Cache fits two of the three images (payload 16K -> ~16.5K each).
-	r := newRig(t, Config{CacheBytes: 34 << 10}, 16<<10, 1, 2, 3)
+	r := newRig(t, 34<<10, 16<<10, 1, 2, 3)
 	var done int
 	for _, id := range []uint16{1, 2} {
 		r.pipe.Submit(r.request(id, 0, 1, &done))
@@ -200,7 +202,7 @@ func TestLRUEvictionAndPinning(t *testing.T) {
 }
 
 func TestBypassWhenImageExceedsCapacity(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 4 << 10}, 16<<10, 1)
+	r := newRig(t, 4<<10, 16<<10, 1)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
 	r.clock.RunUntilIdle(100)
@@ -225,7 +227,7 @@ func TestBypassCompletionDoesNotStealLaterPin(t *testing.T) {
 	// evicting B's entry and inserting a fresh, pinned one for image 1.
 	// A's completion used to steal C's pin; C's own completion then hit
 	// the unpin panic.
-	r := newRig(t, Config{CacheBytes: 17 << 10}, 16<<10, 1, 2)
+	r := newRig(t, 17<<10, 16<<10, 1, 2)
 	var done int
 	r.pipe.Submit(r.request(2, 0, 1, &done)) // B: fills the cache
 	a := r.request(1, 1, 1, &done)           // A: bypass (B's entry pinned)
@@ -254,7 +256,8 @@ func TestBypassCompletionDoesNotStealLaterPin(t *testing.T) {
 }
 
 func TestPrefetchFillsPredictedSuccessor(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20, Prefetch: true}, 16<<10, 1, 2)
+	r := newRig(t, 1<<20, 16<<10, 1, 2)
+	r.pipe.PrefetchOn = true
 	var done int
 	// Teach the transition 1 -> 2 on PRR0.
 	for i := 0; i < 2; i++ {
@@ -292,7 +295,7 @@ func TestPrefetchFillsPredictedSuccessor(t *testing.T) {
 }
 
 func TestInFlightAndPendingFor(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 16<<10, 1)
+	r := newRig(t, 1<<20, 16<<10, 1)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
 	if !r.pipe.InFlight(0) {
@@ -311,7 +314,7 @@ func TestInFlightAndPendingFor(t *testing.T) {
 }
 
 func TestFailedTransferCompletesPipeline(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 1<<10, 1)
+	r := newRig(t, 1<<20, 1<<10, 1)
 	// Corrupt the stored image so the PCAP decode fails.
 	raw, _ := r.bus.ReadBytes(testStorePA, int(r.lens[1]))
 	raw[40] ^= 0xFF
@@ -337,7 +340,7 @@ func TestFailedTransferCompletesPipeline(t *testing.T) {
 }
 
 func TestSummaryAndCounters(t *testing.T) {
-	r := newRig(t, Config{CacheBytes: 1 << 20}, 4<<10, 1)
+	r := newRig(t, 1<<20, 4<<10, 1)
 	var done int
 	r.pipe.Submit(r.request(1, 0, 1, &done))
 	r.clock.RunUntilIdle(100)

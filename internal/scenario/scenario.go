@@ -129,9 +129,6 @@ type vmProbe struct {
 	spec  VM
 	guest *ucos.Guest
 	pd    *nova.PD
-	// resumed supersedes guest after an in-place checkpoint restore: the
-	// restored OS instance lives in the ResumedGuest, not the boot guest.
-	resumed *ucos.ResumedGuest
 
 	requests     uint64 // completed hardware-task runs
 	failures     uint64 // runs that returned false (timeout, DMA error)
@@ -426,9 +423,7 @@ func (s *System) collect() Result {
 		res.Requests += p.requests
 		res.StormHandled += p.stormHandled
 		var ticks uint64
-		if p.resumed != nil && p.resumed.OS != nil {
-			ticks = p.resumed.OS.Ticks
-		} else if p.guest.OS != nil {
+		if p.guest.OS != nil {
 			ticks = p.guest.OS.Ticks
 		}
 		d.addf("vm %s requests %d failures %d busy %d storm %d ticks %d workload %s output %d",

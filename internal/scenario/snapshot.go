@@ -102,7 +102,7 @@ func slsSetup(states []*slsState) func(os *ucos.OS) {
 type cloneVM struct {
 	name     string
 	pd       *nova.PD
-	guest    *ucos.ResumedGuest
+	guest    *ucos.Guest
 	states   []*slsState
 	deadline simclock.Cycles // shelf reap time; 0 = never reaped
 	reaped   bool
@@ -189,7 +189,7 @@ func (s *System) checkpointTemplate() {
 }
 
 // buildClone forks the next clone from the template image: deep-copied,
-// seed-perturbed handler states and a ResumedGuest that re-enters the
+// seed-perturbed handler states and a ucos.Guest that resumes the
 // captured timeline. The clone's build ordinal names it and seeds it.
 func (s *System) buildClone() *cloneVM {
 	sr := s.snap
@@ -201,7 +201,7 @@ func (s *System) buildClone() *cloneVM {
 		cp.rng = (cp.rng ^ mix(s.Spec.Seed, uint32(0xC10E+seq*8+i))) | 1
 		states[i] = &cp
 	}
-	g := &ucos.ResumedGuest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(states)}
+	g := &ucos.Guest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(states)}
 	pd := s.Kernel.CreateClone(sr.img, name, g)
 	cv := &cloneVM{name: name, pd: pd, guest: g, states: states}
 	sr.clones = append(sr.clones, cv)
@@ -348,4 +348,34 @@ func (s *System) snapshotCollect(d *digest, res *Result) {
 		d.addf("clone %s cow %d copied %d shared %d iters %d acc %d ticks %d reaped %v",
 			cv.name, cs.COWFaults, cs.Copied, cs.Shared, iters, acc, ticks, cv.reaped)
 	}
+}
+
+// snapshotForkSpec builds the clone-sweep subject for one fleet size: the
+// oversubscribed-256vm shape with the clone count swept and half the
+// fleet prewarmed (so the shelf serves both hits and cold builds).
+func snapshotForkSpec(clones int) Spec {
+	return Spec{
+		Name:  fmt.Sprintf("snapshot-fork-%d", clones),
+		Cores: 2, RunMs: 4, Seed: 14,
+		Snapshot: &SnapshotSpec{Clones: clones, Prewarm: clones / 2},
+		VMs:      []VM{{Name: "template"}},
+	}
+}
+
+// MeasureSnapshotForks is the -snapshot sweep: one run per fleet size (1,
+// 8, 64 and 256 clones; 1 and 8 when short). Each result carries the
+// template's boot cost, the whole fleet's fork cost, the COW copy ledger
+// and the shelf's hits and misses. All are simulated quantities: the
+// sweep's claim is that fork cost stays O(metadata) as the clone count
+// scales, not anything about simulator speed.
+func MeasureSnapshotForks(short bool) []Result {
+	counts := []int{1, 8, 64, 256}
+	if short {
+		counts = counts[:2]
+	}
+	var out []Result
+	for _, n := range counts {
+		out = append(out, Build(snapshotForkSpec(n)).Run())
+	}
+	return out
 }

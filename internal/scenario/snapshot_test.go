@@ -241,7 +241,7 @@ func midpointRun(t *testing.T, shards int, interrupt bool) Result {
 		if pd.Core.Current == pd {
 			pd.Core.CPU.Regs = pd.VCPU.Regs
 		}
-		rg := &ucos.ResumedGuest{
+		rg := &ucos.Guest{
 			GuestName: "template",
 			Snap:      osnap,
 			Setup:     slsSetup(sr.tplStates),
@@ -249,7 +249,7 @@ func midpointRun(t *testing.T, shards int, interrupt bool) Result {
 		if err := k.RestoreInPlace(pd, img, rg); err != nil {
 			t.Fatalf("restore in place: %v", err)
 		}
-		sr.tpl.resumed = rg
+		sr.tpl.guest = rg
 	}
 
 	chunk := simclock.FromMillis(sys.Spec.RunMs) / 8

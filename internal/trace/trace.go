@@ -26,7 +26,8 @@
 // cores and subsystems — one hardware-task request is a single chain from
 // the guest hypercall through the manager queue, the reconfiguration
 // pipeline and the PCAP download to the completion IRQ. The Chrome
-// exporter (chrome.go) turns flows into trace_event flow arrows.
+// exporter (chrome.go) turns flows into trace_event flow arrows; each
+// kind's schema name and Chrome category live in one table (kinds).
 package trace
 
 import "repro/internal/simclock"
@@ -136,77 +137,49 @@ const (
 	ReconfigCoalesced = 2
 )
 
-var kindNames = [numKinds]string{
-	KindHypercall:      "hypercall",
-	KindVMSwitch:       "vm_switch",
-	KindSchedWake:      "sched_wake",
-	KindSchedBlock:     "sched_block",
-	KindSchedRotate:    "sched_rotate",
-	KindVGICInject:     "vgic_inject",
-	KindVGICEOI:        "vgic_eoi",
-	KindVGICRelatch:    "vgic_relatch",
-	KindHwReq:          "hwreq",
-	KindHwReqSubmit:    "hwreq_submit",
-	KindHwReqFetch:     "hwreq_fetch",
-	KindHwReqComplete:  "hwreq_complete",
-	KindReconfigSubmit: "reconfig_submit",
-	KindFillStart:      "fill_start",
-	KindFillDone:       "fill_done",
-	KindReconfigQueued: "reconfig_queued",
-	KindPCAPStart:      "pcap_start",
-	KindPCAPDone:       "pcap_done",
-	KindCompletionIRQ:  "completion_irq",
-	KindIPCCall:        "ipc_call",
-	KindEpochCommit:    "epoch_commit",
-	KindFaultInject:    "fault_inject",
-	KindReconfigRetry:  "reconfig_retry",
-	KindPRRQuarantine:  "prr_quarantine",
-	KindQoSThrottle:    "qos_throttle",
-	KindBreakerTrip:    "breaker_trip",
-}
-
-// categories group kinds for the Chrome exporter's cat field.
-var kindCats = [numKinds]string{
-	KindHypercall:      "kernel",
-	KindVMSwitch:       "sched",
-	KindSchedWake:      "sched",
-	KindSchedBlock:     "sched",
-	KindSchedRotate:    "sched",
-	KindVGICInject:     "vgic",
-	KindVGICEOI:        "vgic",
-	KindVGICRelatch:    "vgic",
-	KindHwReq:          "hwreq",
-	KindHwReqSubmit:    "hwreq",
-	KindHwReqFetch:     "hwreq",
-	KindHwReqComplete:  "hwreq",
-	KindReconfigSubmit: "reconfig",
-	KindFillStart:      "reconfig",
-	KindFillDone:       "reconfig",
-	KindReconfigQueued: "reconfig",
-	KindPCAPStart:      "reconfig",
-	KindPCAPDone:       "reconfig",
-	KindCompletionIRQ:  "reconfig",
-	KindIPCCall:        "ipc",
-	KindEpochCommit:    "engine",
-	KindFaultInject:    "fault",
-	KindReconfigRetry:  "fault",
-	KindPRRQuarantine:  "fault",
-	KindQoSThrottle:    "qos",
-	KindBreakerTrip:    "qos",
+// kinds holds each kind's schema name (see String) and its category, the
+// group the Chrome exporter writes as the cat field (see Cat).
+var kinds = [numKinds]struct{ name, cat string }{
+	KindHypercall:      {"hypercall", "kernel"},
+	KindVMSwitch:       {"vm_switch", "sched"},
+	KindSchedWake:      {"sched_wake", "sched"},
+	KindSchedBlock:     {"sched_block", "sched"},
+	KindSchedRotate:    {"sched_rotate", "sched"},
+	KindVGICInject:     {"vgic_inject", "vgic"},
+	KindVGICEOI:        {"vgic_eoi", "vgic"},
+	KindVGICRelatch:    {"vgic_relatch", "vgic"},
+	KindHwReq:          {"hwreq", "hwreq"},
+	KindHwReqSubmit:    {"hwreq_submit", "hwreq"},
+	KindHwReqFetch:     {"hwreq_fetch", "hwreq"},
+	KindHwReqComplete:  {"hwreq_complete", "hwreq"},
+	KindReconfigSubmit: {"reconfig_submit", "reconfig"},
+	KindFillStart:      {"fill_start", "reconfig"},
+	KindFillDone:       {"fill_done", "reconfig"},
+	KindReconfigQueued: {"reconfig_queued", "reconfig"},
+	KindPCAPStart:      {"pcap_start", "reconfig"},
+	KindPCAPDone:       {"pcap_done", "reconfig"},
+	KindCompletionIRQ:  {"completion_irq", "reconfig"},
+	KindIPCCall:        {"ipc_call", "ipc"},
+	KindEpochCommit:    {"epoch_commit", "engine"},
+	KindFaultInject:    {"fault_inject", "fault"},
+	KindReconfigRetry:  {"reconfig_retry", "fault"},
+	KindPRRQuarantine:  {"prr_quarantine", "fault"},
+	KindQoSThrottle:    {"qos_throttle", "qos"},
+	KindBreakerTrip:    {"breaker_trip", "qos"},
 }
 
 // String returns the schema name of the kind.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+	if k < numKinds {
+		return kinds[k].name
 	}
 	return "unknown"
 }
 
 // Cat returns the kind's category (the Chrome-trace cat field).
 func (k Kind) Cat() string {
-	if int(k) < len(kindCats) {
-		return kindCats[k]
+	if k < numKinds {
+		return kinds[k].cat
 	}
 	return "other"
 }
@@ -398,11 +371,4 @@ func (t *Tracer) Drops() uint64 {
 		n += r.Drops()
 	}
 	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

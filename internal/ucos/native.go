@@ -65,14 +65,9 @@ func NewNativeMachine() *NativeMachine {
 	c := cpu.New(clock, bus, g)
 
 	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(clock, bus, g, caps)
-	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range hwtask.PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-
+	fabric := hwtask.NewPaperFabric(clock, bus, g, caps)
 	mgr := hwtask.NewManager(len(caps), nativeMgrCode+0x8000)
-	if err := hwtask.InstallTaskSet(mgr, bus, nativeStorePA, caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, bus, nativeStorePA, caps); err != nil {
 		panic(err)
 	}
 

@@ -16,6 +16,10 @@
 //     bare machine model: the paper's baseline, where the tick comes
 //     straight from the private timer and the hardware-task manager is a
 //     direct function call.
+//
+// Guest (virt.go) hosts an instance in a Mini-NOVA protection domain. It
+// boots the instance, or, given a Snapshot (snapshot.go), resumes it in a
+// cloned or restored-in-place domain exactly where the template parked.
 package ucos
 
 import (
@@ -168,7 +172,7 @@ func (os *OS) Run() {
 }
 
 // loop is the scheduler proper, shared by Run (cold boot) and
-// ResumedGuest (re-entry after a checkpoint restore, which must skip the
+// Guest.resume (re-entry after a checkpoint restore, which must skip the
 // boot hypercalls because their effects live in the restored machine
 // state).
 func (os *OS) loop() {

@@ -106,8 +106,15 @@ func (os *OS) Snapshot() (*Snapshot, error) {
 // TaskCreate calls — a snapshot carries no code — so every checkpointed
 // priority must have been re-created. Restored tasks stay unstarted; the
 // first dispatch lazily hosts them on fresh coroutines, which costs the
-// same as resuming a parked one (dispatch charges unconditionally).
+// same as resuming a parked one (dispatch charges unconditionally). A
+// VirtMachine's allocation cursors are rewound too, so a restored guest
+// that later calls SetupDataSection or RequestHwTask carves the same
+// addresses the template would have.
 func (os *OS) restore(s *Snapshot) error {
+	if vm, ok := os.M.(*VirtMachine); ok {
+		vm.dataVA, vm.dataSize = s.Mach.DataVA, s.Mach.DataSize
+		vm.ifaceNext, vm.ramNext = s.Mach.IfaceNext, s.Mach.RamNext
+	}
 	os.Ticks = s.Ticks
 	os.TickPeriod = s.TickPeriod
 	os.Switches = s.Switches
@@ -128,47 +135,25 @@ func (os *OS) restore(s *Snapshot) error {
 	return nil
 }
 
-// attachResumeHandlers re-installs the host-side halves of boot — the
-// vGIC entry callback and the tick handler in the local table — without
-// issuing the boot hypercalls (EnableIRQ, SetTickTimer): their effects
-// are machine state the hypervisor restored with the PD.
-func (os *OS) attachResumeHandlers() {
-	os.M.SetIRQEntry(os.irqEntry)
-	os.irqTable[TickIRQ] = os.tickHandler
-}
-
-// ResumedGuest adapts a Snapshot to nova.Guest: the guest body installed
-// in a cloned or restored-in-place PD. Where Guest boots an OS from
-// scratch, ResumedGuest rebuilds one from the snapshot and re-enters the
-// scheduler loop behind a replayed HcSuspend exit — the clone wakes
-// exactly where the template parked.
-type ResumedGuest struct {
-	GuestName string
-	Snap      *Snapshot
-	// Setup re-creates the instance's tasks (bodies are code, not data —
-	// the snapshot cannot carry them). It must register the same
-	// priorities the checkpointed instance had.
-	Setup func(os *OS)
-	// OS is populated when the PD first runs.
-	OS *OS
-}
-
-// RunSlice implements nova.Guest. Order matters: cursors and task state
-// are restored before the suspend-exit replay, so by the time simulated
-// time moves again the instance is indistinguishable from the template
-// at its checkpoint.
-func (g *ResumedGuest) RunSlice(env *nova.Env) {
-	m := NewVirtMachine(env)
-	m.restoreCursors(g.Snap.Mach)
-	g.OS = NewOS(g.GuestName, m)
-	defer g.OS.Shutdown()
-	if g.Setup != nil {
-		g.Setup(g.OS)
-	}
+// resume is Guest.RunSlice for a guest with a snapshot: after Setup has
+// re-created the instance's tasks (bodies are code, not data — the
+// snapshot cannot carry them, so Setup must register the same priorities
+// the checkpointed instance had), it rebuilds the instance from the
+// snapshot and re-enters the scheduler loop behind a replayed HcSuspend
+// exit, so the PD wakes exactly where the template parked. Order matters:
+// the instance's state is restored before the suspend-exit replay, so by
+// the time simulated time moves again the instance is indistinguishable
+// from the template at its checkpoint.
+func (g *Guest) resume(env *nova.Env) {
 	if err := g.OS.restore(g.Snap); err != nil {
 		panic(err)
 	}
-	g.OS.attachResumeHandlers()
+	// The host-side halves of boot — the vGIC entry callback and the tick
+	// handler in the local table — without the boot hypercalls
+	// (EnableIRQ, SetTickTimer): their effects are machine state the
+	// hypervisor restored with the PD.
+	g.OS.M.SetIRQEntry(g.OS.irqEntry)
+	g.OS.irqTable[TickIRQ] = g.OS.tickHandler
 	env.ResumeSuspendExit()
 	env.CheckPreempt()
 	g.OS.loop()

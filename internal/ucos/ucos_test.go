@@ -305,7 +305,7 @@ func TestWorkloadsMakeProgress(t *testing.T) {
 	// gsm at higher priority runs; adpcm should still run whenever gsm...
 	// both are always-ready, so only the higher-priority one runs — that
 	// is correct uC/OS-II semantics. Verify gsm progressed.
-	if gsm.Frames() == 0 {
+	if gsm.Steps() == 0 {
 		t.Error("GSM workload made no progress")
 	}
 	if gsm.Output() == 0 {

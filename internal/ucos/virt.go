@@ -78,15 +78,6 @@ func (m *VirtMachine) SetTickTimer(period simclock.Cycles) {
 // CheckPreempt implements Machine: vIRQ delivery + hypervisor yield.
 func (m *VirtMachine) CheckPreempt() { m.Env.CheckPreempt() }
 
-// restoreCursors rewinds the machine's allocation cursors to a
-// checkpointed position, so a restored guest that later calls
-// SetupDataSection or RequestHwTask carves the same addresses the
-// template would have.
-func (m *VirtMachine) restoreCursors(s MachineSnap) {
-	m.dataVA, m.dataSize = s.DataVA, s.DataSize
-	m.ifaceNext, m.ramNext = s.IfaceNext, s.RamNext
-}
-
 // Idle implements Machine: paravirtualized WFI (HcSuspend mode 1).
 func (m *VirtMachine) Idle() {
 	m.Env.Hypercall(abi.HcSuspend, 1)
@@ -164,24 +155,29 @@ func (m *VirtMachine) ReconfigStatus() uint32 {
 }
 
 // Guest adapts an OS factory to nova.Guest so a uC/OS-II instance can be
-// created as a protection domain. Setup runs once after boot to create
-// the instance's tasks.
+// created as a protection domain. Setup runs once to create the
+// instance's tasks. With Snap set, the guest resumes that snapshot in a
+// cloned or restored-in-place PD instead of booting (see resume).
 type Guest struct {
 	GuestName string
 	Setup     func(os *OS)
+	Snap      *Snapshot
 	// OS is populated when the PD first runs.
 	OS *OS
 }
 
-// RunSlice implements nova.Guest: construct the machine and boot. The
-// deferred Shutdown unwinds this OS's task coroutines when the
-// hypervisor tears the PD down.
+// RunSlice implements nova.Guest: construct the machine, then boot or
+// resume. The deferred Shutdown unwinds this OS's task coroutines when
+// the hypervisor tears the PD down.
 func (g *Guest) RunSlice(env *nova.Env) {
-	m := NewVirtMachine(env)
-	g.OS = NewOS(g.GuestName, m)
+	g.OS = NewOS(g.GuestName, NewVirtMachine(env))
 	defer g.OS.Shutdown()
 	if g.Setup != nil {
 		g.Setup(g.OS)
+	}
+	if g.Snap != nil {
+		g.resume(env)
+		return
 	}
 	g.OS.Run()
 }

@@ -156,7 +156,7 @@ func TestDestroyRunningCloneInTask(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rg := &ResumedGuest{GuestName: "clone", Snap: snap, Setup: func(os *OS) {
+	rg := &Guest{GuestName: "clone", Snap: snap, Setup: func(os *OS) {
 		os.TaskCreate("spin", 10, func(task *Task) {
 			for {
 				task.Exec(300)
