@@ -44,7 +44,7 @@ func main() {
 		reconfig   = flag.Bool("reconfig", false, "run the reconfiguration-pipeline sweep (cache/queue/prefetch)")
 		scen       = flag.Bool("scenario", false, "run the multi-VM stress-scenario suite in parallel")
 		scenName   = flag.String("scenario-name", "", "run a single named scenario instead of the whole suite")
-		scenShort  = flag.Bool("scenario-short", false, "reduced-horizon scenario run (CI smoke)")
+		scenShort  = flag.Bool("scenario-short", false, "shorten the scenario, interference or snapshot run (CI smoke); alone, implies -scenario")
 		scenOut    = flag.String("scenario-out", "", "also write the per-scenario checksum summary to this file")
 		traceOn    = flag.Bool("trace", false, "enable kernel event tracing on the scenario runs (checksums are unchanged; implies -scenario)")
 		traceOut   = flag.String("trace-out", "", "write each traced scenario's Chrome trace_event JSON here (load in chrome://tracing or Perfetto; with several scenarios the name gains a -<scenario> suffix; implies -trace)")
@@ -72,10 +72,14 @@ func main() {
 	if *faultSeed != 0 {
 		*faultsOnly = true
 	}
-	if *scenName != "" || *scenOut != "" || *scenShort || *traceOn || *faultsOnly {
+	if *scenName != "" || *scenOut != "" || *traceOn || *faultsOnly {
 		*scen = true // the sub-flags imply the scenario run
 	}
-	all := !*table3 && !*fig9 && !*footprint && !*dualcore && !*reconfig && !*scen && !*interfere && !*snapSweep
+	other := *table3 || *fig9 || *footprint || *dualcore || *reconfig || *interfere || *snapSweep
+	if *scenShort && !other {
+		*scen = true // alone, -scenario-short is the short scenario run
+	}
+	all := !other && !*scen
 
 	if *interfere {
 		fmt.Printf("running noisy-neighbor interference probe (short=%v)...\n", *scenShort)

@@ -9,10 +9,16 @@
 // The model tracks tag state only — data lives in physmem — because the
 // experiments need timing (hit/miss cycles) and pollution behaviour, not a
 // second copy of memory.
+//
+// A Hierarchy charges one line per FetchCost or DataCost call, or a run of
+// consecutive lines per FetchRun or DataRun call, with the effects of the
+// per-line calls in order; every kind reaches the L2 through one L1-miss
+// path.
 package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/physmem"
 )
@@ -142,44 +148,51 @@ func (c *Cache) Access(pa physmem.Addr, write bool) (hit, writeback bool, victim
 // probed and missed (probeHit) with no intervening mutation.
 func (c *Cache) fill(pa physmem.Addr, write bool) (writeback bool, victim Victim) {
 	ws, set, tag := c.set(pa)
+	way := c.replace(ws)
+	if w := ws[way]; w != 0 {
+		victim = Victim{Addr: c.lineAddr(w, set), Dirty: w&wayDirty != 0, Valid: true}
+		if victim.Dirty {
+			c.stats.Writebacks++
+		}
+	}
+	ws[way] = word(tag, write)
+	return victim.Dirty, victim
+}
+
+// replace picks the way of ws, one set's ways, that a fill takes, and
+// counts the miss: an invalid way while the cache has one (a full cache has
+// none to find), else the next rng draw, whose line is evicted. The caller
+// counts a dirty victim's writeback. Either way the resident lines change,
+// so the epoch moves.
+func (c *Cache) replace(ws []uint32) int {
 	c.stats.Misses++
-	c.epoch++ // the fill below changes which lines are resident
-	// Choose a victim: invalid ways first, then the next rng draw. A full
-	// cache has no invalid way to find.
-	way := -1
+	c.epoch++
 	if c.nvalid < len(c.lines) {
 		for i, w := range ws {
 			if w == 0 {
-				way = i
-				break
+				c.nvalid++
+				return i
 			}
 		}
 	}
-	if way < 0 {
-		c.rng ^= c.rng << 13
-		c.rng ^= c.rng >> 17
-		c.rng ^= c.rng << 5
-		way = int(c.rng) & (c.ways - 1)
-		c.stats.Evictions++
-		w := ws[way]
-		victim = Victim{
-			Addr:  physmem.Addr((w>>2<<c.setShift | set) << lineShift),
-			Dirty: w&wayDirty != 0,
-			Valid: true,
-		}
-		if victim.Dirty {
-			c.stats.Writebacks++
-			writeback = true
-		}
-	} else {
-		c.nvalid++
-	}
-	w := tag<<2 | wayValid
+	c.rng ^= c.rng << 13
+	c.rng ^= c.rng >> 17
+	c.rng ^= c.rng << 5
+	c.stats.Evictions++
+	return int(c.rng) & (c.ways - 1)
+}
+
+// lineAddr rebuilds the line address of way word w in set.
+func (c *Cache) lineAddr(w, set uint32) physmem.Addr {
+	return physmem.Addr((w>>2<<c.setShift | set) << lineShift)
+}
+
+// word is the way word of tag's line, dirty after a write.
+func word(tag uint32, write bool) uint32 {
 	if write {
-		w |= wayDirty
+		return tag<<2 | wayDirty | wayValid
 	}
-	ws[way] = w
-	return writeback, victim
+	return tag<<2 | wayValid
 }
 
 // find returns the way of ws holding tag's line, or -1.
@@ -272,6 +285,14 @@ const (
 // Hierarchy bundles one core's L1I, L1D and L2 and converts accesses into
 // cycle costs. On a multi-core machine the L2 is the core's own partition
 // of the shared L2's ways (NewA9WayPartitionedL2).
+//
+// FetchCost and DataCost charge one line. FetchRun and DataRun charge up to
+// n consecutive lines in one call and stop early at a cycle budget, so a
+// caller that must see every event deadline (the CPU's batched engine) can
+// hand over a page of lines at once. All four share one line loop (the
+// single-line calls after an L1 hit probe of their own), and it holds the
+// one L1-miss path: fill the L1, drain a dirty victim into the L2 at the
+// victim's own address, then access the L2.
 type Hierarchy struct {
 	L1I *Cache
 	L1D *Cache
@@ -338,7 +359,9 @@ func (h *Hierarchy) FetchCost(pa physmem.Addr) uint64 {
 	if h.L1I.probeHit(pa, false) {
 		return 0
 	}
-	return h.cost(h.L1I, pa, false)
+	// A missing probe changes nothing, so run probes again and misses.
+	_, cost, _ := h.run(h.L1I, pa, 1, false, 0, math.MaxUint64)
+	return cost
 }
 
 // DataCost runs a data access at pa through L1D/L2 and returns the
@@ -347,28 +370,70 @@ func (h *Hierarchy) DataCost(pa physmem.Addr, write bool) uint64 {
 	if h.L1D.probeHit(pa, write) {
 		return 0
 	}
-	return h.cost(h.L1D, pa, write)
+	_, cost, _ := h.run(h.L1D, pa, 1, write, 0, math.MaxUint64)
+	return cost
 }
 
-// cost handles the L1-miss path; the caller has already probed l1 and
-// missed, so the line is filled directly and the L2 traffic charged.
-func (h *Hierarchy) cost(l1 *Cache, pa physmem.Addr, write bool) uint64 {
-	wb, victim := l1.fill(pa, write)
-	var cost uint64
-	if wb {
-		cost += PenaltyWB
-		// The dirty victim drains into L2 at its *own* line address (it
-		// rarely shares a line with the incoming pa that displaced it).
-		h.L2.Access(victim.Addr, true)
+// FetchRun fetches n consecutive lines through L1I/L2, starting with pa's
+// line: the effects of FetchCost at pa, pa+LineSize, ... in order. It stops
+// after the first line that brings the run's cost to budget or more (after
+// the first line when budget is 0), and returns the lines fetched, their
+// additional cycles, and whether any of them missed the L1I.
+func (h *Hierarchy) FetchRun(pa physmem.Addr, n int, budget uint64) (lines int, cost uint64, missed bool) {
+	return h.run(h.L1I, pa, n, false, 0, budget)
+}
+
+// DataRun is FetchRun on the data side: n consecutive DataCost accesses
+// from pa's line, each followed by follow plain hits on the line it has
+// just made resident (and dirty, on a write), as a stream's other accesses
+// to that line would count. The line that brings the cost to budget or
+// more ends the run without its follow hits: its caller must let the clock
+// catch up first, and those accesses then probe again.
+func (h *Hierarchy) DataRun(pa physmem.Addr, n int, write bool, follow int, budget uint64) (lines int, cost uint64, missed bool) {
+	return h.run(h.L1D, pa, n, write, follow, budget)
+}
+
+// run is the one line loop behind FetchCost, DataCost, FetchRun and
+// DataRun, and holds the one L1-miss path: fill the L1, drain a dirty
+// victim into the L2 at the victim's own line address (it rarely shares a
+// line with the incoming pa that displaced it), then access the L2 at pa.
+// The path is inline because Go keeps no registers across a call: a call
+// per miss from this loop spills and reloads the loop's state, and a
+// miss-heavy stream ran about 15% slower that way.
+func (h *Hierarchy) run(l1 *Cache, pa physmem.Addr, n int, write bool, follow int, budget uint64) (lines int, cost uint64, missed bool) {
+	l2 := h.L2
+	for lines < n {
+		lines++
+		ws, set, tag := l1.set(pa)
+		if i := find(ws, tag); i >= 0 {
+			if write {
+				ws[i] |= wayDirty
+			}
+			l1.stats.Hits++
+		} else {
+			missed = true
+			cost += PenaltyL2Hit
+			way := l1.replace(ws)
+			if w := ws[way]; w&wayDirty != 0 {
+				l1.stats.Writebacks++
+				cost += PenaltyWB
+				l2.Access(l1.lineAddr(w, set), true)
+			}
+			ws[way] = word(tag, write)
+			if !l2.probeHit(pa, write) {
+				if wb, _ := l2.fill(pa, write); wb {
+					cost += PenaltyWB
+				}
+				cost += PenaltyDDR
+			}
+		}
+		if cost >= budget {
+			break
+		}
+		l1.stats.Hits += uint64(follow)
+		pa += LineSize
 	}
-	l2hit, l2wb, _ := h.L2.Access(pa, write)
-	if l2hit {
-		return cost + PenaltyL2Hit
-	}
-	if l2wb {
-		cost += PenaltyWB
-	}
-	return cost + PenaltyL2Hit + PenaltyDDR
+	return lines, cost, missed
 }
 
 // WalkCost charges a hardware page-table walk access (bypasses L1, uses L2,

@@ -145,6 +145,33 @@ func refCost(l1, l2 *refCache, pa physmem.Addr, write bool) uint64 {
 	return cost + PenaltyL2Hit + PenaltyDDR
 }
 
+// runResult is what FetchRun and DataRun return.
+type runResult struct {
+	lines  int
+	cost   uint64
+	missed bool
+}
+
+// refRun is FetchRun and DataRun over reference caches: a loop of refCost
+// with the same stop rule, whose follow hits are real accesses to the line
+// just charged.
+func refRun(l1, l2 *refCache, pa physmem.Addr, n int, write bool, follow int, budget uint64) (lines int, cost uint64, missed bool) {
+	for lines < n {
+		c := refCost(l1, l2, pa, write)
+		lines++
+		cost += c
+		missed = missed || c > 0 // an L1 miss costs at least PenaltyL2Hit
+		if cost >= budget {
+			break
+		}
+		for range follow {
+			refCost(l1, l2, pa, write)
+		}
+		pa += LineSize
+	}
+	return lines, cost, missed
+}
+
 // FuzzCacheMatchesReference runs an op trace through a three-level
 // hierarchy of packed-way caches and through the reference model, and
 // requires the same results, stats, residency and line state after every
@@ -152,9 +179,12 @@ func refCost(l1, l2 *refCache, pa physmem.Addr, write bool) uint64 {
 // 1 to 8 L1 sets (the L2 has four times as many). Each op is four trace
 // bytes: kind, flags (bit 0 write, the rest the target level for the
 // single-cache ops), and two bytes of address. The addresses cover 64
-// lines in each of 8 tag planes, so sets conflict and lines come back.
-// Only the first 256 ops run, which keeps each run, and the minimizing of
-// a new input, fast.
+// lines in each of 8 tag planes, so sets conflict and lines come back. A
+// FetchRun or DataRun op takes four bytes more: its line count (1 to 130
+// lines from the op's address, so a run crosses sets and tag planes), its
+// follow count (0 to 31), its budget (the byte squared: 0, and budgets no
+// run reaches, both occur) and one unused byte. Only the first 1,024 trace
+// bytes run, which keeps each run, and the minimizing of a new input, fast.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, geometry uint8, trace []byte) {
 		trace = trace[:min(len(trace), 4*256)]
@@ -164,12 +194,31 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		ref := [3]*refCache{newRef(l1Size, ways), newRef(l1Size, ways), newRef(4*l1Size, ways)}
 		caches := [3]*Cache{h.L1I, h.L1D, h.L2}
 
-		for i := 0; i+4 <= len(trace); i += 4 {
-			kind, write, lvl := trace[i]%16, trace[i+1]&1 != 0, int(trace[i+1]>>1)%3
+		for i, n := 0, 0; i+4 <= len(trace); i, n = i+4, n+1 {
+			kind, write, lvl := trace[i]%18, trace[i+1]&1 != 0, int(trace[i+1]>>1)%3
 			pa := physmem.Addr(0x10_0000 + uint32(trace[i+3]&7)<<14 + uint32(trace[i+2])<<3)
 			c, r := caches[lvl], ref[lvl]
-			op := func() string { return describe(i/4, kind, lvl, pa, write) }
+			op := func() string { return describe(n, kind, lvl, pa, write) }
 			switch {
+			case kind >= 16:
+				if i+8 > len(trace) {
+					return
+				}
+				p := trace[i+4 : i+8]
+				i += 4
+				lines, follow, budget := 1+int(p[0])%130, int(p[1])%32, uint64(p[2])*uint64(p[2])
+				op = func() string { return describeRun(n, kind, pa, lines, write, follow, budget) }
+				var got, want runResult
+				if kind == 16 {
+					got.lines, got.cost, got.missed = h.FetchRun(pa, lines, budget)
+					want.lines, want.cost, want.missed = refRun(ref[0], ref[2], pa, lines, false, 0, budget)
+				} else {
+					got.lines, got.cost, got.missed = h.DataRun(pa, lines, write, follow, budget)
+					want.lines, want.cost, want.missed = refRun(ref[1], ref[2], pa, lines, write, follow, budget)
+				}
+				if got != want {
+					t.Fatalf("%s = %+v, reference %+v", op(), got, want)
+				}
 			case kind < 6:
 				if got, want := h.DataCost(pa, write), refCost(ref[1], ref[2], pa, write); got != want {
 					t.Fatalf("%s = %d, reference %d", op(), got, want)
@@ -217,6 +266,14 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// describeRun names run op n for a failure message.
+func describeRun(n int, kind byte, pa physmem.Addr, lines int, write bool, follow int, budget uint64) string {
+	if kind == 16 {
+		return fmt.Sprintf("op %d FetchRun(%#x, %d, %d)", n, pa, lines, budget)
+	}
+	return fmt.Sprintf("op %d DataRun(%#x, %d, %v, %d, %d)", n, pa, lines, write, follow, budget)
 }
 
 // describe names trace op n for a failure message.

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/mmu"
@@ -12,6 +13,9 @@ import (
 
 // instrPerLine is how many 4-byte instructions share one 32-byte I-line.
 const instrPerLine = 8
+
+// lineBytes is the fetch cursor's step: one I-line.
+const lineBytes = instrPerLine * 4
 
 // microTLBSize models the A9 side micro-TLBs (32-entry on silicon; a
 // smaller model keeps main-TLB pressure visible).
@@ -193,7 +197,7 @@ func okDomainAP(m *mmu.MMU, tr tlb.Translation, priv, write bool) bool {
 // keeps its cyclic phase instead of overshooting past the end and snapping
 // back to offset 0 (which skewed the post-wrap line addresses).
 func (e *ExecContext) advanceCursor() {
-	e.cursor += instrPerLine * 4
+	e.cursor += lineBytes
 	if e.cursor >= e.CodeSize {
 		e.cursor %= e.CodeSize
 	}
@@ -202,12 +206,15 @@ func (e *ExecContext) advanceCursor() {
 // Exec charges n abstract instructions: issue cycles plus I-side fetch
 // traffic walking the component's code range, then samples the IRQ line.
 //
-// The fetch loop runs on the batched engine: the code page is translated
-// once per 4 KB crossed, the cycle cost of the line probes accumulates
-// locally, and the clock is synchronized whenever the accumulated window
-// would cross the next pending event deadline — so handlers fire at their
-// exact instants and the simulated result is bit-identical to the scalar
-// per-line loop (execScalar, kept as the reference path).
+// The fetch loop runs on the batched engine, bit-identical in simulated
+// results to the scalar per-line loop (execScalar, kept as the reference
+// path). The code page is translated once per 4 KB crossed. After each
+// translation the lines up to the next page or wrap boundary (only the
+// translated line when the page is not covered) go to the cache in one
+// FetchRun, or are bulk-charged as hits when the code range is proven
+// resident. The run's cycles accumulate locally, and its budget stops it at
+// the line that reaches the next pending event deadline, where the clock
+// catches up, so handlers fire at their exact instants.
 func (e *ExecContext) Exec(n int) {
 	if e.Stalled || n <= 0 {
 		return
@@ -228,38 +235,9 @@ func (e *ExecContext) Exec(n int) {
 	var pageVPN uint32
 	pageValid := false
 	l1i := c.Caches.L1I
-	for i := 0; i < lines; i++ {
+	for lines > 0 {
 		va := e.CodeBase + e.cursor
-		var pa physmem.Addr
-		if pageValid && va>>12 == pageVPN {
-			if e.iClean >= e.CodeSize && e.CodeSize%(instrPerLine*4) == 0 && l1i.Epoch() == e.iEpoch {
-				// The whole code range is proven resident (a full cyclic
-				// sweep of zero-miss fetches at an unmoved residency
-				// epoch), so every probe up to the next page or wrap
-				// boundary is a guaranteed hit whose only scalar side
-				// effect is the hit counter: bulk-charge them. The clock
-				// invariant (now+acc below the next deadline) holds here,
-				// so the scalar path's zero-cost Advances would fire
-				// nothing in this window either.
-				k := lines - i
-				if toWrap := int((e.CodeSize - e.cursor) / (instrPerLine * 4)); toWrap < k {
-					k = toWrap
-				}
-				if toPage := int((0x1000 - va&0xFFF + instrPerLine*4 - 1) / (instrPerLine * 4)); toPage < k {
-					k = toPage
-				}
-				if k > 0 {
-					l1i.BulkHits(k)
-					e.cursor += uint32(k) * instrPerLine * 4
-					if e.cursor >= e.CodeSize {
-						e.cursor %= e.CodeSize
-					}
-					i += k - 1
-					continue
-				}
-			}
-			pa = pagePA + physmem.Addr(va&0xFFF)
-		} else {
+		if !pageValid || va>>12 != pageVPN {
 			// Page crossing (or coverage lost at a clock sync): drain the
 			// accumulator so the scalar translate — micro-TLB scan, walk,
 			// abort delivery — runs at the true clock instant.
@@ -267,39 +245,76 @@ func (e *ExecContext) Exec(n int) {
 				clk.Advance(acc)
 				acc = 0
 			}
-			var ok bool
-			pa, pageValid, ok = e.translate(va, false, true)
+			pa, covered, ok := e.translate(va, false, true)
 			if !ok {
 				return // unrecovered fetch abort: as in the scalar loop, no IRQ sample
 			}
 			deadline, hasDL = clk.NextDeadline() // translate may advance/schedule
-			pageVPN, pagePA = va>>12, pa&^0xFFF
+			pageVPN, pagePA, pageValid = va>>12, pa&^0xFFF, covered
 		}
-		cost := simclock.Cycles(c.Caches.FetchCost(pa))
-		// Residency-streak accounting for the bulk fast path above.
-		if ep := l1i.Epoch(); cost == 0 && ep == e.iEpoch {
-			if e.iClean < e.CodeSize {
-				e.iClean += instrPerLine * 4
-			}
+		// On a covered page the scalar path's translate of each line up to
+		// the next page or wrap boundary is a free micro hit.
+		k := 1
+		if pageValid {
+			k = min(lines, int((e.CodeSize-e.cursor+lineBytes-1)/lineBytes), int((0x1000-va&0xFFF+lineBytes-1)/lineBytes))
+		}
+		if e.iClean >= e.CodeSize && e.CodeSize%lineBytes == 0 && l1i.Epoch() == e.iEpoch {
+			// The whole code range is proven resident (a full cyclic
+			// sweep of zero-miss fetches at an unmoved residency epoch),
+			// so the k probes are guaranteed hits whose only scalar side
+			// effect is the hit counter: bulk-charge them. The clock
+			// invariant (now+acc below the next deadline) holds here, so
+			// the scalar path's zero-cost Advances would fire nothing in
+			// this window either.
+			l1i.BulkHits(k)
+			e.cursor += uint32(k) * lineBytes
 		} else {
-			e.iEpoch, e.iClean = ep, 0
+			done, cost, missed := c.Caches.FetchRun(pagePA+physmem.Addr(va&0xFFF), k, runBudget(clk, deadline, hasDL, acc))
+			// Residency-streak accounting for the bulk path above: a run
+			// without a miss hit every line at the current epoch. A run
+			// with one restarts the streak at its end, forgoing the hits
+			// after the miss, which is conservative.
+			if ep := l1i.Epoch(); missed || ep != e.iEpoch {
+				e.iEpoch, e.iClean = ep, 0
+			}
+			if !missed && e.iClean < e.CodeSize {
+				e.iClean += uint32(done) * lineBytes
+			}
+			k = done
+			// The cursor moves past the last line only after the clock
+			// catches up, as in the scalar loop; no earlier line wraps.
+			e.cursor += uint32(done-1) * lineBytes
+			acc += simclock.Cycles(cost)
+			if hasDL && clk.Now()+acc >= deadline {
+				// The run's last line reached an event: fire it at its
+				// exact instant and drop every cached assumption — its
+				// handler may have flushed TLBs or touched the caches.
+				clk.Advance(acc)
+				acc = 0
+				deadline, hasDL = clk.NextDeadline()
+				pageValid = false
+			}
+			e.cursor += lineBytes
 		}
-		acc += cost
-		if hasDL && clk.Now()+acc >= deadline {
-			// An event lands inside the accumulated window: fire it at its
-			// exact instant and drop every cached assumption — its handler
-			// may have flushed TLBs or touched the caches.
-			clk.Advance(acc)
-			acc = 0
-			deadline, hasDL = clk.NextDeadline()
-			pageValid = false
+		if e.cursor >= e.CodeSize {
+			e.cursor %= e.CodeSize
 		}
-		e.advanceCursor()
+		lines -= k
 	}
 	if acc > 0 {
 		clk.Advance(acc)
 	}
 	c.PollIRQ()
+}
+
+// runBudget is the cycles a cache run may charge before the next pending
+// event deadline, now+acc being below it: the run stops at the line that
+// reaches it.
+func runBudget(clk *simclock.Clock, deadline simclock.Cycles, hasDL bool, acc simclock.Cycles) uint64 {
+	if !hasDL {
+		return math.MaxUint64
+	}
+	return uint64(deadline - clk.Now() - acc)
 }
 
 // execScalar is the reference per-line implementation of Exec. The batched
@@ -346,13 +361,14 @@ func (e *ExecContext) Touch(va uint32, write bool) {
 //     coverage translate reports holds, follow-on accesses compute PA by
 //     offset, exactly as the scalar path's zero-cost micro hits would;
 //   - on a covered page, same-line accesses collapse into one cache probe
-//     or fill plus counted hits (BulkHits: the probe just made the line
-//     resident);
+//     or fill plus counted hits (the probe just made the line resident),
+//     and when the stride divides the line, the whole lines left on the
+//     page, which all repeat one pattern, go to the cache in one DataRun;
 //   - cycle cost accumulates locally and is handed to the clock in chunks
-//     bounded by the next pending event deadline, so handlers still fire at
-//     their exact instants; every synchronization drops the cached page
-//     coverage, because a handler may flush TLBs, rewrite the DACR or
-//     invalidate cache lines.
+//     bounded by the next pending event deadline (a run stops at the line
+//     that reaches it), so handlers still fire at their exact instants;
+//     every synchronization drops the cached page coverage, because a
+//     handler may flush TLBs, rewrite the DACR or invalidate cache lines.
 func (e *ExecContext) StreamRange(va, size, stride uint32, write bool) {
 	if e.Stalled || size == 0 {
 		return
@@ -371,32 +387,55 @@ func (e *ExecContext) StreamRange(va, size, stride uint32, write bool) {
 	var pagePA physmem.Addr
 	var pageVPN uint32
 	pageValid := false
+	// With a stride that divides the line, every line the range covers
+	// whole gets the same accesses: its first, below stride in the line,
+	// then lineFollow more.
+	lineFollow := uint32(0)
+	whole := cache.LineSize%stride == 0
+	if whole {
+		lineFollow = cache.LineSize/stride - 1
+	}
 
 	for off := uint32(0); off < size; off += stride {
 		a := va + off
-		var pa physmem.Addr
-		if pageValid && a>>12 == pageVPN {
-			pa = pagePA + physmem.Addr(a&0xFFF)
-		} else {
+		if !pageValid || a>>12 != pageVPN {
 			// New page (or coverage lost at a clock sync): drain the local
 			// accumulator so the scalar translate runs at the true instant.
 			if acc > 0 {
 				clk.Advance(acc)
 				acc = 0
 			}
-			var ok bool
-			pa, pageValid, ok = e.translate(a, write, false)
+			pa, covered, ok := e.translate(a, write, false)
 			if !ok {
 				return // stalled, exactly where the scalar loop stops
 			}
 			deadline, hasDL = clk.NextDeadline() // translate may advance/schedule
-			pageVPN, pagePA = a>>12, pa&^0xFFF
+			pageVPN, pagePA, pageValid = a>>12, pa&^0xFFF, covered
 		}
-		acc += simclock.Cycles(c.Caches.DataCost(pa, write))
+		// One DataRun charges a's line and the follow accesses each line
+		// makes after its first. On a covered page they are what the
+		// scalar path charges: its translate of each access is a free
+		// micro hit, and the first access left the line resident, and
+		// dirty if write, with no event fired since, so each follow
+		// access counts a plain hit and costs nothing. When a is its
+		// line's first access and the stride divides the line, the run
+		// goes on over the whole lines left on the page.
+		n, follow := uint32(1), uint32(0)
+		if lines := (size - off + stride - 1) / cache.LineSize; pageValid && whole && a&(cache.LineSize-1) < stride && lines > 0 {
+			n, follow = min((0x1000-a&0xFFF+cache.LineSize-1)/cache.LineSize, lines), lineFollow
+		} else if pageValid && stride < cache.LineSize {
+			// ^a&(LineSize-1) is the bytes left in a's line after a.
+			follow = min(^a&(cache.LineSize-1), size-1-off) / stride
+		}
+		done, cost, _ := c.Caches.DataRun(pagePA+physmem.Addr(a&0xFFF), int(n), write, int(follow), runBudget(clk, deadline, hasDL, acc))
+		acc += simclock.Cycles(cost)
+		off += uint32(done-1) * cache.LineSize // the run's last line
 		if hasDL && clk.Now()+acc >= deadline {
-			// An event lands inside the accumulated window: fire it at its
-			// exact instant (as the scalar path's per-access Advance would)
-			// and re-validate everything the handler may have changed.
+			// An event lands inside the accumulated window, at the run's
+			// last line, which got no follow hits: fire it at its exact
+			// instant (as the scalar path's per-access Advance would), re-
+			// validate everything the handler may have changed, and go on
+			// at the line's next access.
 			clk.Advance(acc)
 			acc = 0
 			deadline, hasDL = clk.NextDeadline()
@@ -406,18 +445,7 @@ func (e *ExecContext) StreamRange(va, size, stride uint32, write bool) {
 			}
 			continue
 		}
-		// Collapse the follow-on accesses that stay inside this 32-byte
-		// line: the page is covered, so the scalar path's translate of
-		// each is a free micro hit, and the probe or fill above left the
-		// line resident, and dirty if write, with no event fired since, so
-		// it would charge zero cycles and count plain hits for each.
-		// ^a&(LineSize-1) is the bytes left in a's line after a.
-		if pageValid && stride < cache.LineSize {
-			if n := min(^a&(cache.LineSize-1), size-1-off) / stride; n > 0 {
-				c.Caches.L1D.BulkHits(int(n))
-				off += n * stride
-			}
-		}
+		off += follow * stride
 	}
 	if acc > 0 {
 		clk.Advance(acc)

@@ -26,6 +26,7 @@ type equivRig struct {
 	alloc *mmu.FrameAllocator
 	ctx   *ExecContext // the "guest" context the trace drives
 	kctx  *ExecContext // a second context the abort handler charges work on
+	tctx  *ExecContext // a task context whose 8 KB code range fits the L1I
 	log   []string     // event/abort observations with their exact instants
 }
 
@@ -59,6 +60,7 @@ func newEquivRig(scalar bool) *equivRig {
 	r := &equivRig{cpu: c, clock: clock, pt: pt, alloc: alloc}
 	r.ctx = NewExecContext(c, "guest", equivCodeVA, 16<<12)
 	r.kctx = NewExecContext(c, "kernel", equivCodeVA+4<<12, 40) // deliberately not a multiple of 32
+	r.tctx = NewExecContext(c, "task", equivCodeVA+10<<12, 8<<10)
 	c.Vectors.DataAbort = func(f *mmu.Fault) bool {
 		r.log = append(r.log, fmt.Sprintf("abort@%d va=%#x", clock.Now(), f.VA))
 		if f.VA >= equivLazyVA && f.VA < equivLazyVA+64<<12 {
@@ -98,9 +100,9 @@ func (r *equivRig) event(id int, k int) func(simclock.Cycles) {
 // snapshot captures every observable simulated quantity.
 func (r *equivRig) snapshot() string {
 	c := r.cpu
-	return fmt.Sprintf("now=%d cpu=%+v l1i=%+v l1d=%+v l2=%+v tlb=%+v walks=%+v cursor=%d/%d stalled=%v/%v resident=%d/%d/%d/%d",
+	return fmt.Sprintf("now=%d cpu=%+v l1i=%+v l1d=%+v l2=%+v tlb=%+v walks=%+v cursor=%d/%d/%d stalled=%v/%v/%v resident=%d/%d/%d/%d",
 		r.clock.Now(), c.Stats(), c.Caches.L1I.Stats(), c.Caches.L1D.Stats(), c.Caches.L2.Stats(),
-		c.TLB.Stats(), c.MMU.Stats(), r.ctx.cursor, r.kctx.cursor, r.ctx.Stalled, r.kctx.Stalled,
+		c.TLB.Stats(), c.MMU.Stats(), r.ctx.cursor, r.kctx.cursor, r.tctx.cursor, r.ctx.Stalled, r.kctx.Stalled, r.tctx.Stalled,
 		c.Caches.L1I.ResidentLines(), c.Caches.L1D.ResidentLines(), c.Caches.L2.ResidentLines(), c.TLB.Resident())
 }
 
@@ -116,9 +118,11 @@ func (x *xorshift) next() uint32 {
 // applyOp drives one pseudo-random operation, identically derived on both
 // machines from the shared rng stream.
 func applyOp(r *equivRig, op, i int, rnd func() uint32) {
-	switch op % 10 {
+	switch op % 11 {
 	case 0, 1, 2: // dense stream over mapped data (the hot StreamRange shape)
-		base := equivDataVA + rnd()%64*4096
+		// A start anywhere in a line puts a partial first line before
+		// the whole lines a batched stream hands to one cache run.
+		base := equivDataVA + rnd()%64*4096 + rnd()%32
 		size := 64 + rnd()%(16<<10)
 		strides := [...]uint32{1, 2, 4, 8, 8, 8, 12, 16, 32, 40, 64, 100}
 		r.ctx.StreamRange(base, size, strides[rnd()%uint32(len(strides))], rnd()%3 == 0)
@@ -145,6 +149,43 @@ func applyOp(r *equivRig, op, i int, rnd func() uint32) {
 		delay := simclock.Cycles(1 + rnd()%30000)
 		kind := int(rnd() % 6)
 		r.clock.After(delay, r.event(i, kind))
+	case 10: // fetch on the task context: up to three sweeps of its 8 KB,
+		// enough to prove the range resident and bulk-charge its lines
+		// from the first line after each page's translation
+		r.tctx.Exec(int(1 + rnd()%6000))
+	}
+}
+
+// checkEquivalence drives a scalar and a batched rig through ops, drawing
+// each op's parameters from an xorshift stream seeded with seed, and
+// compares their state after every op. It then drains pending events and
+// requires every event and abort to have fired at the same instant, in the
+// same order, on both machines.
+func checkEquivalence(t *testing.T, seed uint32, ops []byte) {
+	t.Helper()
+	scalar := newEquivRig(true)
+	batched := newEquivRig(false)
+	rngS := &xorshift{s: seed}
+	rngB := &xorshift{s: seed}
+	for i, op := range ops {
+		applyOp(scalar, int(op), i, rngS.next)
+		applyOp(batched, int(op), i, rngB.next)
+		if s, b := scalar.snapshot(), batched.snapshot(); s != b {
+			t.Fatalf("op %d (%d): state diverged\nscalar:  %s\nbatched: %s", i, op%11, s, b)
+		}
+	}
+	scalar.clock.RunUntilIdle(10000)
+	batched.clock.RunUntilIdle(10000)
+	if s, b := scalar.snapshot(), batched.snapshot(); s != b {
+		t.Fatalf("post-drain state diverged\nscalar:  %s\nbatched: %s", s, b)
+	}
+	if len(scalar.log) != len(batched.log) {
+		t.Fatalf("log length diverged: %d vs %d", len(scalar.log), len(batched.log))
+	}
+	for i := range scalar.log {
+		if scalar.log[i] != batched.log[i] {
+			t.Fatalf("log[%d] diverged: %q vs %q", i, scalar.log[i], batched.log[i])
+		}
 	}
 }
 
@@ -156,41 +197,24 @@ func TestBatchedScalarEquivalence(t *testing.T) {
 		ops = 150
 	}
 	for _, seed := range seeds {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			scalar := newEquivRig(true)
-			batched := newEquivRig(false)
-			rngS := &xorshift{s: seed}
-			rngB := &xorshift{s: seed}
-			for i := 0; i < ops; i++ {
-				op := int(rngS.next())
-				if int(rngB.next()) != op {
-					t.Fatal("rng streams diverged")
-				}
-				applyOp(scalar, op, i, rngS.next)
-				applyOp(batched, op, i, rngB.next)
-				if s, b := scalar.snapshot(), batched.snapshot(); s != b {
-					t.Fatalf("op %d (%d): state diverged\nscalar:  %s\nbatched: %s", i, op%10, s, b)
-				}
+			rng := &xorshift{s: seed ^ 0x9E37_79B9}
+			trace := make([]byte, ops)
+			for i := range trace {
+				trace[i] = byte(rng.next())
 			}
-			// Drain pending events and compare the full observation logs:
-			// every event and abort must have fired at the same instant, in
-			// the same order, on both machines.
-			scalar.clock.RunUntilIdle(10000)
-			batched.clock.RunUntilIdle(10000)
-			if s, b := scalar.snapshot(), batched.snapshot(); s != b {
-				t.Fatalf("post-drain state diverged\nscalar:  %s\nbatched: %s", s, b)
-			}
-			if len(scalar.log) != len(batched.log) {
-				t.Fatalf("log length diverged: %d vs %d", len(scalar.log), len(batched.log))
-			}
-			for i := range scalar.log {
-				if scalar.log[i] != batched.log[i] {
-					t.Fatalf("log[%d] diverged: %q vs %q", i, scalar.log[i], batched.log[i])
-				}
-			}
+			checkEquivalence(t, seed, trace)
 		})
 	}
+}
+
+// FuzzBatchedMatchesScalar is TestBatchedScalarEquivalence over fuzzed op
+// sequences: each byte of ops picks an op (at most 300 run), and seed
+// seeds the stream its parameters are drawn from.
+func FuzzBatchedMatchesScalar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint32, ops []byte) {
+		checkEquivalence(t, seed, ops[:min(len(ops), 300)])
+	})
 }
 
 // The fetch cursor must wrap on the actual code size: a 40-byte range walks
