@@ -356,3 +356,17 @@ func BenchmarkSimThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuildVirtSystem is the host cost of bringing up the Table III
+// 4-VM system, as the benchmark's table3_4vm workload builds it, and
+// shutting it down unrun: kernel, paper platform, bitstream store and
+// guests. B/op is what one build allocates; hwtask's
+// TestBootAllocationBounded pins the platform's share of it.
+func BenchmarkBuildVirtSystem(b *testing.B) {
+	cfg := experiments.DefaultConfig()
+	cfg.Iterations = 1 << 20
+	b.ReportAllocs()
+	for b.Loop() {
+		experiments.BuildVirtSystem(cfg).Kernel.Shutdown()
+	}
+}

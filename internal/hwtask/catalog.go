@@ -2,6 +2,7 @@ package hwtask
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/apps"
@@ -167,30 +168,48 @@ func NewPaperFabric(clock *simclock.Clock, bus *physmem.Bus, g *gic.GIC, capacit
 	return f
 }
 
+// paperImage is one PaperTaskSet entry's encoded bitstream: its length,
+// and its bytes cut into frames, the last one zero-padded.
+type paperImage struct {
+	len    int
+	frames []physmem.SharedFrame
+}
+
 // paperImages holds the encoded bitstream of each PaperTaskSet entry, in
 // order. Synthesizing them would dominate a platform's bring-up and the
-// bytes never change, so they are encoded once per process;
-// InstallTaskSet copies them onto each bus, so no two simulations share a
-// writable buffer.
-var paperImages = sync.OnceValue(func() [][]byte {
+// bytes never change, so they are encoded once per process, as immutable
+// frames that every bus's store points at (InstallTaskSet): a write to a
+// store frame gives that frame a private copy on that bus only, so no
+// simulation sees another's writes.
+var paperImages = sync.OnceValue(func() []paperImage {
 	specs := PaperTaskSet()
-	raws := make([][]byte, len(specs))
+	imgs := make([]paperImage, len(specs))
 	for i, s := range specs {
-		raws[i] = bitstream.Synthesize(s.ID, s.Variant, s.Needs, s.BitLen).Encode()
+		raw := bitstream.Synthesize(s.ID, s.Variant, s.Needs, s.BitLen).Encode()
+		imgs[i].len = len(raw)
+		for frame := range slices.Chunk(raw, physmem.FrameSize) {
+			imgs[i].frames = append(imgs[i].frames, physmem.NewSharedFrame(frame))
+		}
 	}
-	return raws
+	return imgs
 })
 
-// InstallTaskSet writes the bitstream of each PaperTaskSet entry into the
+// InstallTaskSet puts the bitstream of each PaperTaskSet entry in the
 // store region on the bus (the .bit files of §IV-B, "stored in the DDR
-// memory") and registers the task in the manager's table with its PRR
-// compatibility list.
+// memory"), one page-aligned entry each, and registers the task in the
+// manager's table with its PRR compatibility list. The store's frames
+// point at paperImages' shared frames instead of holding copies: they
+// read the same bytes, and a write gives a frame a private copy. storePA
+// must be frame-aligned RAM with room for the whole set.
 func InstallTaskSet(m *Manager, bus *physmem.Bus, storePA physmem.Addr, capacities []bitstream.Resources) error {
-	off, raws := uint32(0), paperImages()
+	if storePA&(physmem.FrameSize-1) != 0 {
+		return fmt.Errorf("hwtask: bitstream store %#08x is not frame-aligned", uint32(storePA))
+	}
+	off, imgs := uint32(0), paperImages()
 	for i, s := range PaperTaskSet() {
-		raw := raws[i]
-		if err := bus.WriteBytes(storePA+physmem.Addr(off), raw); err != nil {
-			return fmt.Errorf("hwtask: installing %s: %w", s.Name, err)
+		img := imgs[i]
+		for j, f := range img.frames {
+			bus.InstallFrame(storePA+physmem.Addr(off)+physmem.Addr(j)<<physmem.FrameShift, f)
 		}
 		var prrs []int
 		for r, c := range capacities {
@@ -206,12 +225,12 @@ func InstallTaskSet(m *Manager, bus *physmem.Bus, storePA physmem.Addr, capaciti
 			Name:            s.Name,
 			Variant:         s.Variant,
 			BitstreamOff:    off,
-			BitstreamLen:    uint32(len(raw)),
-			ReconfigLatency: pl.TransferCycles(len(raw)),
+			BitstreamLen:    uint32(img.len),
+			ReconfigLatency: pl.TransferCycles(img.len),
 			Needs:           s.Needs,
 			PRRList:         prrs,
 		})
-		off += uint32(len(raw)+0xFFF) &^ 0xFFF // page-align entries
+		off += uint32(len(img.frames)) << physmem.FrameShift // page-aligned entries
 	}
 	return nil
 }

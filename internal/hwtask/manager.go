@@ -16,10 +16,10 @@
 // update the page tables since all tasks execute in a unified memory
 // space"). Both harnesses hand Manager.Handle the abi.Request the
 // request was queued as. The paper's platform is PaperPRRCapacities, the
-// fabric NewPaperFabric builds over them, and PaperTaskSet, which
-// InstallTaskSet writes to a bus from bitstreams encoded once per
-// process. BootPaperPlatform brings it up on a kernel: fabric, task set
-// and service PD.
+// fabric NewPaperFabric builds over them, and PaperTaskSet, whose
+// bitstreams are encoded once per process and shared copy-on-write by
+// every bus InstallTaskSet puts them on. BootPaperPlatform brings it up
+// on a kernel: fabric, task set and service PD.
 package hwtask
 
 import (

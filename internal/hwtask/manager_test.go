@@ -220,18 +220,13 @@ func TestRelease(t *testing.T) {
 }
 
 func TestInstallTaskSet(t *testing.T) {
-	bus := physmem.NewBus()
-	m := NewManager(4, 0x10_0000)
-	caps := PaperPRRCapacities()
-	if err := InstallTaskSet(m, bus, physmem.DDRBase+0xA0_0000, caps); err != nil {
-		t.Fatal(err)
-	}
+	bus, m, _ := installStore(t)
 	if len(m.Tasks) != 9 {
 		t.Fatalf("installed %d tasks, want 9 (6 FFT + 3 QAM)", len(m.Tasks))
 	}
 	// Bitstreams must decode from the store at their recorded offsets.
 	for _, task := range m.Tasks {
-		raw, err := bus.ReadBytes(physmem.DDRBase+0xA0_0000+physmem.Addr(task.BitstreamOff), int(task.BitstreamLen))
+		raw, err := bus.ReadBytes(testStorePA+physmem.Addr(task.BitstreamOff), int(task.BitstreamLen))
 		if err != nil {
 			t.Fatalf("%s: read: %v", task.Name, err)
 		}

@@ -25,7 +25,7 @@ type Service struct {
 // BootPaperPlatform brings up the paper's hardware-task platform on k
 // (Fig. 8): the fabric NewPaperFabric builds over the four PRRs of
 // PaperPRRCapacities, attached to the kernel; a Manager holding
-// PaperTaskSet, its bitstreams written to the kernel's store; and the
+// PaperTaskSet, its bitstreams in the kernel's store; and the
 // Hardware Task Manager service PD "hwtm", created suspended at service
 // priority on the cores of affinity (zero = any) and registered with the
 // kernel.

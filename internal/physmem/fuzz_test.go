@@ -164,16 +164,18 @@ type capturedFrame struct {
 // ranges leave RAM), and a 32-bit value that also gives lengths. Pin and
 // Unpin, and ShareRange and Release, are only issued where they are
 // legal. The share op captures the target frame and installs it in the
-// next one to three trace frames; the reference copies the bytes, so
-// every later write, Zero, CopyFrame or reclaim through one sharer must
-// leave the others' bytes alone. Only the first 256 ops run.
+// next one to three trace frames, and the install op builds a frame from
+// trace bytes (NewSharedFrame, as the bitstream store does) and installs
+// it in the target and the next zero to two frames; the reference copies
+// the bytes, so every later write, Zero, CopyFrame or reclaim through one
+// sharer must leave the others' bytes alone. Only the first 256 ops run.
 func FuzzBusMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, trace []byte) {
 		trace = trace[:min(len(trace), 8*256)]
 		b, r := NewBus(), &refBus{frames: map[Addr]*refFrame{}}
 		var captured []capturedFrame
 		for i := 0; i+8 <= len(trace); i += 8 {
-			kind, sel := trace[i]%15, int(trace[i+1])
+			kind, sel := trace[i]%16, int(trace[i+1])
 			off := Addr(binary.LittleEndian.Uint16(trace[i+2:]) & (FrameSize - 1))
 			v := binary.LittleEndian.Uint32(trace[i+4:])
 			a := fuzzAnchors[sel%len(fuzzAnchors)] + off // any address, RAM or not
@@ -279,7 +281,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 				if got := b.Release(fr + off); got != want {
 					fail("= %d, reference %d", got, want)
 				}
-			default:
+			case 14:
 				k := 1 + int(v%3)
 				op = fmt.Sprintf("share %#x into %d frames", fr+off, k)
 				s := b.CaptureFrame(fr + off)
@@ -289,6 +291,20 @@ func FuzzBusMatchesReference(f *testing.F) {
 					dst := fuzzFrames[(sel+j)%len(fuzzFrames)]
 					b.InstallFrame(dst, s)
 					r.frame(dst).data = src.data
+				}
+			default:
+				p := payload(n%(FrameSize+1), v)
+				k := 1 + int(v%3)
+				op = fmt.Sprintf("install %d bytes from %#x into %d frames from %#x", len(p), v, k, fr)
+				s := NewSharedFrame(p)
+				var data frameBuf
+				copy(data[:], p)
+				clear(p) // the frame holds a copy
+				captured = append(captured, capturedFrame{s, data})
+				for j := 0; j < k; j++ {
+					dst := fuzzFrames[(sel+j)%len(fuzzFrames)]
+					b.InstallFrame(dst, s)
+					r.frame(dst).data = data
 				}
 			}
 

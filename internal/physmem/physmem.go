@@ -7,8 +7,9 @@
 // modelling the paper's 512 MB part costs only what the workloads actually
 // touch, and a frame no one has written shares one read-only zero buffer,
 // so it costs no host memory until its first byte write. Frames may share
-// other immutable buffers too (CaptureFrame, InstallFrame): a frame gets a
-// private copy at its first write, so sharing is invisible to the bytes.
+// other immutable buffers too (SharedFrame), on one bus or across buses: a
+// frame gets a private copy at its first write, so sharing is invisible to
+// the bytes.
 package physmem
 
 import (
@@ -90,10 +91,23 @@ type frameBuf [FrameSize]byte
 var zeroFrame frameBuf
 
 // SharedFrame is an immutable 4 KB buffer that any number of frames may
-// point at: CaptureFrame takes one from a frame, InstallFrame points
-// another frame at it. No one writes the buffer again; a frame on it gets
-// a private copy at its first write.
+// point at, on one bus or on many: CaptureFrame takes one from a frame,
+// NewSharedFrame builds one from bytes, and InstallFrame points a frame
+// at one. No one writes the buffer again; a frame on it gets a private
+// copy at its first write, on its own bus only.
 type SharedFrame struct{ buf *frameBuf }
+
+// NewSharedFrame returns a SharedFrame holding data, at most one frame of
+// it, zero-padded to the frame's end. The buffer is data's copy, so data
+// may change afterwards; the frame's bytes never do.
+func NewSharedFrame(data []byte) SharedFrame {
+	if len(data) > FrameSize {
+		panic("physmem: NewSharedFrame data exceeds a frame")
+	}
+	f := new(frameBuf)
+	copy(f[:], data)
+	return SharedFrame{f}
+}
 
 // Bus is the physical interconnect: sparse DDR/OCM RAM plus MMIO windows.
 // It is the single source of truth for physical state; the caches sit in
@@ -338,22 +352,27 @@ func ramPrefix(a Addr, n int, write bool) (int, error) {
 	return n, nil
 }
 
-// ReadBytes copies n bytes starting at a into a fresh slice, a frame at a
-// time. Used by DMA masters (PCAP, AXI HP) that move bulk data without CPU
-// involvement. A range that leaves RAM returns a *BusError at its first
-// non-RAM address, with every frame before it touched, as byte reads
-// would leave them.
+// ReadBytes copies n bytes starting at a into a fresh slice (ReadInto).
 func (b *Bus) ReadBytes(a Addr, n int) ([]byte, error) {
 	out := make([]byte, n)
-	m, err := ramPrefix(a, n, false)
-	for i := 0; i < m; {
-		cur := a + Addr(i)
-		i += copy(out[i:m], b.frame(cur)[cur&(FrameSize-1):])
-	}
-	if err != nil {
+	if err := b.ReadInto(out, a); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ReadInto fills dst with the bytes starting at a, a frame at a time.
+// Used by DMA masters (PCAP, AXI HP) that move bulk data without CPU
+// involvement. A range that leaves RAM returns a *BusError at its first
+// non-RAM address, with its RAM prefix copied and every frame of it
+// touched, as byte reads would leave them.
+func (b *Bus) ReadInto(dst []byte, a Addr) error {
+	m, err := ramPrefix(a, len(dst), false)
+	for i := 0; i < m; {
+		cur := a + Addr(i)
+		i += copy(dst[i:m], b.frame(cur)[cur&(FrameSize-1):])
+	}
+	return err
 }
 
 // WriteBytes stores p starting at a, a frame at a time. A range that

@@ -2,6 +2,7 @@ package pl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/gic"
@@ -54,6 +55,11 @@ type PCAP struct {
 	// armed is the one-shot fault the next kick consumes (fault
 	// injection; see InjectFault).
 	armed FaultKind
+
+	// buf holds the bitstream of the latest transfer: finish reads each
+	// into it rather than into a fresh slice, so the loaded PRR keeps the
+	// bitstream's identity but not its payload.
+	buf []byte
 
 	// Transfers counts completed downloads; Errors counts failed ones,
 	// including starts rejected while a transfer was in flight.
@@ -156,16 +162,17 @@ func (p *PCAP) finish(simclock.Cycles) {
 		fail(fmt.Errorf("pcap: bad target PRR %d", target))
 		return
 	}
-	raw, err := p.f.Bus.ReadBytes(src, n)
+	p.buf = slices.Grow(p.buf[:0], n)[:n]
+	if err := p.f.Bus.ReadInto(p.buf, src); err != nil {
+		fail(err)
+		return
+	}
+	bs, err := bitstream.Decode(p.buf)
 	if err != nil {
 		fail(err)
 		return
 	}
-	bs, err := bitstream.Decode(raw)
-	if err != nil {
-		fail(err)
-		return
-	}
+	bs.Payload = nil // p.buf's, which the next transfer overwrites
 	if err := p.f.LoadConfiguration(target, bs); err != nil {
 		fail(err)
 		return

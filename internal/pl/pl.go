@@ -117,7 +117,8 @@ type PRR struct {
 	Capacity bitstream.Resources
 
 	// Loaded is the currently configured task (nil when the region holds
-	// no valid configuration).
+	// no valid configuration). A PCAP download keeps its identity and
+	// needs but not its payload (nil), which only the CRC check reads.
 	Loaded *bitstream.Bitstream
 	core   Accel
 

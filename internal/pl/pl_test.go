@@ -350,3 +350,67 @@ func TestIRQStatW1C(t *testing.T) {
 		t.Error("W1C did not clear done bit")
 	}
 }
+
+// pcapTransfer programs and runs one PCAP download of n bytes at src into
+// PRR target, and returns the status register after it.
+func pcapTransfer(clock *simclock.Clock, bus *physmem.Bus, src physmem.Addr, n, target int) uint32 {
+	bus.Write32(physmem.DevCfgBase+PCAPRegSrc, uint32(src))
+	bus.Write32(physmem.DevCfgBase+PCAPRegLen, uint32(n))
+	bus.Write32(physmem.DevCfgBase+PCAPRegTarget, uint32(target))
+	bus.Write32(physmem.DevCfgBase+PCAPRegCtrl, 1)
+	clock.RunUntilIdle(10)
+	v, _ := bus.Read32(physmem.DevCfgBase + PCAPRegStatus)
+	return v
+}
+
+// The PCAP reads every bitstream into one buffer it keeps, so the region
+// it loads keeps the bitstream's identity and needs but not its payload,
+// and a transfer that fails (injected CRC fault, a bitstream that does
+// not decode, a source off the bus) leaves the region's configuration as
+// it was, even when it reused the buffer.
+func TestPCAPFailedTransferKeepsLoaded(t *testing.T) {
+	clock, bus, _, f := rig()
+	needs := bitstream.Resources{LUTs: 1500, BRAM: 2, DSP: 4}
+	good := bitstream.Synthesize(1, 2, needs, 8192).Encode()
+	other := bitstream.Synthesize(1, 3, needs, 16384).Encode()
+	src, otherSrc := physmem.DDRBase+2<<20, physmem.DDRBase+3<<20
+	if err := bus.WriteBytes(src, good); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.WriteBytes(otherSrc, other); err != nil {
+		t.Fatal(err)
+	}
+	if st := pcapTransfer(clock, bus, src, len(good), 1); st != 2 {
+		t.Fatalf("good transfer: status %d, want done", st)
+	}
+	loaded := f.PRRs[1].Loaded
+	if loaded == nil || loaded.TaskID != 1 || loaded.Variant != 2 || loaded.Needs != needs || loaded.Payload != nil {
+		t.Fatalf("loaded %+v, want task 1 variant 2 with its needs and no payload", loaded)
+	}
+
+	// A bitstream whose payload no longer matches its CRC.
+	if err := bus.Write8(otherSrc+bitstream.HeaderSize+100, other[bitstream.HeaderSize+100]^0xFF); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		arm  FaultKind
+		src  physmem.Addr
+		n    int
+	}{
+		{"injected CRC fault", FaultCRC, otherSrc, len(other)},
+		{"corrupt payload", FaultNone, otherSrc, len(other)},
+		{"source off the bus", FaultNone, physmem.DDRBase - 0x100, len(good)},
+	} {
+		f.PCAP.InjectFault(tc.arm)
+		if st := pcapTransfer(clock, bus, tc.src, tc.n, 1); st != 3 {
+			t.Errorf("%s: status %d, want error", tc.name, st)
+		}
+		if f.PRRs[1].Loaded != loaded {
+			t.Errorf("%s: the failed transfer changed PRR1's configuration to %+v", tc.name, f.PRRs[1].Loaded)
+		}
+	}
+	if f.PCAP.Transfers != 1 || f.PCAP.Errors != 3 {
+		t.Errorf("transfers/errors = %d/%d, want 1/3", f.PCAP.Transfers, f.PCAP.Errors)
+	}
+}

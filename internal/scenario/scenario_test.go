@@ -1,8 +1,13 @@
 package scenario
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/hwtask"
+	"repro/internal/nova"
+	"repro/internal/physmem"
 )
 
 // The tentpole guarantee: running the whole suite twice — each run
@@ -186,5 +191,44 @@ func TestFindSpec(t *testing.T) {
 		if !ok || got.Name != s.Name {
 			t.Errorf("FindSpec(%q) failed", s.Name)
 		}
+	}
+}
+
+// Every platform's bitstream store points at one set of frames per
+// process (hwtask.InstallTaskSet), so two platforms built and run at once
+// on their own goroutines must still not see each other: one corrupts
+// every bitstream header in its store before its run, and the other must
+// match a run on its own.
+func TestConcurrentBuildsIsolateStores(t *testing.T) {
+	spec, ok := FindSpec("reconfig-thrash", true)
+	if !ok {
+		t.Fatal("no reconfig-thrash spec")
+	}
+	alone := Build(spec).Run()
+	var res [2]Result
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sys := Build(spec)
+			if i == 1 {
+				for _, id := range append(slices.Clone(hwtask.FFTTaskIDs), hwtask.QAMTaskIDs...) {
+					a := nova.BitstreamStorePA() + physmem.Addr(sys.Manager.Tasks[id].BitstreamOff)
+					if err := sys.Kernel.Bus.Write32(a, 0); err != nil {
+						t.Errorf("corrupting the store at %#x: %v", a, err)
+					}
+				}
+			}
+			res[i] = sys.Run()
+		}()
+	}
+	wg.Wait()
+	if res[0].Checksum != alone.Checksum {
+		t.Errorf("run beside a platform that wrote its store: checksum %016x, alone %016x\n%s",
+			res[0].Checksum, alone.Checksum, diffDetail(alone.Detail, res[0].Detail))
+	}
+	if res[1].Checksum == alone.Checksum {
+		t.Error("corrupting every bitstream in the store changed nothing")
 	}
 }
