@@ -4,10 +4,10 @@
 // import graph and holds no live kernel references — capability-table
 // entries are re-minted by the kernel on restore (an image carries only
 // the boot-grant bits, never object pointers), and guest memory is a
-// frame set the image pins on the bus. The image holds hypervisor state
-// only: the software inside the domain is captured separately by its
-// hosting layer (ucos.OS.Snapshot), which the caller keeps next to the
-// image and hands to the resumed guest.
+// frame set on the bus that clones map read-only. The image holds
+// hypervisor state only: the software inside the domain is captured
+// separately by its hosting layer (ucos.OS.Snapshot), which the caller
+// keeps next to the image and hands to the resumed guest.
 package checkpoint
 
 import (
@@ -48,9 +48,9 @@ type Frame struct {
 }
 
 // Image is an immutable capture of a quiesced protection domain. The
-// kernel builds it with every frame of the guest's space pinned on the
-// bus, so the template's bytes survive however many clones come and go;
-// ReleaseImage drops the pins.
+// kernel builds it with every frame of the guest's space materialized on
+// the bus, and keeps the image and its frames as long as the kernel, so
+// the template's bytes survive however many clones come and go.
 type Image struct {
 	// Domain identity to re-mint on restore: scheduling priority and the
 	// boot-grant bits (the kernel rebuilds actual capability-table
@@ -105,8 +105,7 @@ func (img *Image) FrameCount() int {
 }
 
 // EachFrame calls f for every (VA, PA) frame pair, region by region in
-// image order — the canonical walk shared by clone mapping, sharing,
-// release and pin/unpin, so every consumer sees one deterministic order.
+// image order, so every consumer sees one deterministic order.
 func (img *Image) EachFrame(f func(va uint32, pa physmem.Addr)) {
 	for _, r := range img.Regions {
 		for off := uint32(0); off < r.Size; off += physmem.FrameSize {
@@ -118,8 +117,8 @@ func (img *Image) EachFrame(f func(va uint32, pa physmem.Addr)) {
 // Validate checks the structural invariants a kernel restore or fork
 // relies on: every region is frame-aligned, frame-sized and does not wrap
 // past 2^32; no two regions overlap, in VA or in PA (a VA mapped twice
-// would share a frame no clone mapping references, so DestroyClone could
-// never release it); and every captured frame is a whole frame inside a
+// would count a frame in a clone's Shared that no mapping of its table
+// references); and every captured frame is a whole frame inside a
 // region.
 func (img *Image) Validate() error {
 	for _, r := range img.Regions {

@@ -15,13 +15,15 @@ import (
 // Copy-on-write VM cloning. A booted, quiesced guest is checkpointed
 // into an immutable checkpoint.Image; forks materialize new PDs in
 // O(metadata): the clone's page table maps the template's frames
-// read-only, each frame carries a share reference, and the first write
-// through any such mapping takes a permission fault the kernel resolves
-// by copying the frame into the clone's private arena and remapping it
-// writable (cowBreak). Capabilities are never copied — a clone's table
-// is re-minted from the image's boot-grant bits with a fresh-generation
-// self object, so revoking or destroying a clone kills every delegation
-// of its identity without touching its siblings or the template.
+// read-only, and the first write through any such mapping takes a
+// permission fault the kernel resolves by copying the frame into the
+// clone's private arena and remapping it writable (cowBreak). An image
+// and its frames live as long as the kernel; each clone counts the
+// frames it still shares (cloneState.shared). Capabilities are never
+// copied — a clone's table is re-minted from the image's boot-grant bits
+// with a fresh-generation self object, so revoking or destroying a clone
+// kills every delegation of its identity without touching its siblings
+// or the template.
 
 // Fork-path cycle costs. The O(metadata) claim is concrete: a fork
 // charges a fixed base (PD descriptor, vGIC rebuild, scheduler insert)
@@ -112,10 +114,11 @@ func (k *Kernel) allocCloneArena() physmem.Addr {
 // registers and CP15 state, virtual-timer phase, vGIC record list and
 // queued injections, execution-context micro-state, the boot-grant bits
 // (capabilities are re-minted on restore, never copied), and the guest's
-// memory as a pinned frame set. withContents additionally captures every
-// frame's bytes, which an in-place restore needs; forks do not. The
-// software inside the PD is the caller's to capture (ucos.OS.Snapshot)
-// and to hand to the guest that resumes the image.
+// memory as a frame set, every frame of it materialized. The image lives
+// as long as the kernel. withContents additionally captures every frame's
+// bytes, which an in-place restore needs; forks do not. The software
+// inside the PD is the caller's to capture (ucos.OS.Snapshot) and to hand
+// to the guest that resumes the image.
 //
 // Checkpoint is an out-of-band observer: it charges no simulated cycles,
 // so a timeline that checkpoints and one that doesn't stay byte-equal.
@@ -165,10 +168,10 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	// Pin the template's frames: they must survive (immutable, since the
-	// template is frozen and clones map them read-only) for as long as
-	// the image exists, however many clones come and go.
-	img.EachFrame(func(_ uint32, pa physmem.Addr) { k.Bus.Pin(pa) })
+	// Materialize the template's frames, which the frozen template never
+	// writes again and clones only read: clones on two cores then never
+	// race the bus's lazy slot store for a frame no one touched yet.
+	img.EachFrame(func(_ uint32, pa physmem.Addr) { k.Bus.Materialize(pa) })
 	if withContents {
 		img.Frames = make([]checkpoint.Frame, 0, img.FrameCount())
 		img.EachFrame(func(_ uint32, pa physmem.Addr) {
@@ -176,14 +179,6 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 		})
 	}
 	return img, nil
-}
-
-// ReleaseImage drops the image's pins and its captured clone page table.
-// Frames still shared by live clones survive until their last reference;
-// the rest are reclaimed.
-func (k *Kernel) ReleaseImage(img *checkpoint.Image) {
-	img.EachFrame(func(_ uint32, pa physmem.Addr) { k.Bus.Unpin(pa) })
-	delete(k.cloneTables, img)
 }
 
 // Freeze parks a checkpointed template for good: its virtual timer is
@@ -221,11 +216,6 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 	// resumes from exactly that state, frozen until ActivateClone.
 	pd.frozen, pd.idleWaiting = true, true
 	pd.lastHcEntry, pd.timerRemaining = img.LastHcEntry, img.TimerRemaining
-	// Take a share reference on every template frame, one region at a
-	// time.
-	for _, r := range img.Regions {
-		k.Bus.ShareRange(r.PA, int(r.Size/physmem.FrameSize))
-	}
 	pd.VCPU = VCPU{
 		Regs:        img.Regs,
 		TTBR:        uint32(pd.Table.Base),
@@ -301,9 +291,9 @@ func (k *Kernel) ActivateClone(pd *PD) error {
 // DestroyClone tears a clone down: the guest coroutine is stopped (its
 // nested task coroutines unwind with it), the PD is retired from
 // scheduling, its self object's generation is bumped so every delegated
-// capability to it dies (capspace revocation), every still-shared frame
-// reference is released, and the arena returns to the free list for the
-// next fork. Must run at an engine-stopped point.
+// capability to it dies (capspace revocation), it shares no frame any
+// more, and the arena returns to the free list for the next fork. Must
+// run at an engine-stopped point.
 func (k *Kernel) DestroyClone(pd *PD) error {
 	if pd.clone == nil {
 		return fmt.Errorf("nova: destroy of non-clone %s", pd.Name_)
@@ -325,14 +315,7 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 	// Generation revocation: every capability minted from the clone's
 	// self object — wherever it was delegated — is dead after this.
 	pd.Space.RevokeObject(SelSelf)
-	// Drop the share references of frames still mapped read-only; the
-	// clone's private copies live in the arena and die with it.
-	pd.clone.img.EachFrame(func(va uint32, pa physmem.Addr) {
-		cur, _, ap, ok := pd.Table.Lookup(va)
-		if ok && ap == mmu.APUserRO && cur == pa {
-			k.Bus.Release(pa)
-		}
-	})
+	// The clone's private copies live in the arena and die with it.
 	pd.clone.shared = 0
 	k.cloneArenaFree = append(k.cloneArenaFree, pd.clone.arenaBase)
 	return nil
@@ -340,11 +323,10 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 
 // cowBreak resolves a clone's write-permission fault on a shared frame:
 // copy the frame into the clone's arena, remap the page writable in
-// place, flush the stale TLB entry, release the share reference. Returns
-// true so the faulting access retries against the private copy. Runs on
-// the clone's own core inside its fault path, so parallel engines break
-// COW concurrently on different clones without sharing state beyond the
-// refcount table.
+// place, flush the stale TLB entry. Returns true so the faulting access
+// retries against the private copy. Runs on the clone's own core inside
+// its fault path, so parallel engines break COW concurrently on different
+// clones: each writes only its own arena, table and counters.
 func (k *Kernel) cowBreak(c *CoreCtx, pd *PD, f *mmu.Fault) bool {
 	page := f.VA &^ (physmem.FrameSize - 1)
 	src, _, ap, ok := pd.Table.Lookup(page)
@@ -361,7 +343,6 @@ func (k *Kernel) cowBreak(c *CoreCtx, pd *PD, f *mmu.Fault) bool {
 	pd.Table.RemapPage(page, dst, mmu.APFull)
 	k.chargePTEdit(c, pd, page)
 	c.CPU.CP15Write(cpu.CP15TLBIMVA, page)
-	k.Bus.Release(src)
 	pd.clone.cowFaults++
 	pd.clone.copied++
 	pd.clone.shared--

@@ -80,36 +80,44 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 	}
 }
 
+// sharedMappings counts the image frames pd's table maps read-only at
+// their image address: the frames a clone still shares, which its Shared
+// count must equal.
+func sharedMappings(pd *PD, img *checkpoint.Image) int {
+	n := 0
+	img.EachFrame(func(va uint32, pa physmem.Addr) {
+		if cur, _, ap, ok := pd.Table.Lookup(va); ok && ap == mmu.APUserRO && cur == pa {
+			n++
+		}
+	})
+	return n
+}
+
+// TestCheckpointMaterializesImage: every frame of a fresh image is
+// materialized right after Checkpoint, before any fork, so clones on two
+// cores only ever read frames whose slots are already filled.
+func TestCheckpointMaterializesImage(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	_, img := bootFrozenTemplate(t, k, false)
+	img.EachFrame(func(va uint32, pa physmem.Addr) {
+		if !k.Bus.Allocated(pa) {
+			t.Fatalf("image frame va %#x pa %#x not materialized by Checkpoint", va, uint32(pa))
+		}
+	})
+}
+
 // TestCloneRevocationAndSharing is the lifecycle cross-product: COW
-// refcounts across fork and teardown, generation-based revocation of a
-// destroyed clone's delegated capabilities, image pinning keeping shared
-// frames alive exactly as long as someone needs them, and arena reuse.
+// sharing across fork, writes and teardown, generation-based revocation
+// of a destroyed clone's delegated capabilities, and arena reuse.
 func TestCloneRevocationAndSharing(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
 
-	// First template frame (guest kernel image): clones never write it.
-	var pa0 physmem.Addr
-	got := false
-	img.EachFrame(func(_ uint32, pa physmem.Addr) {
-		if !got {
-			pa0, got = pa, true
-		}
-	})
-	if !got {
-		t.Fatal("image has no frames")
-	}
-
 	const dirty = 3
 	c1 := k.CreateClone(img, "c1", cloneWriter("c1", dirty))
 	c2 := k.CreateClone(img, "c2", cloneWriter("c2", dirty))
-	if r := k.Bus.Refs(pa0); r != 2 {
-		t.Fatalf("shared frame refs = %d after two forks, want 2", r)
-	}
-	if !k.Bus.Pinned(pa0) {
-		t.Fatal("image frame not pinned")
-	}
 	st, ok := c1.CloneStats()
 	if !ok || st.Shared != img.FrameCount() || st.Copied != 0 {
 		t.Fatalf("fresh clone stats = %+v ok=%v", st, ok)
@@ -137,54 +145,28 @@ func TestCloneRevocationAndSharing(t *testing.T) {
 		if st.COWFaults != dirty || st.Copied != dirty {
 			t.Fatalf("%s COW stats = %+v, want %d faults/copies", c.Name_, st, dirty)
 		}
-		if st.Shared != img.FrameCount()-dirty {
-			t.Fatalf("%s shared = %d, want %d", c.Name_, st.Shared, img.FrameCount()-dirty)
+		if st.Shared != img.FrameCount()-dirty || st.Shared != sharedMappings(c, img) {
+			t.Fatalf("%s shared = %d, want %d, the frames it maps read-only: %d",
+				c.Name_, st.Shared, img.FrameCount()-dirty, sharedMappings(c, img))
 		}
 		if !c.IdleParked() {
 			t.Fatalf("%s did not re-park after writing", c.Name_)
 		}
 	}
-	// A written frame lost both share refs but stays allocated: the image
-	// pin holds it.
-	paW := img.Regions[1].PA
-	if r := k.Bus.Refs(paW); r != 0 {
-		t.Fatalf("dirtied frame refs = %d, want 0", r)
-	}
-	if !k.Bus.Allocated(paW) || !k.Bus.Pinned(paW) {
-		t.Fatal("dirtied template frame must survive via the image pin")
-	}
 
 	// Destroy c1: its delegated capability dies by generation bump, and
-	// its share references drop.
+	// it shares no frame any more.
 	if err := k.DestroyClone(c1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c2.Space.Lookup(sel, capspace.ObjPD, capspace.RightCall); err != capspace.ErrRevoked {
 		t.Fatalf("post-destroy lookup = %v, want ErrRevoked", err)
 	}
-	if r := k.Bus.Refs(pa0); r != 1 {
-		t.Fatalf("refs = %d after one destroy, want 1", r)
+	if st, _ := c1.CloneStats(); st.Shared != 0 {
+		t.Fatalf("destroyed clone shared = %d, want 0", st.Shared)
 	}
-
-	// Release the image: pa0 is still referenced by c2, so it must
-	// survive the unpin.
-	k.ReleaseImage(img)
-	if k.Bus.Pinned(pa0) {
-		t.Fatal("frame still pinned after ReleaseImage")
-	}
-	if !k.Bus.Allocated(pa0) {
-		t.Fatal("frame reclaimed while a clone still references it")
-	}
-
-	// Last reference: the frame is finally reclaimed.
 	if err := k.DestroyClone(c2); err != nil {
 		t.Fatal(err)
-	}
-	if r := k.Bus.Refs(pa0); r != 0 {
-		t.Fatalf("refs = %d after both destroys, want 0", r)
-	}
-	if k.Bus.Allocated(pa0) {
-		t.Fatal("unreferenced, unpinned frame not reclaimed")
 	}
 
 	// Both arenas returned to the free list; a new fork recycles one
@@ -194,13 +176,45 @@ func TestCloneRevocationAndSharing(t *testing.T) {
 	}
 }
 
+// TestCloneUnmapPageRefused: a clone has no RAM of its own, so
+// HcUnmapPage is refused like HcMapPage. Unmapping a read-only template
+// page would leave the clone's Shared count naming a frame it no longer
+// maps.
+func TestCloneUnmapPageRefused(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	_, img := bootFrozenTemplate(t, k, false)
+	status := ^uint32(0)
+	c := k.CreateClone(img, "c", &scriptGuest{"c", func(env *Env) {
+		env.ResumeSuspendExit()
+		status = env.Hypercall(abi.HcUnmapPage, GuestUserBase)
+		for {
+			env.Hypercall(abi.HcSuspend, 1)
+			env.CheckPreempt()
+		}
+	}})
+	if err := k.ActivateClone(c); err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(simclock.FromMillis(2))
+	if status != abi.StatusInval {
+		t.Fatalf("clone's HcUnmapPage(%#x) = %d, want StatusInval", GuestUserBase, status)
+	}
+	if pa, _, ap, ok := c.Table.Lookup(GuestUserBase); !ok || ap != mmu.APUserRO || pa != img.Regions[1].PA {
+		t.Fatalf("template page after the refused unmap: %#x ap %d mapped %v, want %#x read-only",
+			uint32(pa), ap, ok, uint32(img.Regions[1].PA))
+	}
+	if st, _ := c.CloneStats(); st.Shared != img.FrameCount() || sharedMappings(c, img) != st.Shared {
+		t.Fatalf("clone shared = %d, maps %d read-only; want both %d", st.Shared, sharedMappings(c, img), img.FrameCount())
+	}
+}
+
 // TestCloneArenaRecycling forks through more clones than the region
 // would hold without the free list giving arenas back.
 func TestCloneArenaRecycling(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	for i := 0; i < 4; i++ {
 		c := k.CreateClone(img, "c", cloneWriter("c", 1))
 		if err := k.DestroyClone(c); err != nil {
@@ -218,7 +232,6 @@ func TestFrozenCloneStaysParked(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	c := k.CreateClone(img, "shelf", cloneWriter("shelf", 1))
 	k.RunFor(simclock.FromMillis(5))
 	if st, _ := c.CloneStats(); st.COWFaults != 0 {
@@ -243,7 +256,6 @@ func TestCloneForkChargeIsMetadataOnly(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	before := k.Clock.Now()
 	c := k.CreateClone(img, "c", cloneWriter("c", 0))
 	defer k.DestroyClone(c)
@@ -253,16 +265,15 @@ func TestCloneForkChargeIsMetadataOnly(t *testing.T) {
 	}
 }
 
-// TestForkDestroyRestoresRefs: forking and destroying any image Validate
-// accepts leaves every image frame's share count where it was. One
-// candidate maps two frames at the same VA; a fork of it would share
-// both frames while its table can reference only one, so teardown would
-// leak the other's reference — Validate must reject it.
+// TestForkDestroyRestoresRefs: a fork of any image Validate accepts
+// counts as shared exactly the image frames its table maps read-only,
+// and its destroy leaves it sharing none. One candidate maps two frames at
+// the same VA; a fork of it would count both frames while its table can
+// map only one, so Validate must reject it.
 func TestForkDestroyRestoresRefs(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	user := img.Regions[1]
 	sameVA := *img
 	sameVA.Regions = []checkpoint.Region{
@@ -275,20 +286,17 @@ func TestForkDestroyRestoresRefs(t *testing.T) {
 			continue
 		}
 		accepted++
-		var before []int
-		cand.EachFrame(func(_ uint32, pa physmem.Addr) { before = append(before, k.Bus.Refs(pa)) })
 		c := k.CreateClone(cand, "c", cloneWriter("c", 0))
+		if st, _ := c.CloneStats(); st.Shared != sharedMappings(c, cand) {
+			t.Errorf("%d regions: fork shares %d frames, but maps %d read-only",
+				len(cand.Regions), st.Shared, sharedMappings(c, cand))
+		}
 		if err := k.DestroyClone(c); err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		cand.EachFrame(func(va uint32, pa physmem.Addr) {
-			if got := k.Bus.Refs(pa); got != before[i] {
-				t.Errorf("%d regions: frame va %#x pa %#x refs = %d after fork+destroy, want %d",
-					len(cand.Regions), va, uint32(pa), got, before[i])
-			}
-			i++
-		})
+		if st, _ := c.CloneStats(); st.Shared != 0 {
+			t.Errorf("%d regions: destroyed clone shares %d frames, want 0", len(cand.Regions), st.Shared)
+		}
 	}
 	if accepted == 0 {
 		t.Fatal("Validate rejected the captured image")
@@ -299,12 +307,11 @@ func TestForkDestroyRestoresRefs(t *testing.T) {
 // pages than its arena holds COW frames for copies as many as fit, then
 // takes the next write as an unrecovered abort and stalls. The kernel
 // does not panic or hang, and the clone's sibling, the template and every
-// share count stay intact.
+// clone's Shared count stay intact.
 func TestCloneArenaExhaustionStallsClone(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	tpl, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	hog := k.CreateClone(img, "hog", cloneWriter("hog", 200))
 	sib := k.CreateClone(img, "sib", cloneWriter("sib", 2))
 	room := int(hog.clone.arena.Remaining() / physmem.FrameSize)
@@ -331,21 +338,16 @@ func TestCloneArenaExhaustionStallsClone(t *testing.T) {
 	if !tpl.Frozen() || !tpl.IdleParked() {
 		t.Fatal("template lost its frozen/parked state")
 	}
-	// Each image frame carries one reference per clone still mapping it
-	// read-only.
-	img.EachFrame(func(va uint32, pa physmem.Addr) {
-		want := 0
-		for _, c := range []*PD{hog, sib} {
-			if cur, _, ap, ok := c.Table.Lookup(va); ok && ap == mmu.APUserRO && cur == pa {
-				want++
-			}
+	// Each clone shares exactly the image frames it still maps read-only,
+	// and neither copied the first page past the hog's arena.
+	va := img.Regions[1].VA + uint32(room)*physmem.FrameSize
+	for _, c := range []*PD{hog, sib} {
+		if st, _ := c.CloneStats(); st.Shared != sharedMappings(c, img) {
+			t.Fatalf("%s shared = %d, but maps %d frames read-only", c.Name_, st.Shared, sharedMappings(c, img))
 		}
-		if got := k.Bus.Refs(pa); got != want || !k.Bus.Pinned(pa) {
-			t.Fatalf("frame va %#x: refs %d pinned %v, want %d pinned", va, got, k.Bus.Pinned(pa), want)
+		if pa, _, ap, ok := c.Table.Lookup(va); !ok || ap != mmu.APUserRO || pa != img.Regions[1].PA+physmem.Addr(room)*physmem.FrameSize {
+			t.Fatalf("%s: first page past the hog's arena is %#x ap %d, want the template frame read-only", c.Name_, uint32(pa), ap)
 		}
-	})
-	if r := k.Bus.Refs(img.Regions[1].PA + physmem.Addr(room)*physmem.FrameSize); r != 2 {
-		t.Fatalf("first page past the hog's arena: refs %d, want 2 (neither clone copied it)", r)
 	}
 }
 
@@ -416,7 +418,6 @@ func TestCloneTablesMatchDescriptorBuild(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, imgA := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(imgA)
 	const dirty = 3
 	first := k.CreateClone(imgA, "a0", cloneWriter("a0", dirty))
 	later := k.CreateClone(imgA, "a1", cloneWriter("a1", 0))
@@ -436,7 +437,6 @@ func TestCloneTablesMatchDescriptorBuild(t *testing.T) {
 	// A second image: its first clone is built over the recycled arena of
 	// one of image A's, and its clones and A's alternate.
 	_, imgB := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(imgB)
 	if err := k.DestroyClone(recycled); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,6 @@ func TestCloneTablesTwoShards(t *testing.T) {
 	k := NewKernelSMP(2)
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	k.CreateClone(img, "c0", cloneWriter("c0", 0)) // builds the table image
 	const dirty = 4
 	var clones []*PD
@@ -525,7 +524,6 @@ func TestForkAllocatesOneTableFrame(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(t, k, false)
-	defer k.ReleaseImage(img)
 	g := cloneWriter("c", 0)
 	k.CreateClone(img, "c0", g) // builds the table image
 	const forks = 16
@@ -551,7 +549,6 @@ func BenchmarkCreateClone(b *testing.B) {
 	k := NewKernel()
 	defer k.Shutdown()
 	_, img := bootFrozenTemplate(b, k, false)
-	defer k.ReleaseImage(img)
 	g := cloneWriter("c", 0)
 	if err := k.DestroyClone(k.CreateClone(img, "c", g)); err != nil {
 		b.Fatal(err)

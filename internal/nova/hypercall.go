@@ -143,9 +143,12 @@ func userPage(pd *PD, va uint32) uint32 {
 	return abi.StatusOK
 }
 
+// hcUnmapPage removes va from the caller's own table. A PD with no RAM of
+// its own (a clone) may neither map nor unmap: its table maps only
+// template frames, which its Shared count tracks.
 func (k *Kernel) hcUnmapPage(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	va := args[0]
-	if va >= KernelCodeVA-0x1000_0000 {
+	if pd.RAMSize == 0 || va >= KernelCodeVA-0x1000_0000 {
 		return abi.StatusInval
 	}
 	pd.Table.UnmapPage(va)
@@ -202,7 +205,7 @@ func (k *Kernel) hcRegionCreate(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	region := capspace.NewObject(capspace.ObjMemRegion, "datasect/"+pd.Name_,
 		regionWindow{Base: pa, Size: size})
 	pd.Space.Insert(SelDataSect, region, capspace.RightsAll)
-	pd.DataSectionVA, pd.DataSectionPA, pd.DataSectionSize = va, pa, size
+	pd.DataSectionPA, pd.DataSectionSize = pa, size
 	return abi.StatusOK
 }
 

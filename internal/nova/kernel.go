@@ -185,7 +185,7 @@ type Kernel struct {
 	// clone's tables-and-copies arena is handed to the next fork.
 	cloneArenaNext physmem.Addr
 	cloneArenaFree []physmem.Addr
-	// cloneTables holds each live image's captured clone page table
+	// cloneTables holds each image's captured clone page table
 	// (cloneTable), so that every fork after an image's first shares its
 	// frames.
 	cloneTables map[*checkpoint.Image]*mmu.TableImage

@@ -79,8 +79,7 @@ type PD struct {
 	RAMSize uint32
 
 	// DataSection is the registered hardware-task data section (§IV-B):
-	// guest VA, physical translation and size.
-	DataSectionVA   uint32
+	// its physical translation and size.
 	DataSectionPA   physmem.Addr
 	DataSectionSize uint32
 

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"iter"
+	"slices"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -15,14 +16,11 @@ import (
 // every VM switch the kernel masks the outgoing VM's lines and unmasks the
 // incoming VM's enabled lines (§III-B).
 type VGIC struct {
-	// entries is indexed by physical interrupt ID.
-	entries map[int]*virq
-
-	// order is the record list proper: every registered IRQ ID in
-	// ascending order. All iteration over the record list (lines) walks
-	// this slice, never the map, so the distributor-op sequence is
-	// identical run to run.
-	order []int
+	// recs is the record list proper: one record per registered line, in
+	// ascending IRQ order, found by binary search (find). Every walk of
+	// the record list (lines) goes through it in that order, so the
+	// distributor-op sequence is identical run to run.
+	recs []virq
 
 	// Entry is the VM's IRQ handler entry point, registered by the guest.
 	// The kernel "injects" a virtual IRQ by scheduling this callback to
@@ -49,27 +47,38 @@ type VGIC struct {
 	Trace func(kind trace.Kind, irq int)
 }
 
+// virq is the virtual state of one registered line (physical interrupt
+// ID irq).
 type virq struct {
+	irq       int
 	enabled   bool
 	inService bool // injected, not yet EOI'd by the guest
 	rePending bool // re-raised while inService; redelivered on EOI
 }
 
 // NewVGIC returns an empty vGIC.
-func NewVGIC() *VGIC {
-	return &VGIC{entries: make(map[int]*virq)}
+func NewVGIC() *VGIC { return &VGIC{} }
+
+// search returns where irq's record is, or would go in the record list,
+// and whether the line is registered.
+func (v *VGIC) search(irq int) (int, bool) {
+	i := sort.Search(len(v.recs), func(i int) bool { return v.recs[i].irq >= irq })
+	return i, i < len(v.recs) && v.recs[i].irq == irq
+}
+
+// find returns irq's record, or nil when the line is not registered.
+func (v *VGIC) find(irq int) *virq {
+	if i, ok := v.search(irq); ok {
+		return &v.recs[i]
+	}
+	return nil
 }
 
 // Register adds an interrupt line to the VM's record list (disabled).
 func (v *VGIC) Register(irq int) {
-	if _, ok := v.entries[irq]; ok {
-		return
+	if i, ok := v.search(irq); !ok {
+		v.recs = slices.Insert(v.recs, i, virq{irq: irq})
 	}
-	v.entries[irq] = &virq{}
-	i := sort.SearchInts(v.order, irq)
-	v.order = append(v.order, 0)
-	copy(v.order[i+1:], v.order[i:])
-	v.order[i] = irq
 }
 
 // Unregister removes a line (task released, VM torn down), purging every
@@ -77,12 +86,11 @@ func (v *VGIC) Register(irq int) {
 // the VM released the line, and a fresh Register must start from a clean
 // (not in-service) state.
 func (v *VGIC) Unregister(irq int) {
-	if _, ok := v.entries[irq]; !ok {
+	i, ok := v.search(irq)
+	if !ok {
 		return
 	}
-	delete(v.entries, irq)
-	i := sort.SearchInts(v.order, irq)
-	v.order = append(v.order[:i], v.order[i+1:]...)
+	v.recs = slices.Delete(v.recs, i, i+1)
 	kept := v.pending[:0]
 	for _, p := range v.pending {
 		if p != irq {
@@ -94,28 +102,28 @@ func (v *VGIC) Unregister(irq int) {
 
 // Enable marks a registered line enabled; reports whether the line exists.
 func (v *VGIC) Enable(irq int) bool {
-	e, ok := v.entries[irq]
-	if ok {
+	e := v.find(irq)
+	if e != nil {
 		e.enabled = true
 	}
-	return ok
+	return e != nil
 }
 
 // Disable masks a line in the vGIC. A latched re-raise is dropped: the
 // guest explicitly masked the source, so redelivering it on EOI would
 // resurrect an interrupt the guest asked not to see.
 func (v *VGIC) Disable(irq int) bool {
-	e, ok := v.entries[irq]
-	if ok {
+	e := v.find(irq)
+	if e != nil {
 		e.enabled = false
 		e.rePending = false
 	}
-	return ok
+	return e != nil
 }
 
 // Owns reports whether the line is in this VM's record list.
 func (v *VGIC) Owns(irq int) bool {
-	_, ok := v.entries[irq]
+	_, ok := v.search(irq)
 	return ok
 }
 
@@ -125,8 +133,8 @@ func (v *VGIC) Owns(irq int) bool {
 // VM's enabled ones straight from this walk.
 func (v *VGIC) lines() iter.Seq2[int, bool] {
 	return func(yield func(irq int, enabled bool) bool) {
-		for _, irq := range v.order {
-			if !yield(irq, v.entries[irq].enabled) {
+		for _, e := range v.recs {
+			if !yield(e.irq, e.enabled) {
 				return
 			}
 		}
@@ -142,8 +150,8 @@ func (v *VGIC) lines() iter.Seq2[int, bool] {
 // level-triggered, so the interrupt is redelivered when the guest EOIs.
 // Returns whether a new injection was queued now.
 func (v *VGIC) Inject(irq int) bool {
-	e, ok := v.entries[irq]
-	if !ok || !e.enabled {
+	e := v.find(irq)
+	if e == nil || !e.enabled {
 		return false
 	}
 	if e.inService {
@@ -169,8 +177,8 @@ func (v *VGIC) Inject(irq int) bool {
 // line was in service is re-injected immediately, so level-triggered
 // interrupts are never lost under storms.
 func (v *VGIC) EOI(irq int) bool {
-	e, ok := v.entries[irq]
-	if !ok || !e.inService {
+	e := v.find(irq)
+	if e == nil || !e.inService {
 		return false
 	}
 	e.inService = false
@@ -204,11 +212,10 @@ func (v *VGIC) HasPending() bool { return len(v.pending) > 0 }
 // re-pend bits, in ascending IRQ order) and the queued injections for a
 // checkpoint image. Both slices are fresh copies.
 func (v *VGIC) snapshotLines() (lines []checkpoint.VGICLine, pending []int) {
-	lines = make([]checkpoint.VGICLine, 0, len(v.order))
-	for _, irq := range v.order {
-		e := v.entries[irq]
+	lines = make([]checkpoint.VGICLine, 0, len(v.recs))
+	for _, e := range v.recs {
 		lines = append(lines, checkpoint.VGICLine{
-			IRQ: irq, Enabled: e.enabled, InService: e.inService, RePending: e.rePending,
+			IRQ: e.irq, Enabled: e.enabled, InService: e.inService, RePending: e.rePending,
 		})
 	}
 	return lines, append([]int(nil), v.pending...)
@@ -220,11 +227,9 @@ func (v *VGIC) snapshotLines() (lines []checkpoint.VGICLine, pending []int) {
 // restore keeps the PD's live counters by design — they are cumulative
 // activity statistics, not vCPU state.
 func (v *VGIC) restoreLines(lines []checkpoint.VGICLine, pending []int) {
-	v.entries = make(map[int]*virq, len(lines))
-	v.order = v.order[:0]
+	v.recs = slices.Grow(v.recs[:0], len(lines))
 	for _, l := range lines {
-		v.entries[l.IRQ] = &virq{enabled: l.Enabled, inService: l.InService, rePending: l.RePending}
-		v.order = append(v.order, l.IRQ)
+		v.recs = append(v.recs, virq{irq: l.IRQ, enabled: l.Enabled, inService: l.InService, rePending: l.RePending})
 	}
 	v.pending = append([]int(nil), pending...)
 }

@@ -47,6 +47,14 @@ func TestVGICLinesSorted(t *testing.T) {
 	if len(all) != len(irqs) {
 		t.Errorf("all lines after disable = %d, want %d", len(all), len(irqs))
 	}
+	// Unregistering a line in the middle, and registering one again, keeps
+	// the walk sorted, and a second Register of a line adds nothing.
+	v.Unregister(63)
+	v.Register(40)
+	all, _ = walk()
+	if len(all) != len(irqs)-1 || !sort.IntsAreSorted(all) || v.Owns(63) {
+		t.Errorf("lines after unregistering 63 = %v", all)
+	}
 }
 
 // A line re-raised while in service (storm: the device fires again before

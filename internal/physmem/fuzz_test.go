@@ -9,17 +9,11 @@ import (
 	"testing"
 )
 
-// refFrame and refBus are the reference model: every materialized frame
-// owns its 4 KB of bytes, there is no shared zero frame, and the bulk
-// operations go a byte at a time.
-type refFrame struct {
-	data   [FrameSize]byte
-	refs   int
-	pinned bool
-}
-
+// refBus is the reference model: every materialized frame owns its 4 KB
+// of bytes, there is no shared zero frame, and the bulk operations go a
+// byte at a time.
 type refBus struct {
-	frames map[Addr]*refFrame // materialized frames by base address
+	frames map[Addr]*frameBuf // materialized frames by base address
 }
 
 func refRAM(a Addr) bool {
@@ -27,34 +21,28 @@ func refRAM(a Addr) bool {
 }
 
 // frame materializes a's frame.
-func (r *refBus) frame(a Addr) *refFrame {
+func (r *refBus) frame(a Addr) *frameBuf {
 	base := a &^ (FrameSize - 1)
 	f := r.frames[base]
 	if f == nil {
-		f = new(refFrame)
+		f = new(frameBuf)
 		r.frames[base] = f
 	}
 	return f
-}
-
-func (r *refBus) reclaimIfFree(a Addr) {
-	if f := r.frame(a); f.refs == 0 && !f.pinned {
-		delete(r.frames, a&^(FrameSize-1))
-	}
 }
 
 func (r *refBus) read8(a Addr) (byte, error) {
 	if !refRAM(a) {
 		return 0, &BusError{Addr: a}
 	}
-	return r.frame(a).data[a%FrameSize], nil
+	return r.frame(a)[a%FrameSize], nil
 }
 
 func (r *refBus) write8(a Addr, v byte) error {
 	if !refRAM(a) {
 		return &BusError{Addr: a, Write: true}
 	}
-	r.frame(a).data[a%FrameSize] = v
+	r.frame(a)[a%FrameSize] = v
 	return nil
 }
 
@@ -114,7 +102,7 @@ func (r *refBus) zero(a Addr, n int) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		r.frame(a + Addr(i)).data[(a+Addr(i))%FrameSize] = 0
+		r.frame(a + Addr(i))[(a+Addr(i))%FrameSize] = 0
 	}
 	return nil
 }
@@ -157,25 +145,24 @@ type capturedFrame struct {
 
 // FuzzBusMatchesReference runs an op trace through a Bus and through the
 // reference model, and requires the same results and errors, the same
-// bytes in every materialized frame, the same TouchedFrames, Allocated,
-// Refs and Pinned answers, an all-zero zeroFrame and unchanged captured
-// buffers after every op. Each op is eight trace bytes: kind, target, a
-// 12-bit offset in the target's frame (so words straddle frames and
-// ranges leave RAM), and a 32-bit value that also gives lengths. Pin and
-// Unpin, and ShareRange and Release, are only issued where they are
-// legal. The share op captures the target frame and installs it in the
-// next one to three trace frames, and the install op builds a frame from
-// trace bytes (NewSharedFrame, as the bitstream store does) and installs
-// it in the target and the next zero to two frames; the reference copies
-// the bytes, so every later write, Zero, CopyFrame or reclaim through one
-// sharer must leave the others' bytes alone. Only the first 256 ops run.
+// bytes in every materialized frame, the same TouchedFrames and Allocated
+// answers, an all-zero zeroFrame and unchanged captured buffers after
+// every op. Each op is eight trace bytes: kind (mod 13), target, a 12-bit
+// offset in the target's frame (so words straddle frames and ranges leave
+// RAM), and a 32-bit value that also gives lengths. The share op (kind
+// 11) captures the target frame and installs it in the next one to three
+// trace frames, and the install op (kind 12) builds a frame from trace
+// bytes (NewSharedFrame, as the bitstream store does) and installs it in
+// the target and the next zero to two frames; the reference copies the
+// bytes, so every later write, Zero or CopyFrame through one sharer must
+// leave the others' bytes alone. Only the first 256 ops run.
 func FuzzBusMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, trace []byte) {
 		trace = trace[:min(len(trace), 8*256)]
-		b, r := NewBus(), &refBus{frames: map[Addr]*refFrame{}}
+		b, r := NewBus(), &refBus{frames: map[Addr]*frameBuf{}}
 		var captured []capturedFrame
 		for i := 0; i+8 <= len(trace); i += 8 {
-			kind, sel := trace[i]%16, int(trace[i+1])
+			kind, sel := trace[i]%13, int(trace[i+1])
 			off := Addr(binary.LittleEndian.Uint16(trace[i+2:]) & (FrameSize - 1))
 			v := binary.LittleEndian.Uint32(trace[i+4:])
 			a := fuzzAnchors[sel%len(fuzzAnchors)] + off // any address, RAM or not
@@ -233,55 +220,22 @@ func FuzzBusMatchesReference(f *testing.F) {
 				src := fuzzFrames[int(trace[i+2])%len(fuzzFrames)]
 				op = fmt.Sprintf("CopyFrame(%#x, %#x)", fr, src)
 				b.CopyFrame(fr, src)
-				r.frame(fr).data = r.frame(src).data
+				*r.frame(fr) = *r.frame(src)
 			case 8:
 				op = fmt.Sprintf("SnapshotFrame(%#x)", fr+off)
-				if got := b.SnapshotFrame(fr + off); !bytes.Equal(got, r.frame(fr).data[:]) {
+				if got := b.SnapshotFrame(fr + off); !bytes.Equal(got, r.frame(fr)[:]) {
 					fail("differs from the reference frame")
 				}
 			case 9:
 				p := payload(n%(FrameSize+1), v)
 				op = fmt.Sprintf("LoadFrame(%#x, %d bytes from %#x)", fr+off, len(p), v)
 				b.LoadFrame(fr+off, p)
-				copy(r.frame(fr).data[:], p)
+				copy(r.frame(fr)[:], p)
 			case 10:
 				op = fmt.Sprintf("Materialize(%#x)", fr+off)
 				b.Materialize(fr + off)
 				r.frame(fr)
 			case 11:
-				if r.frame(fr).pinned {
-					op = fmt.Sprintf("Unpin(%#x)", fr+off)
-					b.Unpin(fr + off)
-					r.frame(fr).pinned = false
-					r.reclaimIfFree(fr)
-				} else {
-					op = fmt.Sprintf("Pin(%#x)", fr+off)
-					b.Pin(fr + off)
-					r.frame(fr).pinned = true
-				}
-			case 12:
-				// Share 1 to 3 frames, as many as fit before the end of
-				// fr's RAM region.
-				left := int((ramEnd(fr) - uint64(fr)) / FrameSize)
-				k := min(1+int(v%3), left)
-				op = fmt.Sprintf("ShareRange(%#x, %d)", fr+off, k)
-				b.ShareRange(fr+off, k)
-				for j := 0; j < k; j++ {
-					r.frame(fr+Addr(j)*FrameSize).refs++
-				}
-			case 13:
-				rf := r.frames[fr]
-				if rf == nil || rf.refs == 0 {
-					continue
-				}
-				op = fmt.Sprintf("Release(%#x)", fr+off)
-				rf.refs--
-				want := rf.refs
-				r.reclaimIfFree(fr)
-				if got := b.Release(fr + off); got != want {
-					fail("= %d, reference %d", got, want)
-				}
-			case 14:
 				k := 1 + int(v%3)
 				op = fmt.Sprintf("share %#x into %d frames", fr+off, k)
 				s := b.CaptureFrame(fr + off)
@@ -290,7 +244,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 				for j := 1; j <= k; j++ {
 					dst := fuzzFrames[(sel+j)%len(fuzzFrames)]
 					b.InstallFrame(dst, s)
-					r.frame(dst).data = src.data
+					*r.frame(dst) = *src
 				}
 			default:
 				p := payload(n%(FrameSize+1), v)
@@ -304,7 +258,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 				for j := 0; j < k; j++ {
 					dst := fuzzFrames[(sel+j)%len(fuzzFrames)]
 					b.InstallFrame(dst, s)
-					r.frame(dst).data = data
+					*r.frame(dst) = data
 				}
 			}
 
@@ -314,20 +268,13 @@ func FuzzBusMatchesReference(f *testing.F) {
 			for _, base := range slices.Sorted(maps.Keys(r.frames)) {
 				rf := r.frames[base]
 				bf := b.frames[frameNum(base)]
-				if bf == nil || *bf != frameBuf(rf.data) {
+				if bf == nil || *bf != *rf {
 					fail("frame %#x: materialized %v, bytes differ from the reference", base, bf != nil)
-				}
-				if b.Refs(base) != rf.refs || b.Pinned(base) != rf.pinned {
-					fail("frame %#x: refs %d pinned %v; reference %d %v", base, b.Refs(base), b.Pinned(base), rf.refs, rf.pinned)
 				}
 			}
 			for _, fa := range fuzzFrames {
-				rf := r.frames[fa]
-				if b.Allocated(fa) != (rf != nil) {
+				if rf := r.frames[fa]; b.Allocated(fa) != (rf != nil) {
 					fail("frame %#x: Allocated %v; reference %v", fa, b.Allocated(fa), rf != nil)
-				}
-				if rf == nil && (b.Refs(fa) != 0 || b.Pinned(fa)) {
-					fail("unmaterialized frame %#x: refs %d pinned %v", fa, b.Refs(fa), b.Pinned(fa))
 				}
 			}
 			if zeroFrame != (frameBuf{}) {

@@ -128,9 +128,6 @@ type Bus struct {
 	// One flag per frame, not a bitmap: cores clear the flags of their own
 	// frames concurrently.
 	shared []bool
-
-	// Copy-on-write frame sharing state (cow.go).
-	cow cowTable
 }
 
 // NewBus returns an empty bus with DDR and OCM RAM available.

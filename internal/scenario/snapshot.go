@@ -304,7 +304,7 @@ func (s *System) runSnapshot(d simclock.Cycles) {
 		}
 	}
 	// Deterministic teardown: shelf leftovers die, oldest first, before
-	// collection so the final refcount/arena state is budget-independent.
+	// collection so the final share-count/arena state is budget-independent.
 	for _, cv := range sr.shelf {
 		s.destroyClone(cv)
 	}
