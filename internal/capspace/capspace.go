@@ -180,6 +180,10 @@ func (s *Stats) Denials() uint64 { return s.BadSel + s.Revoked + s.BadType + s.D
 type Space struct {
 	caps  []cap
 	Stats Stats
+
+	// retired is the live-capability count the table held when Retire
+	// dropped it.
+	retired int
 }
 
 // NewSpace builds a table with room for n selectors (it grows on
@@ -312,15 +316,25 @@ func (s *Space) RevokeObject(sel int) Err {
 func (s *Space) Len() int { return len(s.caps) }
 
 // CapCount returns the number of live capabilities (empty and stale
-// slots excluded) — the footprint number dumps report.
+// slots excluded) — the footprint number dumps report. A retired space
+// reports the count it had when it retired.
 func (s *Space) CapCount() int {
-	n := 0
+	n := s.retired
 	for i := range s.caps {
 		if c := &s.caps[i]; c.obj != nil && c.gen == c.obj.gen {
 			n++
 		}
 	}
 	return n
+}
+
+// Retire drops the table of a space whose domain is gone and keeps its
+// Stats and its CapCount: a dead domain's table is only ever counted, so
+// it need not stay in memory. Every selector of a retired space resolves
+// as an empty slot, and its count no longer follows revocations.
+func (s *Space) Retire() {
+	s.retired = s.CapCount()
+	s.caps = nil
 }
 
 // RightsAt reports the rights of the capability at sel (0 when the slot

@@ -149,3 +149,34 @@ func TestStatsAggregation(t *testing.T) {
 		t.Errorf("aggregate = %+v", total)
 	}
 }
+
+// TestRetireKeepsCountAndStats: a retired space drops its table but keeps
+// its Stats and the live-capability count it had (stale slots excluded);
+// its selectors resolve as empty slots, and a later insert counts on top.
+func TestRetireKeepsCountAndStats(t *testing.T) {
+	s := NewSpace(8)
+	live, stale := NewObject(ObjPortal, "p", nil), NewObject(ObjPD, "vm", nil)
+	s.Insert(0, live, RightCall)
+	s.Insert(1, live, RightCall)
+	s.Insert(5, stale, RightsAll)
+	if err := s.RevokeObject(5); err != OK {
+		t.Fatal(err)
+	}
+	s.Insert(6, stale, RightCall)
+	stale.revoke() // slot 6 goes stale
+	if _, err := s.Lookup(0, ObjPortal, RightCall); err != OK {
+		t.Fatal(err)
+	}
+	want := s.Stats
+	s.Retire()
+	if s.CapCount() != 2 || s.Len() != 0 || s.Stats != want {
+		t.Fatalf("retired: CapCount %d, Len %d, Stats %+v; want 2, 0, %+v", s.CapCount(), s.Len(), s.Stats, want)
+	}
+	if _, err := s.Lookup(0, ObjPortal, RightCall); err != ErrBadSel {
+		t.Fatalf("lookup in a retired space = %v, want ErrBadSel", err)
+	}
+	s.Insert(3, live, RightCall)
+	if s.CapCount() != 3 {
+		t.Fatalf("CapCount after an insert into a retired space = %d, want 3", s.CapCount())
+	}
+}

@@ -67,7 +67,6 @@ type Image struct {
 	// remaining quantum, and the virtual-timer phase.
 	Regs           cpu.Regs
 	DACR           uint32
-	VFP            [cpu.VFPContextWords]uint32
 	VFPValid       bool
 	L2Ctrl         uint32
 	QuantumLeft    simclock.Cycles

@@ -100,6 +100,9 @@ func (k *Kernel) allocCloneArena() physmem.Addr {
 		return a
 	}
 	if k.cloneArenaNext == 0 {
+		// The first fork carves the whole clone region, which runs to the
+		// end of DDR, so the frame table grows once per fork storm.
+		k.Bus.Carve(physCloneArenas, uint32(physmem.DDRBase+physmem.DDRSize-physCloneArenas))
 		k.cloneArenaNext = physCloneArenas
 	}
 	a := k.cloneArenaNext
@@ -135,7 +138,6 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 		CodeBase:    pd.Env.Ctx.CodeBase,
 		CodeSize:    pd.Env.Ctx.CodeSize,
 		DACR:        pd.VCPU.DACR,
-		VFP:         pd.VCPU.VFP,
 		VFPValid:    pd.VCPU.VFPValid,
 		L2Ctrl:      pd.VCPU.L2Ctrl,
 		QuantumLeft: pd.VCPU.QuantumLeft,
@@ -222,7 +224,6 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 		DACR:        img.DACR,
 		ASID:        pd.ASID,
 		TimerPeriod: img.TimerPeriod,
-		VFP:         img.VFP,
 		VFPValid:    img.VFPValid,
 		L2Ctrl:      img.L2Ctrl,
 		QuantumLeft: img.QuantumLeft,
@@ -276,6 +277,9 @@ func (k *Kernel) ActivateClone(pd *PD) error {
 	if pd.clone == nil {
 		return fmt.Errorf("nova: activate of non-clone %s", pd.Name_)
 	}
+	if pd.dead {
+		return fmt.Errorf("nova: activate of destroyed clone %s", pd.Name_)
+	}
 	if !pd.frozen {
 		return fmt.Errorf("nova: activate of already-active clone %s", pd.Name_)
 	}
@@ -294,6 +298,12 @@ func (k *Kernel) ActivateClone(pd *PD) error {
 // capability to it dies (capspace revocation), it shares no frame any
 // more, and the arena returns to the free list for the next fork. Must
 // run at an engine-stopped point.
+//
+// The dead clone stays in Kernel.PDs, whose index is its ID, with what
+// the tracer and the reports read: its name, core, counters, vGIC, clone
+// counters and capability stats and count. Everything only a live clone
+// uses is dropped, so a shelf that reaps thousands of clones holds under
+// 1 KB for each.
 func (k *Kernel) DestroyClone(pd *PD) error {
 	if pd.clone == nil {
 		return fmt.Errorf("nova: destroy of non-clone %s", pd.Name_)
@@ -318,6 +328,10 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 	// The clone's private copies live in the arena and die with it.
 	pd.clone.shared = 0
 	k.cloneArenaFree = append(k.cloneArenaFree, pd.clone.arenaBase)
+	pd.Space.Retire()
+	pd.clone.arena, pd.selfObj, pd.Table, pd.Guest, pd.Env = nil, nil, nil, nil, nil
+	pd.next, pd.stop, pd.yield = nil, nil, nil
+	pd.VGIC.Entry = nil
 	return nil
 }
 
@@ -378,6 +392,9 @@ func (e *Env) ResumeSuspendExit() {
 // immediate-restore case), so the event queue's insertion order is
 // untouched.
 func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) error {
+	if pd.dead {
+		return fmt.Errorf("nova: in-place restore of dead %s", pd.Name_)
+	}
 	if !pd.idleWaiting {
 		return fmt.Errorf("nova: in-place restore of %s: PD not parked in paravirtualized idle", pd.Name_)
 	}
@@ -392,7 +409,6 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 	}
 	pd.VCPU.Regs = img.Regs
 	pd.VCPU.DACR = img.DACR
-	pd.VCPU.VFP = img.VFP
 	pd.VCPU.VFPValid = img.VFPValid
 	pd.VCPU.L2Ctrl = img.L2Ctrl
 	pd.VCPU.QuantumLeft = img.QuantumLeft

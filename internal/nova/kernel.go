@@ -208,6 +208,8 @@ func NewKernelSMP(ncores int) *Kernel {
 	}
 	clock := simclock.New()
 	bus := physmem.NewBus()
+	// The kernel's own regions, its text through the bitstream store.
+	bus.Carve(physKernelCode, uint32(physGuests-physKernelCode))
 	g := gic.NewMP(ncores)
 	k := &Kernel{
 		Clock:     clock,
@@ -631,7 +633,9 @@ func (k *Kernel) RunFor(d simclock.Cycles) { k.Run(k.Clock.Now() + d) }
 // no-op.
 func (k *Kernel) Shutdown() {
 	for _, pd := range k.PDs {
-		pd.stop()
+		if pd.stop != nil { // a destroyed clone's coroutine is gone
+			pd.stop()
+		}
 	}
 }
 

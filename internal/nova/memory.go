@@ -94,7 +94,8 @@ type AddressSpace struct {
 }
 
 // buildGuestSpace allocates a VM's RAM and page table: guest user pages,
-// guest kernel pages, and the kernel's global half.
+// guest kernel pages, and the kernel's global half. It carves the RAM on
+// the bus, so the VM's first touches never grow the frame table.
 //
 // The guest's physical RAM block is split: first quarter backs the guest
 // kernel image, the rest backs guest user memory (including wherever the
@@ -104,6 +105,7 @@ func (k *Kernel) buildGuestSpace(id int) AddressSpace {
 	// do not collide in the same physically-indexed L2 sets — the layout
 	// a real allocator's metadata produces naturally.
 	ramBase := physGuests + physmem.Addr(id*(GuestRAMSize+0x11000))
+	k.Bus.Carve(ramBase, GuestRAMSize)
 	pt := mmu.NewPageTable(k.Bus, k.allocFor(id))
 	mapKernelInto(pt)
 

@@ -28,8 +28,9 @@ type VCPU struct {
 	// Virtual timer: period and phase of the guest's tick (0 = off).
 	TimerPeriod simclock.Cycles
 
-	// Lazy-switch state (Table I, VFP + L2 control).
-	VFP      [cpu.VFPContextWords]uint32
+	// Lazy-switch state (Table I, VFP + L2 control). The model charges
+	// the VFP context's moves (cpu.VFPContextCost) and keeps no register
+	// values, only whether the context holds state.
 	VFPValid bool // context holds real state (saved at least once)
 	L2Ctrl   uint32
 

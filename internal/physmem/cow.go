@@ -25,13 +25,14 @@ func (b *Bus) Materialize(a Addr) {
 	if !isRAM(a) {
 		panic(fmt.Sprintf("physmem: materialize of non-RAM address %#08x", uint32(a)))
 	}
+	b.cover(a, 1)
 	b.frame(a)
 }
 
 // Allocated reports whether the frame containing a is materialized, on a
 // private buffer or on a shared one, the zero frame included.
 func (b *Bus) Allocated(a Addr) bool {
-	return isRAM(a) && b.frames[frameNum(a)] != nil
+	return isRAM(a) && b.peek(frameNum(a)) != nil
 }
 
 // CopyFrame copies the 4 KB frame at src over the frame at dst (both
@@ -42,6 +43,8 @@ func (b *Bus) CopyFrame(dst, src Addr) {
 	if dst&(FrameSize-1) != 0 || src&(FrameSize-1) != 0 {
 		panic(fmt.Sprintf("physmem: unaligned frame copy %#08x <- %#08x", uint32(dst), uint32(src)))
 	}
+	b.cover(src, 1)
+	b.cover(dst, 1)
 	if s := b.frame(src); s != &zeroFrame {
 		*b.frameW(frameNum(dst)) = *s
 		return
@@ -52,6 +55,7 @@ func (b *Bus) CopyFrame(dst, src Addr) {
 // SnapshotFrame returns a copy of the frame's current contents (used by
 // in-place checkpoint images, which own their bytes).
 func (b *Bus) SnapshotFrame(a Addr) []byte {
+	b.cover(a, 1)
 	out := make([]byte, FrameSize)
 	copy(out, b.frame(frameBase(a))[:])
 	return out
@@ -62,5 +66,6 @@ func (b *Bus) LoadFrame(a Addr, p []byte) {
 	if len(p) > FrameSize {
 		panic("physmem: LoadFrame payload exceeds a frame")
 	}
+	b.cover(a, 1)
 	copy(b.frameW(frameNum(a))[:], p)
 }

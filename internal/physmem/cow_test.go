@@ -37,10 +37,10 @@ func TestSnapshotLoadFrame(t *testing.T) {
 }
 
 // TestOCMFrameSharing shares the first on-chip memory frame into the
-// last; both follow every DDR frame in the frame table and its shared
-// flags. The install drops the last frame's bytes, a write through either
-// frame privatizes only that frame, and the last DDR frame is never
-// touched.
+// last; both precede every DDR frame in the frame table and its shared
+// flags, so neither grows past OCM's entries. The install drops the last
+// frame's bytes, a write through either frame privatizes only that frame,
+// and the last DDR frame is never touched.
 func TestOCMFrameSharing(t *testing.T) {
 	b := NewBus()
 	lastDDR := DDRBase + (DDRSize - FrameSize)
@@ -63,6 +63,9 @@ func TestOCMFrameSharing(t *testing.T) {
 		if v, _ := b.Read8(r.a); v != r.want {
 			t.Fatalf("OCM byte %#x read %#x, want %#x", uint32(r.a), v, r.want)
 		}
+	}
+	if len(b.frames) != ocmFrames || len(b.shared) != ocmFrames {
+		t.Fatalf("OCM sharing made a table of %d entries and %d shared flags, want %d each", len(b.frames), len(b.shared), ocmFrames)
 	}
 	if b.Allocated(lastDDR) || b.TouchedFrames() != 2 {
 		t.Fatalf("last DDR frame allocated %v, touched %d; want false, 2", b.Allocated(lastDDR), b.TouchedFrames())

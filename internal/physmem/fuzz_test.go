@@ -267,7 +267,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 			}
 			for _, base := range slices.Sorted(maps.Keys(r.frames)) {
 				rf := r.frames[base]
-				bf := b.frames[frameNum(base)]
+				bf := b.peek(frameNum(base))
 				if bf == nil || *bf != *rf {
 					fail("frame %#x: materialized %v, bytes differ from the reference", base, bf != nil)
 				}

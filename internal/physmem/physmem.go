@@ -9,12 +9,14 @@
 // so it costs no host memory until its first byte write. Frames may share
 // other immutable buffers too (SharedFrame), on one bus or across buses: a
 // frame gets a private copy at its first write, so sharing is invisible to
-// the bytes.
+// the bytes. The frame table itself is as long as the RAM carved so far
+// (Bus.Carve), not as all of DDR.
 package physmem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -114,26 +116,30 @@ func NewSharedFrame(data []byte) SharedFrame {
 // front of it, the FPGA's AXI HP masters behind it.
 //
 // The sparse frames are kept in one flat pointer table indexed by frame
-// number (1 MB of pointers for the 512 MB DDR part) rather than a map:
-// the table walk issues a RAM read on every TLB miss, which made the map
-// lookup one of the hottest operations in the whole simulator.
+// number rather than a map: the table walk issues a RAM read on every TLB
+// miss, which made the map lookup one of the hottest operations in the
+// whole simulator. The table covers only the RAM carved so far: it starts
+// empty and ends at the last frame Carve covered, or that an access on a
+// bare bus reached (OCM's frames are numbered first, so OCM alone needs 64
+// entries). A kernel booting the paper platform with four guests needs
+// about 13,500 of the 131,136 entries (1 MB of pointers) all of the 512 MB
+// DDR part would.
 type Bus struct {
-	frames  []*frameBuf  // ramFrames entries, indexed by frameNum; nil until materialized
+	frames  []*frameBuf  // indexed by frameNum, up to the covered end; nil until materialized
 	touched atomic.Int64 // materialized frames (TouchedFrames)
 	windows []window     // sorted by base
 
 	// shared marks the frames whose buffer is a SharedFrame other than the
-	// zero frame, indexed like frames. It is nil until the bus first
-	// captures or installs one, so a bus that never shares pays nothing.
-	// One flag per frame, not a bitmap: cores clear the flags of their own
-	// frames concurrently.
+	// zero frame, indexed like frames and as long. It is nil until the bus
+	// first captures or installs one, so a bus that never shares pays
+	// nothing. One flag per frame, not a bitmap: cores clear the flags of
+	// their own frames concurrently.
 	shared []bool
 }
 
-// NewBus returns an empty bus with DDR and OCM RAM available.
-func NewBus() *Bus {
-	return &Bus{frames: make([]*frameBuf, ramFrames)}
-}
+// NewBus returns an empty bus with DDR and OCM RAM available. Its frame
+// table is empty until RAM is carved or touched.
+func NewBus() *Bus { return &Bus{} }
 
 // MapDevice registers an MMIO window. Windows must not overlap each other.
 func (b *Bus) MapDevice(base Addr, size uint32, dev Device) {
@@ -168,16 +174,21 @@ func isRAM(a Addr) bool {
 	return false
 }
 
-// ramFrames is the number of RAM frames: DDR's, then OCM's.
-const ramFrames = (DDRSize + OCMSize) / FrameSize
+// ocmFrames is the number of OCM frames, and ramFrames the number of all
+// RAM frames: the longest a frame table gets.
+const (
+	ocmFrames = OCMSize / FrameSize
+	ramFrames = ocmFrames + DDRSize/FrameSize
+)
 
-// frameNum numbers a RAM address's frame: DDR frames first, then OCM's.
-// Consecutive frames of one RAM region get consecutive numbers.
+// frameNum numbers a RAM address's frame: OCM frames first, then DDR's,
+// so a table covering OCM holds no DDR entry. Consecutive frames of one
+// RAM region get consecutive numbers.
 func frameNum(a Addr) int {
-	if a >= DDRBase && uint64(a) < uint64(DDRBase)+uint64(DDRSize) {
-		return int((a - DDRBase) >> FrameShift)
+	if a >= OCMBase {
+		return int((a - OCMBase) >> FrameShift)
 	}
-	return DDRSize/FrameSize + int((a-OCMBase)>>FrameShift)
+	return ocmFrames + int((a-DDRBase)>>FrameShift)
 }
 
 // ramEnd returns the end of the RAM region holding a (2^32 for OCM).
@@ -193,7 +204,9 @@ func ramEnd(a Addr) uint64 {
 // frame backs it with zeroFrame, and frameW gives a frame on zeroFrame or
 // on a shared buffer a private copy before returning it. frameW takes the
 // frame number (frameNum) rather than the address, which keeps it within
-// the inlining budget with the shared-buffer case.
+// the inlining budget with the shared-buffer case. Both return nil for a
+// frame past the table's end, and the caller extends the table (cover)
+// and asks again: a call here would not fit the budget.
 //
 // Parallel runs keep concurrent cores off shared untouched frames: bytes
 // only move through per-PD regions (disjoint guest RAM bases, page-table
@@ -201,9 +214,13 @@ func ramEnd(a Addr) uint64 {
 // cost-only — the caches track tag state and never read the bus. A plain
 // slot store is therefore safe, and so is copying a shared buffer, which
 // no one writes; only the global footprint counter is shared and needs to
-// be atomic.
+// be atomic. The table itself only grows where no core runs (Carve).
 func (b *Bus) frame(a Addr) *frameBuf {
-	slot := &b.frames[frameNum(a)]
+	n := frameNum(a)
+	if uint(n) >= uint(len(b.frames)) {
+		return nil
+	}
+	slot := &b.frames[n]
 	if *slot == nil {
 		*slot = &zeroFrame
 		b.touched.Add(1)
@@ -212,6 +229,9 @@ func (b *Bus) frame(a Addr) *frameBuf {
 }
 
 func (b *Bus) frameW(n int) *frameBuf {
+	if uint(n) >= uint(len(b.frames)) {
+		return nil
+	}
 	slot := &b.frames[n]
 	switch f := *slot; {
 	case f == nil:
@@ -227,15 +247,68 @@ func (b *Bus) frameW(n int) *frameBuf {
 	return *slot
 }
 
+// Carve makes the frame table cover the RAM among [a, a+n), up to the end
+// of a's RAM region; an a outside RAM covers nothing. The kernel calls it
+// when it assigns RAM (its own regions at boot, a PD's, the clone region),
+// before anything runs there: a covered frame's access never grows the
+// table, so the cores of a parallel run may touch covered frames
+// concurrently. Carve itself must run where no core does.
+func (b *Bus) Carve(a Addr, n uint32) {
+	m, _ := ramPrefix(a, int(n), false)
+	b.cover(a, m)
+}
+
+// Covers reports whether the frame containing a is in the frame table:
+// whether its accesses never grow the table.
+func (b *Bus) Covers(a Addr) bool { return isRAM(a) && frameNum(a) < len(b.frames) }
+
+// cover extends the table over the m RAM bytes from a: a carved range, a
+// bulk operation's RAM prefix (see ramPrefix), or the frame of a word
+// access past the end. Past Carve, only a bare bus's accesses extend the
+// table (a kernel carves its RAM before anything runs in it), so no
+// extension races a core.
+func (b *Bus) cover(a Addr, m int) {
+	if m > 0 {
+		b.extend(frameNum(a+Addr(m-1)) + 1)
+	}
+}
+
+// extend lengthens the table, and the shared flags with it, to n entries.
+// Capacity grows as append grows it, geometrically, so a build that
+// carves one PD after another reallocates O(log n) times; the entries
+// between length and capacity stay nil.
+func (b *Bus) extend(n int) {
+	if n <= len(b.frames) {
+		return
+	}
+	if n > ramFrames {
+		panic(fmt.Sprintf("physmem: frame %d past RAM", n-1))
+	}
+	b.frames = slices.Grow(b.frames, n-len(b.frames))[:n]
+	if b.shared != nil {
+		b.shared = slices.Grow(b.shared, n-len(b.shared))[:n]
+	}
+}
+
+// peek returns frame n's buffer without materializing it: nil for an
+// untouched frame, or one past the table's end.
+func (b *Bus) peek(n int) *frameBuf {
+	if n < len(b.frames) {
+		return b.frames[n]
+	}
+	return nil
+}
+
 // setFrame points frame n at f, counting a frame it materializes; shared
 // says whether f is a SharedFrame's buffer other than the zero frame.
 func (b *Bus) setFrame(n int, f *frameBuf, shared bool) {
+	b.extend(n + 1)
 	if b.frames[n] == nil {
 		b.touched.Add(1)
 	}
 	b.frames[n] = f
 	if shared && b.shared == nil {
-		b.shared = make([]bool, ramFrames)
+		b.shared = make([]bool, len(b.frames), cap(b.frames))
 	}
 	if b.shared != nil {
 		b.shared[n] = shared
@@ -271,6 +344,10 @@ func (b *Bus) InstallFrame(a Addr, s SharedFrame) {
 func (b *Bus) Read32(a Addr) (uint32, error) {
 	if isRAM(a) {
 		f := b.frame(a)
+		if f == nil {
+			b.cover(a, 1)
+			f = b.frame(a)
+		}
 		off := a & (FrameSize - 1)
 		if off+4 <= FrameSize {
 			return binary.LittleEndian.Uint32(f[off : off+4]), nil
@@ -295,7 +372,12 @@ func (b *Bus) Read32(a Addr) (uint32, error) {
 // Write32 writes a 32-bit little-endian word.
 func (b *Bus) Write32(a Addr, v uint32) error {
 	if isRAM(a) {
-		f := b.frameW(frameNum(a))
+		n := frameNum(a)
+		f := b.frameW(n)
+		if f == nil {
+			b.cover(a, 1)
+			f = b.frameW(n)
+		}
 		off := a & (FrameSize - 1)
 		if off+4 <= FrameSize {
 			binary.LittleEndian.PutUint32(f[off:off+4], v)
@@ -320,7 +402,12 @@ func (b *Bus) Read8(a Addr) (byte, error) {
 	if !isRAM(a) {
 		return 0, &BusError{Addr: a}
 	}
-	return b.frame(a)[a&(FrameSize-1)], nil
+	f := b.frame(a)
+	if f == nil {
+		b.cover(a, 1)
+		f = b.frame(a)
+	}
+	return f[a&(FrameSize-1)], nil
 }
 
 // Write8 writes one byte (RAM only).
@@ -328,7 +415,13 @@ func (b *Bus) Write8(a Addr, v byte) error {
 	if !isRAM(a) {
 		return &BusError{Addr: a, Write: true}
 	}
-	b.frameW(frameNum(a))[a&(FrameSize-1)] = v
+	n := frameNum(a)
+	f := b.frameW(n)
+	if f == nil {
+		b.cover(a, 1)
+		f = b.frameW(n)
+	}
+	f[a&(FrameSize-1)] = v
 	return nil
 }
 
@@ -365,6 +458,7 @@ func (b *Bus) ReadBytes(a Addr, n int) ([]byte, error) {
 // touched, as byte reads would leave them.
 func (b *Bus) ReadInto(dst []byte, a Addr) error {
 	m, err := ramPrefix(a, len(dst), false)
+	b.cover(a, m)
 	for i := 0; i < m; {
 		cur := a + Addr(i)
 		i += copy(dst[i:m], b.frame(cur)[cur&(FrameSize-1):])
@@ -377,6 +471,7 @@ func (b *Bus) ReadInto(dst []byte, a Addr) error {
 // non-RAM address, as byte writes would.
 func (b *Bus) WriteBytes(a Addr, p []byte) error {
 	m, err := ramPrefix(a, len(p), true)
+	b.cover(a, m)
 	for i := 0; i < m; {
 		cur := a + Addr(i)
 		i += copy(b.frameW(frameNum(cur))[cur&(FrameSize-1):], p[i:m])
@@ -395,6 +490,7 @@ func (b *Bus) Zero(a Addr, n int) error {
 	if err != nil {
 		return err
 	}
+	b.cover(a, m)
 	for i := 0; i < m; {
 		cur := a + Addr(i)
 		off := int(cur & (FrameSize - 1))

@@ -281,3 +281,84 @@ func TestBulkBytesOffRAM(t *testing.T) {
 		}
 	}
 }
+
+var busSink *Bus
+
+// TestNewBusAllocatesNoFrameTable: a bus starts with an empty frame table
+// and no shared flags, so building one allocates only the Bus itself.
+func TestNewBusAllocatesNoFrameTable(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { busSink = NewBus() }); allocs != 1 {
+		t.Fatalf("NewBus made %v allocations, want 1 (the Bus)", allocs)
+	}
+	if b := NewBus(); cap(b.frames) != 0 || b.shared != nil {
+		t.Fatalf("NewBus: frame table capacity %d, shared flags %v; want 0, nil", cap(b.frames), b.shared != nil)
+	}
+}
+
+// TestCarveCoversRAM: Carve extends the table over exactly the RAM of its
+// range, stopping at the end of its RAM region and ignoring a start
+// outside RAM, and an access to a covered frame does not move the
+// table's end. OCM's frames come first, so OCM alone needs no DDR entry.
+func TestCarveCoversRAM(t *testing.T) {
+	b := NewBus()
+	b.Carve(AXIGP0Base, 1<<20)
+	if len(b.frames) != 0 {
+		t.Fatalf("carving a device window made a table of %d entries", len(b.frames))
+	}
+	if err := b.Write32(OCMBase+(OCMSize-4), 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.frames) != ocmFrames {
+		t.Fatalf("after an OCM write the table has %d entries, want OCM's %d", len(b.frames), ocmFrames)
+	}
+	base := DDRBase + 0x200_0000
+	b.Carve(base, 4<<20)
+	end := base + 4<<20
+	if !b.Covers(base) || !b.Covers(end-1) || b.Covers(end) || !b.Covers(OCMBase) {
+		t.Fatalf("after Carve(%#x, 4 MB): covers start %v, last byte %v, end %v, OCM %v; want true, true, false, true",
+			uint32(base), b.Covers(base), b.Covers(end-1), b.Covers(end), b.Covers(OCMBase))
+	}
+	n := len(b.frames)
+	for _, a := range []Addr{DDRBase, base, end - 4} {
+		if err := b.Write32(a, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(b.frames) != n {
+		t.Fatalf("writes to covered frames moved the table's end from %d to %d entries", n, len(b.frames))
+	}
+	b.Carve(DDRBase+DDRSize-FrameSize, 1<<20) // runs off the end of DDR
+	if len(b.frames) != ramFrames || b.Covers(DDRBase+DDRSize) || b.Covers(AXIGP0Base) {
+		t.Fatalf("a carve past DDR's end left %d entries (want %d), covers past DDR %v, covers a device %v",
+			len(b.frames), ramFrames, b.Covers(DDRBase+DDRSize), b.Covers(AXIGP0Base))
+	}
+}
+
+// TestFirstAccessPastTheEnd: on a bare bus the first access past the
+// table's end extends it, and a table that grows one frame at a time
+// reallocates geometrically, not once per frame.
+func TestFirstAccessPastTheEnd(t *testing.T) {
+	b := NewBus()
+	last := DDRBase + DDRSize - 4
+	if err := b.Write32(last, 0xA5A5); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := b.Read32(last); err != nil || v != 0xA5A5 || len(b.frames) != ramFrames {
+		t.Fatalf("last DDR word read %#x, %v with %d table entries; want 0xa5a5, nil, %d", v, err, len(b.frames), ramFrames)
+	}
+
+	b = NewBus()
+	grows, c := 0, cap(b.frames)
+	for a := DDRBase; a < DDRBase+4<<20; a += FrameSize {
+		if _, err := b.Read8(a); err != nil {
+			t.Fatal(err)
+		}
+		if cap(b.frames) != c {
+			grows, c = grows+1, cap(b.frames)
+		}
+	}
+	if frames := 4 << 20 / FrameSize; grows > 20 || len(b.frames) != ocmFrames+frames || b.TouchedFrames() != frames {
+		t.Fatalf("reading 1,024 frames in order: %d reallocations, %d entries, %d touched; want at most 20, %d, %d",
+			grows, len(b.frames), b.TouchedFrames(), ocmFrames+frames, frames)
+	}
+}
