@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/abi"
@@ -120,4 +121,96 @@ func TestCarvedRegionsTwoShards(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkOwnsRAM fails unless pd's RAM lies in DDR above the kernel's own
+// regions and overlaps no other PD's RAM and no live clone's arena.
+func checkOwnsRAM(t *testing.T, k *Kernel, pd *PD) {
+	t.Helper()
+	lo, hi := uint64(pd.RAMBase), uint64(pd.RAMBase)+uint64(pd.RAMSize)
+	if lo < uint64(physGuests) || hi > uint64(physmem.DDRBase)+physmem.DDRSize {
+		t.Fatalf("%s's RAM %#x-%#x lies outside DDR's guest part %#x-%#x",
+			pd.Name_, lo, hi, uint32(physGuests), uint64(physmem.DDRBase)+physmem.DDRSize)
+	}
+	for _, o := range k.PDs {
+		base, size := uint64(o.RAMBase), uint64(o.RAMSize)
+		if o.clone != nil && !o.dead {
+			base, size = uint64(o.clone.arenaBase), cloneArenaSize
+		}
+		if o != pd && size > 0 && base < hi && lo < base+size {
+			t.Fatalf("%s's RAM %#x-%#x overlaps %s's %#x-%#x", pd.Name_, lo, hi, o.Name_, base, base+size)
+		}
+	}
+}
+
+// checkStored fails unless each of pd's first n guest user pages, mapped
+// into its own RAM, reads back the i+1 pageStorer wrote there.
+func checkStored(t *testing.T, k *Kernel, pd *PD, n int) {
+	t.Helper()
+	for i := range n {
+		va := GuestUserBase + uint32(i)*physmem.FrameSize
+		pa, _, _, ok := pd.Table.Lookup(va)
+		if !ok {
+			t.Fatalf("%s: va %#x unmapped", pd.Name_, va)
+		}
+		if v, err := k.Bus.Read32(pa); err != nil || v != uint32(i)+1 {
+			t.Fatalf("%s: page %d (pa %#x) reads %d, %v; want %d", pd.Name_, i, uint32(pa), v, err, i+1)
+		}
+	}
+}
+
+// TestLatePDOwnsItsRAM: a PD created after n clones of one frozen
+// template, on a kernel with no manager, gets RAM in DDR that no other PD
+// and no live clone owns, and its guest's stores read back after a run.
+// Clones take PD IDs but no guest RAM, so RAM placed by PD ID overlapped
+// the first clone arena from about the 70th ID and ran past DDR's end
+// from about the 120th.
+func TestLatePDOwnsItsRAM(t *testing.T) {
+	const pages = 8
+	for _, n := range []int{68, 69, 120, 300} {
+		t.Run(fmt.Sprintf("clones=%d", n), func(t *testing.T) {
+			k := NewKernel()
+			defer k.Shutdown()
+			_, img := bootFrozenTemplate(t, k, false)
+			for i := range n {
+				k.CreateClone(img, fmt.Sprintf("c%d", i), cloneWriter("c", 0))
+			}
+			late := k.CreatePD(PDConfig{Name: "late", Priority: PrioGuest, Guest: pageStorer(pages, false)})
+			checkOwnsRAM(t, k, late)
+			k.RunFor(simclock.FromMillis(1))
+			checkStored(t, k, late, pages)
+		})
+	}
+}
+
+// TestLatePDTwoShards is TestLatePDOwnsItsRAM's two-core case: after 120
+// clones, a late PD and a clone forked just before it, homed on different
+// cores, store into the PD's RAM and the clone's arena in one 2-shard run
+// (CI runs this under -race).
+func TestLatePDTwoShards(t *testing.T) {
+	const clones, pages = 120, 8
+	k := NewKernelSMP(2)
+	defer k.Shutdown()
+	_, img := bootFrozenTemplate(t, k, false)
+	for i := range clones {
+		k.CreateClone(img, fmt.Sprintf("c%d", i), cloneWriter("c", 0))
+	}
+	clone := k.CreateClone(img, "writer", pageStorer(pages, true))
+	if err := k.ActivateClone(clone); err != nil {
+		t.Fatal(err)
+	}
+	other := 1 - clone.Core.ID
+	late := k.CreatePD(PDConfig{Name: "late", Priority: PrioGuest,
+		Affinity: sched.MaskOf(other), Guest: pageStorer(pages, false)})
+	if late.Core.ID != other {
+		t.Fatalf("late PD on core %d, want %d", late.Core.ID, other)
+	}
+	checkOwnsRAM(t, k, late)
+	k.RunParallelFor(simclock.FromMillis(1), 2)
+
+	if st, _ := clone.CloneStats(); st.COWFaults != pages {
+		t.Fatalf("clone COW faults = %d, want %d", st.COWFaults, pages)
+	}
+	checkStored(t, k, late, pages)
+	checkStored(t, k, clone, pages)
 }
