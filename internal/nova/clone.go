@@ -46,13 +46,15 @@ const (
 	CostCOWCopy = 2048
 )
 
-// Clone arenas: each clone owns a fixed slice of the clone region of
-// DDR holding its page tables and its privately-copied frames. Arenas
-// are recycled LIFO through a free list, so a long-running warm pool
-// reuses the same physical footprint however many clones churn through.
+// Clone arenas: each clone owns a slice of DDR holding its page tables
+// and its privately-copied frames, taken from the DDR cursor at its fork
+// and aligned to the L2's way, so an arena's cache sets do not depend on
+// what the cursor placed before it. Arenas are recycled LIFO through a
+// free list, so a long-running warm pool reuses the same physical
+// footprint however many clones churn through.
 const (
-	physCloneArenas = physmem.DDRBase + 0x1400_0000
 	cloneArenaSize  = 512 << 10 // 24 KB of tables + ~120 COW frames
+	cloneArenaAlign = 64 << 10  // the L2's way: 512 KB in 8 ways
 )
 
 // cloneState is the per-clone kernel bookkeeping.
@@ -92,25 +94,15 @@ func (pd *PD) IdleParked() bool { return pd.idleWaiting }
 // Frozen reports whether the PD is a frozen template or warm clone.
 func (pd *PD) Frozen() bool { return pd.frozen }
 
-// allocCloneArena hands out a clone arena, recycling reaped ones first.
-func (k *Kernel) allocCloneArena() physmem.Addr {
+// allocCloneArena hands clone name an arena, recycling reaped ones
+// first; a fresh one comes from the DDR cursor.
+func (k *Kernel) allocCloneArena(name string) physmem.Addr {
 	if n := len(k.cloneArenaFree); n > 0 {
 		a := k.cloneArenaFree[n-1]
 		k.cloneArenaFree = k.cloneArenaFree[:n-1]
 		return a
 	}
-	if k.cloneArenaNext == 0 {
-		// The first fork carves the whole clone region, which runs to the
-		// end of DDR, so the frame table grows once per fork storm.
-		k.Bus.Carve(physCloneArenas, uint32(physmem.DDRBase+physmem.DDRSize-physCloneArenas))
-		k.cloneArenaNext = physCloneArenas
-	}
-	a := k.cloneArenaNext
-	if uint64(a)+cloneArenaSize > uint64(physmem.DDRBase)+uint64(physmem.DDRSize) {
-		panic("nova: clone arena region exhausted")
-	}
-	k.cloneArenaNext += cloneArenaSize
-	return a
+	return k.takeDDR("arena of clone", name, cloneArenaSize, cloneArenaAlign, 0)
 }
 
 // Checkpoint serializes a quiesced PD into an immutable image: vCPU
@@ -162,11 +154,7 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 	}
 	img.VGIC, img.VGICPending = pd.VGIC.snapshotLines()
 
-	kernelPart := uint32(GuestRAMSize / 4)
-	img.Regions = []checkpoint.Region{
-		{VA: GuestKernelBase, PA: pd.RAMBase, Size: kernelPart, Domain: DomainGuestKernel},
-		{VA: GuestUserBase, PA: pd.RAMBase + physmem.Addr(kernelPart), Size: GuestRAMSize - kernelPart, Domain: DomainGuestUser},
-	}
+	img.Regions = guestRegions(pd.RAMBase)
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,9 +193,10 @@ func (k *Kernel) Freeze(pd *PD) error {
 // capability table is re-minted from the image's grant bits with a
 // fresh-generation self object; it is deliberately NOT registered as a
 // hardware-service client (clones are compute workers, and client-handle
-// windows are a bounded boot-time resource).
+// windows are a bounded boot-time resource). A fresh arena comes from the
+// DDR cursor, so it panics once DDR is full.
 func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *PD {
-	arenaBase := k.allocCloneArena()
+	arenaBase := k.allocCloneArena(name)
 	arena := mmu.NewFrameAllocator(arenaBase, cloneArenaSize)
 	// The clone has no private RAM block: RAMSize 0 refuses HcMapPage &
 	// friends, which would alias shared frames writable.
@@ -239,33 +228,20 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 }
 
 // cloneTable builds a clone's page table in arena. The image's first
-// clone builds it descriptor by descriptor (buildCloneTable) and captures
-// it; every later clone instantiates the capture, which shares the
-// captured frames on the host and writes only the L1 entries that point
-// at the clone's own L2 tables.
+// clone builds it descriptor by descriptor and captures it: the image's
+// regions, user-read-only, which turns a clone write into the permission
+// fault cowBreak resolves. Every later clone instantiates the capture,
+// which shares the captured frames on the host and writes only the L1
+// entries that point at the clone's own L2 tables.
 func (k *Kernel) cloneTable(img *checkpoint.Image, arena *mmu.FrameAllocator) *mmu.PageTable {
 	if ti := k.cloneTables[img]; ti != nil {
 		return ti.Instantiate(arena)
 	}
-	pt := buildCloneTable(k.Bus, arena, img)
+	pt := guestTable(k.Bus, arena, img.Regions, mmu.APUserRO)
 	if k.cloneTables == nil {
 		k.cloneTables = map[*checkpoint.Image]*mmu.TableImage{}
 	}
 	k.cloneTables[img] = mmu.CaptureTable(pt)
-	return pt
-}
-
-// buildCloneTable writes a clone's page table into arena descriptor by
-// descriptor: the kernel's global mappings, then every template frame
-// read-only, one region at a time. The domain comes from the region; AP
-// user-read-only is what turns a clone write into the permission fault
-// cowBreak resolves.
-func buildCloneTable(bus *physmem.Bus, arena *mmu.FrameAllocator, img *checkpoint.Image) *mmu.PageTable {
-	pt := mmu.NewPageTable(bus, arena)
-	mapKernelInto(pt)
-	for _, r := range img.Regions {
-		pt.MapPages(r.VA, r.PA, int(r.Size/physmem.FrameSize), r.Domain, mmu.APUserRO)
-	}
 	return pt
 }
 
@@ -428,13 +404,4 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 	pd.Guest = guest
 	k.spawn(pd)
 	return nil
-}
-
-// CloneArenaStats reports arena recycling state (tests, footprint).
-func (k *Kernel) CloneArenaStats() (allocated int, free int) {
-	if k.cloneArenaNext == 0 {
-		return 0, len(k.cloneArenaFree)
-	}
-	total := int((k.cloneArenaNext - physCloneArenas) / cloneArenaSize)
-	return total - len(k.cloneArenaFree), len(k.cloneArenaFree)
 }

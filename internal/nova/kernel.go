@@ -180,10 +180,11 @@ type Kernel struct {
 
 	asidNext uint8
 
-	// Clone arena management (clone.go): bump cursor over the clone
-	// region of DDR plus a LIFO free list of recycled arenas, so a reaped
-	// clone's tables-and-copies arena is handed to the next fork.
-	cloneArenaNext physmem.Addr
+	// ddrNext is the DDR cursor (takeDDR): the next guest RAM or fresh
+	// clone arena goes at or above it. cloneArenaFree is a LIFO free list
+	// of reaped clones' arenas, so a reaped clone's tables-and-copies arena
+	// is handed to the next fork (clone.go).
+	ddrNext        physmem.Addr
 	cloneArenaFree []physmem.Addr
 	// cloneTables holds each image's captured clone page table
 	// (cloneTable), so that every fork after an image's first shares its
@@ -222,6 +223,7 @@ func NewKernelSMP(ncores int) *Kernel {
 		hwByID:    make(map[uint32]*hwRequest),
 		sd:        make(map[uint32][]byte),
 		asidNext:  1,
+		ddrNext:   physGuests,
 	}
 	// Kernel address space: global mappings only; ASID 0. One table,
 	// shared by every core (§III-C: kernel mappings are global).
@@ -415,7 +417,8 @@ func (k *Kernel) nextASID() uint8 {
 
 // CreatePD builds a protection domain: address space, vCPU, vGIC, and the
 // guest's execution context, then places it on its home core's run or
-// suspend queue.
+// suspend queue. Its RAM comes from the DDR cursor (takeDDR), so it panics
+// once DDR is full.
 func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	if cfg.CodeBase == 0 {
 		cfg.CodeBase = GuestKernelBase
@@ -423,9 +426,10 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	if cfg.CodeSize == 0 {
 		cfg.CodeSize = 64 << 10
 	}
-	space := k.buildGuestSpace(len(k.PDs))
-	pd := k.newPD(cfg.Name, cfg.Priority, cfg.Caps, space.Table, cfg.Guest)
-	pd.RAMBase, pd.RAMSize = space.RAMBase, space.RAMSize
+	ramBase := k.takeDDR("guest RAM of PD", cfg.Name, GuestRAMSize, physmem.FrameSize, guestStagger)
+	table := guestTable(k.Bus, k.allocFor(), guestRegions(ramBase), mmu.APFull)
+	pd := k.newPD(cfg.Name, cfg.Priority, cfg.Caps, table, cfg.Guest)
+	pd.RAMBase, pd.RAMSize = ramBase, GuestRAMSize
 	if k.hwSvc != nil && pd != k.hwSvc {
 		// The manager acts on clients through delegated PD capabilities:
 		// every domain born after the service registers is handed over.
@@ -455,7 +459,7 @@ func (k *Kernel) newPD(name string, prio int, grants Capability, table *mmu.Page
 		Name_:    name,
 		Priority: prio,
 		Caps:     grants,
-		Space:    capspace.NewSpace(SelGrantBase),
+		Space:    capspace.NewSpace(SelSelf + 1), // grows for the manager's and granted selectors
 		VGIC:     NewVGIC(),
 		Table:    table,
 		ASID:     k.nextASID(),

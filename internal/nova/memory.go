@@ -3,6 +3,7 @@ package nova
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mmu"
 	"repro/internal/physmem"
 )
@@ -31,17 +32,24 @@ const (
 	KernelCodeSize = 40 << 10
 )
 
-// Physical layout carved from DDR by the kernel at boot.
+// Physical layout carved from DDR by the kernel at boot. Above it, the
+// DDR cursor (takeDDR) places guest RAM and clone arenas.
 const (
 	physKernelCode = physmem.DDRBase               // 1 MB
 	physKernelData = physmem.DDRBase + 0x0010_0000 // 1 MB
 	physTables     = physmem.DDRBase + 0x0020_0000 // page-table pool, 8 MB
 	physBitstreams = physmem.DDRBase + 0x00A0_0000 // bitstream store, 22 MB
-	physGuests     = physmem.DDRBase + 0x0200_0000 // guest RAM from here
+	physGuests     = physmem.DDRBase + 0x0200_0000 // guest RAM and clone arenas from here
 )
 
 // GuestRAMSize is each VM's physical allocation (code + data + sections).
 const GuestRAMSize = 4 << 20
+
+// guestStagger is the gap the DDR cursor leaves after each VM's RAM, so
+// same-offset guest structures do not collide in the same
+// physically-indexed L2 sets — the layout a real allocator's metadata
+// produces naturally.
+const guestStagger = 0x11000
 
 // mapKernelInto installs the global kernel mappings into a page table:
 // kernel text+data, and identity mappings for the device windows the
@@ -86,46 +94,56 @@ func dacrFor(guestKernelCtx bool) uint32 {
 	return d
 }
 
-// AddressSpace describes a constructed VM space.
-type AddressSpace struct {
-	Table   *mmu.PageTable
-	RAMBase physmem.Addr
-	RAMSize uint32
+// takeDDR hands out size bytes of DDR at the cursor, aligned to align,
+// and moves the cursor gap bytes past their end. It carves them on the
+// bus, so their owner's first touches never grow the frame table. Every
+// guest's RAM and every fresh clone arena comes from here, in creation
+// order and where no core runs, so no two owners overlap. Past the end of
+// DDR it panics, naming the owner (what, name) that did not fit.
+func (k *Kernel) takeDDR(what, name string, size, align, gap uint32) physmem.Addr {
+	a := (k.ddrNext + physmem.Addr(align-1)) &^ physmem.Addr(align-1)
+	if end := uint64(physmem.DDRBase) + physmem.DDRSize; uint64(a)+uint64(size) > end {
+		panic(fmt.Sprintf("nova: %s %q (%d KB at %#x) runs past the end of DDR at %#x", what, name, size>>10, uint32(a), end))
+	}
+	k.Bus.Carve(a, size)
+	k.ddrNext = a + physmem.Addr(size+gap)
+	return a
 }
 
-// buildGuestSpace allocates a VM's RAM and page table: guest user pages,
-// guest kernel pages, and the kernel's global half. It carves the RAM on
-// the bus, so the VM's first touches never grow the frame table.
-//
-// The guest's physical RAM block is split: first quarter backs the guest
-// kernel image, the rest backs guest user memory (including wherever the
-// guest later places its hardware-task data section).
-func (k *Kernel) buildGuestSpace(id int) AddressSpace {
-	// Stagger VM blocks by an extra 68 KB so same-offset guest structures
-	// do not collide in the same physically-indexed L2 sets — the layout
-	// a real allocator's metadata produces naturally.
-	ramBase := physGuests + physmem.Addr(id*(GuestRAMSize+0x11000))
-	k.Bus.Carve(ramBase, GuestRAMSize)
-	pt := mmu.NewPageTable(k.Bus, k.allocFor(id))
-	mapKernelInto(pt)
-
+// guestRegions is a VM's layout over its RAM at ramBase: the first
+// quarter backs the guest kernel image (1 MB is plenty for a uCOS image),
+// the rest backs guest user memory, including wherever the guest later
+// places its hardware-task data section. A PD maps it read-write,
+// Checkpoint records it as an image's regions, and an image's clones map
+// those read-only.
+func guestRegions(ramBase physmem.Addr) []checkpoint.Region {
 	const kernelPart = GuestRAMSize / 4
-	// Guest kernel image: 1 MB of small pages is plenty for a uCOS image.
-	pt.MapPages(GuestKernelBase, ramBase, kernelPart/physmem.FrameSize, DomainGuestKernel, mmu.APFull)
-	// Guest user region: small pages too, since GuestUserBase is not
-	// 1 MB aligned and so no user slot can hold a section.
-	pt.MapPages(GuestUserBase, ramBase+kernelPart, (GuestRAMSize-kernelPart)/physmem.FrameSize,
-		DomainGuestUser, mmu.APFull)
-	return AddressSpace{Table: pt, RAMBase: ramBase, RAMSize: GuestRAMSize}
+	return []checkpoint.Region{
+		{VA: GuestKernelBase, PA: ramBase, Size: kernelPart, Domain: DomainGuestKernel},
+		{VA: GuestUserBase, PA: ramBase + kernelPart, Size: GuestRAMSize - kernelPart, Domain: DomainGuestUser},
+	}
 }
 
-// allocFor returns the frame allocator backing PD id's page tables. On a
-// single-core machine every space shares the global pool (the layout the
-// single-core goldens pin); a multi-core machine carves a private
-// 256 KB arena per PD out of the pool, so lazy second-level table
+// guestTable builds a page table in alloc: the kernel's global half, then
+// every region's frames with access ap, one region at a time, in the
+// region's domain. Small pages throughout, since GuestUserBase is not
+// 1 MB aligned and so no user slot can hold a section.
+func guestTable(bus *physmem.Bus, alloc *mmu.FrameAllocator, regions []checkpoint.Region, ap uint8) *mmu.PageTable {
+	pt := mmu.NewPageTable(bus, alloc)
+	mapKernelInto(pt)
+	for _, r := range regions {
+		pt.MapPages(r.VA, r.PA, int(r.Size/physmem.FrameSize), r.Domain, ap)
+	}
+	return pt
+}
+
+// allocFor returns the frame allocator backing a new PD's page tables.
+// On a single-core machine every space shares the global pool (the
+// layout the single-core goldens pin); a multi-core machine carves a
+// private 256 KB arena per PD out of the pool, so lazy second-level table
 // allocation on concurrent cores never races on the shared cursor.
 // 256 KB holds the 16 KB L1 plus every 1 KB L2 a guest can need.
-func (k *Kernel) allocFor(id int) *mmu.FrameAllocator {
+func (k *Kernel) allocFor() *mmu.FrameAllocator {
 	if len(k.Cores) == 1 {
 		return k.Alloc
 	}

@@ -249,10 +249,11 @@ func (b *Bus) frameW(n int) *frameBuf {
 
 // Carve makes the frame table cover the RAM among [a, a+n), up to the end
 // of a's RAM region; an a outside RAM covers nothing. The kernel calls it
-// when it assigns RAM (its own regions at boot, a PD's, the clone region),
-// before anything runs there: a covered frame's access never grows the
-// table, so the cores of a parallel run may touch covered frames
-// concurrently. Carve itself must run where no core does.
+// when it assigns RAM (its own regions at boot, then each PD's RAM and
+// each clone arena as it hands them out), before anything runs there: a
+// covered frame's access never grows the table, so the cores of a
+// parallel run may touch covered frames concurrently. Carve itself must
+// run where no core does.
 func (b *Bus) Carve(a Addr, n uint32) {
 	m, _ := ramPrefix(a, int(n), false)
 	b.cover(a, m)
