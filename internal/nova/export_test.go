@@ -16,3 +16,10 @@ func PortalRuns(k *Kernel) []int {
 	}
 	return runs
 }
+
+// BootFrozenTemplate and CloneWriter are the clone tests' template boot
+// and clone guest.
+var (
+	BootFrozenTemplate = bootFrozenTemplate
+	CloneWriter        = cloneWriter
+)
