@@ -7,7 +7,11 @@
 // frame set on the bus that clones map read-only. The image holds
 // hypervisor state only: the software inside the domain is captured
 // separately by its hosting layer (ucos.OS.Snapshot), which the caller
-// keeps next to the image and hands to the resumed guest.
+// keeps next to the image and hands to the resumed guest. Each record the
+// image captures — the vCPU's VCPUState, the vGIC's VGICLine records, the
+// root context's cpu.ExecState — is the type the live object holds, so
+// capture and restore copy it whole and no restorable field can be left
+// behind by a hand-written copy.
 package checkpoint
 
 import (
@@ -20,13 +24,40 @@ import (
 	"repro/internal/simclock"
 )
 
-// VGICLine is the captured virtual state of one interrupt line, in the
-// order it appears in the VM's record list (ascending IRQ).
+// VCPUState is the restorable part of a vCPU (paper Table I): the
+// register file, the CP15 state that is not derivable from the restored
+// space (DACR), the virtual timer's period, the lazy-switch state and the
+// remaining quantum. The kernel's live vCPU holds one beside its
+// per-space TTBR and ASID, so a checkpoint, fork or restore copies it
+// whole.
+type VCPUState struct {
+	Regs cpu.Regs // general-purpose registers + CPSR
+	DACR uint32
+
+	// TimerPeriod is the guest tick's period (0 = off).
+	TimerPeriod simclock.Cycles
+
+	// Lazy-switch state (Table I, VFP + L2 control). The model charges
+	// the VFP context's moves (cpu.VFPContextCost) and keeps no register
+	// values, only whether the context holds state (saved at least once).
+	VFPValid bool
+	L2Ctrl   uint32
+
+	// QuantumLeft is the remaining slice, preserved across preemption
+	// (paper §III-D: "its time quantum is also resumed so that its total
+	// execution time slice is constant").
+	QuantumLeft simclock.Cycles
+}
+
+// VGICLine is the virtual state of one interrupt line: a record of the
+// VM's vGIC record list (paper §III-B, Fig. 2), which keeps them in
+// ascending IRQ order. The live vGIC holds these records, so a capture
+// copies the list whole.
 type VGICLine struct {
 	IRQ       int
 	Enabled   bool
-	InService bool
-	RePending bool
+	InService bool // injected, not yet EOI'd by the guest
+	RePending bool // re-raised while in service; redelivered on EOI
 }
 
 // Region is one linearly-mapped stretch of the guest's address space:
@@ -62,15 +93,9 @@ type Image struct {
 	CodeBase uint32
 	CodeSize uint32
 
-	// vCPU state (paper Table I): register file, CP15 state that is not
-	// derivable from the restored space (DACR), lazy-switch state, the
-	// remaining quantum, and the virtual-timer phase.
-	Regs           cpu.Regs
-	DACR           uint32
-	VFPValid       bool
-	L2Ctrl         uint32
-	QuantumLeft    simclock.Cycles
-	TimerPeriod    simclock.Cycles
+	// VCPU is the vCPU's restorable state; TimerRemaining is the virtual
+	// timer's phase.
+	VCPU           VCPUState
 	TimerRemaining simclock.Cycles
 
 	// LastHcEntry anchors the replayed suspend-exit (the hypercall the VM
@@ -78,8 +103,8 @@ type Image struct {
 	// uninterrupted one's probe samples exactly.
 	LastHcEntry simclock.Cycles
 
-	// Exec is the root execution context's replay-relevant micro-state
-	// (fetch cursor, micro-TLBs, residency streak), opaque by design.
+	// Exec is the root execution context's replay state (fetch cursor,
+	// micro-TLBs, residency streak, Stalled), opaque by design.
 	Exec cpu.ExecState
 
 	// Virtual interrupt controller: record list + queued injections.

@@ -11,9 +11,7 @@ func sampleImage() *Image {
 		Priority:       1,
 		CodeBase:       0x3000_0000,
 		CodeSize:       64 << 10,
-		DACR:           0x55,
-		QuantumLeft:    1000,
-		TimerPeriod:    660_000,
+		VCPU:           VCPUState{DACR: 0x55, QuantumLeft: 1000, TimerPeriod: 660_000},
 		TimerRemaining: 330_000,
 		LastHcEntry:    123000,
 		VGIC: []VGICLine{
@@ -26,8 +24,8 @@ func sampleImage() *Image {
 			{VA: 0x0001_0000, PA: physmem.DDRBase + 0x210_0000, Size: 3 << 20, Domain: 1},
 		},
 	}
-	img.Regs.R[0] = 7
-	img.Regs.CPSR = 0x10
+	img.VCPU.Regs.R[0] = 7
+	img.VCPU.Regs.CPSR = 0x10
 	return img
 }
 

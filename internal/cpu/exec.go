@@ -43,24 +43,8 @@ type ExecContext struct {
 	// the fetch cursor walks this range cyclically.
 	CodeBase, CodeSize uint32
 
-	cursor uint32 // byte offset of the next fetch within the code range
-
-	gen    uint64 // CPU generation the micro-TLBs were filled under
-	iMicro microEntry
-	dMicro [microTLBSize]microEntry
-	dNext  int
-
-	// I-side residency streak: iClean counts consecutive zero-miss fetch
-	// bytes observed while the L1I's residency epoch stayed at iEpoch.
-	// Once it reaches CodeSize, every line of the (32-byte-multiple) code
-	// range is proven resident and fetch probes are guaranteed hits until
-	// the epoch moves — the batched Exec bulk-charges them (see Exec).
-	iEpoch uint64
-	iClean uint32
-
-	// Stalled is set when an unrecovered abort occurred; the owner (VM or
-	// kernel) decides what to do with a stalled context.
-	Stalled bool
+	// ExecState is what a checkpoint of the context copies.
+	ExecState
 }
 
 // NewExecContext binds a context to its code range.

@@ -129,21 +129,14 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 		CapBits:     uint32(pd.Caps),
 		CodeBase:    pd.Env.Ctx.CodeBase,
 		CodeSize:    pd.Env.Ctx.CodeSize,
-		DACR:        pd.VCPU.DACR,
-		VFPValid:    pd.VCPU.VFPValid,
-		L2Ctrl:      pd.VCPU.L2Ctrl,
-		QuantumLeft: pd.VCPU.QuantumLeft,
-		TimerPeriod: pd.VCPU.TimerPeriod,
+		VCPU:        pd.VCPU.VCPUState,
 		LastHcEntry: pd.lastHcEntry,
-		Exec:        pd.Env.Ctx.SaveState(),
+		Exec:        pd.Env.Ctx.ExecState,
 	}
-	// Register file: the live CPU holds it while the PD is resident;
-	// otherwise the last world switch saved it into the vCPU.
+	// While the PD is resident the live CPU holds its register file and
+	// DACR; otherwise the last world switch saved them into the vCPU.
 	if pd.Core.Current == pd {
-		img.Regs = pd.Core.CPU.Regs
-		img.DACR = pd.Core.CPU.CP15Read(cpu.CP15DACR)
-	} else {
-		img.Regs = pd.VCPU.Regs
+		img.VCPU.Regs, img.VCPU.DACR = pd.Core.CPU.Regs, pd.Core.CPU.CP15Read(cpu.CP15DACR)
 	}
 	// Virtual-timer phase: idle keeps the timer live, so the remaining
 	// time usually sits in the armed event rather than timerRemaining.
@@ -207,18 +200,9 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, name string, guest Guest) *P
 	// resumes from exactly that state, frozen until ActivateClone.
 	pd.frozen, pd.idleWaiting = true, true
 	pd.lastHcEntry, pd.timerRemaining = img.LastHcEntry, img.TimerRemaining
-	pd.VCPU = VCPU{
-		Regs:        img.Regs,
-		TTBR:        uint32(pd.Table.Base),
-		DACR:        img.DACR,
-		ASID:        pd.ASID,
-		TimerPeriod: img.TimerPeriod,
-		VFPValid:    img.VFPValid,
-		L2Ctrl:      img.L2Ctrl,
-		QuantumLeft: img.QuantumLeft,
-	}
+	pd.VCPU = VCPU{VCPUState: img.VCPU, TTBR: uint32(pd.Table.Base), ASID: pd.ASID}
 	k.startPD(pd, 0, img.CodeBase, img.CodeSize)
-	pd.Env.Ctx.RestoreState(img.Exec)
+	pd.Env.Ctx.ExecState = img.Exec
 	pd.VGIC.restoreLines(img.VGIC, img.VGICPending)
 	// The O(metadata) fork charge: fixed base + one descriptor write per
 	// shared frame. Charged on the boot core's clock — forks happen at
@@ -383,16 +367,11 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 	for _, f := range img.Frames {
 		k.Bus.LoadFrame(f.PA, f.Data)
 	}
-	pd.VCPU.Regs = img.Regs
-	pd.VCPU.DACR = img.DACR
-	pd.VCPU.VFPValid = img.VFPValid
-	pd.VCPU.L2Ctrl = img.L2Ctrl
-	pd.VCPU.QuantumLeft = img.QuantumLeft
-	pd.VCPU.TimerPeriod = img.TimerPeriod
+	pd.VCPU.VCPUState = img.VCPU
 	if pd.Core.Current == pd {
-		pd.Core.CPU.Regs = img.Regs
+		pd.Core.CPU.Regs = img.VCPU.Regs
 	}
-	pd.Env.Ctx.RestoreState(img.Exec)
+	pd.Env.Ctx.ExecState = img.Exec
 	pd.VGIC.restoreLines(img.VGIC, img.VGICPending)
 	pd.lastHcEntry = img.LastHcEntry
 	want := pd.Core.Clock.Now() + img.TimerRemaining

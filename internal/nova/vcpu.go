@@ -1,8 +1,8 @@
 package nova
 
 import (
+	"repro/internal/checkpoint"
 	"repro/internal/cpu"
-	"repro/internal/simclock"
 )
 
 // VCPU holds, in kernel memory, "the states of hardware resources that are
@@ -16,28 +16,16 @@ import (
 //     which are "relatively less frequently accessed and quite expensive
 //     to save". The VFP context moves only when a VM actually executes a
 //     VFP instruction after a switch (UND trap, cpu.UndefVFP).
+//
+// The restorable part is a checkpoint.VCPUState, which checkpoints, forks
+// and in-place restores copy whole; the translation state stays per
+// space, so a clone keeps its own table and ASID.
 type VCPU struct {
-	// Active-switch state (Table I, rows 1–2 and 4–6).
-	Regs cpu.Regs // general-purpose registers + CPSR
+	checkpoint.VCPUState
 
-	// Privileged CP15 state programmed on switch-in.
+	// Per-space CP15 state programmed on switch-in.
 	TTBR uint32
-	DACR uint32
 	ASID uint8
-
-	// Virtual timer: period and phase of the guest's tick (0 = off).
-	TimerPeriod simclock.Cycles
-
-	// Lazy-switch state (Table I, VFP + L2 control). The model charges
-	// the VFP context's moves (cpu.VFPContextCost) and keeps no register
-	// values, only whether the context holds state.
-	VFPValid bool // context holds real state (saved at least once)
-	L2Ctrl   uint32
-
-	// Quantum bookkeeping: remaining slice, preserved across preemption
-	// (paper §III-D: "its time quantum is also resumed so that its total
-	// execution time slice is constant").
-	QuantumLeft simclock.Cycles
 }
 
 // vcpuActiveWords is how many 32-bit words the active switch moves; the

@@ -19,8 +19,9 @@ type VGIC struct {
 	// recs is the record list proper: one record per registered line, in
 	// ascending IRQ order, found by binary search (find). Every walk of
 	// the record list (lines) goes through it in that order, so the
-	// distributor-op sequence is identical run to run.
-	recs []virq
+	// distributor-op sequence is identical run to run. The records are
+	// the checkpoint's own type, so a capture copies the list whole.
+	recs []checkpoint.VGICLine
 
 	// Entry is the VM's IRQ handler entry point, registered by the guest.
 	// The kernel "injects" a virtual IRQ by scheduling this callback to
@@ -47,27 +48,18 @@ type VGIC struct {
 	Trace func(kind trace.Kind, irq int)
 }
 
-// virq is the virtual state of one registered line (physical interrupt
-// ID irq).
-type virq struct {
-	irq       int
-	enabled   bool
-	inService bool // injected, not yet EOI'd by the guest
-	rePending bool // re-raised while inService; redelivered on EOI
-}
-
 // NewVGIC returns an empty vGIC.
 func NewVGIC() *VGIC { return &VGIC{} }
 
 // search returns where irq's record is, or would go in the record list,
 // and whether the line is registered.
 func (v *VGIC) search(irq int) (int, bool) {
-	i := sort.Search(len(v.recs), func(i int) bool { return v.recs[i].irq >= irq })
-	return i, i < len(v.recs) && v.recs[i].irq == irq
+	i := sort.Search(len(v.recs), func(i int) bool { return v.recs[i].IRQ >= irq })
+	return i, i < len(v.recs) && v.recs[i].IRQ == irq
 }
 
 // find returns irq's record, or nil when the line is not registered.
-func (v *VGIC) find(irq int) *virq {
+func (v *VGIC) find(irq int) *checkpoint.VGICLine {
 	if i, ok := v.search(irq); ok {
 		return &v.recs[i]
 	}
@@ -77,7 +69,7 @@ func (v *VGIC) find(irq int) *virq {
 // Register adds an interrupt line to the VM's record list (disabled).
 func (v *VGIC) Register(irq int) {
 	if i, ok := v.search(irq); !ok {
-		v.recs = slices.Insert(v.recs, i, virq{irq: irq})
+		v.recs = slices.Insert(v.recs, i, checkpoint.VGICLine{IRQ: irq})
 	}
 }
 
@@ -104,7 +96,7 @@ func (v *VGIC) Unregister(irq int) {
 func (v *VGIC) Enable(irq int) bool {
 	e := v.find(irq)
 	if e != nil {
-		e.enabled = true
+		e.Enabled = true
 	}
 	return e != nil
 }
@@ -115,8 +107,8 @@ func (v *VGIC) Enable(irq int) bool {
 func (v *VGIC) Disable(irq int) bool {
 	e := v.find(irq)
 	if e != nil {
-		e.enabled = false
-		e.rePending = false
+		e.Enabled = false
+		e.RePending = false
 	}
 	return e != nil
 }
@@ -134,7 +126,7 @@ func (v *VGIC) Owns(irq int) bool {
 func (v *VGIC) lines() iter.Seq2[int, bool] {
 	return func(yield func(irq int, enabled bool) bool) {
 		for _, e := range v.recs {
-			if !yield(e.irq, e.enabled) {
+			if !yield(e.IRQ, e.Enabled) {
 				return
 			}
 		}
@@ -151,12 +143,12 @@ func (v *VGIC) lines() iter.Seq2[int, bool] {
 // Returns whether a new injection was queued now.
 func (v *VGIC) Inject(irq int) bool {
 	e := v.find(irq)
-	if e == nil || !e.enabled {
+	if e == nil || !e.Enabled {
 		return false
 	}
-	if e.inService {
-		if !e.rePending {
-			e.rePending = true
+	if e.InService {
+		if !e.RePending {
+			e.RePending = true
 			v.Relatched++
 			if v.Trace != nil {
 				v.Trace(trace.KindVGICRelatch, irq)
@@ -164,7 +156,7 @@ func (v *VGIC) Inject(irq int) bool {
 		}
 		return false
 	}
-	e.inService = true
+	e.InService = true
 	v.pending = append(v.pending, irq)
 	v.Injected++
 	if v.Trace != nil {
@@ -178,16 +170,16 @@ func (v *VGIC) Inject(irq int) bool {
 // interrupts are never lost under storms.
 func (v *VGIC) EOI(irq int) bool {
 	e := v.find(irq)
-	if e == nil || !e.inService {
+	if e == nil || !e.InService {
 		return false
 	}
-	e.inService = false
+	e.InService = false
 	if v.Trace != nil {
 		v.Trace(trace.KindVGICEOI, irq)
 	}
-	if e.rePending && e.enabled {
-		e.rePending = false
-		e.inService = true
+	if e.RePending && e.Enabled {
+		e.RePending = false
+		e.InService = true
 		v.pending = append(v.pending, irq)
 		v.Injected++
 		if v.Trace != nil {
@@ -208,28 +200,17 @@ func (v *VGIC) DrainPending() []int {
 // HasPending reports whether injected vIRQs await delivery.
 func (v *VGIC) HasPending() bool { return len(v.pending) > 0 }
 
-// snapshotLines captures the record list (IRQ, enable, in-service and
-// re-pend bits, in ascending IRQ order) and the queued injections for a
-// checkpoint image. Both slices are fresh copies.
+// snapshotLines returns fresh copies of the record list and the queued
+// injections, for a checkpoint image.
 func (v *VGIC) snapshotLines() (lines []checkpoint.VGICLine, pending []int) {
-	lines = make([]checkpoint.VGICLine, 0, len(v.recs))
-	for _, e := range v.recs {
-		lines = append(lines, checkpoint.VGICLine{
-			IRQ: e.irq, Enabled: e.enabled, InService: e.inService, RePending: e.rePending,
-		})
-	}
-	return lines, append([]int(nil), v.pending...)
+	return slices.Clone(v.recs), slices.Clone(v.pending)
 }
 
-// restoreLines rebuilds the vGIC from a checkpoint capture, replacing
-// whatever record list existed. Counters (Injected/Relatched) are the
+// restoreLines replaces the record list and the queued injections with
+// copies of a checkpoint's. Counters (Injected/Relatched) are the
 // restored VM's own and start at zero on a fresh clone; an in-place
 // restore keeps the PD's live counters by design — they are cumulative
 // activity statistics, not vCPU state.
 func (v *VGIC) restoreLines(lines []checkpoint.VGICLine, pending []int) {
-	v.recs = slices.Grow(v.recs[:0], len(lines))
-	for _, l := range lines {
-		v.recs = append(v.recs, virq{irq: l.IRQ, enabled: l.Enabled, inService: l.InService, rePending: l.RePending})
-	}
-	v.pending = append([]int(nil), pending...)
+	v.recs, v.pending = append(v.recs[:0], lines...), slices.Clone(pending)
 }

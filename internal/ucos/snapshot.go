@@ -33,12 +33,13 @@ type TaskSnap struct {
 	Ctx         cpu.ExecState
 }
 
-// MachineSnap is the VirtMachine's allocation-cursor state.
+// MachineSnap is the VirtMachine's allocation-cursor state, which the
+// machine holds as one value.
 type MachineSnap struct {
-	DataVA    uint32
+	DataVA    uint32 // the registered data section
 	DataSize  uint32
-	IfaceNext uint32
-	RamNext   uint32
+	IfaceNext uint32 // VA of the next hardware-task interface page
+	RamNext   uint32 // next unassigned RAM offset for data sections
 }
 
 // Snapshot is the full guest-kernel state of a quiesced OS instance.
@@ -71,7 +72,7 @@ func (os *OS) Snapshot() (*Snapshot, error) {
 		IdleSpins:  os.IdleSpins,
 		NeedSwitch: os.needSwitch,
 		Pending:    append([]int(nil), os.pending...),
-		KCtx:       os.kctx.SaveState(),
+		KCtx:       os.kctx.ExecState,
 	}
 	for p := 0; p < NumPriorities; p++ {
 		t := os.tcbs[p]
@@ -87,16 +88,11 @@ func (os *OS) Snapshot() (*Snapshot, error) {
 			State:       int(t.state),
 			Delay:       t.delay,
 			Activations: t.Activations,
-			Ctx:         t.ctx.SaveState(),
+			Ctx:         t.ctx.ExecState,
 		})
 	}
 	if vm, ok := os.M.(*VirtMachine); ok {
-		s.Mach = MachineSnap{
-			DataVA:    vm.dataVA,
-			DataSize:  vm.dataSize,
-			IfaceNext: vm.ifaceNext,
-			RamNext:   vm.ramNext,
-		}
+		s.Mach = vm.cur
 	}
 	return s, nil
 }
@@ -112,8 +108,7 @@ func (os *OS) Snapshot() (*Snapshot, error) {
 // addresses the template would have.
 func (os *OS) restore(s *Snapshot) error {
 	if vm, ok := os.M.(*VirtMachine); ok {
-		vm.dataVA, vm.dataSize = s.Mach.DataVA, s.Mach.DataSize
-		vm.ifaceNext, vm.ramNext = s.Mach.IfaceNext, s.Mach.RamNext
+		vm.cur = s.Mach
 	}
 	os.Ticks = s.Ticks
 	os.TickPeriod = s.TickPeriod
@@ -121,7 +116,7 @@ func (os *OS) restore(s *Snapshot) error {
 	os.IdleSpins = s.IdleSpins
 	os.needSwitch = s.NeedSwitch
 	os.pending = append(os.pending[:0], s.Pending...)
-	os.kctx.RestoreState(s.KCtx)
+	os.kctx.ExecState = s.KCtx
 	for _, ts := range s.Tasks {
 		t := os.tcbs[ts.Prio]
 		if t == nil {
@@ -130,7 +125,7 @@ func (os *OS) restore(s *Snapshot) error {
 		t.state = taskState(ts.State)
 		t.delay = ts.Delay
 		t.Activations = ts.Activations
-		t.ctx.RestoreState(ts.Ctx)
+		t.ctx.ExecState = ts.Ctx
 	}
 	return nil
 }

@@ -19,18 +19,18 @@ import (
 type VirtMachine struct {
 	Env *nova.Env
 
-	dataVA    uint32
-	dataSize  uint32
-	ifaceNext uint32
-	ramNext   uint32 // next unassigned RAM offset for data sections
+	// cur holds the allocation cursors, which a snapshot copies whole.
+	cur MachineSnap
 }
 
 // NewVirtMachine wraps a PD environment.
 func NewVirtMachine(env *nova.Env) *VirtMachine {
 	return &VirtMachine{
-		Env:       env,
-		ifaceNext: nova.GuestIfaceBase,
-		ramNext:   3 << 20, // data sections carved from the last RAM MB
+		Env: env,
+		cur: MachineSnap{
+			IfaceNext: nova.GuestIfaceBase,
+			RamNext:   3 << 20, // data sections carved from the last RAM MB
+		},
 	}
 }
 
@@ -110,33 +110,33 @@ func (m *VirtMachine) SetupDataSection(size uint32) (uint32, bool) {
 	size = (size + 0xFFF) &^ 0xFFF
 	va := uint32(nova.GuestDataSect)
 	for off := uint32(0); off < size; off += 0x1000 {
-		if m.Env.Hypercall(abi.HcMapPage, va+off, m.ramNext+off) != abi.StatusOK {
+		if m.Env.Hypercall(abi.HcMapPage, va+off, m.cur.RamNext+off) != abi.StatusOK {
 			return 0, false
 		}
 	}
 	if m.Env.Hypercall(abi.HcRegionCreate, va, size) != abi.StatusOK {
 		return 0, false
 	}
-	m.ramNext += size
-	m.dataVA, m.dataSize = va, size
+	m.cur.RamNext += size
+	m.cur.DataVA, m.cur.DataSize = va, size
 	return va, true
 }
 
 // RequestHwTask implements Machine (§IV-E: three arguments — task ID,
 // interface VA, data-section VA).
 func (m *VirtMachine) RequestHwTask(taskID uint16) HwGrant {
-	iface := m.ifaceNext
-	m.ifaceNext += 0x1000
-	reply := m.Env.Hypercall(abi.HcHwTaskRequest, uint32(taskID), iface, m.dataVA)
+	iface := m.cur.IfaceNext
+	m.cur.IfaceNext += 0x1000
+	reply := m.Env.Hypercall(abi.HcHwTaskRequest, uint32(taskID), iface, m.cur.DataVA)
 	g := HwGrant{
 		Status:  abi.ReplyStatus(reply),
 		PRR:     abi.ReplyPRR(reply),
 		IRQ:     abi.ReplyIRQ(reply),
 		IfaceVA: iface,
-		DataVA:  m.dataVA,
+		DataVA:  m.cur.DataVA,
 	}
 	if g.Status != abi.StatusOK && g.Status != abi.StatusReconfig {
-		m.ifaceNext -= 0x1000 // nothing was mapped
+		m.cur.IfaceNext -= 0x1000 // nothing was mapped
 		g.IfaceVA = 0
 	}
 	return g
