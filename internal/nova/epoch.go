@@ -39,6 +39,30 @@ func (k *Kernel) post(c *CoreCtx, fn func()) {
 	k.committer.Post(c.ID, c.Clock.Now(), fn)
 }
 
+// onCore applies fn(pd), an effect that code on core from has on core
+// to's state: now when the two are one core, as they always are on a
+// single-core machine, and at the next barrier otherwise, since to's
+// goroutine may be running.
+func (k *Kernel) onCore(from, to *CoreCtx, fn func(*PD), pd *PD) {
+	if from == to {
+		fn(pd)
+		return
+	}
+	k.post(from, func() { fn(pd) })
+}
+
+// serialize applies fn, an effect on state that every core may observe
+// (the console, a line's routing), now on a single-core machine or inside
+// a barrier commit, and otherwise at the next barrier, stamped with core
+// c's time.
+func (k *Kernel) serialize(c *CoreCtx, fn func()) {
+	if len(k.Cores) == 1 || k.inCommit {
+		fn()
+		return
+	}
+	k.post(c, fn)
+}
+
 // wakeFrom wakes pd from core c's context. A wake onto the issuing core
 // (and every wake inside a barrier commit) applies immediately; a
 // cross-core wake is charged the doorbell write on the waker and

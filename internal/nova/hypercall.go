@@ -667,74 +667,60 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 	if !ok || va == 0 {
 		return abi.StatusInval
 	}
-	if len(k.Cores) == 1 {
-		// Save the register group into the reserved structure at the head of
-		// the data section: word0 = state flag (2 = inconsistent), words 1..8
-		// the register image.
-		if client.DataSectionSize >= 64 {
-			regs := k.Fabric.SaveRegGroup(prr)
-			base := client.DataSectionPA
-			_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
-			for i, r := range regs {
-				_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
-			}
-			c.kctx.Exec(20)
-			k.Clock.Advance(9 * 2) // 9 word stores through the write buffer
-		}
-		client.Table.UnmapPage(va)
-		k.chargePTEdit(c, client, va)
-		client.Core.CPU.TLB.FlushVA(va, client.ASID)
-		delete(client.ifaceVA, prr)
-		// Withdraw the interrupt line.
-		if line := k.Fabric.PRRs[prr].IRQLine; line >= 0 {
-			irq := gic.PLIRQBase + line
-			client.VGIC.Unregister(irq)
-			k.plirqOwner[line] = nil
-			k.GIC.Disable(irq)
-			k.Fabric.ReleaseIRQ(prr)
-			k.Clock.Advance(CostDeviceAccess)
-		}
-		return abi.StatusOK
-	}
-
-	// Multi-core reclaim: the victim may be live on another core, so every
-	// effect that its core can observe mid-epoch — the register save, the
-	// unmap and TLB shootdown, the vGIC withdrawal — lands at the barrier,
-	// and the manager parks until the teardown has committed (its next
-	// AllocateIRQ must see the released line). Costs are charged up front
-	// on the manager's clock.
+	// Charge the save, the table edit and the line withdrawal up front on
+	// the manager's clock.
 	c.kctx.Exec(20)
 	k.chargePTEdit(c, client, va)
-	c.Clock.Advance(9 * 2)
-	if line := k.Fabric.PRRs[prr].IRQLine; line >= 0 {
+	c.Clock.Advance(9 * 2) // 9 word stores through the write buffer
+	line := k.Fabric.PRRs[prr].IRQLine
+	if line >= 0 {
 		c.Clock.Advance(CostDeviceAccess)
 	}
+	if len(k.Cores) == 1 {
+		k.reclaimIface(client, prr, va, line)
+		client.Core.CPU.TLB.FlushVA(va, client.ASID)
+		return abi.StatusOK
+	}
+	// On several cores the victim may be live on another core, so every
+	// effect its core can observe mid-epoch — the register save, the unmap
+	// and TLB shootdown, the vGIC withdrawal — lands at the barrier, and
+	// the manager parks until the teardown has committed (its next
+	// AllocateIRQ must see the released line).
 	k.post(c, func() {
-		// A run may have started against the stale busy snapshot this
-		// epoch; abort it — reclaim wins.
-		k.Fabric.AbortRun(prr)
-		if client.DataSectionSize >= 64 {
-			regs := k.Fabric.SaveRegGroup(prr)
-			base := client.DataSectionPA
-			_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
-			for i, r := range regs {
-				_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
-			}
-		}
-		client.Table.UnmapPage(va)
+		k.reclaimIface(client, prr, va, line)
 		client.Core.CPU.InvalidateTLBVA(va, client.ASID)
-		delete(client.ifaceVA, prr)
-		if line := k.Fabric.PRRs[prr].IRQLine; line >= 0 {
-			irq := gic.PLIRQBase + line
-			client.VGIC.Unregister(irq)
-			k.plirqOwner[line] = nil
-			k.GIC.Disable(irq)
-			k.Fabric.ReleaseIRQ(prr)
-		}
 		k.wake(mgr)
 	})
 	mgr.Env.block()
 	return abi.StatusOK
+}
+
+// reclaimIface takes PRR prr from client, whose interface page is mapped
+// at va and whose interrupt line is line (negative for none): it aborts
+// a run that started against a stale busy snapshot (reclaim wins), saves
+// the register group into the reserved structure at the head of the
+// data section (word 0 the state flag, 2 = inconsistent; words 1..8 the
+// register image), unmaps the page and withdraws the line. The TLB entry
+// is the caller's to drop.
+func (k *Kernel) reclaimIface(client *PD, prr int, va uint32, line int) {
+	k.Fabric.AbortRun(prr)
+	if client.DataSectionSize >= 64 {
+		regs := k.Fabric.SaveRegGroup(prr)
+		base := client.DataSectionPA
+		_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
+		for i, r := range regs {
+			_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
+		}
+	}
+	client.Table.UnmapPage(va)
+	delete(client.ifaceVA, prr)
+	if line >= 0 {
+		irq := gic.PLIRQBase + line
+		client.VGIC.Unregister(irq)
+		k.plirqOwner[line] = nil
+		k.GIC.Disable(irq)
+		k.Fabric.ReleaseIRQ(prr)
+	}
 }
 
 // mgrHwMMULoad points PRR args[1]'s DMA window at client args[0]'s data
@@ -816,28 +802,10 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 		Priority: pd.Priority,
 		Owner:    pd,
 		Flow:     uint64(reqID),
-		OnStart: func(*reconfig.Request) {
-			if len(k.Cores) == 1 {
-				k.GIC.SetTarget(gic.PCAPIRQ, pd.Core.ID)
-				pd.VGIC.Register(gic.PCAPIRQ)
-				pd.VGIC.Enable(gic.PCAPIRQ)
-				return
-			}
-			// Multi-core: the completion line stays pinned to the manager's
-			// core (transfer events ride its clock; onIRQ forwards the
-			// injection cross-core); only the owner's vGIC registration is
-			// needed, deferred to the barrier when the owner lives elsewhere.
-			mc := k.reconfigCore()
-			if pd.Core == mc {
-				pd.VGIC.Register(gic.PCAPIRQ)
-				pd.VGIC.Enable(gic.PCAPIRQ)
-			} else {
-				k.post(mc, func() {
-					pd.VGIC.Register(gic.PCAPIRQ)
-					pd.VGIC.Enable(gic.PCAPIRQ)
-				})
-			}
-		},
+		// The completion line stays pinned to the manager's core (transfer
+		// events ride its clock; onIRQ forwards the injection cross-core);
+		// the owner's vGIC registers it when its transfer starts.
+		OnStart: func(*reconfig.Request) { k.onCore(k.reconfigCore(), pd.Core, enablePCAPIRQ, pd) },
 		OnDone: func(r *reconfig.Request, ok bool) {
 			if ok {
 				k.pcapDone = append(k.pcapDone, pcapOwner{pd: pd, flow: r.Flow})
@@ -845,27 +813,27 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 			}
 			// The download failed for good (retries exhausted): no
 			// completion IRQ ever fires. Latch the fault for the client's
-			// next HcHwTaskStatus poll and charge its breaker heavily. The
-			// client core's goroutine may be live mid-epoch, so when the
-			// client is homed elsewhere the charge lands at the barrier.
+			// next HcHwTaskStatus poll and charge its breaker heavily.
 			mc := k.reconfigCore()
-			fail := func() {
+			k.onCore(mc, pd.Core, func(pd *PD) {
 				pd.reconfigFault = true
 				now := mc.Clock.Now()
 				if pd.breaker.Charge(now, qosFaultWeight) && k.Tracer != nil {
 					k.Tracer.Core(mc.ID).Emit(now, trace.KindBreakerTrip,
 						r.Flow, uint64(pd.ID), pd.breaker.Trips)
 				}
-			}
-			if pd.Core == mc {
-				fail()
-			} else {
-				k.post(mc, fail)
-			}
+			}, pd)
 		},
 	})
 	c.Clock.Advance(2 * CostDeviceAccess) // portal bookkeeping
 	return abi.StatusOK
+}
+
+// enablePCAPIRQ registers and enables the PCAP completion line in pd's
+// vGIC.
+func enablePCAPIRQ(pd *PD) {
+	pd.VGIC.Register(gic.PCAPIRQ)
+	pd.VGIC.Enable(gic.PCAPIRQ)
 }
 
 // mgrAllocIRQ allocates a PL interrupt line for PRR args[1] and registers
@@ -880,11 +848,22 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		return abi.StatusInval
 	}
 	target := req.pd
-	// install re-points line ownership into the new owner's vGIC. On a
-	// multi-core machine it runs at the barrier: SetTarget migrates GIC
-	// pending state between core banks and the previous owner may be live
-	// on another core, so mid-epoch application would race.
-	install := func(irq, line int) {
+	line := k.Fabric.PRRs[prr].IRQLine
+	fresh := line < 0 // else the region is reused with its line
+	if fresh {
+		irq, err := k.Fabric.AllocateIRQ(prr)
+		if err != nil {
+			return abi.StatusErr
+		}
+		k.GIC.SetPriority(irq, 0x60)
+		line = irq - gic.PLIRQBase
+	}
+	// Re-point line ownership into the new owner's vGIC. On a multi-core
+	// machine this lands at the barrier: SetTarget migrates GIC pending
+	// state between core banks and the previous owner may be live on
+	// another core, so mid-epoch application would race.
+	irq := gic.PLIRQBase + line
+	k.serialize(c, func() {
 		k.plirqOwner[line] = target
 		k.GIC.SetTarget(irq, target.Core.ID)
 		target.VGIC.Register(irq)
@@ -892,30 +871,9 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		if target == target.Core.Current {
 			k.GIC.Enable(irq)
 		}
+	})
+	if fresh {
+		c.Clock.Advance(2 * CostDeviceAccess)
 	}
-	if line := k.Fabric.PRRs[prr].IRQLine; line >= 0 {
-		// Line already allocated (region reuse): re-point ownership.
-		irq := gic.PLIRQBase + line
-		if len(k.Cores) == 1 {
-			install(irq, line)
-		} else {
-			irq, line := irq, line
-			k.post(c, func() { install(irq, line) })
-		}
-		return uint32(irq)
-	}
-	irq, err := k.Fabric.AllocateIRQ(prr)
-	if err != nil {
-		return abi.StatusErr
-	}
-	line := irq - gic.PLIRQBase
-	if len(k.Cores) == 1 {
-		install(irq, line)
-		k.GIC.SetPriority(irq, 0x60)
-	} else {
-		k.GIC.SetPriority(irq, 0x60)
-		k.post(c, func() { install(irq, line) })
-	}
-	c.Clock.Advance(2 * CostDeviceAccess)
 	return uint32(irq)
 }

@@ -332,7 +332,7 @@ func (k *Kernel) AttachFabric(f *pl.Fabric) {
 // become that core's cursor, so reconfiguration events fire on the
 // goroutine that owns them.
 func (k *Kernel) bindManagerClocks() {
-	if len(k.Cores) == 1 || k.hwSvc == nil {
+	if k.hwSvc == nil {
 		return
 	}
 	clk := k.hwSvc.Core.Clock
@@ -565,7 +565,7 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 	if k.Reconfig == nil {
 		return
 	}
-	purge := func() {
+	k.onCore(pd.Core, k.reconfigCore(), func(pd *PD) {
 		k.Reconfig.PurgeOwner(pd)
 		kept := k.pcapDone[:0]
 		for _, own := range k.pcapDone {
@@ -577,12 +577,7 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 			k.pcapDone[i] = pcapOwner{}
 		}
 		k.pcapDone = kept
-	}
-	if pd.Core == k.reconfigCore() {
-		purge()
-	} else {
-		k.post(pd.Core, purge)
-	}
+	}, pd)
 }
 
 // yield hands the core from the active PD back to the kernel loop,
@@ -912,7 +907,7 @@ func (k *Kernel) maybePreemptFor(pd *PD) {
 	if cur != nil && cur != pd && cur.node.Queued() && pd.Priority <= cur.Priority {
 		return
 	}
-	if k.inCommit && len(k.Cores) > 1 {
+	if k.inCommit {
 		k.GIC.RaiseSGI(target.ID, SGIReschedule)
 		return
 	}
