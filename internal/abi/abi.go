@@ -86,7 +86,7 @@ const (
 type Request struct {
 	ID       uint32
 	Kind     RequestKind
-	ClientID int // the requesting PD's ID
+	ClientID int // the requesting PD's client handle: a selector in the manager's space
 	TaskID   uint16
 	IfaceVA  uint32
 	DataVA   uint32

@@ -175,24 +175,64 @@ func TestDelegatedCapCannotBeRedelegated(t *testing.T) {
 }
 
 // The manager's client handles are delegated capabilities, not raw IDs:
-// a made-up client ID resolves nothing even for the real, registered
-// service.
+// an empty selector in the grant range resolves nothing, and a client's
+// PD ID names whatever the manager holds at that selector (a portal),
+// never the client — even for the real, registered service.
 func TestManagerClientForgery(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	fabricForTest(k)
-	var got uint32
+	var g *PD
+	var forged, byID uint32
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		Guest: &scriptGuest{"hwtm", func(env *Env) {
-			got = env.Hypercall(abi.HcMgrUnmapIface, 57 /* no such client */, 0)
+			forged = env.Hypercall(abi.HcMgrUnmapIface, SelGrantBase+57 /* no such client */, 0)
+			byID = env.Hypercall(abi.HcMgrUnmapIface, uint32(g.ID), 0)
 		}}})
 	k.RegisterHwService(svc)
-	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
+	g = k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		spin(env, 4)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != abi.StatusBadSel {
-		t.Errorf("forged client id = %d, want StatusBadSel", got)
+	if forged != abi.StatusBadSel {
+		t.Errorf("forged client handle = %d, want StatusBadSel", forged)
+	}
+	if byID != abi.StatusBadType {
+		t.Errorf("client's PD ID as its handle = %d, want StatusBadType", byID)
+	}
+}
+
+// Re-delegating the manager's powers (a fabric attached after the
+// service registered) refreshes each client handle at the selector its
+// PD keeps, so the manager's table does not grow; the handle still
+// resolves to its PD.
+func TestClientHandleRedelegationKeepsSelector(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	idle := func(name string) *PD {
+		return k.CreatePD(PDConfig{Name: name, Priority: PrioGuest, StartSuspended: true,
+			Guest: &scriptGuest{name, func(env *Env) {}}})
+	}
+	early := idle("early")
+	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager, StartSuspended: true,
+		Guest: &scriptGuest{"hwtm", func(env *Env) {}}})
+	k.RegisterHwService(svc)
+	late := idle("late")
+	sels, caps := []int{early.clientSel, late.clientSel}, svc.Space.CapCount()
+	if sels[0] != SelGrantBase || sels[1] != SelGrantBase+1 {
+		t.Fatalf("client handles at %v, want %d and %d", sels, SelGrantBase, SelGrantBase+1)
+	}
+	f := fabricForTest(k)
+	for i, pd := range []*PD{early, late} {
+		if pd.clientSel != sels[i] {
+			t.Errorf("%s's handle moved from %d to %d", pd.Name_, sels[i], pd.clientSel)
+		}
+		if got, _, ok := clientCap(svc, pd.clientSel); !ok || got != pd {
+			t.Errorf("%s's handle does not resolve to it", pd.Name_)
+		}
+	}
+	if got, want := svc.Space.CapCount(), caps+len(f.PRRs); got != want {
+		t.Errorf("manager holds %d capabilities after re-delegation, want %d (one more per PRR slot)", got, want)
 	}
 }
 

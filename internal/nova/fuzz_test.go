@@ -106,7 +106,7 @@ func runHcOps(t *testing.T, cores int, guest, mgr []hcOp) {
 		t.Fatal(err)
 	}
 
-	runs := nova.PortalRuns(k)
+	runs := nova.PortalRuns(k, 2)
 	m := k.CreatePD(nova.PDConfig{Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
 		Affinity: mgrMask, Guest: &opsGuest{t: t, ops: mgr, runs: runs}})
 	k.RegisterHwService(m)

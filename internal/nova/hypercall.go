@@ -310,7 +310,7 @@ func (k *Kernel) submitHwRequest(c *CoreCtx, pd *PD, kind abi.RequestKind, args 
 // drawn when it enters the queue.
 func newHwRequest(pd *PD, kind abi.RequestKind, args [4]uint32) *hwRequest {
 	return &hwRequest{
-		Request: abi.Request{Kind: kind, ClientID: pd.ID, TaskID: uint16(args[0]), IfaceVA: args[1], DataVA: args[2]},
+		Request: abi.Request{Kind: kind, ClientID: pd.clientSel, TaskID: uint16(args[0]), IfaceVA: args[1], DataVA: args[2]},
 		pd:      pd,
 	}
 }

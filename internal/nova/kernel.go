@@ -520,12 +520,18 @@ func (k *Kernel) delegateManagerPowers(svc *PD) {
 }
 
 // delegateClientHandle hands pd's identity to the registered manager as
-// a call-only client capability at its conventional selector.
+// a call-only client capability. The first delegation takes the lowest
+// free selector from SelGrantBase up, which the PD keeps; a later one
+// (AttachFabric after RegisterHwService re-delegates the manager's
+// powers) refreshes that selector, so the manager's table does not grow.
 func (k *Kernel) delegateClientHandle(pd *PD) {
-	if pd.ID >= maxClientPDs {
-		panic(fmt.Sprintf("nova: PD id %d exceeds the %d-selector client-handle window", pd.ID, maxClientPDs))
+	if pd.clientSel != 0 {
+		pd.Space.Delegate(SelSelf, k.hwSvc.Space, pd.clientSel, capspace.RightCall)
+		return
 	}
-	pd.Space.Delegate(SelSelf, k.hwSvc.Space, SelMgrClientBase+pd.ID, capspace.RightCall)
+	if sel, err := pd.Space.DelegateFree(SelSelf, k.hwSvc.Space, SelGrantBase, capspace.RightCall); err == capspace.OK {
+		pd.clientSel = sel
+	}
 }
 
 // spawn makes pd's guest a runtime coroutine: nothing runs until the

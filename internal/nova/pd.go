@@ -61,6 +61,10 @@ type PD struct {
 	// manager's client handles).
 	Space   *capspace.Space
 	selfObj *capspace.Object
+	// clientSel is the selector of the PD's client handle in the
+	// registered manager's space, which requests carry as their ClientID;
+	// 0 (a portal selector) until the handle is delegated.
+	clientSel int
 
 	// Core is the PD's home core, chosen by the scheduler from
 	// the PD's affinity mask at creation. The vCPU, all of the guest's

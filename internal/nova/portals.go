@@ -27,24 +27,19 @@ const (
 	// SelMgrSlotBase + prr: the fabric's hardware-task slot objects
 	// (window of maxPRRSlots selectors; AttachFabric guards it).
 	SelMgrSlotBase = abi.NumPortalSelectors + 16
-	// SelMgrClientBase + pd.ID: client PD objects (the handles the
-	// manager acts on when reclaiming or loading DMA windows; window of
-	// maxClientPDs selectors, guarded at delegation).
-	SelMgrClientBase = SelMgrSlotBase + maxPRRSlots
 
-	// SelGrantBase is where DelegateIPC places peer capabilities —
-	// strictly above every fixed window, so delegations can never
-	// silently overwrite a conventional capability.
-	SelGrantBase = SelMgrClientBase + maxClientPDs
+	// SelGrantBase is where delegations without a conventional slot go,
+	// each into the lowest free selector: DelegateIPC's peer capabilities
+	// and the manager's client handles (the PD objects it acts on when
+	// reclaiming or loading DMA windows). It lies strictly above every
+	// fixed window, and a free-slot insert never overwrites a capability.
+	SelGrantBase = SelMgrSlotBase + maxPRRSlots
 )
 
-// Fixed-window capacities. Exceeding one is a topology the selector
-// layout cannot express; the delegation sites panic loudly instead of
-// silently aliasing a neighbouring window.
-const (
-	maxPRRSlots  = 16
-	maxClientPDs = 64
-)
+// maxPRRSlots is the hardware-task slot window's capacity. A fabric with
+// more PRRs is a topology the selector layout cannot express, so
+// AttachFabric panics instead of silently aliasing the grant range.
+const maxPRRSlots = 16
 
 // Kernel root-space selectors: the kernel mints its device objects into
 // its own space (the boot domain) and delegates them from there.
@@ -329,12 +324,9 @@ func slotCap(pd *PD, prr int) (uint32, bool) {
 	return abi.StatusOK, true
 }
 
-// clientCap resolves the caller's capability to client PD pdID.
-func clientCap(pd *PD, pdID int) (*PD, uint32, bool) {
-	if pdID < 0 {
-		return nil, abi.StatusBadSel, false
-	}
-	obj, err := pd.Space.Lookup(SelMgrClientBase+pdID, capspace.ObjPD, capspace.RightCall)
+// clientCap resolves the caller's client handle at selector sel.
+func clientCap(pd *PD, sel int) (*PD, uint32, bool) {
+	obj, err := pd.Space.Lookup(sel, capspace.ObjPD, capspace.RightCall)
 	if err != capspace.OK {
 		return nil, capStatus(err), false
 	}
