@@ -520,10 +520,10 @@ func (k *Kernel) delegateManagerPowers(svc *PD) {
 }
 
 // delegateClientHandle hands pd's identity to the registered manager as
-// a call-only client capability. The first delegation takes the lowest
-// free selector from SelGrantBase up, which the PD keeps; a later one
-// (AttachFabric after RegisterHwService re-delegates the manager's
-// powers) refreshes that selector, so the manager's table does not grow.
+// a call-only client capability, at the lowest free selector from
+// SelGrantBase up, which the PD keeps: a re-delegation (AttachFabric
+// after RegisterHwService) refreshes it and the manager's table does not
+// grow.
 func (k *Kernel) delegateClientHandle(pd *PD) {
 	if pd.clientSel != 0 {
 		pd.Space.Delegate(SelSelf, k.hwSvc.Space, pd.clientSel, capspace.RightCall)

@@ -61,9 +61,8 @@ type PD struct {
 	// manager's client handles).
 	Space   *capspace.Space
 	selfObj *capspace.Object
-	// clientSel is the selector of the PD's client handle in the
-	// registered manager's space, which requests carry as their ClientID;
-	// 0 (a portal selector) until the handle is delegated.
+	// clientSel is the PD's client handle in the manager's space, which
+	// its requests carry as ClientID (0, a portal, until delegated).
 	clientSel int
 
 	// Core is the PD's home core, chosen by the scheduler from

@@ -36,9 +36,8 @@ const (
 	SelGrantBase = SelMgrSlotBase + maxPRRSlots
 )
 
-// maxPRRSlots is the hardware-task slot window's capacity. A fabric with
-// more PRRs is a topology the selector layout cannot express, so
-// AttachFabric panics instead of silently aliasing the grant range.
+// maxPRRSlots is the slot window's capacity: AttachFabric panics on more
+// PRRs instead of silently aliasing the grant range.
 const maxPRRSlots = 16
 
 // Kernel root-space selectors: the kernel mints its device objects into
