@@ -9,6 +9,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/capspace"
 	"repro/internal/checkpoint"
+	"repro/internal/cpu"
 	"repro/internal/mmu"
 	"repro/internal/physmem"
 	"repro/internal/simclock"
@@ -105,6 +106,60 @@ func TestCheckpointMaterializesImage(t *testing.T) {
 			t.Fatalf("image frame va %#x pa %#x not materialized by Checkpoint", va, uint32(pa))
 		}
 	})
+}
+
+// TestCloneStartsFromWholeCapture: a fork starts from everything the
+// image captured — the restorable vCPU value, the vGIC's lines and
+// pending list, the root context's ExecState — as copies of its own,
+// while its TTBR and ASID are its own.
+func TestCloneStartsFromWholeCapture(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	// idleTemplate, with guest code run and data touched first, so the
+	// root context has replay state worth capturing.
+	tpl := k.CreatePD(PDConfig{Name: "tpl", Priority: PrioGuest, Guest: &scriptGuest{"tpl", func(env *Env) {
+		env.Ctx.Exec(100)
+		env.Ctx.Touch(GuestUserBase, true)
+		idleTemplate("tpl").RunSlice(env)
+	}}})
+	k.RunFor(simclock.FromMillis(2))
+	// vGIC state worth capturing: an enabled line injected and in
+	// service, and a registered, disabled one.
+	tpl.VGIC.Register(70)
+	tpl.VGIC.Enable(70)
+	tpl.VGIC.Inject(70)
+	tpl.VGIC.Register(71)
+	img, err := k.Checkpoint(tpl, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.VGIC) != 2 || len(img.VGICPending) != 1 || img.Exec == (cpu.ExecState{}) || img.VCPU.TimerPeriod == 0 {
+		t.Fatalf("image captured too little: %d lines, %d pending, exec state zero %v, timer period %d",
+			len(img.VGIC), len(img.VGICPending), img.Exec == (cpu.ExecState{}), img.VCPU.TimerPeriod)
+	}
+
+	c := k.CreateClone(img, "clone", cloneWriter("clone", 0))
+	if c.VCPU.VCPUState != img.VCPU {
+		t.Errorf("clone vCPU %+v, image's %+v", c.VCPU.VCPUState, img.VCPU)
+	}
+	if c.VCPU.TTBR != uint32(c.Table.Base) || c.VCPU.TTBR == tpl.VCPU.TTBR {
+		t.Errorf("clone TTBR %#x, want its own table %#x (template's %#x)", c.VCPU.TTBR, uint32(c.Table.Base), tpl.VCPU.TTBR)
+	}
+	if c.VCPU.ASID != c.ASID || c.ASID == tpl.ASID {
+		t.Errorf("clone vCPU ASID %d, want its own %d (template's %d)", c.VCPU.ASID, c.ASID, tpl.ASID)
+	}
+	if !slices.Equal(c.VGIC.recs, img.VGIC) || !slices.Equal(c.VGIC.pending, img.VGICPending) {
+		t.Errorf("clone vGIC %+v pending %v, image's %+v pending %v", c.VGIC.recs, c.VGIC.pending, img.VGIC, img.VGICPending)
+	}
+	if c.Env.Ctx.ExecState != img.Exec {
+		t.Error("clone's root context ExecState differs from the image's")
+	}
+	// The clone's records are its own: changing them leaves the image alone.
+	c.VGIC.Disable(70)
+	c.VGIC.DrainPending()
+	if !img.VGIC[0].Enabled || len(img.VGICPending) != 1 {
+		t.Error("a change to the clone's vGIC reached the image")
+	}
 }
 
 // TestCloneRevocationAndSharing is the lifecycle cross-product: COW

@@ -23,3 +23,6 @@ var (
 	BootFrozenTemplate = bootFrozenTemplate
 	CloneWriter        = cloneWriter
 )
+
+// Commits is the number of deferred effects k's committer has replayed.
+func Commits(k *Kernel) uint64 { return k.committer.Commits }

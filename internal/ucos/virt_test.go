@@ -132,6 +132,64 @@ func TestVirtTwoVMsShareHardwareTask(t *testing.T) {
 	}
 }
 
+// TestCloneResumesMachineCursors: a clone's guest resumes the template's
+// whole machine state. Once it runs, its allocation cursors equal the
+// template's — the data section it set up and the interface page its
+// acquire took — so a later SetupDataSection or RequestHwTask in the
+// clone carves what the template's would have.
+func TestCloneResumesMachineCursors(t *testing.T) {
+	k := nova.NewKernel()
+	defer k.Shutdown()
+	hwtask.BootPaperPlatform(k, 0)
+	tg := &Guest{GuestName: "tpl", Setup: func(os *OS) {
+		os.TaskCreate("hw", 10, func(task *Task) {
+			if _, ok := task.OS.M.SetupDataSection(16 << 10); !ok {
+				t.Error("data section setup failed")
+				return
+			}
+			if h, st := task.AcquireHw(hwtask.TaskQAM4); h == nil {
+				t.Errorf("acquire status = %d", st)
+			}
+		})
+	}}
+	tpl := k.CreatePD(nova.PDConfig{Name: "tpl", Priority: nova.PrioGuest, Guest: tg})
+	k.RunFor(simclock.FromMillis(20))
+	for i := 0; i < 40 && !tpl.IdleParked(); i++ {
+		k.RunFor(simclock.FromMicros(250))
+	}
+	want := tg.OS.M.(*VirtMachine).cur
+	if fresh := NewVirtMachine(nil).cur; want.DataVA == fresh.DataVA || want.DataSize == fresh.DataSize ||
+		want.IfaceNext == fresh.IfaceNext || want.RamNext == fresh.RamNext {
+		t.Fatalf("template cursors %+v left a field at its boot value %+v", want, fresh)
+	}
+	snap, err := tg.OS.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := k.Checkpoint(tpl, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Freeze(tpl); err != nil {
+		t.Fatal(err)
+	}
+
+	cg := &Guest{GuestName: "clone", Snap: snap, Setup: func(os *OS) {
+		os.TaskCreate("hw", 10, func(task *Task) {})
+	}}
+	c := k.CreateClone(img, "clone", cg)
+	if err := k.ActivateClone(c); err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(simclock.FromMillis(1))
+	if cg.OS == nil {
+		t.Fatal("clone's guest did not resume")
+	}
+	if got := cg.OS.M.(*VirtMachine).cur; got != want {
+		t.Errorf("clone cursors %+v, template's %+v", got, want)
+	}
+}
+
 // TestDestroyRunningCloneInTask destroys an activated clone while it is
 // preempted inside a task. The kill must unwind the task and then the
 // OS that dispatched it, so DestroyClone returns rather than waiting on
