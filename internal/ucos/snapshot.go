@@ -3,8 +3,10 @@
 // (cloned) protection domain. The hypervisor-side half — registers, MMU,
 // vGIC, guest RAM — lives in internal/checkpoint and internal/nova; this
 // file handles only guest-kernel state the hypervisor cannot see: TCBs,
-// tick counters, the local vIRQ table's pending list, and the cache/TLB
-// cursors of every execution context.
+// tick counters, the local vIRQ table's pending list, the replay state of
+// every execution context and a VirtMachine's allocation cursors. The
+// last two are the values their live objects hold (cpu.ExecState, which
+// every context embeds, and MachineSnap), so each is copied whole.
 //
 // A snapshot is taken while the instance is parked in the idle loop
 // (inside Machine.Idle, i.e. a HcSuspend hypercall): no task is current,

@@ -23,15 +23,10 @@ type VirtMachine struct {
 	cur MachineSnap
 }
 
-// NewVirtMachine wraps a PD environment.
+// NewVirtMachine wraps a PD environment. Data sections are carved from
+// the last RAM MB.
 func NewVirtMachine(env *nova.Env) *VirtMachine {
-	return &VirtMachine{
-		Env: env,
-		cur: MachineSnap{
-			IfaceNext: nova.GuestIfaceBase,
-			RamNext:   3 << 20, // data sections carved from the last RAM MB
-		},
-	}
+	return &VirtMachine{Env: env, cur: MachineSnap{IfaceNext: nova.GuestIfaceBase, RamNext: 3 << 20}}
 }
 
 // NewContext implements Machine: task contexts execute on the PD's home
