@@ -52,9 +52,8 @@ func (k *Kernel) onCore(from, to *CoreCtx, fn func(*PD), pd *PD) {
 }
 
 // serialize applies fn, an effect on state that every core may observe
-// (the console, a line's routing), now on a single-core machine or inside
-// a barrier commit, and otherwise at the next barrier, stamped with core
-// c's time.
+// (a line's routing), now on a single-core machine or inside a barrier
+// commit, and otherwise at the next barrier, stamped with core c's time.
 func (k *Kernel) serialize(c *CoreCtx, fn func()) {
 	if len(k.Cores) == 1 || k.inCommit {
 		fn()

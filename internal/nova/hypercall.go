@@ -805,7 +805,12 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 		// The completion line stays pinned to the manager's core (transfer
 		// events ride its clock; onIRQ forwards the injection cross-core);
 		// the owner's vGIC registers it when its transfer starts.
-		OnStart: func(*reconfig.Request) { k.onCore(k.reconfigCore(), pd.Core, enablePCAPIRQ, pd) },
+		OnStart: func(*reconfig.Request) {
+			k.onCore(k.reconfigCore(), pd.Core, func(pd *PD) {
+				pd.VGIC.Register(gic.PCAPIRQ)
+				pd.VGIC.Enable(gic.PCAPIRQ)
+			}, pd)
+		},
 		OnDone: func(r *reconfig.Request, ok bool) {
 			if ok {
 				k.pcapDone = append(k.pcapDone, pcapOwner{pd: pd, flow: r.Flow})
@@ -827,13 +832,6 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 	})
 	c.Clock.Advance(2 * CostDeviceAccess) // portal bookkeeping
 	return abi.StatusOK
-}
-
-// enablePCAPIRQ registers and enables the PCAP completion line in pd's
-// vGIC.
-func enablePCAPIRQ(pd *PD) {
-	pd.VGIC.Register(gic.PCAPIRQ)
-	pd.VGIC.Enable(gic.PCAPIRQ)
 }
 
 // mgrAllocIRQ allocates a PL interrupt line for PRR args[1] and registers

@@ -327,10 +327,10 @@ func (k *Kernel) AttachFabric(f *pl.Fabric) {
 }
 
 // bindManagerClocks pins the reconfiguration machinery to the manager
-// service's home core on a multi-core machine: the PCAP completion line
-// targets that core's GIC bank, and the fabric/pipeline default clocks
-// become that core's cursor, so reconfiguration events fire on the
-// goroutine that owns them.
+// service's home core: the PCAP completion line targets that core's GIC
+// bank, and the fabric/pipeline default clocks become that core's
+// cursor, so reconfiguration events fire on the goroutine that owns
+// them. On a single-core machine all of it is core 0's already.
 func (k *Kernel) bindManagerClocks() {
 	if k.hwSvc == nil {
 		return
