@@ -61,31 +61,75 @@ func (b *Bitstream) Encode() []byte {
 	return out
 }
 
-// Decode parses and validates an encoded bitstream.
+// Decode parses and validates an encoded bitstream held whole in raw:
+// a Checker fed raw in one piece, with the payload kept.
 func Decode(raw []byte) (*Bitstream, error) {
-	if len(raw) < HeaderSize {
-		return nil, fmt.Errorf("bitstream: %d bytes is shorter than the %d-byte header", len(raw), HeaderSize)
+	var c Checker
+	c.Write(raw)
+	b, err := c.Check()
+	if err != nil {
+		return nil, err
 	}
-	if m := binary.LittleEndian.Uint32(raw[0:]); m != Magic {
+	b.Payload = raw[HeaderSize : HeaderSize+binary.LittleEndian.Uint32(raw[20:])]
+	return b, nil
+}
+
+// Checker validates an encoded bitstream that arrives in pieces, in
+// order, without keeping it: a DMA master reading it a frame at a time
+// (the PCAP) feeds each piece to Write and calls Check at the end. It
+// holds the header and a running CRC of the payload, never the payload
+// itself, so however raw is cut into pieces, Check gives what Decode(raw)
+// gives, with a nil payload. The zero value is ready to use.
+type Checker struct {
+	hdr [HeaderSize]byte
+	n   int    // bytes written so far
+	crc uint32 // CRC of the payload bytes written so far
+}
+
+// Write feeds the next piece of the encoded bitstream.
+func (c *Checker) Write(p []byte) {
+	if c.n < HeaderSize {
+		k := copy(c.hdr[c.n:], p)
+		c.n += k
+		p = p[k:]
+	}
+	if len(p) == 0 {
+		return
+	}
+	// The header is whole: the payload runs to end, and what follows it
+	// is only counted.
+	end := HeaderSize + uint64(binary.LittleEndian.Uint32(c.hdr[20:]))
+	if uint64(c.n) < end {
+		c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:min(uint64(len(p)), end-uint64(c.n))])
+	}
+	c.n += len(p)
+}
+
+// Check decodes and validates what was written: the header's length and
+// magic, room for the payload, and the payload's CRC. It returns the
+// bitstream with a nil payload.
+func (c *Checker) Check() (*Bitstream, error) {
+	if c.n < HeaderSize {
+		return nil, fmt.Errorf("bitstream: %d bytes is shorter than the %d-byte header", c.n, HeaderSize)
+	}
+	h := c.hdr[:]
+	if m := binary.LittleEndian.Uint32(h[0:]); m != Magic {
 		return nil, fmt.Errorf("bitstream: bad magic %#x", m)
 	}
-	n := binary.LittleEndian.Uint32(raw[20:])
-	if uint32(len(raw)-HeaderSize) < n {
-		return nil, fmt.Errorf("bitstream: truncated payload (%d of %d bytes)", len(raw)-HeaderSize, n)
+	if n := binary.LittleEndian.Uint32(h[20:]); uint32(c.n-HeaderSize) < n {
+		return nil, fmt.Errorf("bitstream: truncated payload (%d of %d bytes)", c.n-HeaderSize, n)
 	}
-	payload := raw[HeaderSize : HeaderSize+n]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(raw[24:]); got != want {
-		return nil, fmt.Errorf("bitstream: payload CRC mismatch (%#x != %#x)", got, want)
+	if want := binary.LittleEndian.Uint32(h[24:]); c.crc != want {
+		return nil, fmt.Errorf("bitstream: payload CRC mismatch (%#x != %#x)", c.crc, want)
 	}
 	return &Bitstream{
-		TaskID:  binary.LittleEndian.Uint16(raw[4:]),
-		Variant: binary.LittleEndian.Uint16(raw[6:]),
+		TaskID:  binary.LittleEndian.Uint16(h[4:]),
+		Variant: binary.LittleEndian.Uint16(h[6:]),
 		Needs: Resources{
-			LUTs: binary.LittleEndian.Uint32(raw[8:]),
-			BRAM: binary.LittleEndian.Uint32(raw[12:]),
-			DSP:  binary.LittleEndian.Uint32(raw[16:]),
+			LUTs: binary.LittleEndian.Uint32(h[8:]),
+			BRAM: binary.LittleEndian.Uint32(h[12:]),
+			DSP:  binary.LittleEndian.Uint32(h[16:]),
 		},
-		Payload: payload,
 	}, nil
 }
 

@@ -50,6 +50,51 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestCheckerMatchesDecode feeds encodings, good and bad, to a Checker in
+// pieces of several sizes: Check must give Decode's verdict and header,
+// and no payload.
+func TestCheckerMatchesDecode(t *testing.T) {
+	good := Synthesize(3, 1, Resources{LUTs: 4000, BRAM: 8, DSP: 12}, 10_000).Encode()
+	flip := func(i int) []byte {
+		raw := bytes.Clone(good)
+		raw[i] ^= 0x01
+		return raw
+	}
+	for _, in := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"good", good},
+		{"bytes past the payload", append(bytes.Clone(good), 1, 2, 3)},
+		{"empty payload", Synthesize(1, 0, Resources{}, 0).Encode()},
+		{"empty", nil},
+		{"short header", good[:HeaderSize-1]},
+		{"truncated payload", good[:len(good)-1]},
+		{"bad magic", flip(0)},
+		{"bad CRC", flip(24)},
+		{"payload's last byte", flip(len(good) - 1)},
+	} {
+		want, werr := Decode(in.raw)
+		for _, piece := range []int{1, 3, HeaderSize, HeaderSize + 1, 4096} {
+			var c Checker
+			for p := in.raw; len(p) > 0; p = p[min(piece, len(p)):] {
+				c.Write(p[:min(piece, len(p))])
+			}
+			got, err := c.Check()
+			if (err == nil) != (werr == nil) {
+				t.Errorf("%s in %d-byte pieces: Check error %v, Decode error %v", in.name, piece, err, werr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if got.TaskID != want.TaskID || got.Variant != want.Variant || got.Needs != want.Needs || got.Payload != nil {
+				t.Errorf("%s in %d-byte pieces: Check gave %+v, Decode %+v", in.name, piece, got, want)
+			}
+		}
+	}
+}
+
 func TestFits(t *testing.T) {
 	prr := Resources{LUTs: 5000, BRAM: 10, DSP: 20}
 	if !(Resources{LUTs: 5000, BRAM: 10, DSP: 20}).Fits(prr) {

@@ -256,8 +256,8 @@ func (k *Kernel) ActivateClone(pd *PD) error {
 // nested task coroutines unwind with it), the PD is retired from
 // scheduling, its self object's generation is bumped so every delegated
 // capability to it dies (capspace revocation), it shares no frame any
-// more, and the arena returns to the free list for the next fork. Must
-// run at an engine-stopped point.
+// more, and its arena and kernel-data slot return to their free lists for
+// the next fork. Must run at an engine-stopped point.
 //
 // The dead clone stays in Kernel.PDs, whose index is its ID, with what
 // the tracer and the reports read: its name, core, counters, vGIC, clone
@@ -288,6 +288,7 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 	// The clone's private copies live in the arena and die with it.
 	pd.clone.shared = 0
 	k.cloneArenaFree = append(k.cloneArenaFree, pd.clone.arenaBase)
+	k.kdataFree = append(k.kdataFree, pd.kdata)
 	pd.Space.Retire()
 	pd.clone.arena, pd.selfObj, pd.Table, pd.Guest, pd.Env = nil, nil, nil, nil, nil
 	pd.next, pd.stop, pd.yield = nil, nil, nil

@@ -186,6 +186,9 @@ type Kernel struct {
 	// is handed to the next fork (clone.go).
 	ddrNext        physmem.Addr
 	cloneArenaFree []physmem.Addr
+	// kdataFree is a LIFO free list of destroyed clones' kernel-data
+	// slots (takeKData).
+	kdataFree []uint32
 	// cloneTables holds each image's captured clone page table
 	// (cloneTable), so that every fork after an image's first shares its
 	// frames.
@@ -464,7 +467,7 @@ func (k *Kernel) newPD(name string, prio int, grants Capability, table *mmu.Page
 		Table:    table,
 		ASID:     k.nextASID(),
 		Guest:    guest,
-		kdata:    KernelDataVA + uint32(id)*0x400,
+		kdata:    k.takeKData(name),
 	}
 	k.bindVirtualTimer(pd)
 	k.populateCaps(pd, grants)

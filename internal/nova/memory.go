@@ -110,6 +110,30 @@ func (k *Kernel) takeDDR(what, name string, size, align, gap uint32) physmem.Add
 	return a
 }
 
+// Each PD's kernel-resident descriptor fills one kdataSlotSize slot of the
+// 1 MB kernel-data section at KernelDataVA, which holds kdataSlots.
+const (
+	kdataSlotSize = 0x400
+	kdataSlots    = 1 << 20 / kdataSlotSize
+)
+
+// takeKData hands out the kernel-data slot of a new PD named name: slot n
+// to the PD with ID n while fresh slots last, then a destroyed clone's.
+// With every slot held by a live PD it panics, naming the section. (DDR
+// runs out first: it fits the RAM or arenas of fewer than 1,000 PDs.)
+func (k *Kernel) takeKData(name string) uint32 {
+	if id := len(k.PDs); id < kdataSlots {
+		return KernelDataVA + uint32(id)*kdataSlotSize
+	}
+	n := len(k.kdataFree)
+	if n == 0 {
+		panic(fmt.Sprintf("nova: PD %q finds all %d slots of the kernel-data section at %#x held by live PDs", name, kdataSlots, uint32(KernelDataVA)))
+	}
+	a := k.kdataFree[n-1]
+	k.kdataFree = k.kdataFree[:n-1]
+	return a
+}
+
 // guestRegions is a VM's layout over its RAM at ramBase: the first
 // quarter backs the guest kernel image (1 MB is plenty for a uCOS image),
 // the rest backs guest user memory, including wherever the guest later

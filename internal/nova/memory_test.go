@@ -292,3 +292,47 @@ func TestDDRFullPanicsAtTheCall(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelDataSlotsStayInSection forks and destroys 1,100 clones of one
+// template, keeping every hundredth, then forks three more clones and
+// creates a PD. A destroyed clone keeps its ID, so the last IDs pass the
+// section's 1,024 slots; still every live PD's kernel-data slot lies in
+// the section, and no two live PDs share one.
+func TestKernelDataSlotsStayInSection(t *testing.T) {
+	const cycles = 1100
+	k := NewKernel()
+	defer k.Shutdown()
+	_, img := bootFrozenTemplate(t, k, false)
+	g := cloneWriter("c", 0)
+	for i := range cycles {
+		c := k.CreateClone(img, fmt.Sprintf("c%d", i), g)
+		if i%100 != 0 {
+			if err := k.DestroyClone(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range 3 {
+		k.CreateClone(img, fmt.Sprintf("late%d", i), g)
+	}
+	late := k.CreatePD(PDConfig{Name: "late", Priority: PrioGuest, Guest: pageStorer(0, false)})
+	if late.ID < kdataSlots {
+		t.Fatalf("the late PD has ID %d, want one past the %d slots", late.ID, kdataSlots)
+	}
+	holder := map[uint32]string{}
+	for _, pd := range k.PDs {
+		if pd.dead {
+			continue
+		}
+		if off := pd.kdata - KernelDataVA; pd.kdata < KernelDataVA || off >= kdataSlots*kdataSlotSize || off%kdataSlotSize != 0 {
+			t.Errorf("%s (ID %d): kernel-data slot %#x is not one of the %d slots at %#x", pd.Name_, pd.ID, pd.kdata, kdataSlots, uint32(KernelDataVA))
+		}
+		if other, ok := holder[pd.kdata]; ok {
+			t.Errorf("%s and %s share the kernel-data slot %#x", other, pd.Name_, pd.kdata)
+		}
+		holder[pd.kdata] = pd.Name_
+	}
+	if len(holder) != 1+cycles/100+3+1 {
+		t.Errorf("%d live PDs, want %d", len(holder), 1+cycles/100+3+1)
+	}
+}

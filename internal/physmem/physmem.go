@@ -443,26 +443,31 @@ func ramPrefix(a Addr, n int, write bool) (int, error) {
 	return n, nil
 }
 
-// ReadBytes copies n bytes starting at a into a fresh slice (ReadInto).
+// ReadBytes copies n bytes starting at a into a fresh slice (ReadFrames).
 func (b *Bus) ReadBytes(a Addr, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := b.ReadInto(out, a); err != nil {
+	out := make([]byte, 0, n)
+	if err := b.ReadFrames(a, n, func(p []byte) { out = append(out, p...) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ReadInto fills dst with the bytes starting at a, a frame at a time.
-// Used by DMA masters (PCAP, AXI HP) that move bulk data without CPU
-// involvement. A range that leaves RAM returns a *BusError at its first
-// non-RAM address, with its RAM prefix copied and every frame of it
-// touched, as byte reads would leave them.
-func (b *Bus) ReadInto(dst []byte, a Addr) error {
-	m, err := ramPrefix(a, len(dst), false)
+// ReadFrames passes the n bytes starting at a to visit in order, a frame's
+// share at a time, as views of the frames' own buffers: visit must neither
+// write them nor keep them past its return. A DMA master that only checks
+// what it reads (the PCAP) thus reads without a buffer. A range that
+// leaves RAM returns a *BusError at its first non-RAM address, with its
+// RAM prefix visited and every frame of it touched, as byte reads would
+// leave them.
+func (b *Bus) ReadFrames(a Addr, n int, visit func([]byte)) error {
+	m, err := ramPrefix(a, n, false)
 	b.cover(a, m)
 	for i := 0; i < m; {
 		cur := a + Addr(i)
-		i += copy(dst[i:m], b.frame(cur)[cur&(FrameSize-1):])
+		off := int(cur & (FrameSize - 1))
+		k := min(FrameSize-off, m-i)
+		visit(b.frame(cur)[off : off+k])
+		i += k
 	}
 	return err
 }

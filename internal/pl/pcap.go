@@ -2,7 +2,6 @@ package pl
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/gic"
@@ -29,7 +28,8 @@ const (
 
 // PCAP is the bitstream download engine. One transfer at a time; the
 // completion interrupt is gic.PCAPIRQ, which Mini-NOVA routes to the VM
-// that launched the transfer (§IV-D).
+// that launched the transfer (§IV-D). It checks each bitstream where it
+// sits in memory, the bitstream store's frames, and keeps no copy.
 type PCAP struct {
 	f    *Fabric
 	regs map[physmem.Addr]uint32
@@ -55,11 +55,6 @@ type PCAP struct {
 	// armed is the one-shot fault the next kick consumes (fault
 	// injection; see InjectFault).
 	armed FaultKind
-
-	// buf holds the bitstream of the latest transfer: finish reads each
-	// into it rather than into a fresh slice, so the loaded PRR keeps the
-	// bitstream's identity but not its payload.
-	buf []byte
 
 	// Transfers counts completed downloads; Errors counts failed ones,
 	// including starts rejected while a transfer was in flight.
@@ -162,17 +157,21 @@ func (p *PCAP) finish(simclock.Cycles) {
 		fail(fmt.Errorf("pcap: bad target PRR %d", target))
 		return
 	}
-	p.buf = slices.Grow(p.buf[:0], n)[:n]
-	if err := p.f.Bus.ReadInto(p.buf, src); err != nil {
+	// The bitstream is checked where it sits, a frame at a time: the PCAP
+	// keeps no copy, and the loaded PRR keeps the bitstream's identity
+	// and needs but not its payload. The whole range is read whatever its
+	// header says, so a transfer touches every frame of it and fails on a
+	// bus error wherever the range leaves RAM.
+	var c bitstream.Checker
+	if err := p.f.Bus.ReadFrames(src, n, c.Write); err != nil {
 		fail(err)
 		return
 	}
-	bs, err := bitstream.Decode(p.buf)
+	bs, err := c.Check()
 	if err != nil {
 		fail(err)
 		return
 	}
-	bs.Payload = nil // p.buf's, which the next transfer overwrites
 	if err := p.f.LoadConfiguration(target, bs); err != nil {
 		fail(err)
 		return

@@ -363,11 +363,11 @@ func pcapTransfer(clock *simclock.Clock, bus *physmem.Bus, src physmem.Addr, n, 
 	return v
 }
 
-// The PCAP reads every bitstream into one buffer it keeps, so the region
-// it loads keeps the bitstream's identity and needs but not its payload,
-// and a transfer that fails (injected CRC fault, a bitstream that does
-// not decode, a source off the bus) leaves the region's configuration as
-// it was, even when it reused the buffer.
+// The PCAP checks every bitstream where it sits and keeps no copy, so the
+// region it loads keeps the bitstream's identity and needs but not its
+// payload, and a transfer that fails (injected CRC fault, a bitstream
+// that does not decode, a source off the bus) leaves the region's
+// configuration as it was.
 func TestPCAPFailedTransferKeepsLoaded(t *testing.T) {
 	clock, bus, _, f := rig()
 	needs := bitstream.Resources{LUTs: 1500, BRAM: 2, DSP: 4}
