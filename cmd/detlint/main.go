@@ -1,58 +1,28 @@
 // Command detlint runs the simulator's custom determinism/ABI/trace
-// analyzers (internal/detlint) over Go packages. It speaks two
-// protocols:
-//
-//   - standalone: `detlint ./...` (or `go run ./cmd/detlint ./...`)
-//     loads packages through `go list -export` and prints findings;
-//     exit status 2 means findings, 1 means failure to analyze.
-//
-//   - vettool: when invoked by `go vet -vettool=$(which detlint)`, the
-//     go command drives it with `-V=full` (version for the build
-//     cache), `-flags` (supported-flag discovery) and one *.cfg JSON
-//     file per package — the unitchecker protocol of
-//     golang.org/x/tools, reimplemented here on the standard library
-//     because the tree deliberately has no third-party dependencies.
+// analyzers (internal/detlint) over Go packages: `detlint ./...` (or
+// `go run ./cmd/detlint ./...`) loads packages through `go list -export`
+// and prints findings. Exit status 2 means findings, 1 means failure to
+// analyze.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/detlint"
-	"repro/internal/detlint/load"
 )
 
 var jsonFlag = flag.Bool("json", false, "emit JSON output")
 
 func main() {
-	// The go command's probe requests come before flag parsing.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			printFlags()
-			return
-		}
-	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: detlint [-json] package...\n       detlint unit.cfg (vettool mode)\n")
+		fmt.Fprintf(os.Stderr, "usage: detlint [-json] package...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitcheck(args[0])
-		return
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -80,140 +50,4 @@ func report(diags []detlint.Diagnostic) {
 	if len(diags) > 0 && !*jsonFlag {
 		os.Exit(2)
 	}
-}
-
-// printVersion implements -V=full in the exact shape the go command's
-// tool-ID probe parses: `name version devel ... buildID=<hex>`, where
-// the build ID must change whenever the binary does (it keys go vet's
-// result cache), so it is a hash of the executable itself.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel detlint buildID=%x\n", name, h.Sum(nil))
-}
-
-// printFlags implements -flags: the JSON flag inventory the go command
-// uses to validate user-supplied vet flags.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		getter, ok := f.Value.(flag.Getter)
-		if !ok {
-			return
-		}
-		_, isBool := getter.Get().(bool)
-		flags = append(flags, jsonFlag{f.Name, isBool, f.Usage})
-	})
-	data, err := json.Marshal(flags)
-	if err != nil {
-		os.Exit(1)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-}
-
-// vetConfig is the per-package JSON configuration the go command hands
-// a vettool (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgFile string) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("cannot decode vet config %s: %v", cfgFile, err))
-	}
-	// detlint exports no facts, but the go command caches the declared
-	// facts output, so it must exist even when empty.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0666); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency analyzed only for facts — nothing to do.
-		writeVetx()
-		return
-	}
-
-	fset := token.NewFileSet()
-	exports := make(map[string]string, len(cfg.ImportMap))
-	for src, canonical := range cfg.ImportMap {
-		if f, ok := cfg.PackageFile[canonical]; ok {
-			exports[src] = f
-		}
-	}
-	for path, f := range cfg.PackageFile {
-		if _, ok := exports[path]; !ok {
-			exports[path] = f
-		}
-	}
-	imp := load.ExportImporter(fset, exports)
-	importPath := load.TrimTestVariant(cfg.ImportPath)
-	pkg, err := load.Check(fset, importPath, cfg.Dir, cfg.GoFiles, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return
-		}
-		fatal(fmt.Errorf("typechecking %s: %v", cfg.ImportPath, err))
-	}
-	diags, err := detlint.RunPackage(pkg, detlint.Analyzers())
-	if err != nil {
-		fatal(err)
-	}
-	writeVetx()
-	if *jsonFlag {
-		// go vet -json: one object per package keyed by analyzer.
-		byAnalyzer := make(map[string][]map[string]string)
-		for _, d := range diags {
-			byAnalyzer[d.Category] = append(byAnalyzer[d.Category], map[string]string{
-				"posn": d.Position, "message": d.Message,
-			})
-		}
-		out := map[string]map[string][]map[string]string{cfg.ID: byAnalyzer}
-		data, _ := json.MarshalIndent(out, "", "\t")
-		os.Stdout.Write(data)
-		fmt.Println()
-		return
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Position, d.Message)
-	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
-	os.Exit(1)
 }

@@ -139,7 +139,7 @@ func main() {
 		if *faultsOnly {
 			kept := specs[:0]
 			for _, s := range specs {
-				if s.Faults.Enabled() || s.QoS.Enabled() {
+				if s.Faults.Enabled() || s.QoS {
 					kept = append(kept, s)
 				}
 			}

@@ -1,14 +1,13 @@
 // Package detlint bundles the simulator's custom determinism, ABI and
 // trace-discipline analyzers behind one registry, plus the driver logic
-// shared by the standalone cmd/detlint binary, the `go vet -vettool`
-// unitchecker mode, and the repo-wide cleanliness test.
+// shared by the cmd/detlint binary and the repo-wide cleanliness test.
 //
 // The invariants encoded here exist because their violations happened:
 // PR 4 chased a scenario-checksum divergence to vGIC distributor
 // programming that iterated a Go map; PR 7 found measure.Set.String()
 // reading maps unlocked and unsorted; PR 8 added ABI statuses that only
 // a dynamic test kept in sync with the StatusName table. detlint turns
-// each of those archaeology sessions into a `go vet` failure.
+// each of those archaeology sessions into a lint failure.
 package detlint
 
 import (

@@ -25,7 +25,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Package is one type-checked target package.
@@ -95,7 +94,7 @@ func Exports(pkgs []ListedPackage) map[string]string {
 
 // ExportImporter returns a types importer that resolves packages from
 // compiler export data files (the map values), as produced by
-// `go list -export` or recorded in a vet config's PackageFile table.
+// `go list -export`.
 func ExportImporter(fset *token.FileSet, exports map[string]string) types.ImporterFrom {
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
@@ -191,14 +190,4 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
 	return out, nil
-}
-
-// TrimTestVariant strips the " [foo.test]" suffix cmd/go appends to the
-// import path of test-augmented package variants, so path-scoped
-// analyzers treat the variant like the plain package.
-func TrimTestVariant(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -16,16 +16,17 @@
 // the scenario checksums.
 package fault
 
-// Config is one scenario's fault plan plus the tolerance policy knobs
-// the pipeline applies against it. All rates are per-mille (0..1000);
-// zero everywhere means a fault-free run and a nil injector.
+// Config is one scenario's fault plan. All rates are per-mille
+// (0..1000); zero everywhere means a fault-free run and a nil injector.
+// The tolerance policy the pipeline applies against it (retry budget,
+// quarantine threshold) is reconfig's own.
 type Config struct {
 	// Seed whitens every injection decision. Scenario specs derive it
 	// from the scenario seed so fault plans are reproducible.
 	Seed uint32
 
 	// SDErrorPermille is the chance an SD staging read fails outright
-	// (the fill is retried with exponential backoff, up to MaxRetries).
+	// (the fill is retried with exponential backoff).
 	SDErrorPermille uint32
 	// SDStallPermille is the chance an SD read stalls: it completes, but
 	// only after SDStallFactor times the modelled transfer latency.
@@ -48,15 +49,6 @@ type Config struct {
 	// in a faulted configuration state (transient config fault). Repeated
 	// faults quarantine the PRR.
 	PRRFaultPermille uint32
-
-	// MaxRetries bounds how many times one request's SD fill or PCAP
-	// download is retried before the request fails with StatusFaulted
-	// (default 3).
-	MaxRetries int
-	// QuarantineAfter is how many config faults a PRR absorbs before the
-	// pipeline quarantines it and placement falls back to healthy PRRs
-	// (default 3).
-	QuarantineAfter int
 }
 
 // Enabled reports whether the plan injects anything at all.
@@ -65,16 +57,10 @@ func (c Config) Enabled() bool {
 		c.PCAPCRCPermille|c.PCAPStallPermille|c.PRRFaultPermille != 0
 }
 
-// withDefaults fills the policy knobs left zero.
+// withDefaults fills the stall factor if left zero.
 func (c Config) withDefaults() Config {
 	if c.SDStallFactor == 0 {
 		c.SDStallFactor = 4
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 3
 	}
 	return c
 }

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"testing"
-
-	"repro/internal/simclock"
-)
+import "testing"
 
 // drive pulls a fixed decision sequence out of an injector and returns
 // the outcomes plus final stats — the replay unit the determinism tests
@@ -74,74 +70,7 @@ func TestNilInjector(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	in := New(Config{Seed: 1, SDErrorPermille: 1})
-	cfg := in.Config()
-	if cfg.MaxRetries != 3 || cfg.QuarantineAfter != 3 || cfg.SDStallFactor != 4 {
-		t.Errorf("defaults not applied: %+v", cfg)
-	}
-}
-
-func us(n int) simclock.Cycles { return simclock.Cycles(n) * simclock.CyclesPerMicrosecond }
-
-func TestTokenBucket(t *testing.T) {
-	b := &TokenBucket{Capacity: 2, RefillEvery: us(100)}
-	if !b.Take(us(10)) || !b.Take(us(10)) {
-		t.Fatal("fresh bucket must admit Capacity requests")
-	}
-	if b.Take(us(10)) {
-		t.Fatal("empty bucket admitted a third request")
-	}
-	if b.Denials != 1 {
-		t.Errorf("Denials = %d, want 1", b.Denials)
-	}
-	// One refill interval later exactly one token is back.
-	if !b.Take(us(110)) {
-		t.Fatal("bucket did not refill after RefillEvery")
-	}
-	if b.Take(us(115)) {
-		t.Fatal("bucket over-refilled")
-	}
-	// A long idle stretch clamps at Capacity, not beyond.
-	if !b.Take(us(100_000)) || !b.Take(us(100_000)) || b.Take(us(100_000)) {
-		t.Error("bucket after long idle did not hold exactly Capacity 2 tokens")
-	}
-	// Disabled bucket admits everything.
-	var off TokenBucket
-	for i := 0; i < 10; i++ {
-		if !off.Take(us(i)) {
-			t.Fatal("zero-capacity bucket must be disabled, not empty")
-		}
-	}
-}
-
-func TestBreaker(t *testing.T) {
-	b := &Breaker{TripAt: 3, DecayEvery: us(1000), Cooldown: us(500)}
-	if b.Charge(us(1), 1) || b.Charge(us(2), 1) {
-		t.Fatal("breaker tripped below threshold")
-	}
-	if !b.Charge(us(3), 1) {
-		t.Fatal("breaker failed to trip at threshold")
-	}
-	if !b.Open(us(100)) {
-		t.Fatal("breaker not open during cooldown")
-	}
-	if b.Rejections != 1 || b.Trips != 1 {
-		t.Errorf("trips=%d rejections=%d, want 1/1", b.Trips, b.Rejections)
-	}
-	if b.Open(us(3) + us(500)) {
-		t.Fatal("breaker still open after cooldown")
-	}
-	// Score decays: two charges a long time apart never accumulate.
-	b2 := &Breaker{TripAt: 2, DecayEvery: us(10), Cooldown: us(500)}
-	if b2.Charge(us(0), 1) {
-		t.Fatal("premature trip")
-	}
-	if b2.Charge(us(1000), 1) {
-		t.Fatal("decayed score still tripped")
-	}
-	// Zero value never trips.
-	var off Breaker
-	if off.Charge(us(1), 100) || off.Open(us(1)) {
-		t.Fatal("zero-value breaker must be disabled")
+	if got := New(Config{Seed: 1, SDErrorPermille: 1}).Config().SDStallFactor; got != 4 {
+		t.Errorf("default SDStallFactor = %d, want 4", got)
 	}
 }

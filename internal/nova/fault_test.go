@@ -105,12 +105,7 @@ func TestRevokeDuringInFlightReconfig(t *testing.T) {
 func TestQoSAdmission(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
-	k.EnableQoS(QoSConfig{
-		BucketCapacity: 2,
-		RefillEvery:    simclock.FromMillis(1),
-		TripAt:         3,
-		Cooldown:       simclock.FromMillis(5),
-	})
+	k.EnableQoS()
 	spin := func(env *Env) {
 		for {
 			env.Ctx.Exec(1 << 20)
@@ -120,8 +115,8 @@ func TestQoSAdmission(t *testing.T) {
 	guest := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", spin}})
 	crit := k.CreatePD(PDConfig{Name: "crit", Priority: PrioService, Guest: &scriptGuest{"crit", spin}})
 
-	// Two tokens, then throttled.
-	for i := 0; i < 2; i++ {
+	// A bucket's worth of tokens, then throttled.
+	for i := 0; i < qosBucket; i++ {
 		if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusOK {
 			t.Fatalf("admit %d = %d, want OK", i, st)
 		}
@@ -133,36 +128,119 @@ func TestQoSAdmission(t *testing.T) {
 		t.Errorf("denials = %d, want 1", d)
 	}
 
-	// A millisecond of simulated time refills a token.
-	k.Clock.Advance(simclock.FromMillis(1))
+	// One refill interval of simulated time refills a token.
+	k.Clock.Advance(qosRefillEvery)
 	if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusOK {
 		t.Fatalf("admit after refill = %d, want OK", st)
 	}
 
 	// Trip the breaker (as repeated launch/fault charges would) and the
 	// portal answers Retry until the cooldown lapses.
-	now := k.Clock.Now()
-	guest.breaker.Charge(now, 3)
+	k.chargeBreaker(guest.Core, guest, 0, qosTripAt)
 	if st := k.admitHwRequest(guest.Core, guest); st != abi.StatusRetry {
 		t.Fatalf("admit with open breaker = %d, want StatusRetry", st)
 	}
 	if _, trips, rej := k.QoSCounters(guest); trips != 1 || rej != 1 {
 		t.Errorf("trips/rejections = %d/%d, want 1/1", trips, rej)
 	}
-	k.Clock.Advance(simclock.FromMillis(6))
+	k.Clock.Advance(qosCooldown)
 	if st := k.admitHwRequest(guest.Core, guest); st == abi.StatusRetry {
 		t.Error("breaker still open after its cooldown")
 	}
 
-	// Critical-priority clients bypass admission entirely — drain their
-	// bucket by force and they are still admitted.
-	crit.bucket.Capacity = 1
-	for i := 0; i < 5; i++ {
+	// Critical-priority clients bypass admission entirely: twice a
+	// bucket's worth at one instant is still admitted.
+	for i := 0; i < 2*qosBucket; i++ {
 		if st := k.admitHwRequest(crit.Core, crit); st != abi.StatusOK {
 			t.Fatalf("critical admit %d = %d, want OK (bypass)", i, st)
 		}
 	}
 	if d, _, _ := k.QoSCounters(crit); d != 0 {
 		t.Errorf("critical client counted %d denials, want 0 (bypass)", d)
+	}
+}
+
+// TestQoSGuardsClones forks a clone on a kernel whose guards are on: the
+// clone's acquires are paced like any PD's, so past a bucket's worth at
+// one instant the portal throttles it.
+func TestQoSGuardsClones(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	k.EnableQoS()
+	_, img := bootFrozenTemplate(t, k, false)
+	clone := k.CreateClone(img, "clone", cloneWriter("clone", 0))
+	for i := 0; i < qosBucket; i++ {
+		if st := k.admitHwRequest(clone.Core, clone); st != abi.StatusOK {
+			t.Fatalf("clone admit %d = %d, want OK", i, st)
+		}
+	}
+	if st := k.admitHwRequest(clone.Core, clone); st != abi.StatusThrottled {
+		t.Fatalf("clone admit over capacity = %d, want StatusThrottled (the clone runs unguarded)", st)
+	}
+	if d, _, _ := k.QoSCounters(clone); d != 1 {
+		t.Errorf("clone denials = %d, want 1", d)
+	}
+}
+
+func TestTokenBucket(t *testing.T) {
+	var b tokenBucket
+	t0 := simclock.Cycles(10)
+	for i := 0; i < qosBucket; i++ {
+		if !b.take(t0) {
+			t.Fatalf("fresh bucket refused take %d of %d", i+1, qosBucket)
+		}
+	}
+	if b.take(t0) {
+		t.Fatal("empty bucket admitted a request")
+	}
+	if b.denials != 1 {
+		t.Errorf("denials = %d, want 1", b.denials)
+	}
+	// One refill interval later exactly one token is back.
+	if !b.take(t0 + qosRefillEvery) {
+		t.Fatal("bucket did not refill after qosRefillEvery")
+	}
+	if b.take(t0 + qosRefillEvery + 5) {
+		t.Fatal("bucket over-refilled")
+	}
+	// A long idle stretch clamps at qosBucket, not beyond.
+	late := t0 + 1000*qosRefillEvery
+	for i := 0; i < qosBucket; i++ {
+		if !b.take(late) {
+			t.Fatalf("bucket after long idle refused take %d of %d", i+1, qosBucket)
+		}
+	}
+	if b.take(late) {
+		t.Error("bucket after long idle held more than qosBucket tokens")
+	}
+}
+
+func TestBreaker(t *testing.T) {
+	var b breaker
+	for i := 1; i < qosTripAt; i++ {
+		if b.charge(simclock.Cycles(i), 1) {
+			t.Fatal("breaker tripped below qosTripAt")
+		}
+	}
+	if !b.charge(qosTripAt, 1) {
+		t.Fatal("breaker failed to trip at qosTripAt")
+	}
+	if !b.open(100) {
+		t.Fatal("breaker not open during cooldown")
+	}
+	if b.rejections != 1 || b.trips != 1 {
+		t.Errorf("trips=%d rejections=%d, want 1/1", b.trips, b.rejections)
+	}
+	if b.open(qosTripAt + qosCooldown) {
+		t.Fatal("breaker still open after cooldown")
+	}
+	// The score decays: a charge one short of tripping, leaked away
+	// point by point, cannot combine with a later one.
+	var b2 breaker
+	if b2.charge(0, qosTripAt-1) {
+		t.Fatal("premature trip")
+	}
+	if b2.charge((qosTripAt-1)*qosDecayEvery, 1) {
+		t.Fatal("decayed score still tripped")
 	}
 }

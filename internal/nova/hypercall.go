@@ -790,10 +790,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 	// below adds qosFaultWeight). The client is parked in submitHwRequest
 	// for the whole acquire, so its guard state is quiescent and may be
 	// charged from the manager's core.
-	if pd.breaker.Charge(c.Clock.Now(), 1) && k.Tracer != nil {
-		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindBreakerTrip,
-			uint64(reqID), uint64(pd.ID), pd.breaker.Trips)
-	}
+	k.chargeBreaker(c, pd, uint64(reqID), 1)
 	k.Reconfig.Submit(&reconfig.Request{
 		Key:      srcOff,
 		SrcOff:   srcOff,
@@ -822,11 +819,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 			mc := k.reconfigCore()
 			k.onCore(mc, pd.Core, func(pd *PD) {
 				pd.reconfigFault = true
-				now := mc.Clock.Now()
-				if pd.breaker.Charge(now, qosFaultWeight) && k.Tracer != nil {
-					k.Tracer.Core(mc.ID).Emit(now, trace.KindBreakerTrip,
-						r.Flow, uint64(pd.ID), pd.breaker.Trips)
-				}
+				k.chargeBreaker(mc, pd, r.Flow, qosFaultWeight)
 			}, pd)
 		},
 	})

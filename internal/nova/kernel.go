@@ -136,10 +136,8 @@ type Kernel struct {
 	nextReqID uint32
 	hwSvc     *PD
 
-	// QoS guard configuration for the manager portal (see qos.go);
-	// qosOn gates the admission path so a guard-free kernel pays one
-	// boolean test.
-	qos   QoSConfig
+	// qosOn arms the manager portal's QoS guards (see qos.go), so a
+	// guard-free kernel pays one boolean test.
 	qosOn bool
 
 	// PL interrupt routing (§IV-D). pcapDone lists the owners of PCAP
@@ -430,16 +428,13 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 		cfg.CodeSize = 64 << 10
 	}
 	ramBase := k.takeDDR("guest RAM of PD", cfg.Name, GuestRAMSize, physmem.FrameSize, guestStagger)
-	table := guestTable(k.Bus, k.allocFor(), guestRegions(ramBase), mmu.APFull)
+	table := guestTable(k.Bus, k.allocFor(cfg.Name), guestRegions(ramBase), mmu.APFull)
 	pd := k.newPD(cfg.Name, cfg.Priority, cfg.Caps, table, cfg.Guest)
 	pd.RAMBase, pd.RAMSize = ramBase, GuestRAMSize
 	if k.hwSvc != nil && pd != k.hwSvc {
 		// The manager acts on clients through delegated PD capabilities:
 		// every domain born after the service registers is handed over.
 		k.delegateClientHandle(pd)
-	}
-	if k.qosOn {
-		k.initQoS(pd)
 	}
 	pd.VCPU.TTBR = uint32(pd.Table.Base)
 	pd.VCPU.ASID = pd.ASID

@@ -161,17 +161,22 @@ func guestTable(bus *physmem.Bus, alloc *mmu.FrameAllocator, regions []checkpoin
 	return pt
 }
 
-// allocFor returns the frame allocator backing a new PD's page tables.
-// On a single-core machine every space shares the global pool (the
-// layout the single-core goldens pin); a multi-core machine carves a
-// private 256 KB arena per PD out of the pool, so lazy second-level table
-// allocation on concurrent cores never races on the shared cursor.
-// 256 KB holds the 16 KB L1 plus every 1 KB L2 a guest can need.
-func (k *Kernel) allocFor() *mmu.FrameAllocator {
+// allocFor returns the frame allocator backing the page tables of a new
+// PD named name. On a single-core machine every space shares the global
+// pool (the layout the single-core goldens pin); a multi-core machine
+// carves a private 256 KB arena per PD out of the pool, so lazy
+// second-level table allocation on concurrent cores never races on the
+// shared cursor. 256 KB holds the 16 KB L1 plus every 1 KB L2 a guest can
+// need. When the pool has no arena left it panics, naming the PD.
+func (k *Kernel) allocFor(name string) *mmu.FrameAllocator {
 	if len(k.Cores) == 1 {
 		return k.Alloc
 	}
-	return mmu.NewFrameAllocator(k.Alloc.Alloc(256<<10, 16<<10), 256<<10)
+	a, ok := k.Alloc.TryAlloc(256<<10, 16<<10)
+	if !ok {
+		panic(fmt.Sprintf("nova: page tables of PD %q (256 KB) do not fit in the 8 MB page-table pool at %#x", name, uint32(physTables)))
+	}
+	return mmu.NewFrameAllocator(a, 256<<10)
 }
 
 // translateGuestVA resolves a guest VA through the PD's table, for kernel

@@ -293,6 +293,30 @@ func TestDDRFullPanicsAtTheCall(t *testing.T) {
 	}
 }
 
+// TestPageTablePoolFullPanicsAtTheCall fills the 8 MB page-table pool of
+// a two-core kernel, where each PD's tables take a private 256 KB of it:
+// 31 PDs fit beside the kernel's own table, and the 32nd CreatePD panics
+// at the call, naming the PD and the pool.
+func TestPageTablePoolFullPanicsAtTheCall(t *testing.T) {
+	const fits = 31
+	k := NewKernelSMP(2)
+	defer k.Shutdown()
+	before := len(k.PDs)
+	var msg string
+	for i := 0; msg == "" && i <= fits; i++ {
+		msg = panicOf(func() {
+			k.CreatePD(PDConfig{Name: fmt.Sprintf("pd%d", i), Priority: PrioGuest, Guest: pageStorer(0, false)})
+		})
+	}
+	if placed := len(k.PDs) - before; placed != fits || msg == "" {
+		t.Fatalf("placed %d PDs, then panic %q; want %d placed, then a panic", placed, msg, fits)
+	}
+	t.Logf("after %d PDs: %s", fits, msg)
+	if want := fmt.Sprintf("PD %q", fmt.Sprintf("pd%d", fits)); !strings.Contains(msg, want) || !strings.Contains(msg, "8 MB page-table pool") {
+		t.Fatalf("panic %q does not name %s and the 8 MB page-table pool", msg, want)
+	}
+}
+
 // TestKernelDataSlotsStayInSection forks and destroys 1,100 clones of one
 // template, keeping every hundredth, then forks three more clones and
 // creates a PD. A destroyed clone keeps its ID, so the last IDs pass the

@@ -3,7 +3,6 @@ package nova
 import (
 	"repro/internal/capspace"
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/mmu"
 	"repro/internal/physmem"
 	"repro/internal/sched"
@@ -141,8 +140,8 @@ type PD struct {
 	// — for failure charges — by barrier commits; reconfigFault latches a
 	// failed reconfiguration for the next HcHwTaskStatus poll
 	// (clear-on-read), under the same ownership discipline.
-	bucket        fault.TokenBucket
-	breaker       fault.Breaker
+	bucket        tokenBucket
+	breaker       breaker
 	reconfigFault bool
 
 	// Coroutine plumbing (spawn): next runs the guest until it yields (ok

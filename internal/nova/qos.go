@@ -11,8 +11,8 @@ package nova
 //     answers StatusThrottled and the request never enters the queue;
 //   - a circuit breaker scores each client's reconfiguration pressure
 //     (every launched download charges it, a *failed* one charges it
-//     qosFaultWeight-fold); past TripAt the breaker opens for Cooldown
-//     cycles and the portal answers StatusRetry.
+//     qosFaultWeight-fold); at qosTripAt the breaker opens for
+//     qosCooldown and the portal answers StatusRetry.
 //
 // Clients at or above PrioService bypass both guards — the §III-D
 // priority model already ranks them above general guests, and the QoS
@@ -25,69 +25,107 @@ package nova
 
 import (
 	"repro/internal/abi"
-	"repro/internal/fault"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
-// Breaker policy: the score leaks one point per qosDecayEvery cycles
-// (1 ms), and a failed reconfiguration charges qosFaultWeight points
-// against 1 for a launch.
+// Guard policy: each client's bucket holds qosBucket tokens and regains
+// one every qosRefillEvery (2 ms). Its breaker's score leaks one point
+// every qosDecayEvery (1 ms); a launch charges 1 and a failed
+// reconfiguration qosFaultWeight, and a score of qosTripAt opens the
+// breaker for qosCooldown (8 ms).
 const (
+	qosBucket      = 3
+	qosRefillEvery = 2000 * simclock.CyclesPerMicrosecond
 	qosDecayEvery  = 1000 * simclock.CyclesPerMicrosecond
 	qosFaultWeight = 4
+	qosTripAt      = 10
+	qosCooldown    = 8000 * simclock.CyclesPerMicrosecond
 )
 
-// QoSConfig parameterizes the manager-portal admission guards. The zero
-// value disables both (Enabled reports false).
-type QoSConfig struct {
-	// BucketCapacity is each client's token-bucket depth; 0 disables
-	// rate admission.
-	BucketCapacity uint32
-	// RefillEvery is the cycles between single-token refills (default
-	// 1 ms when rate admission is on).
-	RefillEvery simclock.Cycles
+// EnableQoS arms the manager-portal admission guards for every PD, those
+// created or forked later included. Call before Run.
+func (k *Kernel) EnableQoS() { k.qosOn = true }
 
-	// TripAt is the breaker score that opens a client's circuit; 0
-	// disables the breaker.
-	TripAt uint32
-	// Cooldown is how long an open breaker rejects before it re-closes
-	// (default 10 ms).
-	Cooldown simclock.Cycles
+// tokenBucket paces one client's acquires. It is full at its first
+// take; the zero value is a fresh bucket. Not internally synchronized:
+// only the client's own core takes from it.
+type tokenBucket struct {
+	last    simclock.Cycles
+	denials uint64 // admissions refused for an empty bucket
+	tokens  uint32
+	primed  bool
 }
 
-// Enabled reports whether any guard is configured.
-func (q QoSConfig) Enabled() bool { return q.BucketCapacity != 0 || q.TripAt != 0 }
-
-// withDefaults fills the knobs left zero.
-func (q QoSConfig) withDefaults() QoSConfig {
-	if q.RefillEvery == 0 {
-		q.RefillEvery = simclock.FromMillis(1)
+// take admits one request at now, spending a token; false means the
+// bucket is empty (throttle the caller).
+func (b *tokenBucket) take(now simclock.Cycles) bool {
+	if !b.primed {
+		b.tokens, b.last, b.primed = qosBucket, now, true
+	} else if now > b.last {
+		earned := (now - b.last) / qosRefillEvery
+		b.last += earned * qosRefillEvery
+		b.tokens = uint32(min(uint64(b.tokens)+uint64(earned), qosBucket))
 	}
-	if q.Cooldown == 0 {
-		q.Cooldown = simclock.FromMillis(10)
+	if b.tokens == 0 {
+		b.denials++
+		return false
 	}
-	return q
+	b.tokens--
+	return true
 }
 
-// EnableQoS arms the manager-portal admission guards with cfg and
-// initializes the per-client guard state of every existing PD; domains
-// created later are armed at creation. Call before Run.
-func (k *Kernel) EnableQoS(cfg QoSConfig) {
-	if !cfg.Enabled() {
+// breaker is a leaky-counter circuit breaker over one client's
+// reconfiguration pressure; the zero value is closed with score 0. Not
+// internally synchronized: the manager core charges it while the client
+// is parked in its acquire, and the client's core reads it at admission,
+// serialized by the epoch-barrier commit discipline.
+type breaker struct {
+	last       simclock.Cycles
+	openUntil  simclock.Cycles
+	trips      uint64 // open transitions
+	rejections uint64 // admissions refused while open
+	score      uint32
+}
+
+// charge adds weight at now and reports whether it tripped the breaker
+// open.
+func (b *breaker) charge(now simclock.Cycles, weight uint32) bool {
+	if now > b.last {
+		leaked := (now - b.last) / qosDecayEvery
+		b.last += leaked * qosDecayEvery
+		b.score -= uint32(min(uint64(b.score), uint64(leaked)))
+	}
+	b.score += weight
+	if b.score >= qosTripAt && now >= b.openUntil {
+		b.openUntil = now + qosCooldown
+		b.score = 0
+		b.trips++
+		return true
+	}
+	return false
+}
+
+// open reports whether the breaker is open (cooling down) at now,
+// counting the rejection so the checksums can prove the guard fired.
+func (b *breaker) open(now simclock.Cycles) bool {
+	if now < b.openUntil {
+		b.rejections++
+		return true
+	}
+	return false
+}
+
+// chargeBreaker charges pd's breaker weight on core c when the guards
+// are on, tracing a trip under flow.
+func (k *Kernel) chargeBreaker(c *CoreCtx, pd *PD, flow uint64, weight uint32) {
+	if !k.qosOn {
 		return
 	}
-	k.qos = cfg.withDefaults()
-	k.qosOn = true
-	for _, pd := range k.PDs {
-		k.initQoS(pd)
+	now := c.Clock.Now()
+	if pd.breaker.charge(now, weight) && k.Tracer != nil {
+		k.Tracer.Core(c.ID).Emit(now, trace.KindBreakerTrip, flow, uint64(pd.ID), pd.breaker.trips)
 	}
-}
-
-// initQoS arms pd's guard state from the active config.
-func (k *Kernel) initQoS(pd *PD) {
-	pd.bucket = fault.TokenBucket{Capacity: k.qos.BucketCapacity, RefillEvery: k.qos.RefillEvery}
-	pd.breaker = fault.Breaker{TripAt: k.qos.TripAt, DecayEvery: qosDecayEvery, Cooldown: k.qos.Cooldown}
 }
 
 // admitHwRequest runs the portal guards for an acquire from pd on its
@@ -98,13 +136,13 @@ func (k *Kernel) admitHwRequest(c *CoreCtx, pd *PD) uint32 {
 		return abi.StatusOK
 	}
 	now := c.Clock.Now()
-	if pd.breaker.Open(now) {
+	if pd.breaker.open(now) {
 		return abi.StatusRetry
 	}
-	if !pd.bucket.Take(now) {
+	if !pd.bucket.take(now) {
 		if k.Tracer != nil {
 			k.Tracer.Core(c.ID).Emit(now, trace.KindQoSThrottle,
-				0, uint64(pd.ID), pd.bucket.Denials)
+				0, uint64(pd.ID), pd.bucket.denials)
 		}
 		return abi.StatusThrottled
 	}
@@ -114,7 +152,7 @@ func (k *Kernel) admitHwRequest(c *CoreCtx, pd *PD) uint32 {
 // QoSCounters returns pd's guard ledger — bucket denials, breaker trips
 // and open-circuit rejections — for scenario digests.
 func (k *Kernel) QoSCounters(pd *PD) (denials, trips, rejections uint64) {
-	return pd.bucket.Denials, pd.breaker.Trips, pd.breaker.Rejections
+	return pd.bucket.denials, pd.breaker.trips, pd.breaker.rejections
 }
 
 // PRRQuarantined reports whether the reconfiguration pipeline has pulled

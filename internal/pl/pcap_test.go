@@ -35,15 +35,15 @@ func newPCAPRig(capacities ...bitstream.Resources) *pcapRig {
 	return r
 }
 
-// transfer runs one PCAP download of n bytes at src into region target,
-// advancing the clock by its latency. (Advance(0) fires an empty
-// transfer's completion, which RunUntilIdle would not.)
+// transfer runs one PCAP download of n bytes at src into region target
+// and fires its completion, the clock's only event (an empty transfer's
+// is due at once).
 func (r *pcapRig) transfer(src physmem.Addr, n uint32, target int) {
 	r.bus.Write32(physmem.DevCfgBase+pl.PCAPRegSrc, uint32(src))
 	r.bus.Write32(physmem.DevCfgBase+pl.PCAPRegLen, n)
 	r.bus.Write32(physmem.DevCfgBase+pl.PCAPRegTarget, uint32(target))
 	r.bus.Write32(physmem.DevCfgBase+pl.PCAPRegCtrl, 1)
-	r.clock.Advance(pl.TransferCycles(int(n)))
+	r.clock.RunUntilIdle(1)
 }
 
 // catalogImage returns the encoded bitstream of the paper catalog's task
@@ -219,6 +219,33 @@ func TestPCAPHoldsNoBitstream(t *testing.T) {
 	t.Logf("%d bytes of live heap after the two transfers", grown)
 	if grown >= physmem.FrameSize {
 		t.Errorf("the transfers grew the live heap by %d bytes, want under %d", grown, physmem.FrameSize)
+	}
+}
+
+// TestPCAPFailureAllocatesNothing runs a transfer that an armed CRC fault
+// fails and one into a region the fabric does not have: neither
+// allocates.
+func TestPCAPFailureAllocatesNothing(t *testing.T) {
+	r := newPCAPRig(anyFit)
+	img := catalogImage(t, "QAM-4")
+	src, n := physmem.DDRBase, uint32(len(img))
+	r.bus.WriteBytes(src, img)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"armed CRC fault", func() {
+			r.fab.PCAP.InjectFault(pl.FaultCRC)
+			r.transfer(src, n, 0)
+		}},
+		{"bad target", func() { r.transfer(src, n, 1) }},
+	} {
+		if a := testing.AllocsPerRun(100, c.run); a != 0 {
+			t.Errorf("%s: %.1f allocs per transfer, want 0", c.name, a)
+		}
+	}
+	if r.fab.PCAP.Transfers != 0 {
+		t.Errorf("%d transfers succeeded, want every one to fail", r.fab.PCAP.Transfers)
 	}
 }
 

@@ -28,7 +28,7 @@ func findSeed(t *testing.T, cfg fault.Config, pattern func(in *fault.Injector) b
 // forever, leaking its reservation.
 func TestFailedFillUnpinsAndEvicts(t *testing.T) {
 	r := newRig(t, 1<<20, 8<<10, 1)
-	r.pipe.Inject = fault.New(fault.Config{Seed: 3, SDErrorPermille: 1000, MaxRetries: 2})
+	r.pipe.Inject = fault.New(fault.Config{Seed: 3, SDErrorPermille: 1000})
 	var ok, failed int
 	req := r.request(1, 0, 1, &ok)
 	req.OnDone = func(_ *Request, good bool) {
@@ -41,8 +41,8 @@ func TestFailedFillUnpinsAndEvicts(t *testing.T) {
 	if failed != 1 {
 		t.Fatalf("failure callback fired %d times, want 1", failed)
 	}
-	if r.pipe.Stats.Retries != 2 {
-		t.Errorf("retries = %d, want MaxRetries = 2", r.pipe.Stats.Retries)
+	if r.pipe.Stats.Retries != maxRetries {
+		t.Errorf("retries = %d, want maxRetries = %d", r.pipe.Stats.Retries, maxRetries)
 	}
 	if r.pipe.Stats.FaultedRequests != 1 {
 		t.Errorf("faulted requests = %d, want 1", r.pipe.Stats.FaultedRequests)
@@ -64,7 +64,7 @@ func TestFailedFillUnpinsAndEvicts(t *testing.T) {
 // TestSDErrorRetriesThenSucceeds: a transient SD error is outwaited by
 // the backoff loop and the request still completes.
 func TestSDErrorRetriesThenSucceeds(t *testing.T) {
-	cfg := fault.Config{SDErrorPermille: 400, MaxRetries: 3}
+	cfg := fault.Config{SDErrorPermille: 400}
 	seed := findSeed(t, cfg, func(in *fault.Injector) bool {
 		return in.SDFill(0).Err && !in.SDFill(0).Err
 	})
@@ -206,9 +206,7 @@ func TestPCAPStallReapedByWatchdog(t *testing.T) {
 // fail the request instead of retrying forever.
 func TestPRRQuarantine(t *testing.T) {
 	r := newRig(t, 1<<20, 8<<10, 1)
-	r.pipe.Inject = fault.New(fault.Config{
-		Seed: 11, PRRFaultPermille: 1000, QuarantineAfter: 2, MaxRetries: 5,
-	})
+	r.pipe.Inject = fault.New(fault.Config{Seed: 11, PRRFaultPermille: 1000})
 	var ok, failed int
 	req := r.request(1, 0, 1, &ok)
 	req.OnDone = func(_ *Request, good bool) {
@@ -230,8 +228,8 @@ func TestPRRQuarantine(t *testing.T) {
 	if r.pipe.Stats.Quarantines != 1 {
 		t.Errorf("quarantines = %d, want 1", r.pipe.Stats.Quarantines)
 	}
-	if r.pipe.PRRFaults(0) != 2 {
-		t.Errorf("PRR0 fault count = %d, want 2 (threshold)", r.pipe.PRRFaults(0))
+	if r.pipe.PRRFaults(0) != quarantineAfter {
+		t.Errorf("PRR0 fault count = %d, want quarantineAfter = %d", r.pipe.PRRFaults(0), quarantineAfter)
 	}
 	if !r.pipe.Idle() {
 		t.Error("pipeline wedged after quarantine failure")
@@ -299,7 +297,6 @@ func TestFaultPipelineDeterministic(t *testing.T) {
 		r.pipe.Inject = fault.New(fault.Config{
 			Seed: 99, SDErrorPermille: 150, SDStallPermille: 100, CorruptPermille: 120,
 			PCAPCRCPermille: 150, PCAPStallPermille: 80, PRRFaultPermille: 120,
-			QuarantineAfter: 3, MaxRetries: 2,
 		})
 		var done int
 		for i := 0; i < 30; i++ {

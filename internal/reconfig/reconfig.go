@@ -350,17 +350,10 @@ func (p *Pipeline) watchdogFire(r *Request) {
 // (a decode failure is structural), so the request fails immediately —
 // the seed pipeline's behavior.
 func (p *Pipeline) retryOrFail(r *Request) {
-	if p.Inject == nil {
+	if p.Inject == nil || !p.retry(r.Flow, r.Key, r.attempts) {
 		p.failActive(r)
 		return
 	}
-	cfg := p.Inject.Config()
-	if r.attempts > cfg.MaxRetries {
-		p.failActive(r)
-		return
-	}
-	p.Stats.Retries++
-	p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, r.Flow, uint64(r.Key), uint64(r.attempts))
 	p.Clock.After(backoff(r.attempts), func(simclock.Cycles) {
 		if p.active == r {
 			p.kick(r)
@@ -368,22 +361,30 @@ func (p *Pipeline) retryOrFail(r *Request) {
 	})
 }
 
-// backoffBase is the first retry delay of a failed SD fill or PCAP
-// download.
-const backoffBase = 50 * simclock.CyclesPerMicrosecond
+// The tolerance policy: a failed SD fill or PCAP download is retried
+// after backoffBase, doubling per attempt, at most maxRetries times, and
+// a PRR that takes quarantineAfter config faults leaves the placement
+// pool.
+const (
+	backoffBase     = 50 * simclock.CyclesPerMicrosecond
+	maxRetries      = 3
+	quarantineAfter = 2
+)
 
-// backoff returns attempt n's retry delay: backoffBase << (n-1), shift
-// clamped so a misconfigured retry budget cannot overflow.
-func backoff(attempts int) simclock.Cycles {
-	shift := attempts - 1
-	if shift > 16 {
-		shift = 16
+// retry reports whether a request or fill that has made attempts
+// attempts may retry, and if so counts and traces the retry.
+func (p *Pipeline) retry(flow uint64, key uint32, attempts int) bool {
+	if attempts > maxRetries {
+		return false
 	}
-	if shift < 0 {
-		shift = 0
-	}
-	return backoffBase << shift
+	p.Stats.Retries++
+	p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, flow, uint64(key), uint64(attempts))
+	return true
 }
+
+// backoff returns the delay before retry n, backoffBase << (n-1); n is
+// at most maxRetries.
+func backoff(n int) simclock.Cycles { return backoffBase << (n - 1) }
 
 // failActive fails the request holding the PCAP channel and drains the
 // queue behind it.
@@ -453,13 +454,10 @@ func (p *Pipeline) pcapComplete(target int, ok bool) {
 			p.Cache.Unpin(e)
 			r.pinned = nil
 			p.Cache.Invalidate(e)
-			cfg := p.Inject.Config()
-			if r.attempts > cfg.MaxRetries {
+			if !p.retry(r.Flow, r.Key, r.attempts) {
 				p.failActive(r)
 				return
 			}
-			p.Stats.Retries++
-			p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, r.Flow, uint64(r.Key), uint64(r.attempts))
 			p.refetch(r)
 			return
 		}
@@ -526,15 +524,15 @@ func (p *Pipeline) refetch(r *Request) {
 	}
 }
 
-// notePRRFault bumps target's health counter, quarantining it at the
-// configured threshold.
+// notePRRFault bumps target's health counter, quarantining it at
+// quarantineAfter.
 func (p *Pipeline) notePRRFault(target int) {
 	for len(p.prrFaults) <= target {
 		p.prrFaults = append(p.prrFaults, 0)
 		p.prrQuar = append(p.prrQuar, false)
 	}
 	p.prrFaults[target]++
-	if !p.prrQuar[target] && p.prrFaults[target] >= p.Inject.Config().QuarantineAfter {
+	if !p.prrQuar[target] && p.prrFaults[target] >= quarantineAfter {
 		p.prrQuar[target] = true
 		p.Stats.Quarantines++
 		p.Trace.Emit(p.Clock.Now(), trace.KindPRRQuarantine, 0, uint64(target), uint64(p.prrFaults[target]))
@@ -640,10 +638,7 @@ func (p *Pipeline) startRead(f *fill) {
 // every waiter and drop the placeholder entry so the cache cannot leak
 // pinned garbage.
 func (p *Pipeline) fillErr(f *fill) {
-	cfg := p.Inject.Config()
-	if f.attempts <= cfg.MaxRetries {
-		p.Stats.Retries++
-		p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, f.flow, uint64(f.key), uint64(f.attempts))
+	if p.retry(f.flow, f.key, f.attempts) {
 		p.Clock.After(backoff(f.attempts), func(simclock.Cycles) {
 			p.startRead(f)
 		})

@@ -97,8 +97,8 @@ type Spec struct {
 	// injection). Its Seed defaults to the spec's Seed, so the fault
 	// sequence is reproducible from the scenario alone.
 	Faults fault.Config
-	// QoS arms the kernel's manager-portal admission guards (zero = off).
-	QoS nova.QoSConfig
+	// QoS arms the kernel's manager-portal admission guards.
+	QoS bool
 
 	// Snapshot switches the scenario into checkpoint/fork mode: VMs[0]
 	// becomes a serverless template that is booted to quiescence,
@@ -181,7 +181,9 @@ func Build(spec Spec) *System {
 		}
 		k.Reconfig.Inject = fault.New(fc)
 	}
-	k.EnableQoS(spec.QoS)
+	if spec.QoS {
+		k.EnableQoS()
+	}
 
 	sys := &System{Spec: spec, Kernel: k, Manager: mgr, stormNext: 0}
 	for i, vm := range spec.VMs {

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/hwtask"
-	"repro/internal/nova"
 	"repro/internal/sched"
-	"repro/internal/simclock"
 )
 
 // smallTaskMenu is the fault scenarios' churn mix: the small, quickly
@@ -166,7 +164,7 @@ func Suite(short bool) []Spec {
 			Cores: 2, QuantumMs: 8, RunMs: ms(240), Seed: 12,
 			CacheBytes:  1 << 20,
 			ServiceCore: sched.MaskOf(1),
-			Faults:      fault.Config{PRRFaultPermille: 400, QuarantineAfter: 2},
+			Faults:      fault.Config{PRRFaultPermille: 400},
 			VMs: []VM{
 				{Workload: "gsm", HwGapTicks: 3, HwMenu: smallTaskMenu, Affinity: sched.MaskOf(0)},
 				{HwGapTicks: 3, HwMenu: smallTaskMenu, Affinity: sched.MaskOf(0)},
@@ -181,10 +179,7 @@ func Suite(short bool) []Spec {
 			CacheBytes:  1 << 20,
 			ServiceCore: sched.MaskOf(1),
 			Faults:      fault.Config{SDStallPermille: 500, SDStallFactor: 2},
-			QoS: nova.QoSConfig{
-				BucketCapacity: 3, RefillEvery: simclock.FromMillis(2),
-				TripAt: 10, Cooldown: simclock.FromMillis(8),
-			},
+			QoS:         true,
 			VMs: []VM{
 				{Name: "critical", Priority: 2, Affinity: sched.MaskOf(1),
 					HwGapTicks: 7, HwMenu: []uint16{hwtask.TaskQAM16, hwtask.TaskQAM64}},

@@ -230,9 +230,9 @@ func (c *Clock) RunUntilIdle(limit int) int {
 		if fired >= limit {
 			panic(fmt.Sprintf("simclock: RunUntilIdle exceeded %d events", limit))
 		}
-		next := c.events[0].When
-		c.AdvanceTo(next)
-		// AdvanceTo fires everything at == next.
+		// Advance, unlike AdvanceTo, also fires an event due at the
+		// current instant (Advance(0)).
+		c.Advance(c.events[0].When - c.now)
 		fired++
 	}
 	return fired

@@ -129,6 +129,21 @@ func TestReentrantAdvance(t *testing.T) {
 	}
 }
 
+// TestRunUntilIdleFiresDueNow drains an event due at the current
+// instant, as Advance(0) does, instead of spinning to the limit.
+func TestRunUntilIdleFiresDueNow(t *testing.T) {
+	c := New()
+	c.Advance(7)
+	fired := false
+	c.At(c.Now(), func(Cycles) { fired = true })
+	if n := c.RunUntilIdle(1); n != 1 || !fired {
+		t.Fatalf("RunUntilIdle(1) = %d, fired %v; want 1, true", n, fired)
+	}
+	if c.Now() != 7 {
+		t.Errorf("clock at %d, want 7", c.Now())
+	}
+}
+
 func TestRunUntilIdleLimitPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
