@@ -17,7 +17,7 @@
 //	go run ./cmd/experiments -faults -fault-seed 99  # same, replaying an alternate fault plan
 //	go run ./cmd/experiments -interference  # noisy-neighbor p99 interference probe
 //	go run ./cmd/experiments -snapshot  # checkpoint/fork clone sweep: boot-vs-fork cost, COW copy rate
-//	go run ./cmd/experiments -iters 40 -guests 4
+//	go run ./cmd/experiments -table3 -iters 40  # more measured requests per guest
 //
 // Every number printed here is simulated time. Simulator speed (host
 // time per simulated ms, per layer) is measured from outside the program
@@ -54,13 +54,7 @@ func main() {
 		snapSweep  = flag.Bool("snapshot", false, "run the checkpoint/fork clone sweep: simulated boot-vs-fork cost and COW copy rate per fleet size")
 		interOut   = flag.String("interference-out", "", "write the interference report here (implies -interference)")
 		shards     = flag.Int("shards", 0, "spread each scenario's simulated cores over this many host goroutines (0/1 = one goroutine; checksums are identical)")
-		cacheKB    = flag.Uint("cachekb", 0, "override the bitstream cache budget in KB (0 = default 1024)")
-		guests     = flag.Int("guests", 4, "maximum number of guest VMs")
 		iters      = flag.Int("iters", 24, "measured hardware-task requests per guest")
-		warmup     = flag.Int("warmup", 4, "warm-up requests per guest before measuring")
-		quantum    = flag.Float64("quantum", 33, "guest time slice in ms (paper: 33)")
-		gap        = flag.Int("gap", 31, "T_hw request gap in guest ticks")
-		seed       = flag.Uint("seed", 1, "task-selection seed")
 	)
 	flag.Parse()
 	if *traceOut != "" {
@@ -193,12 +187,7 @@ func main() {
 	}
 
 	cfg := experiments.DefaultConfig()
-	cfg.Guests = *guests
 	cfg.Iterations = *iters
-	cfg.Warmup = *warmup
-	cfg.QuantumMs = *quantum
-	cfg.RequestGapTicks = uint32(*gap)
-	cfg.Seed = uint32(*seed)
 
 	if all || *footprint {
 		root, _ := os.Getwd()
@@ -206,8 +195,6 @@ func main() {
 	}
 	if all || *reconfig {
 		rcfg := experiments.DefaultReconfigConfig()
-		rcfg.Seed = cfg.Seed
-		rcfg.CacheBytes = uint32(*cacheKB) << 10
 		fmt.Printf("running reconfiguration-pipeline sweep (%d guests, %d cores)...\n",
 			rcfg.Guests, rcfg.Cores)
 		rep := experiments.RunReconfigSweep(rcfg)

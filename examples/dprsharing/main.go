@@ -28,7 +28,6 @@ func main() {
 
 	// One large PRR only: maximal contention for the shared task.
 	caps := hwtask.PaperPRRCapacities()[:1]
-	k.AttachFabric(hwtask.NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
 	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		log.Fatal(err)
@@ -38,7 +37,7 @@ func main() {
 		Guest: &hwtask.Service{M: mgr, K: k}, CodeBase: nova.GuestUserBase,
 		CodeSize: 8 << 10, Affinity: sched.MaskOf(1), StartSuspended: true,
 	})
-	k.RegisterHwService(svcPD)
+	k.RegisterHwService(svcPD, hwtask.NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 
 	runs := make([]int, 2)
 	inconsistencies := make([]int, 2)

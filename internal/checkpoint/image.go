@@ -72,10 +72,11 @@ type Region struct {
 }
 
 // Frame is one captured 4 KB frame's contents (only present on images
-// taken WithContents, which in-place restore requires).
+// taken WithContents, which in-place restore requires): the frame at PA
+// reads Data's bytes until its next write copies them.
 type Frame struct {
 	PA   physmem.Addr
-	Data []byte
+	Data physmem.SharedFrame
 }
 
 // Image is an immutable capture of a quiesced protection domain. The
@@ -142,8 +143,7 @@ func (img *Image) EachFrame(f func(va uint32, pa physmem.Addr)) {
 // relies on: every region is frame-aligned, frame-sized and does not wrap
 // past 2^32; no two regions overlap, in VA or in PA (a VA mapped twice
 // would count a frame in a clone's Shared that no mapping of its table
-// references); and every captured frame is a whole frame inside a
-// region.
+// references); and every captured frame lies inside a region.
 func (img *Image) Validate() error {
 	for _, r := range img.Regions {
 		if r.VA%physmem.FrameSize != 0 || uint32(r.PA)%physmem.FrameSize != 0 {
@@ -171,9 +171,6 @@ func (img *Image) Validate() error {
 		}
 	}
 	for _, f := range img.Frames {
-		if len(f.Data) != physmem.FrameSize {
-			return fmt.Errorf("checkpoint: frame %#x has %d bytes", uint32(f.PA), len(f.Data))
-		}
 		inside := slices.ContainsFunc(img.Regions, func(r Region) bool {
 			return f.PA >= r.PA && uint64(f.PA) < uint64(r.PA)+uint64(r.Size)
 		})

@@ -65,7 +65,7 @@ func TestValidate(t *testing.T) {
 		t.Fatal("unaligned region size accepted")
 	}
 	bad = sampleImage()
-	bad.Frames = append(bad.Frames, Frame{PA: 0x4_0000, Data: make([]byte, physmem.FrameSize)})
+	bad.Frames = append(bad.Frames, Frame{PA: 0x4_0000, Data: physmem.NewSharedFrame(nil)})
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-region frame accepted")
 	}
@@ -98,7 +98,7 @@ func TestValidate(t *testing.T) {
 		t.Fatal("region wrapping past 2^32 in PA accepted")
 	}
 	bad = sampleImage()
-	bad.Frames = append(bad.Frames, Frame{PA: bad.Regions[0].PA + 8, Data: make([]byte, physmem.FrameSize)})
+	bad.Frames = append(bad.Frames, Frame{PA: bad.Regions[0].PA + 8, Data: physmem.NewSharedFrame(nil)})
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unaligned captured frame accepted")
 	}
@@ -113,7 +113,7 @@ func TestValidate(t *testing.T) {
 		{VA: 0xFFF0_0000, PA: physmem.DDRBase + 0x300_0000, Size: 1 << 20, Domain: 2},
 	}
 	for _, pa := range []physmem.Addr{ok.Regions[0].PA, ok.Regions[1].PA + 60<<10} {
-		ok.Frames = append(ok.Frames, Frame{PA: pa, Data: make([]byte, physmem.FrameSize)})
+		ok.Frames = append(ok.Frames, Frame{PA: pa, Data: physmem.NewSharedFrame(nil)})
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("touching, in-range regions rejected: %v", err)

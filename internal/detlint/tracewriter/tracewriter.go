@@ -7,7 +7,7 @@
 //     touches receiver state must first bail on a nil receiver; and
 //   - lock- and channel-free — a ring is written only by the goroutine
 //     that owns its core (or the single-threaded epoch commit), which
-//     is the entire reason RunParallel needs no synchronization on the
+//     is the entire reason RunParallelFor needs no synchronization on the
 //     emit path. A lock here would hide a cross-goroutine write the
 //     race detector and the checksum tests are designed to surface.
 //

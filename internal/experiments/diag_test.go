@@ -11,7 +11,6 @@ func TestDiagnoseTable3(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	cfg := testConfig(4, 10)
-	cfg.QuantumMs = 33
 	cfg.RequestGapTicks = 31
 	cfg.Warmup = 3
 	for n := 1; n <= 4; n++ {

@@ -29,8 +29,6 @@ type Config struct {
 	Cores int
 	// Iterations is the number of T_hw hardware-task requests per guest.
 	Iterations int
-	// QuantumMs is the guest time slice (paper: 33 ms).
-	QuantumMs float64
 	// RequestGapTicks is T_hw's delay between requests, in guest ticks.
 	// Roughly one request per slice mirrors the paper's heavy-workload
 	// regime.
@@ -56,7 +54,6 @@ func DefaultConfig() Config {
 	return Config{
 		Guests:          4,
 		Iterations:      24,
-		QuantumMs:       33,
 		RequestGapTicks: 31,
 		Warmup:          4,
 		Seed:            1,
@@ -157,7 +154,6 @@ func BuildVirtSystem(cfg Config) *VirtSystem {
 		cores = 1
 	}
 	k := nova.NewKernelSMP(cores)
-	k.Sched = sched.New(cores, simclock.FromMillis(cfg.QuantumMs))
 	var svcMask, guestMask sched.CPUMask
 	if cores > 1 {
 		// Static partitioning (Bao-style): the service owns core 1, the

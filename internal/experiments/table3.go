@@ -49,7 +49,7 @@ func rowFrom(label string, p *measure.Set) Row {
 // safetyHorizon bounds a run that fails to converge (e.g. pathological
 // configs in tests); generous relative to expected completion.
 func safetyHorizon(cfg Config) simclock.Cycles {
-	perIter := simclock.FromMillis(cfg.QuantumMs*float64(cfg.Guests) + 4*ucos.TickMs*float64(cfg.RequestGapTicks))
+	perIter := simclock.FromMillis(nova.DefaultQuantumMs*float64(cfg.Guests) + 4*ucos.TickMs*float64(cfg.RequestGapTicks))
 	return perIter * simclock.Cycles(cfg.Warmup+cfg.Iterations+20)
 }
 

@@ -23,15 +23,13 @@ type Service struct {
 }
 
 // BootPaperPlatform brings up the paper's hardware-task platform on k
-// (Fig. 8): the fabric NewPaperFabric builds over the four PRRs of
-// PaperPRRCapacities, attached to the kernel; a Manager holding
-// PaperTaskSet, its bitstreams in the kernel's store; and the
-// Hardware Task Manager service PD "hwtm", created suspended at service
-// priority on the cores of affinity (zero = any) and registered with the
-// kernel.
+// (Fig. 8): a Manager holding PaperTaskSet, its bitstreams in the
+// kernel's store; and the Hardware Task Manager service PD "hwtm",
+// created suspended at service priority on the cores of affinity (zero =
+// any) and registered with the kernel over the fabric NewPaperFabric
+// builds over the four PRRs of PaperPRRCapacities.
 func BootPaperPlatform(k *nova.Kernel, affinity sched.CPUMask) *Manager {
 	caps := PaperPRRCapacities()
-	k.AttachFabric(NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	mgr := NewManager(len(caps), nova.GuestUserBase+0x10_0000)
 	if err := InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		panic(err)
@@ -41,7 +39,7 @@ func BootPaperPlatform(k *nova.Kernel, affinity sched.CPUMask) *Manager {
 		Guest: &Service{M: mgr, K: k}, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
 		Affinity: affinity, StartSuspended: true,
 	})
-	k.RegisterHwService(svcPD)
+	k.RegisterHwService(svcPD, NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	return mgr
 }
 
@@ -59,11 +57,9 @@ func (s *Service) RunSlice(env *nova.Env) {
 		// Opportunistically clear Loading flags for finished transfers:
 		// a region is done loading once the reconfiguration pipeline has
 		// nothing for it anywhere (fill, queue, or active download).
-		if rc := s.K.Reconfig; rc != nil {
-			for r := range s.M.PRRs {
-				if s.M.PRRs[r].Loading && !rc.InFlight(r) {
-					s.M.PRRs[r].Loading = false
-				}
+		for r := range s.M.PRRs {
+			if s.M.PRRs[r].Loading && !s.K.Reconfig.InFlight(r) {
+				s.M.PRRs[r].Loading = false
 			}
 		}
 		status := s.M.Handle(env.Ctx, req, &portalActions{env: env})

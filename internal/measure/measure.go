@@ -100,85 +100,55 @@ func (p *Probe) Samples() []simclock.Cycles {
 	return out
 }
 
-// Set is a collection of named probes.
+// Set holds one probe per phase of Phases.
 //
-// Set.Add, and Probe.Add on a probe returned by Get, are safe to call from
-// concurrent core goroutines during a parallel run: the probe aggregates
-// (Count, Total, Min, Max) are commutative, so the final values are
-// independent of host interleaving. A hot path resolves its probe once
-// with Get and records through the pointer, skipping the name lookup;
-// Reset keeps every probe's identity, so such a handle stays valid.
-// Reading a probe's fields is only safe once the run has quiesced (the
-// reporting paths all run after Run/RunParallel return).
+// Probe.Add on a probe returned by Get is safe to call from concurrent
+// core goroutines during a parallel run: the probe aggregates (Count,
+// Total, Min, Max) are commutative, so the final values are independent
+// of host interleaving. A hot path resolves its probe once with Get and
+// records through the pointer; Reset keeps every probe's identity, so
+// such a handle stays valid. Reading a probe's fields is only safe once
+// the run has quiesced (the reporting paths all run after the run
+// returns).
 type Set struct {
-	mu     sync.Mutex
-	probes map[string]*Probe
+	probes [len(Phases)]Probe
 }
 
-// NewSet returns an empty probe set.
-func NewSet() *Set {
-	return &Set{probes: make(map[string]*Probe)}
-}
+// NewSet returns a set whose probes hold no samples.
+func NewSet() *Set { return new(Set) }
 
-// Get returns (creating if needed) the named probe.
+// Get returns the probe of the named phase. It panics on a name that is
+// not in Phases.
 func (s *Set) Get(name string) *Probe {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.probes[name]
-	if !ok {
-		p = &Probe{}
-		s.probes[name] = p
+	for i, ph := range Phases {
+		if ph == name {
+			return &s.probes[i]
+		}
 	}
-	return p
-}
-
-// Add records a sample on the named probe.
-func (s *Set) Add(name string, d simclock.Cycles) {
-	s.Get(name).Add(d)
+	panic(fmt.Sprintf("measure: unknown phase %q", name))
 }
 
 // Reset clears all samples but keeps the probes themselves (so handles
-// from Get stay valid), their names and their sample-retention settings.
+// from Get stay valid) and their sample-retention settings.
 func (s *Set) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//detlint:ordered every probe is reset independently; no cross-probe state
-	for _, p := range s.probes {
+	for i := range s.probes {
+		p := &s.probes[i]
 		p.mu.Lock()
 		p.Count, p.Total, p.Min, p.Max, p.samples = 0, 0, 0, 0, nil
 		p.mu.Unlock()
 	}
 }
 
-// Names lists probes in sorted order.
-func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.probes))
-	for n := range s.probes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders a compact summary table, one probe per line in
-// sorted-name order, so two dumps of the same state are byte-identical.
-// The whole render happens under one lock, so it neither races concurrent
-// writers nor observes a probe added mid-render.
+// String renders a compact summary table, one line per phase that has
+// samples, in Phases order, so two dumps of the same state are
+// byte-identical.
 func (s *Set) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	probeNames := make([]string, 0, len(s.probes))
-	for n := range s.probes {
-		probeNames = append(probeNames, n)
-	}
-	sort.Strings(probeNames)
 	var b strings.Builder
-	for _, n := range probeNames {
-		p := s.probes[n]
-		fmt.Fprintf(&b, "%-16s n=%-6d mean=%8.3fus min=%8.3fus max=%8.3fus\n",
-			n, p.Count, p.MeanMicros(), p.Min.Micros(), p.Max.Micros())
+	for i, n := range Phases {
+		if p := &s.probes[i]; p.Count > 0 {
+			fmt.Fprintf(&b, "%-16s n=%-6d mean=%8.3fus min=%8.3fus max=%8.3fus\n",
+				n, p.Count, p.MeanMicros(), p.Min.Micros(), p.Max.Micros())
+		}
 	}
 	return b.String()
 }
@@ -200,3 +170,13 @@ const (
 	PhaseReconfigWarm  = "reconfig_warm"  // cached image: queue + download
 	PhaseReconfigQWait = "reconfig_qwait" // ready -> PCAP start
 )
+
+// Phases lists every phase a Set records, in report and digest order:
+// the Table III columns, the kernel's hot paths, then the
+// reconfiguration pipeline.
+var Phases = [...]string{
+	PhaseMgrEntry, PhaseMgrExit, PhaseMgrExec,
+	PhasePLIRQEntry, PhaseVMSwitch, PhaseHypercall,
+	PhaseIPCCall,
+	PhaseReconfigCold, PhaseReconfigWarm, PhaseReconfigQWait,
+}

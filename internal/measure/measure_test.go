@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -120,51 +121,66 @@ func TestSamplesCopy(t *testing.T) {
 	}
 }
 
+// Get resolves each phase to its own probe, the same one every time, and
+// panics on a name that is not a phase.
 func TestSetGetAddAndNames(t *testing.T) {
 	s := NewSet()
-	s.Add("b_phase", 100)
-	s.Add("a_phase", 50)
-	s.Add("b_phase", 200)
-	if got := s.Get("b_phase").Count; got != 2 {
-		t.Errorf("b_phase count = %d, want 2", got)
+	s.Get(PhaseMgrExit).Add(100)
+	s.Get(PhaseMgrEntry).Add(50)
+	s.Get(PhaseMgrExit).Add(200)
+	if got := s.Get(PhaseMgrExit).Count; got != 2 {
+		t.Errorf("%s count = %d, want 2", PhaseMgrExit, got)
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a_phase" || names[1] != "b_phase" {
-		t.Errorf("Names = %v, want sorted [a_phase b_phase]", names)
+	seen := map[*Probe]string{}
+	for _, ph := range Phases {
+		p := s.Get(ph)
+		if p != s.Get(ph) {
+			t.Errorf("Get(%s) not stable", ph)
+		}
+		if other, dup := seen[p]; dup {
+			t.Errorf("%s and %s share a probe", other, ph)
+		}
+		seen[p] = ph
 	}
-	// Get must create on demand and hand back the same probe.
-	if s.Get("new") != s.Get("new") {
-		t.Error("Get not stable")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Get of an unknown phase did not panic")
+		}
+	}()
+	s.Get("no_such_phase")
 }
 
 func TestSetResetKeepsNamesAndRetention(t *testing.T) {
 	s := NewSet()
-	p := s.Get("phase")
+	p := s.Get(PhaseReconfigCold)
 	p.Keep = true
 	p.Add(10)
 	s.Reset()
-	if s.Get("phase") != p {
+	if s.Get(PhaseReconfigCold) != p {
 		t.Fatal("reset replaced the probe; a handle from Get went stale")
 	}
-	if got := s.Get("phase").Count; got != 0 {
-		t.Errorf("count after reset = %d, want 0", got)
+	if p.Count != 0 {
+		t.Errorf("count after reset = %d, want 0", p.Count)
 	}
-	if !s.Get("phase").Keep {
+	if !p.Keep {
 		t.Error("reset dropped the retention flag")
 	}
-	s.Get("phase").Add(30)
-	if got := s.Get("phase").Percentile(50); got != 30 {
+	if out := s.String(); out != "" {
+		t.Errorf("reset set still reports samples:\n%s", out)
+	}
+	p.Add(30)
+	if got := p.Percentile(50); got != 30 {
 		t.Errorf("post-reset percentile = %d, want 30", got)
 	}
-	if names := s.Names(); len(names) != 1 {
-		t.Errorf("reset dropped probe names: %v", names)
+	if out := s.String(); !strings.HasPrefix(out, PhaseReconfigCold) {
+		t.Errorf("post-reset summary does not list %s:\n%s", PhaseReconfigCold, out)
 	}
 }
 
+// String lists only the phases with samples.
 func TestSetString(t *testing.T) {
 	s := NewSet()
-	s.Add(PhaseVMSwitch, 660) // 1 µs
+	s.Get(PhaseVMSwitch).Add(660) // 1 µs
 	out := s.String()
 	if !strings.Contains(out, PhaseVMSwitch) || !strings.Contains(out, "n=1") {
 		t.Errorf("summary missing fields:\n%s", out)
@@ -172,52 +188,41 @@ func TestSetString(t *testing.T) {
 	if !strings.Contains(out, "1.000us") {
 		t.Errorf("summary missing converted mean:\n%s", out)
 	}
+	if strings.Count(out, "\n") != 1 {
+		t.Errorf("summary lists phases without samples:\n%s", out)
+	}
 }
 
-// String must render in sorted-name order regardless of insertion order:
+// String renders in Phases order whatever order the samples came in:
 // reports from two runs of the same workload have to diff cleanly.
 func TestSetRenderingOrderStable(t *testing.T) {
-	build := func(order []string) string {
+	lineNames := func(order []string) []string {
 		s := NewSet()
-		for i, n := range order {
-			s.Add("probe_"+n, simclock.Cycles(100*(i+1)))
+		for i, ph := range order {
+			s.Get(ph).Add(simclock.Cycles(100 * (i + 1)))
 		}
-		return s.String()
-	}
-	aStr := build([]string{"z", "m", "a"})
-	bStr := build([]string{"a", "z", "m"})
-	if aStr == "" {
-		t.Fatal("empty rendering")
-	}
-	// Same contents, different insertion order: identical render apart
-	// from the per-probe values, so compare only the line ordering.
-	lineNames := func(out string) []string {
 		var names []string
-		for _, l := range strings.Split(out, "\n") {
+		for _, l := range strings.Split(s.String(), "\n") {
 			if f := strings.Fields(l); len(f) > 0 {
 				names = append(names, f[0])
 			}
 		}
 		return names
 	}
-	an, bn := lineNames(aStr), lineNames(bStr)
-	if len(an) != len(bn) {
-		t.Fatalf("renderings differ in size: %v vs %v", an, bn)
-	}
-	for i := range an {
-		if an[i] != bn[i] {
-			t.Fatalf("rendering order depends on insertion order: %v vs %v", an, bn)
-		}
-	}
-	for i := 1; i < len(an); i++ {
-		if an[i-1] > an[i] {
-			t.Fatalf("names not sorted: %v", an)
+	want := []string{PhaseMgrEntry, PhaseVMSwitch, PhaseIPCCall, PhaseReconfigQWait}
+	for _, order := range [][]string{
+		{PhaseReconfigQWait, PhaseIPCCall, PhaseMgrEntry, PhaseVMSwitch},
+		{PhaseVMSwitch, PhaseMgrEntry, PhaseReconfigQWait, PhaseIPCCall},
+	} {
+		if got := lineNames(order); !slices.Equal(got, want) {
+			t.Errorf("recorded in order %v, rendered %v; want %v", order, got, want)
 		}
 	}
 }
 
-// Cores record concurrently, some through a resolved handle and some by
-// name; every sample must land (run under -race for the data-race half).
+// Cores record concurrently, some through a resolved handle and some
+// resolving the phase on every sample; every sample must land (run under
+// -race for the data-race half).
 func TestConcurrentAddThroughHandleAndName(t *testing.T) {
 	s := NewSet()
 	h := s.Get(PhaseVMSwitch)
@@ -231,7 +236,7 @@ func TestConcurrentAddThroughHandleAndName(t *testing.T) {
 				if w%2 == 0 {
 					h.Add(simclock.Cycles(i))
 				} else {
-					s.Add(PhaseVMSwitch, simclock.Cycles(i))
+					s.Get(PhaseVMSwitch).Add(simclock.Cycles(i))
 				}
 			}
 		}(w)

@@ -1,10 +1,13 @@
 package nova
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/bitstream"
 	"repro/internal/capspace"
+	"repro/internal/pl"
 	"repro/internal/simclock"
 )
 
@@ -181,7 +184,6 @@ func TestDelegatedCapCannotBeRedelegated(t *testing.T) {
 func TestManagerClientForgery(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
-	fabricForTest(k)
 	var g *PD
 	var forged, byID uint32
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
@@ -189,7 +191,7 @@ func TestManagerClientForgery(t *testing.T) {
 			forged = env.Hypercall(abi.HcMgrUnmapIface, SelGrantBase+57 /* no such client */, 0)
 			byID = env.Hypercall(abi.HcMgrUnmapIface, uint32(g.ID), 0)
 		}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, fabricForTest(k))
 	g = k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		spin(env, 4)
 	}}})
@@ -202,11 +204,11 @@ func TestManagerClientForgery(t *testing.T) {
 	}
 }
 
-// Re-delegating the manager's powers (a fabric attached after the
-// service registered) refreshes each client handle at the selector its
-// PD keeps, so the manager's table does not grow; the handle still
-// resolves to its PD.
-func TestClientHandleRedelegationKeepsSelector(t *testing.T) {
+// The manager's client handles come from the grant range: a PD created
+// before registration and one created after hold the handles at
+// SelGrantBase and SelGrantBase+1, each resolves to its PD, and each
+// client adds one capability to the manager's table.
+func TestClientHandlesFromGrantBase(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
 	idle := func(name string) *PD {
@@ -216,24 +218,37 @@ func TestClientHandleRedelegationKeepsSelector(t *testing.T) {
 	early := idle("early")
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager, StartSuspended: true,
 		Guest: &scriptGuest{"hwtm", func(env *Env) {}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, fabricForTest(k))
+	caps := svc.Space.CapCount()
 	late := idle("late")
-	sels, caps := []int{early.clientSel, late.clientSel}, svc.Space.CapCount()
-	if sels[0] != SelGrantBase || sels[1] != SelGrantBase+1 {
-		t.Fatalf("client handles at %v, want %d and %d", sels, SelGrantBase, SelGrantBase+1)
+	if got := svc.Space.CapCount(); got != caps+1 {
+		t.Errorf("manager holds %d capabilities after a late client, want %d", got, caps+1)
 	}
-	f := fabricForTest(k)
 	for i, pd := range []*PD{early, late} {
-		if pd.clientSel != sels[i] {
-			t.Errorf("%s's handle moved from %d to %d", pd.Name_, sels[i], pd.clientSel)
+		if want := SelGrantBase + i; pd.clientSel != want {
+			t.Errorf("%s's client handle at %d, want %d", pd.Name_, pd.clientSel, want)
 		}
 		if got, _, ok := clientCap(svc, pd.clientSel); !ok || got != pd {
 			t.Errorf("%s's handle does not resolve to it", pd.Name_)
 		}
 	}
-	if got, want := svc.Space.CapCount(), caps+len(f.PRRs); got != want {
-		t.Errorf("manager holds %d capabilities after re-delegation, want %d (one more per PRR slot)", got, want)
-	}
+}
+
+// A fabric with more PRRs than the slot window holds is refused at
+// registration, naming the window, before its slots could alias the
+// grant range.
+func TestRegisterHwServiceSlotWindow(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager, StartSuspended: true,
+		Guest: &scriptGuest{"hwtm", func(env *Env) {}}})
+	f := pl.NewFabric(k.Clock, k.Bus, k.GIC, make([]bitstream.Resources, maxPRRSlots+1))
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "hw-slot window") {
+			t.Errorf("registering %d PRRs panicked with %q, want the slot window named", len(f.PRRs), msg)
+		}
+	}()
+	k.RegisterHwService(svc, f)
 }
 
 // A registered service holds slot capabilities only for real PRRs:
@@ -241,13 +256,12 @@ func TestClientHandleRedelegationKeepsSelector(t *testing.T) {
 func TestManagerSlotBounds(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
-	fabricForTest(k) // 4 PRRs
 	var got uint32
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		Guest: &scriptGuest{"hwtm", func(env *Env) {
 			got = env.Hypercall(abi.HcMgrAllocIRQ, 1, 99 /* no such PRR */)
 		}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, fabricForTest(k)) // 4 PRRs
 	k.RunFor(simclock.FromMillis(1))
 	if got != abi.StatusBadSel {
 		t.Errorf("out-of-range PRR = %d, want StatusBadSel", got)

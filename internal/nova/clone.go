@@ -158,7 +158,7 @@ func (k *Kernel) Checkpoint(pd *PD, withContents bool) (*checkpoint.Image, error
 	if withContents {
 		img.Frames = make([]checkpoint.Frame, 0, img.FrameCount())
 		img.EachFrame(func(_ uint32, pa physmem.Addr) {
-			img.Frames = append(img.Frames, checkpoint.Frame{PA: pa, Data: k.Bus.SnapshotFrame(pa)})
+			img.Frames = append(img.Frames, checkpoint.Frame{PA: pa, Data: k.Bus.CaptureFrame(pa)})
 		})
 	}
 	return img, nil
@@ -366,7 +366,7 @@ func (k *Kernel) RestoreInPlace(pd *PD, img *checkpoint.Image, guest Guest) erro
 	// with it) and respawn with the restored guest.
 	pd.stop()
 	for _, f := range img.Frames {
-		k.Bus.LoadFrame(f.PA, f.Data)
+		k.Bus.InstallFrame(f.PA, f.Data)
 	}
 	pd.VCPU.VCPUState = img.VCPU
 	if pd.Core.Current == pd {

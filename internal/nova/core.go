@@ -36,11 +36,6 @@ type CoreCtx struct {
 	// asks the resident PD to give the core back at the window edge.
 	edge simclock.Event
 
-	// probes holds the hot-path probes this core has recorded into,
-	// resolved from Kernel.Probes on first use (see Kernel.hotSpan). Each
-	// core fills only its own cache, so the lazy lookup never races.
-	probes [numHotProbes]*measure.Probe
-
 	// needResched asks the core to return to its scheduler at the next
 	// chunk boundary; quantumExpired marks a genuine end-of-slice (the
 	// private-timer PPI) as opposed to a pause or cross-core kick.
@@ -90,20 +85,29 @@ var hotProbes = [numHotProbes]struct {
 }
 
 // hotSpan records hot span i on core c from t0 to now: a sample of its
-// probe and, when tracing, a span event with arguments a and b. The probe
-// handle is resolved by name on the core's first sample, so a kernel
-// lists only the phases it has recorded; Reset keeps probe identity, so a
-// handle never goes stale.
+// probe and, when tracing, a span event with arguments a and b.
 func (k *Kernel) hotSpan(c *CoreCtx, i int, t0 simclock.Cycles, a, b uint64) {
-	p := c.probes[i]
-	if p == nil {
-		p = k.Probes.Get(hotProbes[i].phase)
-		c.probes[i] = p
-	}
 	now := c.Clock.Now()
-	p.Add(now - t0)
+	k.hot[i].Add(now - t0)
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).EmitSpan(t0, since(now, t0), hotProbes[i].kind, 0, a, b)
+	}
+}
+
+// stopwatch times one manager phase of Table III: start stamps it, and
+// the first stop after a start records the time since the stamp.
+type stopwatch struct {
+	probe *measure.Probe
+	from  simclock.Cycles
+	armed bool
+}
+
+func (s *stopwatch) start(now simclock.Cycles) { s.from, s.armed = now, true }
+
+func (s *stopwatch) stop(now simclock.Cycles) {
+	if s.armed {
+		s.probe.Add(since(now, s.from))
+		s.armed = false
 	}
 }
 

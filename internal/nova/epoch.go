@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
-	"repro/internal/measure"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -128,29 +127,13 @@ func (k *Kernel) PRRBusy(r int) bool {
 	return false
 }
 
-// reconfigCore is the core the reconfiguration machinery (PCAP, fabric
-// default clock, request bookkeeping) runs on: the manager service's home
-// core once one is registered.
-func (k *Kernel) reconfigCore() *CoreCtx {
-	if k.hwSvc != nil {
-		return k.hwSvc.Core
-	}
-	return k.Cores[0]
-}
-
-// RunParallel advances the system to the given absolute time using the
-// conservative epoch-barrier engine, spreading the simulated cores over
-// shards host goroutines. The result is byte-identical for every shard
-// count: within an epoch the cores touch disjoint simulated state
-// (cross-core effects are deferred to the barrier), so host interleaving
-// cannot be observed.
-func (k *Kernel) RunParallel(until simclock.Cycles, shards int) {
-	k.runEpochs(until, min(max(shards, 1), len(k.Cores)))
-}
-
-// RunParallelFor advances the system by d cycles with RunParallel.
+// RunParallelFor advances the system by d cycles using the conservative
+// epoch-barrier engine, spreading the simulated cores over shards host
+// goroutines. The result is byte-identical for every shard count: within
+// an epoch the cores touch disjoint simulated state (cross-core effects
+// are deferred to the barrier), so host interleaving cannot be observed.
 func (k *Kernel) RunParallelFor(d simclock.Cycles, shards int) {
-	k.RunParallel(k.Clock.Now()+d, shards)
+	k.runEpochs(k.Clock.Now()+d, min(max(shards, 1), len(k.Cores)))
 }
 
 // runEpochs is the epoch-barrier engine. Each iteration computes the
@@ -309,9 +292,8 @@ func (k *Kernel) runCore(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	// The probe state lives on the manager's core, so only this goroutine
 	// reads it; on a dedicated manager core the exit instead ends when the
 	// service self-suspends, inside awaitRequest.
-	if k.hwSvc != nil && c == k.hwSvc.Core && pd != k.hwSvc && k.mgrExitArmed {
-		k.Probes.Add(measure.PhaseMgrExit, since(c.Clock.Now(), k.mgrExitFrom))
-		k.mgrExitArmed = false
+	if k.hwSvc != nil && c == k.hwSvc.Core && pd != k.hwSvc {
+		k.mgrExit.stop(c.Clock.Now())
 	}
 	c.needResched = false
 	c.quantumExpired = false

@@ -74,7 +74,7 @@ func TestIdleFastForwardWakes(t *testing.T) {
 	}
 }
 
-// RunParallel must clamp its shard count: more shards than cores, zero or
+// RunParallelFor must clamp its shard count: more shards than cores, zero or
 // negative shards all run.
 func TestRunParallelShardClamp(t *testing.T) {
 	for _, shards := range []int{-1, 0, 1, 2, 8} {
@@ -116,12 +116,12 @@ func TestDueNowEventOnIdleMachine(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			k.Run(horizon)
+			k.RunFor(horizon - k.Clock.Now())
 		}()
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: Run did not return with an event due now and no runnable PD", tc.name)
+			t.Fatalf("%s: RunFor did not return with an event due now and no runnable PD", tc.name)
 		}
 		if !fired {
 			t.Errorf("%s: the due event never fired", tc.name)

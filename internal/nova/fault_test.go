@@ -21,7 +21,6 @@ import (
 func TestRevokeDuringInFlightReconfig(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
-	fabricForTest(k)
 
 	// Stage a real bitstream at store offset 0 so the PCAP leg, if it
 	// runs, decodes something valid.
@@ -50,7 +49,7 @@ func TestRevokeDuringInFlightReconfig(t *testing.T) {
 				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusReconfig)
 			}
 		}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, fabricForTest(k))
 
 	var reply uint32
 	victim := k.CreatePD(PDConfig{Name: "victim", Priority: PrioGuest,

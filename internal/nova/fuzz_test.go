@@ -101,7 +101,6 @@ func runHcOps(t *testing.T, cores int, guest, mgr []hcOp) {
 		mgrMask, guestMask = sched.MaskOf(1), sched.MaskOf(0)
 	}
 	caps := hwtask.PaperPRRCapacities()
-	k.AttachFabric(hwtask.NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	if err := hwtask.InstallTaskSet(hwtask.NewManager(len(caps), 0), k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func runHcOps(t *testing.T, cores int, guest, mgr []hcOp) {
 	runs := nova.PortalRuns(k, 2)
 	m := k.CreatePD(nova.PDConfig{Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
 		Affinity: mgrMask, Guest: &opsGuest{t: t, ops: mgr, runs: runs}})
-	k.RegisterHwService(m)
+	k.RegisterHwService(m, hwtask.NewPaperFabric(k.Clock, k.Bus, k.GIC, caps))
 	g := k.CreatePD(nova.PDConfig{Name: "guest", Priority: nova.PrioGuest,
 		Affinity: guestMask, Guest: &opsGuest{t: t, ops: guest, runs: runs}})
 	for _, pair := range [][2]*nova.PD{{m, g}, {g, m}} {

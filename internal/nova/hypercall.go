@@ -7,7 +7,6 @@ import (
 	"repro/internal/capspace"
 	"repro/internal/cpu"
 	"repro/internal/gic"
-	"repro/internal/measure"
 	"repro/internal/mmu"
 	"repro/internal/physmem"
 	"repro/internal/pl"
@@ -224,7 +223,7 @@ func (k *Kernel) hcHwTaskRelease(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 // service can preempt guests and execute immediately once it is invoked"
 // (§IV-E).
 func (k *Kernel) submitHwRequest(c *CoreCtx, pd *PD, kind abi.RequestKind, args [4]uint32) uint32 {
-	if k.hwSvc == nil || k.Fabric == nil {
+	if k.hwSvc == nil {
 		return abi.StatusErr
 	}
 	if kind == abi.ReqAcquire {
@@ -257,9 +256,8 @@ func (k *Kernel) submitHwRequest(c *CoreCtx, pd *PD, kind abi.RequestKind, args 
 		// (exception entry) to the manager fetching the request. When several
 		// requests queue (only possible if the service is not strictly above
 		// guest priority), the oldest one defines the entry latency.
-		if !k.mgrEntryArmed {
-			k.mgrEntryFrom = c.Clock.Now() - cpu.CostExceptionEntry
-			k.mgrEntryArmed = true
+		if !k.mgrEntry.armed {
+			k.mgrEntry.start(c.Clock.Now() - cpu.CostExceptionEntry)
 		}
 
 		k.wake(k.hwSvc)
@@ -291,9 +289,8 @@ func (k *Kernel) submitHwRequest(c *CoreCtx, pd *PD, kind abi.RequestKind, args 
 			k.Tracer.Core(k.hwSvc.Core.ID).Emit(k.hwSvc.Core.Clock.Now(),
 				trace.KindHwReqSubmit, uint64(req.ID), uint64(req.TaskID), uint64(pd.ID))
 		}
-		if !k.mgrEntryArmed {
-			k.mgrEntryFrom = k.hwSvc.Core.Clock.Now()
-			k.mgrEntryArmed = true
+		if !k.mgrEntry.armed {
+			k.mgrEntry.start(k.hwSvc.Core.Clock.Now())
 		}
 		k.wake(k.hwSvc)
 	})
@@ -321,10 +318,10 @@ func newHwRequest(pd *PD, kind abi.RequestKind, args [4]uint32) *hwRequest {
 // request queue, and PCAP download.
 func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.Clock.Advance(CostDeviceAccess)
-	if k.Fabric == nil {
+	if k.hwSvc == nil {
 		return abi.StatusErr
 	}
-	if pd.Core == k.reconfigCore() {
+	if pd.Core == k.hwSvc.Core {
 		if k.Reconfig.PendingFor(pd) {
 			return abi.StatusReconfig
 		}
@@ -532,9 +529,8 @@ func (k *Kernel) awaitRequest(c *CoreCtx, pd *PD) uint32 {
 		// On a multi-core machine the manager usually owns its core: the
 		// "exit" ends here, when the service removes itself from the run
 		// queue — there is no guest to switch to on a dedicated core.
-		if len(k.Cores) > 1 && k.mgrExitArmed {
-			k.Probes.Add(measure.PhaseMgrExit, since(c.Clock.Now(), k.mgrExitFrom))
-			k.mgrExitArmed = false
+		if len(k.Cores) > 1 {
+			k.mgrExit.stop(c.Clock.Now())
 		}
 		pd.Env.block()
 	}
@@ -544,14 +540,10 @@ func (k *Kernel) awaitRequest(c *CoreCtx, pd *PD) uint32 {
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindHwReqFetch, uint64(req.ID), uint64(req.TaskID), 0)
 	}
-	if k.mgrEntryArmed {
-		k.Probes.Add(measure.PhaseMgrEntry, since(c.Clock.Now(), k.mgrEntryFrom))
-		k.mgrEntryArmed = false
-	}
+	k.mgrEntry.stop(c.Clock.Now())
 	// Manager execution starts when it receives the request (Table III's
 	// "HW Manager execution" row).
-	k.mgrExecFrom = c.Clock.Now()
-	k.mgrExecArmed = true
+	k.mgrExec.start(c.Clock.Now())
 	return req.ID
 }
 
@@ -574,10 +566,7 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	if k.Tracer != nil {
 		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindHwReqComplete, uint64(reqID), uint64(status), 0)
 	}
-	if k.mgrExecArmed {
-		k.Probes.Add(measure.PhaseMgrExec, c.Clock.Now()-k.mgrExecFrom)
-		k.mgrExecArmed = false
-	}
+	k.mgrExec.stop(c.Clock.Now())
 	// A requester on another core is woken (and sees the reply) at the
 	// next barrier.
 	k.wakeFrom(c, req.pd)
@@ -585,8 +574,7 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	// resumes a guest. It stays on the manager's core — it measures the
 	// manager leaving the CPU (self-suspend or switch to a guest), not a
 	// cross-core client's scheduling latency.
-	k.mgrExitFrom = c.Clock.Now()
-	k.mgrExitArmed = true
+	k.mgrExit.start(c.Clock.Now())
 	return k.awaitRequest(c, pd)
 }
 
@@ -611,7 +599,7 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		return st
 	}
 	req, ok := k.hwByID[reqID]
-	if !ok || k.Fabric == nil || prr >= len(k.Fabric.PRRs) {
+	if !ok {
 		return abi.StatusInval
 	}
 	va := req.IfaceVA
@@ -659,9 +647,6 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 	prr := int(args[1])
 	if st, ok := slotCap(mgr, prr); !ok {
 		return st
-	}
-	if k.Fabric == nil {
-		return abi.StatusInval
 	}
 	va, ok := client.ifaceVA[prr]
 	if !ok || va == 0 {
@@ -736,9 +721,6 @@ func (k *Kernel) mgrHwMMULoad(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	if st, ok := slotCap(pd, prr); !ok {
 		return st
 	}
-	if k.Fabric == nil {
-		return abi.StatusInval
-	}
 	obj, err := client.Space.Lookup(SelDataSect, capspace.ObjMemRegion, capspace.RightCall)
 	if err != capspace.OK {
 		return abi.StatusInval // client registered no (live) data section
@@ -777,7 +759,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 	}
 	store := storeObj.Payload.(regionWindow)
 	req, ok := k.hwByID[reqID]
-	if !ok || k.Fabric == nil {
+	if !ok {
 		return abi.StatusInval
 	}
 	// Overflow-safe store-bounds check against the region capability:
@@ -803,7 +785,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 		// events ride its clock; onIRQ forwards the injection cross-core);
 		// the owner's vGIC registers it when its transfer starts.
 		OnStart: func(*reconfig.Request) {
-			k.onCore(k.reconfigCore(), pd.Core, func(pd *PD) {
+			k.onCore(k.hwSvc.Core, pd.Core, func(pd *PD) {
 				pd.VGIC.Register(gic.PCAPIRQ)
 				pd.VGIC.Enable(gic.PCAPIRQ)
 			}, pd)
@@ -816,7 +798,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, mgr *PD, args [4]uint32) uint32 {
 			// The download failed for good (retries exhausted): no
 			// completion IRQ ever fires. Latch the fault for the client's
 			// next HcHwTaskStatus poll and charge its breaker heavily.
-			mc := k.reconfigCore()
+			mc := k.hwSvc.Core
 			k.onCore(mc, pd.Core, func(pd *PD) {
 				pd.reconfigFault = true
 				k.chargeBreaker(mc, pd, r.Flow, qosFaultWeight)
@@ -835,7 +817,7 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		return st
 	}
 	req, ok := k.hwByID[reqID]
-	if !ok || k.Fabric == nil {
+	if !ok {
 		return abi.StatusInval
 	}
 	target := req.pd

@@ -79,17 +79,19 @@ type Kernel struct {
 	Cores []*CoreCtx
 	CPU   *cpu.CPU
 
-	Fabric *pl.Fabric // nil until AttachFabric
+	Fabric *pl.Fabric // nil until RegisterHwService
 	// Reconfig is the managed reconfiguration pipeline (bitstream cache,
-	// PCAP request queue, prefetcher) built by AttachFabric, so it is nil
-	// exactly when Fabric is; all manager-portal reconfigurations flow
+	// PCAP request queue, prefetcher) built by RegisterHwService, so it is
+	// nil exactly when Fabric is; all manager-portal reconfigurations flow
 	// through it.
 	Reconfig *reconfig.Pipeline
 	Alloc    *mmu.FrameAllocator
 
 	// Sched is the scheduler (per-CPU runqueues). Replace it before
 	// creating any PD (its CPU count must match len(Cores)).
-	Sched  *sched.Scheduler
+	Sched *sched.Scheduler
+	// Probes holds the measured phases. The kernel records through
+	// handles resolved from it at boot, so it is never replaced.
 	Probes *measure.Set
 
 	// Tracer is the structured-event tracing layer (nil = disabled, the
@@ -120,15 +122,11 @@ type Kernel struct {
 	prrBusySnap []bool
 
 	// Capability layer: the global service-portal objects (selector-
-	// indexed), the kernel's own root space (device objects are minted
-	// here and delegated out), and the device-authority objects the
-	// Hardware Task Manager receives at registration.
+	// indexed) and the kernel's own root space, where the device objects
+	// the Hardware Task Manager receives at registration are minted and
+	// delegated from.
 	portalObjs []*capspace.Object
 	rootSpace  *capspace.Space
-	hwqObj     *capspace.Object   // request-queue semaphore
-	pcapObj    *capspace.Object   // PCAP/reconfiguration authority
-	storeObj   *capspace.Object   // bitstream store region
-	slotObjs   []*capspace.Object // one hw-task slot per PRR
 
 	// Hardware-task request plumbing (§IV-E).
 	hwQueue   []*hwRequest
@@ -149,13 +147,11 @@ type Kernel struct {
 	plirqOwner [gic.NumPLIRQs]*PD
 	pcapDone   []pcapOwner
 
-	// Measurement stamps for the Table III phases.
-	mgrEntryFrom  simclock.Cycles
-	mgrEntryArmed bool
-	mgrExitFrom   simclock.Cycles
-	mgrExitArmed  bool
-	mgrExecFrom   simclock.Cycles
-	mgrExecArmed  bool
+	// Probe handles, resolved from Probes once: the hot spans', PL IRQ
+	// entry's, and the three manager phases' stopwatches.
+	hot                        [numHotProbes]*measure.Probe
+	plirqEntry                 *measure.Probe
+	mgrEntry, mgrExit, mgrExec stopwatch
 
 	// Console accumulates supervised UART output.
 	Console strings.Builder
@@ -226,6 +222,13 @@ func NewKernelSMP(ncores int) *Kernel {
 		asidNext:  1,
 		ddrNext:   physGuests,
 	}
+	for i, h := range hotProbes {
+		k.hot[i] = k.Probes.Get(h.phase)
+	}
+	k.plirqEntry = k.Probes.Get(measure.PhasePLIRQEntry)
+	k.mgrEntry.probe = k.Probes.Get(measure.PhaseMgrEntry)
+	k.mgrExit.probe = k.Probes.Get(measure.PhaseMgrExit)
+	k.mgrExec.probe = k.Probes.Get(measure.PhaseMgrExec)
 	// Kernel address space: global mappings only; ASID 0. One table,
 	// shared by every core (§III-C: kernel mappings are global).
 	k.kernelPT = mmu.NewPageTable(bus, k.Alloc)
@@ -233,17 +236,14 @@ func NewKernelSMP(ncores int) *Kernel {
 
 	// Capability layer: mint the service portals and the kernel's own
 	// device objects into the root space. PRR slot objects follow in
-	// AttachFabric (their count is fabric-specific); everything is
-	// delegated to the manager's domain by RegisterHwService.
+	// RegisterHwService (their count is fabric-specific), which delegates
+	// everything to the manager's domain.
 	k.buildPortalObjects()
 	k.rootSpace = capspace.NewSpace(rootSelSlotBase)
-	k.hwqObj = capspace.NewObject(capspace.ObjSem, "hwq", nil)
-	k.pcapObj = capspace.NewObject(capspace.ObjPortal, "pcap", nil)
-	k.storeObj = capspace.NewObject(capspace.ObjMemRegion, "bitstore",
-		regionWindow{Base: BitstreamStorePA(), Size: 22 << 20})
-	k.rootSpace.Insert(rootSelQueue, k.hwqObj, capspace.RightsAll)
-	k.rootSpace.Insert(rootSelPCAP, k.pcapObj, capspace.RightsAll)
-	k.rootSpace.Insert(rootSelStore, k.storeObj, capspace.RightsAll)
+	k.rootSpace.Insert(rootSelQueue, capspace.NewObject(capspace.ObjSem, "hwq", nil), capspace.RightsAll)
+	k.rootSpace.Insert(rootSelPCAP, capspace.NewObject(capspace.ObjPortal, "pcap", nil), capspace.RightsAll)
+	k.rootSpace.Insert(rootSelStore, capspace.NewObject(capspace.ObjMemRegion, "bitstore",
+		regionWindow{Base: BitstreamStorePA(), Size: 22 << 20}), capspace.RightsAll)
 
 	hier := cache.NewA9WayPartitionedL2(ncores)
 	for i := 0; i < ncores; i++ {
@@ -301,51 +301,19 @@ func NewKernelSMP(ncores int) *Kernel {
 	return k
 }
 
-// AttachFabric connects the programmable-logic model (built by the caller
-// so its PRR capacities are scenario-specific) and stands up the managed
-// reconfiguration pipeline over its PCAP.
-func (k *Kernel) AttachFabric(f *pl.Fabric) {
-	k.Fabric = f
-	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA())
-	k.Reconfig.Probes = k.Probes
-	if k.Tracer != nil {
-		k.Reconfig.Trace = k.Tracer.Core(k.reconfigCore().ID)
-	}
-	// Mint one hardware-task slot object per PRR into the root space.
-	if len(f.PRRs) > maxPRRSlots {
-		panic(fmt.Sprintf("nova: %d PRRs exceed the %d-selector hw-slot window", len(f.PRRs), maxPRRSlots))
-	}
-	k.slotObjs = k.slotObjs[:0]
-	for i := range f.PRRs {
-		o := capspace.NewObject(capspace.ObjHwSlot, fmt.Sprintf("prr%d", i), i)
-		k.slotObjs = append(k.slotObjs, o)
-		k.rootSpace.Insert(rootSelSlotBase+i, o, capspace.RightsAll)
-	}
-	if k.hwSvc != nil {
-		k.delegateManagerPowers(k.hwSvc)
-		k.bindManagerClocks()
-	}
-}
-
 // bindManagerClocks pins the reconfiguration machinery to the manager
 // service's home core: the PCAP completion line targets that core's GIC
-// bank, and the fabric/pipeline default clocks become that core's
-// cursor, so reconfiguration events fire on the goroutine that owns
-// them. On a single-core machine all of it is core 0's already.
+// bank, and the fabric and pipeline default clocks become that core's
+// cursor (the pipeline's trace ring moves along), so reconfiguration
+// events fire on the goroutine that owns them. On a single-core machine
+// all of it is core 0's already.
 func (k *Kernel) bindManagerClocks() {
-	if k.hwSvc == nil {
-		return
-	}
-	clk := k.hwSvc.Core.Clock
-	k.GIC.SetTarget(gic.PCAPIRQ, k.hwSvc.Core.ID)
-	if k.Fabric != nil {
-		k.Fabric.Clock = clk
-		k.Reconfig.Clock = clk
-		if k.Tracer != nil {
-			// The pipeline's events fire on the manager core's goroutine
-			// now; move its ring along with its clock.
-			k.Reconfig.Trace = k.Tracer.Core(k.hwSvc.Core.ID)
-		}
+	c := k.hwSvc.Core
+	k.GIC.SetTarget(gic.PCAPIRQ, c.ID)
+	k.Fabric.Clock = c.Clock
+	k.Reconfig.Clock = c.Clock
+	if k.Tracer != nil {
+		k.Reconfig.Trace = k.Tracer.Core(c.ID)
 	}
 }
 
@@ -431,7 +399,7 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	table := guestTable(k.Bus, k.allocFor(cfg.Name), guestRegions(ramBase), mmu.APFull)
 	pd := k.newPD(cfg.Name, cfg.Priority, cfg.Caps, table, cfg.Guest)
 	pd.RAMBase, pd.RAMSize = ramBase, GuestRAMSize
-	if k.hwSvc != nil && pd != k.hwSvc {
+	if k.hwSvc != nil {
 		// The manager acts on clients through delegated PD capabilities:
 		// every domain born after the service registers is handed over.
 		k.delegateClientHandle(pd)
@@ -484,49 +452,47 @@ func (k *Kernel) startPD(pd *PD, affinity sched.CPUMask, codeBase, codeSize uint
 	}
 }
 
-// RegisterHwService names the PD running the Hardware Task Manager; the
-// HcHwTaskRequest path wakes it (§IV-E). Registration is the boot-time
-// delegation step: the kernel hands the service its powers — the
-// request-queue semaphore, the PCAP, the bitstream store region, every
-// PRR's hardware-task slot, and a client capability per existing PD —
-// as capabilities in the service's table. The manager portals then
+// RegisterHwService brings up the hardware-task side of the kernel, once,
+// around pd, the PD running the Hardware Task Manager; the
+// HcHwTaskRequest path wakes it (§IV-E). It attaches the programmable
+// logic f (built by the caller, so its PRR capacities are
+// scenario-specific), builds the managed reconfiguration pipeline over
+// its PCAP, and mints one hardware-task slot object per PRR. Then comes
+// the boot-time delegation: the kernel hands the service its powers —
+// the request-queue semaphore, the PCAP, the bitstream store region,
+// every PRR's slot, and a client capability per existing PD — as
+// capabilities in the service's table. The manager portals then
 // rights-check those capabilities; there is no ambient privilege.
-func (k *Kernel) RegisterHwService(pd *PD) {
+// Last, the reconfiguration machinery moves to the service's home core.
+func (k *Kernel) RegisterHwService(pd *PD, f *pl.Fabric) {
 	if pd.Caps&CapHwManager == 0 {
 		panic("nova: hardware service PD lacks CapHwManager")
 	}
-	k.hwSvc = pd
-	k.delegateManagerPowers(pd)
-	k.bindManagerClocks()
-}
-
-// delegateManagerPowers copies the kernel's device objects out of the
-// root space into the manager's table (call-only), plus a client
-// capability for every PD created before registration.
-func (k *Kernel) delegateManagerPowers(svc *PD) {
-	k.rootSpace.Delegate(rootSelQueue, svc.Space, SelMgrQueue, capspace.RightCall)
-	k.rootSpace.Delegate(rootSelPCAP, svc.Space, SelMgrPCAP, capspace.RightCall)
-	k.rootSpace.Delegate(rootSelStore, svc.Space, SelMgrStore, capspace.RightCall)
-	for i := range k.slotObjs {
-		k.rootSpace.Delegate(rootSelSlotBase+i, svc.Space, SelMgrSlotBase+i, capspace.RightCall)
+	if len(f.PRRs) > maxPRRSlots {
+		panic(fmt.Sprintf("nova: %d PRRs exceed the %d-selector hw-slot window", len(f.PRRs), maxPRRSlots))
 	}
-	for _, pd := range k.PDs {
-		if pd != svc {
-			k.delegateClientHandle(pd)
+	k.Fabric, k.hwSvc = f, pd
+	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA())
+	k.Reconfig.Probes = k.Probes
+	k.rootSpace.Delegate(rootSelQueue, pd.Space, SelMgrQueue, capspace.RightCall)
+	k.rootSpace.Delegate(rootSelPCAP, pd.Space, SelMgrPCAP, capspace.RightCall)
+	k.rootSpace.Delegate(rootSelStore, pd.Space, SelMgrStore, capspace.RightCall)
+	for i := range f.PRRs {
+		k.rootSpace.Insert(rootSelSlotBase+i, capspace.NewObject(capspace.ObjHwSlot, fmt.Sprintf("prr%d", i), i), capspace.RightsAll)
+		k.rootSpace.Delegate(rootSelSlotBase+i, pd.Space, SelMgrSlotBase+i, capspace.RightCall)
+	}
+	for _, client := range k.PDs {
+		if client != pd {
+			k.delegateClientHandle(client)
 		}
 	}
+	k.bindManagerClocks()
 }
 
 // delegateClientHandle hands pd's identity to the registered manager as
 // a call-only client capability, at the lowest free selector from
-// SelGrantBase up, which the PD keeps: a re-delegation (AttachFabric
-// after RegisterHwService) refreshes it and the manager's table does not
-// grow.
+// SelGrantBase up, which the PD keeps.
 func (k *Kernel) delegateClientHandle(pd *PD) {
-	if pd.clientSel != 0 {
-		pd.Space.Delegate(SelSelf, k.hwSvc.Space, pd.clientSel, capspace.RightCall)
-		return
-	}
 	if sel, err := pd.Space.DelegateFree(SelSelf, k.hwSvc.Space, SelGrantBase, capspace.RightCall); err == capspace.OK {
 		pd.clientSel = sel
 	}
@@ -569,7 +535,7 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 	if k.Reconfig == nil {
 		return
 	}
-	k.onCore(pd.Core, k.reconfigCore(), func(pd *PD) {
+	k.onCore(pd.Core, k.hwSvc.Core, func(pd *PD) {
 		k.Reconfig.PurgeOwner(pd)
 		kept := k.pcapDone[:0]
 		for _, own := range k.pcapDone {
@@ -622,12 +588,9 @@ func (e *Env) block() {
 	e.yield(yieldBlocked)
 }
 
-// Run executes the system until the given absolute simulated time on
-// one host goroutine: RunParallel with a single shard.
-func (k *Kernel) Run(until simclock.Cycles) { k.RunParallel(until, 1) }
-
-// RunFor advances the system by d cycles.
-func (k *Kernel) RunFor(d simclock.Cycles) { k.Run(k.Clock.Now() + d) }
+// RunFor advances the system by d cycles on one host goroutine:
+// RunParallelFor with a single shard.
+func (k *Kernel) RunFor(d simclock.Cycles) { k.RunParallelFor(d, 1) }
 
 // Shutdown stops every guest coroutine, in PD order, on the caller's
 // goroutine; each guest unwinds its nested coroutines (ucos tasks) on the
@@ -880,7 +843,7 @@ func (k *Kernel) onIRQ(c *CoreCtx) {
 			c.kctx.Exec(14)
 			if pd.VGIC.Inject(id) {
 				k.wakeIfIdle(pd)
-				k.Probes.Add(measure.PhasePLIRQEntry, c.Clock.Now()-t0)
+				k.plirqEntry.Add(c.Clock.Now() - t0)
 			}
 		}
 	default:

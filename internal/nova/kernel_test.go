@@ -543,7 +543,8 @@ func TestGuestExitRetiresPD(t *testing.T) {
 	}
 }
 
-// fabricForTest builds a 4-PRR fabric on the kernel's bus.
+// fabricForTest builds a 4-PRR fabric on the kernel's bus, for
+// RegisterHwService.
 func fabricForTest(k *Kernel) *pl.Fabric {
 	caps := []bitstream.Resources{
 		{LUTs: 10000, BRAM: 32, DSP: 48},
@@ -551,20 +552,17 @@ func fabricForTest(k *Kernel) *pl.Fabric {
 		{LUTs: 2000, BRAM: 4, DSP: 8},
 		{LUTs: 2000, BRAM: 4, DSP: 8},
 	}
-	f := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	k.AttachFabric(f)
-	return f
+	return pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
 }
 
 func TestHwRequestRequiresDataSection(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
-	fabricForTest(k)
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		StartSuspended: true, Guest: &scriptGuest{"hwtm", func(env *Env) {
 			env.Hypercall(abi.HcMgrNextRequest) // never reached in this test
 		}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, fabricForTest(k))
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		got = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
@@ -614,7 +612,7 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusOK)
 			}
 		}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, f)
 
 	// Preload PRR0 with a loopback core so the guest can actually run it.
 	f.RegisterCore(1, loopbackCore{})

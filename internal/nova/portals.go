@@ -25,7 +25,7 @@ const (
 	SelMgrStore = abi.NumPortalSelectors + 4 // bitstream store region
 
 	// SelMgrSlotBase + prr: the fabric's hardware-task slot objects
-	// (window of maxPRRSlots selectors; AttachFabric guards it).
+	// (window of maxPRRSlots selectors; RegisterHwService guards it).
 	SelMgrSlotBase = abi.NumPortalSelectors + 16
 
 	// SelGrantBase is where delegations without a conventional slot go,
@@ -36,8 +36,8 @@ const (
 	SelGrantBase = SelMgrSlotBase + maxPRRSlots
 )
 
-// maxPRRSlots is the slot window's capacity: AttachFabric panics on more
-// PRRs instead of silently aliasing the grant range.
+// maxPRRSlots is the slot window's capacity: RegisterHwService panics on
+// more PRRs instead of silently aliasing the grant range.
 const maxPRRSlots = 16
 
 // Kernel root-space selectors: the kernel mints its device objects into

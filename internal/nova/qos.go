@@ -159,9 +159,4 @@ func (k *Kernel) QoSCounters(pd *PD) (denials, trips, rejections uint64) {
 // PRR prr from the placement pool (repeated config faults). The manager
 // service consults it during PRR selection; it runs on the pipeline's
 // core, so the read is race-free by the ownership discipline.
-func (k *Kernel) PRRQuarantined(prr int) bool {
-	if k.Reconfig == nil {
-		return false
-	}
-	return k.Reconfig.Quarantined(prr)
-}
+func (k *Kernel) PRRQuarantined(prr int) bool { return k.Reconfig.Quarantined(prr) }

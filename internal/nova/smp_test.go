@@ -210,7 +210,7 @@ func TestDualCoreHwServicePinnedEndToEnd(t *testing.T) {
 				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusOK)
 			}
 		}}})
-	k.RegisterHwService(svc)
+	k.RegisterHwService(svc, f)
 
 	f.RegisterCore(1, loopbackCore{})
 	bs := bitstream.Synthesize(1, 0, bitstream.Resources{LUTs: 100}, 256)

@@ -16,7 +16,7 @@ import (
 // Ring writer discipline: each per-core ring is written only by the
 // goroutine that logically holds that core — mid-epoch by the core's own
 // host goroutine, at the barrier by the single-threaded commit replay —
-// so rings need no locks even under RunParallel.
+// so rings need no locks even under RunParallelFor.
 
 // EnableTrace switches tracing on with trace.DefaultCapacity rings.
 // Idempotent: a second call returns the existing tracer. Call it before
@@ -39,7 +39,7 @@ func (k *Kernel) EnableTrace() *trace.Tracer {
 		k.traceVGIC(pd)
 	}
 	if k.Reconfig != nil {
-		k.Reconfig.Trace = t.Core(k.reconfigCore().ID)
+		k.Reconfig.Trace = t.Core(k.hwSvc.Core.ID)
 	}
 	return t
 }

@@ -15,9 +15,6 @@ import "fmt"
 // reads an image frame, and a materialized frame's slot is never stored
 // again by a reader (see frame()).
 
-// frameBase rounds a down to its frame base address.
-func frameBase(a Addr) Addr { return a &^ (FrameSize - 1) }
-
 // Materialize fills the frame slot of a RAM address (with the shared zero
 // frame if no one has written the frame), so later concurrent readers
 // never race the lazy slot store in frame().
@@ -50,22 +47,4 @@ func (b *Bus) CopyFrame(dst, src Addr) {
 		return
 	}
 	b.setFrame(frameNum(dst), &zeroFrame, false)
-}
-
-// SnapshotFrame returns a copy of the frame's current contents (used by
-// in-place checkpoint images, which own their bytes).
-func (b *Bus) SnapshotFrame(a Addr) []byte {
-	b.cover(a, 1)
-	out := make([]byte, FrameSize)
-	copy(out, b.frame(frameBase(a))[:])
-	return out
-}
-
-// LoadFrame overwrites the frame at a with p (at most one frame).
-func (b *Bus) LoadFrame(a Addr, p []byte) {
-	if len(p) > FrameSize {
-		panic("physmem: LoadFrame payload exceeds a frame")
-	}
-	b.cover(a, 1)
-	copy(b.frameW(frameNum(a))[:], p)
 }

@@ -20,22 +20,6 @@ func TestCopyFrame(t *testing.T) {
 	}
 }
 
-func TestSnapshotLoadFrame(t *testing.T) {
-	b := NewBus()
-	a := DDRBase + 0x102_0000
-	if err := b.Write8(a+5, 0x77); err != nil {
-		t.Fatal(err)
-	}
-	snap := b.SnapshotFrame(a + 5) // any address within the frame
-	if err := b.Write8(a+5, 0); err != nil {
-		t.Fatal(err)
-	}
-	b.LoadFrame(a, snap)
-	if v, _ := b.Read8(a + 5); v != 0x77 {
-		t.Fatalf("restored frame read %#x, want 0x77", v)
-	}
-}
-
 // TestOCMFrameSharing shares the first on-chip memory frame into the
 // last; both precede every DDR frame in the frame table and its shared
 // flags, so neither grows past OCM's entries. The install drops the last

@@ -143,6 +143,12 @@ type capturedFrame struct {
 	data frameBuf
 }
 
+// frameCapture is a capture of the frame at at, as a checkpoint takes it.
+type frameCapture struct {
+	at Addr
+	capturedFrame
+}
+
 // FuzzBusMatchesReference runs an op trace through a Bus and through the
 // reference model, and requires the same results and errors, the same
 // bytes in every materialized frame, the same TouchedFrames and Allocated
@@ -161,6 +167,7 @@ func FuzzBusMatchesReference(f *testing.F) {
 		trace = trace[:min(len(trace), 8*256)]
 		b, r := NewBus(), &refBus{frames: map[Addr]*frameBuf{}}
 		var captured []capturedFrame
+		var latest frameCapture // op 8's last capture, which op 9 installs back
 		for i := 0; i+8 <= len(trace); i += 8 {
 			kind, sel := trace[i]%13, int(trace[i+1])
 			off := Addr(binary.LittleEndian.Uint16(trace[i+2:]) & (FrameSize - 1))
@@ -222,15 +229,21 @@ func FuzzBusMatchesReference(f *testing.F) {
 				b.CopyFrame(fr, src)
 				*r.frame(fr) = *r.frame(src)
 			case 8:
-				op = fmt.Sprintf("SnapshotFrame(%#x)", fr+off)
-				if got := b.SnapshotFrame(fr + off); !bytes.Equal(got, r.frame(fr)[:]) {
+				op = fmt.Sprintf("CaptureFrame(%#x)", fr+off)
+				s := b.CaptureFrame(fr + off)
+				if *s.buf != *r.frame(fr) {
 					fail("differs from the reference frame")
 				}
+				latest = frameCapture{fr, capturedFrame{s, *s.buf}}
+				captured = append(captured, latest.capturedFrame)
 			case 9:
-				p := payload(n%(FrameSize+1), v)
-				op = fmt.Sprintf("LoadFrame(%#x, %d bytes from %#x)", fr+off, len(p), v)
-				b.LoadFrame(fr+off, p)
-				copy(r.frame(fr)[:], p)
+				if latest.s.buf == nil {
+					op = "InstallFrame of no capture"
+					break
+				}
+				op = fmt.Sprintf("InstallFrame(%#x, its latest capture)", latest.at)
+				b.InstallFrame(latest.at, latest.s)
+				*r.frame(latest.at) = latest.data
 			case 10:
 				op = fmt.Sprintf("Materialize(%#x)", fr+off)
 				b.Materialize(fr + off)

@@ -177,7 +177,7 @@ func TestZeroMatchesWordWrites(t *testing.T) {
 			t.Fatalf("Zero(%#x, %d): touched %d frames, word writes %d",
 				tc.a, tc.n, zero.TouchedFrames(), words.TouchedFrames())
 		}
-		for a := uint64(frameBase(tc.a)); a < uint64(tc.a)+uint64(tc.n); a += FrameSize {
+		for a := uint64(tc.a &^ (FrameSize - 1)); a < uint64(tc.a)+uint64(tc.n); a += FrameSize {
 			if words.Allocated(Addr(a)) != zero.Allocated(Addr(a)) {
 				t.Fatalf("Zero(%#x, %d): frame %#x allocated %v, word writes %v",
 					tc.a, tc.n, a, zero.Allocated(Addr(a)), words.Allocated(Addr(a)))

@@ -222,53 +222,57 @@ func (p *Pipeline) Submit(r *Request) {
 	p.Stats.Requests++
 
 	e := p.Cache.Lookup(r.Key)
+	var outcome uint64 = trace.ReconfigColdMiss
 	switch {
 	case e != nil && !e.loading:
 		// Warm hit: the image is staged; skip straight to the PCAP leg.
-		p.Trace.Emit(p.Clock.Now(), trace.KindReconfigSubmit, r.Flow, uint64(r.Key), trace.ReconfigWarm)
+		outcome = trace.ReconfigWarm
 		r.warm = true
 		if e.speculative {
 			e.speculative = false
 			p.Prefetch.Stats.Hits++
 		}
-		p.Cache.Pin(e)
-		r.pinned = e
-		p.Clock.Advance(cacheAdminCycles)
-		p.ready(r)
-
 	case e != nil:
-		// Coalesced miss: a fill for this image is already in flight —
-		// join it instead of re-reading the card.
-		p.Trace.Emit(p.Clock.Now(), trace.KindReconfigSubmit, r.Flow, uint64(r.Key), trace.ReconfigCoalesced)
-		p.Cache.Pin(e)
-		r.pinned = e
-		f := p.fillFor(r.Key)
-		if f == nil {
-			// Defensive: loading entry without a fill should not happen.
-			p.Cache.FillDone(e)
-			p.ready(r)
-			return
-		}
-		if f.speculative {
-			// The prefetch partially hid this fetch.
-			f.speculative = false
-			e.speculative = false
-			p.Prefetch.Stats.Hits++
-		}
-		f.waiters = append(f.waiters, r)
+		// Coalesced miss: a fill for this image is already in flight.
+		outcome = trace.ReconfigCoalesced
+	}
+	p.Trace.Emit(p.Clock.Now(), trace.KindReconfigSubmit, r.Flow, uint64(r.Key), outcome)
+	p.stage(r, e)
+}
 
-	default:
-		// Cold miss: reserve a cache slot (may evict LRU images) and
-		// read the card. A nil entry means bypass — the image could not
-		// be cached but the fetch still has to happen.
-		p.Trace.Emit(p.Clock.Now(), trace.KindReconfigSubmit, r.Flow, uint64(r.Key), trace.ReconfigColdMiss)
-		e = p.Cache.Insert(r.Key, r.Len, false)
-		if e != nil {
+// stage brings r's image to the PCAP leg from e, the cache entry for it.
+// A found entry is pinned: a resident one readies r, a loading one has r
+// join its fill instead of re-reading the card. With no entry, stage
+// reserves a cache slot (which may evict LRU images) and reads the card;
+// a nil reservation means bypass, an uncached fetch.
+func (p *Pipeline) stage(r *Request, e *CacheEntry) {
+	if e == nil {
+		if e = p.Cache.Insert(r.Key, r.Len, false); e != nil {
 			p.Cache.Pin(e)
 			r.pinned = e
 		}
 		p.enqueueFill(&fill{key: r.Key, length: r.Len, entry: e, waiters: []*Request{r}, flow: r.Flow})
+		return
 	}
+	p.Cache.Pin(e)
+	r.pinned = e
+	if !e.loading {
+		if r.warm {
+			p.Clock.Advance(cacheAdminCycles) // Submit's warm-hit bookkeeping
+		}
+		p.ready(r)
+		return
+	}
+	// A loading entry's fill is queued or running until FillDone or
+	// FillFailed clears the flag.
+	f := p.fillFor(r.Key)
+	if f.speculative {
+		// The prefetch partially hid this fetch.
+		f.speculative = false
+		e.speculative = false
+		p.Prefetch.Stats.Hits++
+	}
+	f.waiters = append(f.waiters, r)
 }
 
 // ready moves a request whose image is staged onto the PCAP channel, or
@@ -288,7 +292,7 @@ func (p *Pipeline) ready(r *Request) {
 func (p *Pipeline) start(r *Request) {
 	p.active = r
 	if p.Probes != nil {
-		p.Probes.Add(measure.PhaseReconfigQWait, p.Clock.Now()-r.readyAt)
+		p.Probes.Get(measure.PhaseReconfigQWait).Add(p.Clock.Now() - r.readyAt)
 	}
 	if r.OnStart != nil {
 		r.OnStart(r)
@@ -415,7 +419,7 @@ func (p *Pipeline) finishRequest(r *Request, ok bool) {
 		if r.warm {
 			phase = measure.PhaseReconfigWarm
 		}
-		p.Probes.Add(phase, p.Clock.Now()-r.submitted)
+		p.Probes.Get(phase).Add(p.Clock.Now() - r.submitted)
 	}
 	if r.OnDone != nil {
 		r.OnDone(r, ok)
@@ -493,30 +497,12 @@ func (p *Pipeline) pcapComplete(target int, ok bool) {
 // after its poisoned cache entry was invalidated. The request releases
 // the PCAP channel (the queue drains behind it) and rejoins via ready()
 // once a fresh copy is staged. A second victim of the same poisoned
-// entry may find a fresh entry (or fill) already present — join it
+// entry may find a fresh entry (or fill) already present; stage joins it
 // rather than double-inserting the key.
 func (p *Pipeline) refetch(r *Request) {
 	p.active = nil
 	r.warm = false
-	if e := p.Cache.Peek(r.Key); e != nil {
-		p.Cache.Pin(e)
-		r.pinned = e
-		if !e.loading {
-			p.ready(r)
-		} else if f := p.fillFor(r.Key); f != nil {
-			f.waiters = append(f.waiters, r)
-		} else {
-			p.Cache.FillDone(e)
-			p.ready(r)
-		}
-	} else {
-		e := p.Cache.Insert(r.Key, r.Len, false)
-		if e != nil {
-			p.Cache.Pin(e)
-			r.pinned = e
-		}
-		p.enqueueFill(&fill{key: r.Key, length: r.Len, entry: e, waiters: []*Request{r}, flow: r.Flow})
-	}
+	p.stage(r, p.Cache.Peek(r.Key))
 	if p.active == nil {
 		if next := p.Queue.Pop(); next != nil {
 			p.start(next)

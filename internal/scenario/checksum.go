@@ -5,19 +5,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"strings"
-
-	"repro/internal/measure"
 )
-
-// checksumPhases is the fixed, ordered list of latency probes folded into
-// the state checksum (a fixed list, never a map walk, so the dump order
-// is stable).
-var checksumPhases = []string{
-	measure.PhaseMgrEntry, measure.PhaseMgrExit, measure.PhaseMgrExec,
-	measure.PhasePLIRQEntry, measure.PhaseVMSwitch, measure.PhaseHypercall,
-	measure.PhaseIPCCall,
-	measure.PhaseReconfigCold, measure.PhaseReconfigWarm, measure.PhaseReconfigQWait,
-}
 
 // digest accumulates the state dump line by line and hashes it (FNV-1a
 // 64) as it goes. The text is retained so a replay divergence can be

@@ -77,7 +77,7 @@ type Spec struct {
 	// Seed diversifies the per-VM pseudo-random streams.
 	Seed uint32
 	// Shards > 1 spreads the simulated cores over that many host
-	// goroutines (nova.RunParallel); 0/1 runs them all on one. The
+	// goroutines (nova.RunParallelFor); 0/1 runs them all on one. The
 	// checksum is byte-identical for every shard count.
 	Shards int
 
@@ -478,7 +478,7 @@ func (s *System) collect() Result {
 			pipe.Stats.Quarantines, pipe.Stats.FaultedRequests, pipe.Stats.Purged,
 			cs.Invalidations, pipe.Fabric.PCAP.Aborts)
 	}
-	for _, ph := range checksumPhases {
+	for _, ph := range measure.Phases {
 		pr := k.Probes.Get(ph)
 		d.addf("probe %s %d %d %d %d", ph, pr.Count, pr.Total, pr.Min, pr.Max)
 	}

@@ -52,7 +52,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // The parallel engine's contract: every suite scenario run through
-// RunParallel — whatever the shard count — produces the byte-identical
+// RunParallelFor — whatever the shard count — produces the byte-identical
 // state dump and checksum a one-goroutine run produces. Any cross-core
 // effect that escapes the epoch barrier, any host-order-dependent merge,
 // any clock read off the wrong core diverges here.

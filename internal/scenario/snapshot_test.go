@@ -232,7 +232,9 @@ func midpointRun(t *testing.T, shards int, interrupt bool) Result {
 			garbage[i] = 0xA5
 		}
 		for _, f := range img.Frames {
-			k.Bus.LoadFrame(f.PA, garbage)
+			if err := k.Bus.WriteBytes(f.PA, garbage); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := range pd.VCPU.Regs.R {
 			pd.VCPU.Regs.R[i] = 0xDEADBEEF

@@ -235,7 +235,7 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 	t0 := nm.Clock.Now()
 	reply := nm.Mgr.Handle(nm.mgrCtx, req, nm.actions)
 	d := nm.Clock.Now() - t0
-	nm.Probes.Add(measure.PhaseMgrExec, d)
+	nm.Probes.Get(measure.PhaseMgrExec).Add(d)
 	g := HwGrant{
 		Status: abi.ReplyStatus(reply),
 		PRR:    abi.ReplyPRR(reply),
